@@ -44,7 +44,10 @@
 // once, not once per transmitter. After the last event every radio goes
 // idle and sleeps forward to the queue's final time, so per-node ledger
 // totals are exact: sum(ledger) == capacity - remaining, and the global
-// total is the index-ordered sum of the per-node totals.
+// total is the index-ordered sum of the per-node totals. The fill adds
+// the gap to the radio's clock, and that sum rounds: a radio's clock_s()
+// may end one ULP below the final time, never further (net_sim_test pins
+// this over eight seeds).
 //
 // Scope notes: fault extra-loss and carrier-dropout windows apply (per
 // node when the schedule targets one); DistanceJump/FadeBurst/Brownout

@@ -9,6 +9,12 @@
 
 namespace braidio::phy {
 
+namespace {
+// Guard band [dB] around each mode's threshold SNR inside which available()
+// evaluates the BER (link_budget.hpp says why the shortcut is exact).
+constexpr double kThresholdGuardDb = 1e-6;
+}  // namespace
+
 LinkBudget::LinkBudget(LinkBudgetConfig config) : config_(config) {
   if (!(config_.ber_threshold > 0.0) || !(config_.ber_threshold < 0.5)) {
     throw std::invalid_argument("LinkBudget: ber_threshold out of (0, 0.5)");
@@ -24,6 +30,7 @@ LinkBudget::LinkBudget(LinkBudgetConfig config) : config_(config) {
   for (LinkMode mode : kAllLinkModes) {
     const double need_db =
         required_snr_db(ber_model(mode), config_.ber_threshold);
+    threshold_snr_db_[static_cast<std::size_t>(mode)] = need_db;
     for (Bitrate rate : kAllBitrates) {
       const double pr = received_power_dbm(mode, anchor_range(mode, rate));
       floors_dbm_[index(mode, rate)] = pr - need_db;
@@ -138,6 +145,11 @@ double LinkBudget::range_m(LinkMode mode, Bitrate rate) const {
 
 bool LinkBudget::available(LinkMode mode, Bitrate rate,
                            double distance_m) const {
+  const double margin_db =
+      snr_db(mode, rate, distance_m) -
+      threshold_snr_db_[static_cast<std::size_t>(mode)];
+  if (margin_db > kThresholdGuardDb) return true;
+  if (margin_db < -kThresholdGuardDb) return false;
   return ber(mode, rate, distance_m) <= config_.ber_threshold;
 }
 

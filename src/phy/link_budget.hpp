@@ -88,6 +88,13 @@ class LinkBudget : public hal::ChannelModel {
   double range_m(LinkMode mode, Bitrate rate) const override;
 
   /// True when (mode, bitrate) meets the BER threshold at distance d.
+  /// Exactly `ber(mode, rate, d) <= config().ber_threshold`, though the BER
+  /// is evaluated only near the threshold: BER falls with SNR, so an SNR
+  /// more than a 1e-6 dB guard band above (below) the mode's threshold SNR,
+  /// solved once by the constructor, answers true (false). Across the band
+  /// the BER moves ~1e-6 (relative), over six orders of magnitude more than
+  /// its rounding and series-truncation error, so the two tests cannot
+  /// disagree outside it. Every calibration anchor lies inside the band.
   bool available(LinkMode mode, Bitrate rate,
                  double distance_m) const override;
 
@@ -103,6 +110,7 @@ class LinkBudget : public hal::ChannelModel {
 
   LinkBudgetConfig config_;
   double floors_dbm_[9] = {};  // calibrated per (mode, bitrate)
+  double threshold_snr_db_[3] = {};  // SNR at ber_threshold, per mode
 };
 
 }  // namespace braidio::phy

@@ -34,8 +34,7 @@ SweepPoint::SweepPoint(const Scenario& scenario, std::size_t flat_index,
     : scenario_(&scenario),
       flat_index_(flat_index),
       coords_(std::move(coords)),
-      seed_(util::Rng::stream_seed(master_seed, flat_index)),
-      rng_(seed_) {}
+      seed_(util::Rng::stream_seed(master_seed, flat_index)) {}
 
 std::size_t SweepPoint::axis_index(std::size_t axis) const {
   BRAIDIO_REQUIRE(axis < coords_.size(), "axis", axis);

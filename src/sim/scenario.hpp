@@ -9,9 +9,11 @@
 // are independent of the thread count.
 //
 // The evaluation functor MUST be thread-safe: it may be called for
-// different points concurrently. All per-point randomness must come from
-// `SweepPoint::rng()` / `SweepPoint::seed()` (a deterministic child stream
-// keyed by the point's flat index) — never from shared mutable state.
+// different points concurrently. A sweep point carries a seed, not an
+// engine: all per-point randomness must come from `SweepPoint::seed()` (the
+// seed of a deterministic child stream keyed by the point's flat index),
+// through a `util::Rng rng(point.seed())` the functor constructs — never
+// from shared mutable state. Points that draw nothing pay for no engine.
 #pragma once
 
 #include <cstdint>
@@ -51,7 +53,7 @@ struct RunRecord {
 class Scenario;
 
 /// One point of the sweep grid, handed to the evaluation functor. Carries
-/// the point's coordinates and its private deterministic RNG stream.
+/// the point's coordinates and the seed of its private RNG stream.
 class SweepPoint {
  public:
   SweepPoint(const Scenario& scenario, std::size_t flat_index,
@@ -66,19 +68,15 @@ class SweepPoint {
   const std::string& axis_label(std::size_t axis) const;
 
   /// Deterministic per-point seed (Rng::stream_seed of the sweep master
-  /// seed and this point's flat index).
+  /// seed and this point's flat index). A point that draws random numbers
+  /// constructs its own `util::Rng rng(point.seed())`.
   std::uint64_t seed() const { return seed_; }
-
-  /// Private RNG child stream for this point. Non-const: drawing advances
-  /// the point's stream (and only this point's stream).
-  util::Rng& rng() { return rng_; }
 
  private:
   const Scenario* scenario_;
   std::size_t flat_index_;
   std::vector<std::size_t> coords_;
   std::uint64_t seed_;
-  util::Rng rng_;
 };
 
 /// A declarative experiment: axes x evaluation -> rows.

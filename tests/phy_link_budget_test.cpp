@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
+#include "backends/backends.hpp"
+#include "hal/backend.hpp"
 #include "util/units.hpp"
 
 namespace braidio::phy {
@@ -149,6 +155,98 @@ INSTANTIATE_TEST_SUITE_P(
     AllModes, AvailabilitySweep,
     ::testing::Combine(::testing::ValuesIn(kAllLinkModes),
                        ::testing::ValuesIn(kAllBitrates)));
+
+/// The calibration anchor [m] of (mode, rate) in a config.
+double anchor_of(const LinkBudgetConfig& c, LinkMode mode, Bitrate rate) {
+  if (mode == LinkMode::Active) return c.active_range;
+  const bool bs = mode == LinkMode::Backscatter;
+  switch (rate) {
+    case Bitrate::M1:
+      return bs ? c.backscatter_range_1m_bps : c.passive_range_1m_bps;
+    case Bitrate::k100:
+      return bs ? c.backscatter_range_100k : c.passive_range_100k;
+    case Bitrate::k10:
+      return bs ? c.backscatter_range_10k : c.passive_range_10k;
+  }
+  return 0.0;
+}
+
+/// 1e5 log-spaced distances over 0.01-30 m, the 0.1 m figure grid out to
+/// 30 m (built as i / 10 and as i * 0.1), and every anchor +/- 1..64 ULPs.
+std::vector<double> availability_probe_distances(const LinkBudgetConfig& c) {
+  constexpr int kGrid = 100'000;
+  std::vector<double> d;
+  for (int i = 0; i < kGrid; ++i) {
+    d.push_back(0.01 * std::pow(3000.0, static_cast<double>(i) / (kGrid - 1)));
+  }
+  for (int i = 1; i <= 300; ++i) {
+    d.push_back(static_cast<double>(i) / 10.0);
+    d.push_back(i * 0.1);
+  }
+  for (LinkMode mode : kAllLinkModes) {
+    for (Bitrate rate : kAllBitrates) {
+      double up = anchor_of(c, mode, rate);
+      double down = up;
+      d.push_back(up);
+      for (int ulp = 1; ulp <= 64; ++ulp) {
+        up = std::nextafter(up, std::numeric_limits<double>::infinity());
+        down = std::nextafter(down, 0.0);
+        d.push_back(up);
+        d.push_back(down);
+      }
+    }
+  }
+  return d;
+}
+
+TEST(LinkBudgetAvailability, AgreesWithTheBerComparisonOnEveryBackend) {
+  // available() answers from the SNR outside a 1e-6 dB guard band around
+  // the threshold SNR. It must never disagree with the BER comparison it
+  // stands for, on the channel of any backend.
+  backends::register_all();
+  for (const char* name : {backends::kBraidio, backends::kBleActive,
+                           backends::kReaderPassive, backends::kBlispHybrid}) {
+    const auto* budget = dynamic_cast<const LinkBudget*>(
+        &hal::BackendRegistry::instance().get(name).channel());
+    ASSERT_NE(budget, nullptr) << name;
+    const LinkBudgetConfig& c = budget->config();
+    const std::vector<double> distances = availability_probe_distances(c);
+    for (LinkMode mode : kAllLinkModes) {
+      // Just outside the guard band the BER comparison already agrees with
+      // the sign of the SNR margin, at every scale out to 100 dB.
+      const double need_db =
+          required_snr_db(LinkBudget::ber_model(mode), c.ber_threshold);
+      std::size_t wrong_side = 0;
+      for (double off = 1.000001e-6; off < 100.0; off *= 1.01) {
+        if (budget->ber_from_snr_db(mode, need_db + off) > c.ber_threshold) {
+          ++wrong_side;
+        }
+        if (budget->ber_from_snr_db(mode, need_db - off) <= c.ber_threshold) {
+          ++wrong_side;
+        }
+      }
+      EXPECT_EQ(wrong_side, 0u) << name << " " << to_string(mode);
+      // The anchors sit on the threshold SNR, well inside the guard band,
+      // so their ULP neighbourhoods exercise the BER-evaluating branch.
+      for (Bitrate rate : kAllBitrates) {
+        EXPECT_NEAR(budget->snr_db(mode, rate, anchor_of(c, mode, rate)),
+                    need_db, 1e-9)
+            << name << " " << to_string(mode) << "@" << to_string(rate);
+        std::size_t mismatches = 0;
+        double first = 0.0;
+        for (const double d : distances) {
+          const bool want = budget->ber(mode, rate, d) <= c.ber_threshold;
+          if (budget->available(mode, rate, d) != want && mismatches++ == 0) {
+            first = d;
+          }
+        }
+        EXPECT_EQ(mismatches, 0u)
+            << name << " " << to_string(mode) << "@" << to_string(rate)
+            << " first at d=" << first;
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace braidio::phy

@@ -72,9 +72,9 @@ INSTANTIATE_TEST_SUITE_P(
     AllModes, ModeRateSweep,
     ::testing::Combine(::testing::ValuesIn(kAllLinkModes),
                        ::testing::ValuesIn(kAllBitrates)),
-    [](const ::testing::TestParamInfo<ModeRate>& info) {
-      return std::string(to_string(std::get<0>(info.param))) + "_" +
-             to_string(std::get<1>(info.param));
+    [](const ::testing::TestParamInfo<ModeRate>& point) {
+      return std::string(to_string(std::get<0>(point.param))) + "_" +
+             to_string(std::get<1>(point.param));
     });
 
 class SawSweep : public ::testing::TestWithParam<double> {};

@@ -45,8 +45,9 @@ sim::Scenario stochastic_scenario() {
   return sim::Scenario(
       "stochastic", {sim::Axis::indexed("point", 64)}, {"draw"},
       [](sim::SweepPoint& p) {
+        util::Rng rng(p.seed());
         double sum = 0.0;
-        for (int k = 0; k < 100; ++k) sum += p.rng().gaussian();
+        for (int k = 0; k < 100; ++k) sum += rng.gaussian();
         sim::RunRecord record;
         record.cells.push_back(util::format_scientific(sum, 6));
         return record;
