@@ -30,6 +30,7 @@
 //
 // Device names are the Fig. 1 catalog entries ("Apple Watch", "iPhone 6S",
 // ...). All output is plain tables; exit code 2 flags usage errors.
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -37,6 +38,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "backends/backends.hpp"
@@ -420,6 +422,18 @@ bool write_text_file(const std::string& path, const std::string& text) {
   return true;
 }
 
+/// Parse an unsigned integer flag value into `out`: the whole text, no
+/// sign, within T's range. Otherwise report "bad <flag> value: <text>"
+/// and return false (the caller exits 2).
+template <typename T>
+bool parse_unsigned_flag(const char* flag, const std::string& text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  if (ec == std::errc{} && ptr == end) return true;
+  std::cerr << "bad " << flag << " value: " << text << '\n';
+  return false;
+}
+
 // Many-node discrete-event network run: build the topology, drain the
 // scheduler, and report delivery + energy. Global --backend and --faults
 // plug straight into the NetConfig.
@@ -440,16 +454,21 @@ int cmd_net(const hal::RadioBackend& backend,
       }
       cfg.topology.kind = *kind;
     } else if (arg.rfind("--nodes=", 0) == 0) {
-      cfg.topology.nodes = std::stoul(arg.substr(8));
+      if (!parse_unsigned_flag("--nodes", arg.substr(8),
+                               cfg.topology.nodes)) {
+        return 2;
+      }
     } else if (arg.rfind("--packets=", 0) == 0) {
-      cfg.packets_per_node =
-          static_cast<std::uint32_t>(std::stoul(arg.substr(10)));
+      if (!parse_unsigned_flag("--packets", arg.substr(10),
+                               cfg.packets_per_node)) {
+        return 2;
+      }
     } else if (arg.rfind("--extent=", 0) == 0) {
       cfg.topology.extent_m = std::stod(arg.substr(9));
     } else if (arg.rfind("--range=", 0) == 0) {
       cfg.topology.link_range_m = std::stod(arg.substr(8));
     } else if (arg.rfind("--seed=", 0) == 0) {
-      cfg.seed = std::stoull(arg.substr(7));
+      if (!parse_unsigned_flag("--seed", arg.substr(7), cfg.seed)) return 2;
     } else if (arg.rfind("--mac=", 0) == 0) {
       try {
         cfg.mac = net::parse_mac(arg.substr(6));

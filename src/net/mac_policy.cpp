@@ -28,7 +28,7 @@ void MacPolicy::finalize(MacPolicyStats&) const {}
 void CsmaCaMac::on_kick(MacContext& ctx, std::uint32_t node) {
   Node& n = ctx.mac_node(node);
   n.csma().begin();
-  n.count(NodeCounter::BackoffDraws);
+  ++n.stats().backoff_draws;
   ctx.schedule_attempt(ctx.now_s() + n.csma().backoff_s(n.rng()), node);
 }
 
@@ -38,9 +38,9 @@ AttemptDecision CsmaCaMac::on_attempt(MacContext& ctx, std::uint32_t node) {
   // backoff jitter alone.
   if (!n.radio().caps().can_cca) return AttemptDecision::Transmit;
   if (ctx.sense_clear(node)) return AttemptDecision::Transmit;
-  n.count(NodeCounter::CcaBusy);
+  ++n.stats().cca_busy;
   if (n.csma().busy()) {
-    n.count(NodeCounter::BackoffDraws);
+    ++n.stats().backoff_draws;
     ctx.schedule_attempt(ctx.now_s() + n.csma().backoff_s(n.rng()), node);
     return AttemptDecision::Deferred;
   }
@@ -51,7 +51,7 @@ void CsmaCaMac::on_tx_done(MacContext& ctx, std::uint32_t node,
                            double done_s) {
   Node& n = ctx.mac_node(node);
   n.csma().begin();
-  n.count(NodeCounter::BackoffDraws);
+  ++n.stats().backoff_draws;
   ctx.schedule_attempt(done_s + ctx.turnaround_s() +
                            n.csma().backoff_s(n.rng()),
                        node);

@@ -49,6 +49,8 @@ enum class AttemptDecision : std::uint8_t {
 };
 
 /// Policy counters surfaced into NetStats (zeros under plain CSMA).
+/// rounds comes from MacPolicy::finalize; the other two are sums of the
+/// per-node NodeStats fields the policy posts.
 struct MacPolicyStats {
   std::uint64_t rounds = 0;         ///< TDMA rounds planned
   std::uint64_t registrations = 0;  ///< successful hub registrations

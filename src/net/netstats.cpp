@@ -3,30 +3,65 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <span>
 #include <sstream>
 
 #include "util/contract.hpp"
 
 namespace braidio::net {
 
-const char* to_string(NodeCounter counter) {
-  switch (counter) {
-    case NodeCounter::TxAttempts: return "tx_attempts";
-    case NodeCounter::CcaBusy: return "cca_busy";
-    case NodeCounter::BackoffDraws: return "backoff_draws";
-    case NodeCounter::Collisions: return "collisions";
-    case NodeCounter::FaultLosses: return "fault_losses";
-    case NodeCounter::Delivered: return "delivered";
-    case NodeCounter::Relayed: return "relayed";
-    case NodeCounter::DropsAccess: return "drops_access";
-    case NodeCounter::DropsArq: return "drops_arq";
-    case NodeCounter::SlotRegistrations: return "slot_registrations";
-    case NodeCounter::SlotsReclaimed: return "slots_reclaimed";
-  }
-  return "?";
+NodeStats& NodeStats::operator+=(const NodeStats& other) {
+  generated += other.generated;
+  delivered += other.delivered;
+  forwarded += other.forwarded;
+  tx_attempts += other.tx_attempts;
+  csma_failures += other.csma_failures;
+  arq_drops += other.arq_drops;
+  cca_busy += other.cca_busy;
+  backoff_draws += other.backoff_draws;
+  collisions += other.collisions;
+  fault_losses += other.fault_losses;
+  slot_registrations += other.slot_registrations;
+  slots_reclaimed += other.slots_reclaimed;
+  uplink_acked += other.uplink_acked;
+  uplink_data_lost += other.uplink_data_lost;
+  uplink_ack_lost += other.uplink_ack_lost;
+  return *this;
 }
+// A new field must be added to operator+= above.
+static_assert(sizeof(NodeStats) == 15 * sizeof(std::uint64_t));
 
 namespace {
+
+/// An exported column: its name in the braidio-netstats/v1 JSON and CSV,
+/// and the NodeStats field it reads.
+struct Column {
+  const char* name;
+  std::uint64_t NodeStats::*field;
+};
+
+/// The "node_counters" columns, in export order.
+constexpr Column kNodeColumns[] = {
+    {"tx_attempts", &NodeStats::tx_attempts},
+    {"cca_busy", &NodeStats::cca_busy},
+    {"backoff_draws", &NodeStats::backoff_draws},
+    {"collisions", &NodeStats::collisions},
+    {"fault_losses", &NodeStats::fault_losses},
+    {"delivered", &NodeStats::delivered},
+    {"relayed", &NodeStats::forwarded},
+    {"drops_access", &NodeStats::csma_failures},
+    {"drops_arq", &NodeStats::arq_drops},
+    {"slot_registrations", &NodeStats::slot_registrations},
+    {"slots_reclaimed", &NodeStats::slots_reclaimed},
+};
+
+/// The per-link "links" columns (after dst), in export order.
+constexpr Column kLinkColumns[] = {
+    {"attempts", &NodeStats::tx_attempts},
+    {"acked", &NodeStats::uplink_acked},
+    {"data_lost", &NodeStats::uplink_data_lost},
+    {"ack_lost", &NodeStats::uplink_ack_lost},
+};
 
 /// Fixed-decimal rendering: no exponents, no locale surprises, stable
 /// bytes for the serial-vs-parallel identity.
@@ -81,11 +116,8 @@ void NetFlightRecord::arm(const Topology& topo, double sched_bucket_s) {
 #if BRAIDIO_OBS_COMPILED
   BRAIDIO_REQUIRE(sched_bucket_s > 0.0, "sched_bucket_s", sched_bucket_s);
   enabled = true;
-  nodes.assign(topo.size(), NodeCounterBlock{});
-  links.assign(topo.size(), LinkRecord{});
-  for (std::size_t i = 0; i < topo.size(); ++i) {
-    links[i].dst = topo.next_hop[i];
-  }
+  nodes.assign(topo.size(), NodeStats{});
+  dst = topo.next_hop;
   latency = obs::HistogramData(
       obs::bucket_bounds(obs::Histogram::NetLatencySeconds));
   sched = SchedulerSeries{};
@@ -105,15 +137,9 @@ void NetFlightRecord::merge(const NetFlightRecord& other) {
   BRAIDIO_REQUIRE(nodes.size() == other.nodes.size(), "nodes",
                   nodes.size(), "other", other.nodes.size());
   for (std::size_t i = 0; i < nodes.size(); ++i) {
-    for (std::size_t c = 0; c < kNodeCounterCount; ++c) {
-      nodes[i].values[c] += other.nodes[i].values[c];
-    }
-    BRAIDIO_REQUIRE(links[i].dst == other.links[i].dst, "node", i,
-                    "dst", links[i].dst, "other", other.links[i].dst);
-    links[i].attempts += other.links[i].attempts;
-    links[i].acked += other.links[i].acked;
-    links[i].data_lost += other.links[i].data_lost;
-    links[i].ack_lost += other.links[i].ack_lost;
+    BRAIDIO_REQUIRE(dst[i] == other.dst[i], "node", i, "dst", dst[i],
+                    "other", other.dst[i]);
+    nodes[i] += other.nodes[i];
   }
   latency.merge(other.latency);
   sched.merge(other.sched);
@@ -139,6 +165,28 @@ void write_u64_array(std::ostringstream& os, const char* key,
   os << "]";
 }
 
+/// One array per column, one value per node, keyed by the column name.
+void write_columns(std::ostringstream& os, std::span<const Column> columns,
+                   const std::vector<NodeStats>& nodes) {
+  std::vector<std::uint64_t> values(nodes.size());
+  for (std::size_t c = 0; c < columns.size(); ++c) {
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      values[i] = nodes[i].*columns[c].field;
+    }
+    write_u64_array(os, columns[c].name, values);
+    os << (c + 1 < columns.size() ? ",\n" : "\n");
+  }
+}
+
+/// kNoRoute renders as -1: stranded nodes have no uplink row.
+void write_dst(std::ostringstream& os, std::uint32_t dst) {
+  if (dst == kNoRoute) {
+    os << -1;
+  } else {
+    os << dst;
+  }
+}
+
 }  // namespace
 
 std::string NetFlightRecord::to_json() const {
@@ -150,42 +198,17 @@ std::string NetFlightRecord::to_json() const {
   os << "  \"elapsed_s\": " << plain_number(elapsed_s, 6) << ",\n";
 
   os << "  \"node_counters\": {\n";
-  for (std::size_t c = 0; c < kNodeCounterCount; ++c) {
-    std::vector<std::uint64_t> column(nodes.size());
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      column[i] = nodes[i].values[c];
-    }
-    write_u64_array(os, to_string(static_cast<NodeCounter>(c)), column);
-    os << (c + 1 < kNodeCounterCount ? ",\n" : "\n");
-  }
+  write_columns(os, kNodeColumns, nodes);
   os << "  },\n";
 
   os << "  \"links\": {\n";
-  {
-    // kNoRoute renders as -1: stranded nodes have no uplink row.
-    os << "    \"dst\": [";
-    for (std::size_t i = 0; i < links.size(); ++i) {
-      if (i != 0) os << ", ";
-      if (links[i].dst == kNoRoute) {
-        os << -1;
-      } else {
-        os << links[i].dst;
-      }
-    }
-    os << "],\n";
-    std::vector<std::uint64_t> column(links.size());
-    const auto emit = [&](const char* key, auto member, bool last) {
-      for (std::size_t i = 0; i < links.size(); ++i) {
-        column[i] = links[i].*member;
-      }
-      write_u64_array(os, key, column);
-      os << (last ? "\n" : ",\n");
-    };
-    emit("attempts", &LinkRecord::attempts, false);
-    emit("acked", &LinkRecord::acked, false);
-    emit("data_lost", &LinkRecord::data_lost, false);
-    emit("ack_lost", &LinkRecord::ack_lost, true);
+  os << "    \"dst\": [";
+  for (std::size_t i = 0; i < dst.size(); ++i) {
+    if (i != 0) os << ", ";
+    write_dst(os, dst[i]);
   }
+  os << "],\n";
+  write_columns(os, kLinkColumns, nodes);
   os << "  },\n";
 
   os << "  \"latency\": {\n";
@@ -232,22 +255,19 @@ std::string NetFlightRecord::to_json() const {
 std::string NetFlightRecord::to_csv() const {
   std::ostringstream os;
   os << "node,dst";
-  for (std::size_t c = 0; c < kNodeCounterCount; ++c) {
-    os << ',' << to_string(static_cast<NodeCounter>(c));
-  }
-  os << ",link_attempts,link_acked,link_data_lost,link_ack_lost\n";
+  for (const Column& column : kNodeColumns) os << ',' << column.name;
+  for (const Column& column : kLinkColumns) os << ",link_" << column.name;
+  os << '\n';
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     os << i << ',';
-    if (links[i].dst == kNoRoute) {
-      os << -1;
-    } else {
-      os << links[i].dst;
+    write_dst(os, dst[i]);
+    for (const Column& column : kNodeColumns) {
+      os << ',' << nodes[i].*column.field;
     }
-    for (std::size_t c = 0; c < kNodeCounterCount; ++c) {
-      os << ',' << nodes[i].values[c];
+    for (const Column& column : kLinkColumns) {
+      os << ',' << nodes[i].*column.field;
     }
-    os << ',' << links[i].attempts << ',' << links[i].acked << ','
-       << links[i].data_lost << ',' << links[i].ack_lost << '\n';
+    os << '\n';
   }
   return os.str();
 }

@@ -1,12 +1,17 @@
-// Network flight recorder: per-node counters, a per-link delivery/loss
-// matrix, end-to-end latency, and scheduler introspection for src/net/.
+// Per-node network statistics and the flight recorder for src/net/.
 //
-// Three planes (DESIGN.md §17):
-//   * per-node counters — flat index-addressed blocks, one array slot
-//     per NodeCounter, no string hashing on the hot path (analyzer rule
-//     A7 enforces this for src/net/);
-//   * per-link matrix — every node has exactly one uplink hop toward
-//     the hub, so the matrix is one LinkRecord row per source node;
+// NodeStats is the only per-node counter store: each event site posts
+// once (`++node.stats().x`), NetworkSimulator::run() sums the NetStats
+// totals over the nodes in index order, and an armed recorder copies
+// the records when the run ends. The counters are always on; only the
+// recorder compiles out with BRAIDIO_OBS.
+//
+// The recorder holds three read-only planes (DESIGN.md §17):
+//   * per-node stats — the copied NodeStats plus each node's uplink
+//     destination, exported as per-node counters and as the per-link
+//     delivery/loss matrix (every node has exactly one uplink hop
+//     toward the hub, so the matrix is one row per source node);
+//   * latency — end-to-end origin-to-hub seconds;
 //   * scheduler series — time-bucketed calendar-queue depth, events,
 //     width re-tunes, and insert scan cost, exported in the same
 //     Chrome counter-track shape as the energy power tracks.
@@ -20,7 +25,6 @@
 // BRAIDIO_OBS compile-time switch is off.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -32,48 +36,30 @@
 
 namespace braidio::net {
 
-/// Per-node counter taxonomy. Closed and index-addressed: hot-path
-/// posts are one array increment, never a named-metric lookup.
-enum class NodeCounter : std::uint8_t {
-  TxAttempts,         // physical transmissions started
-  CcaBusy,            // CCA windows that sampled the medium busy
-  BackoffDraws,       // CSMA backoff delays drawn
-  Collisions,         // attempts lost with interference present
-  FaultLosses,        // attempts lost under an active dropout fault
-  Delivered,          // originated frames that reached the hub
-  Relayed,            // frames this node forwarded one hop onward
-  DropsAccess,        // frames dropped: channel-access budget exhausted
-  DropsArq,           // frames dropped: retry budget exhausted
-  SlotRegistrations,  // TDMA registration exchanges completed
-  SlotsReclaimed,     // TDMA slots reclaimed from this node
-};
+/// One node's counters. A hot-path post is one field increment, never a
+/// named-metric lookup (analyzer rule A7).
+struct NodeStats {
+  std::uint64_t generated = 0;      // frames originated at this node
+  std::uint64_t delivered = 0;      // originated frames that reached the hub
+  std::uint64_t forwarded = 0;      // relayed frames passed one hop onward
+  std::uint64_t tx_attempts = 0;    // physical transmissions
+  std::uint64_t csma_failures = 0;  // frames dropped: channel access failed
+  std::uint64_t arq_drops = 0;      // frames dropped: retry budget exhausted
+  std::uint64_t cca_busy = 0;       // CCA windows that sampled the medium busy
+  std::uint64_t backoff_draws = 0;  // CSMA backoff delays drawn
+  std::uint64_t collisions = 0;     // un-acked attempts with interference
+  std::uint64_t fault_losses = 0;   // un-acked attempts under a dropout fault
+  std::uint64_t slot_registrations = 0;  // TDMA registrations completed
+  std::uint64_t slots_reclaimed = 0;     // TDMA slots reclaimed from this node
+  // Uplink outcomes: each resolved transmission lands in exactly one, so
+  // after a run tx_attempts == uplink_acked + uplink_data_lost +
+  // uplink_ack_lost.
+  std::uint64_t uplink_acked = 0;      // data and ACK survived
+  std::uint64_t uplink_data_lost = 0;  // data leg corrupted or unheard
+  std::uint64_t uplink_ack_lost = 0;   // data survived, ACK leg lost
 
-inline constexpr std::size_t kNodeCounterCount = 11;
-
-/// Snake-case counter name (JSON key / CSV column).
-const char* to_string(NodeCounter counter);
-
-/// One node's flat counter block. POD-sized, zero-initialized.
-struct NodeCounterBlock {
-  std::array<std::uint64_t, kNodeCounterCount> values{};
-
-  void bump(NodeCounter counter, std::uint64_t n = 1) {
-    values[static_cast<std::size_t>(counter)] += n;
-  }
-  std::uint64_t value(NodeCounter counter) const {
-    return values[static_cast<std::size_t>(counter)];
-  }
-};
-
-/// One uplink hop (src -> next_hop[src]) of the delivery/loss matrix.
-/// `attempts` counts resolved transmissions; each failed one is
-/// attributed to exactly one of data_lost / ack_lost.
-struct LinkRecord {
-  std::uint32_t dst = kNoRoute;
-  std::uint64_t attempts = 0;   // transmissions resolved on this hop
-  std::uint64_t acked = 0;      // hop completed (data and ACK survived)
-  std::uint64_t data_lost = 0;  // data leg corrupted or unheard
-  std::uint64_t ack_lost = 0;   // data survived, ACK leg lost
+  /// Field-wise sum (run totals, sweep merges).
+  NodeStats& operator+=(const NodeStats& other);
 };
 
 /// Time-bucketed scheduler telemetry sampled once per popped event.
@@ -99,9 +85,9 @@ struct SchedulerSeries {
 /// The full flight record for one simulator run (or a merged sweep).
 struct NetFlightRecord {
   bool enabled = false;
-  std::vector<NodeCounterBlock> nodes;
-  std::vector<LinkRecord> links;
-  obs::HistogramData latency;  // end-to-end origin->hub seconds
+  std::vector<NodeStats> nodes;    // copied when the run ends
+  std::vector<std::uint32_t> dst;  // uplink next hop; kNoRoute if stranded
+  obs::HistogramData latency;      // end-to-end origin->hub seconds
   SchedulerSeries sched;
 
   // End-of-run scheduler summary (always cheap to collect; also echoed
@@ -115,31 +101,17 @@ struct NetFlightRecord {
   double sched_width_s = 0.0;          // bucket width at end of run
   double elapsed_s = 0.0;              // simulated span covered
 
-  /// Size the per-node blocks and link rows for `topo` and mark the
-  /// record live. No-op (record stays disabled) when BRAIDIO_OBS is
-  /// compiled out.
+  /// Size the per-node rows for `topo`, take its uplink destinations,
+  /// and mark the record live. No-op (record stays disabled) when
+  /// BRAIDIO_OBS is compiled out.
   void arm(const Topology& topo, double sched_bucket_s);
-
-  /// Attribute one resolved transmission to src's uplink row.
-  void link_attempt(std::uint32_t src, bool data_ok, bool acked) {
-    if (!enabled) return;
-    LinkRecord& link = links[src];
-    ++link.attempts;
-    if (acked) {
-      ++link.acked;
-    } else if (!data_ok) {
-      ++link.data_lost;
-    } else {
-      ++link.ack_lost;
-    }
-  }
 
   void note_delivery(double latency_s) {
     if (!enabled) return;
     latency.record(latency_s);
   }
 
-  /// Fold another run's record in (node/link shapes must match).
+  /// Fold another run's record in (node counts and dst must match).
   void merge(const NetFlightRecord& other);
 
   /// Deterministic JSON document (schema "braidio-netstats/v1").

@@ -104,14 +104,6 @@ NetworkSimulator::NetworkSimulator(NetConfig config)
 
   if (config_.flight_recorder) {
     record_.arm(topo_, config_.stats_bucket_s);
-    if (record_.enabled) {
-      // Wire each node to its flat counter block. record_ lives as long
-      // as the simulator and never resizes after arm(), so the pointers
-      // stay valid; the recorder reads nothing back until export.
-      for (std::size_t i = 0; i < total; ++i) {
-        nodes_[i].set_counters(&record_.nodes[i]);
-      }
-    }
   }
 }
 
@@ -167,19 +159,13 @@ std::optional<hal::OperatingPoint> NetworkSimulator::link_point(
   return links_[i].point;
 }
 
-void NetworkSimulator::note_death(Node& node) {
-  if (!node.alive()) return;
-  node.set_alive(false);
-  ++stats_.battery_deaths;  // the radio posts the counter + trace event
-}
-
 void NetworkSimulator::charge_window(Node& node, double from_s,
                                      double to_s) {
   BRAIDIO_REQUIRE(node.alive(), "node", node.index());
   double& busy = busy_until_s_[node.index()];
   const double start = std::max(from_s, busy);
   if (to_s > start && !node.radio().advance(util::Seconds(to_s - start))) {
-    note_death(node);
+    node.set_alive(false);
   }
   busy = std::max(busy, to_s);
 }
@@ -214,7 +200,7 @@ bool NetworkSimulator::sense_clear(std::uint32_t i) {
   // medium at the attempt instant, as before the listen was billed.
   const double ambient = medium_->ambient_dbm(i, i);
   if (!node.radio().sense(util::Seconds(config_.csma.cca_window_s))) {
-    note_death(node);
+    node.set_alive(false);
     return false;
   }
   return node.radio().cca_clear(util::Dbm(ambient));
@@ -234,14 +220,14 @@ bool NetworkSimulator::register_exchange(std::uint32_t i) {
   const double air = control_airtime_s(i);
   const double span = 2.0 * air + config_.turnaround_s;
   if (!node.radio().switch_to(plan.point, hal::Role::DataTransmitter)) {
-    note_death(node);
+    node.set_alive(false);
     return false;
   }
   if (dest.alive() &&
       !dest.radio().switch_to(plan.point, hal::Role::DataReceiver)) {
-    note_death(dest);
+    dest.set_alive(false);
   }
-  if (!node.radio().advance(util::Seconds(span))) note_death(node);
+  if (!node.radio().advance(util::Seconds(span))) node.set_alive(false);
   if (dest.alive()) charge_window(dest, now, now + span);
   bool dropout = false;
   fault_loss_db(now, i, dest.index(), dropout);
@@ -321,9 +307,7 @@ void NetworkSimulator::handle_attempt(const Event& ev) {
     case AttemptDecision::Drop:
       // Channel-access failure: the policy's budget is gone, the frame
       // never made it onto the air.
-      ++stats_.csma_failures;
       ++node.stats().csma_failures;
-      node.count(NodeCounter::DropsAccess);
       obs::count(obs::Counter::PacketsDropped);
       trace_flow(obs::EventType::PacketFlowEnd, "drop:access", ev.node,
                  now, t.packet_id);
@@ -339,28 +323,26 @@ void NetworkSimulator::handle_attempt(const Event& ev) {
   }
 
   if (!node.radio().switch_to(plan.point, hal::Role::DataTransmitter)) {
-    note_death(node);
+    node.set_alive(false);
     t.active = false;
     return;
   }
   if (dest.alive() &&
       !dest.radio().switch_to(plan.point, hal::Role::DataReceiver)) {
-    note_death(dest);
+    dest.set_alive(false);
   }
 
   const double airtime =
       mac::PacketChannel::airtime_s(t.frame, plan.point.rate);
   ++t.attempts;
-  ++stats_.tx_attempts;
   ++node.stats().tx_attempts;
-  node.count(NodeCounter::TxAttempts);
   obs::count(obs::Counter::PacketsTx);
   BRAIDIO_TRACE_EVENT(obs::EventType::PacketTx, "net", now,
                       static_cast<double>(ev.node));
   trace_flow(obs::EventType::PacketFlowStep, "air", ev.node, now,
              t.packet_id);
 
-  if (!node.radio().advance(util::Seconds(airtime))) note_death(node);
+  if (!node.radio().advance(util::Seconds(airtime))) node.set_alive(false);
   // A dead destination accrues no receive-window charge; the carrier is
   // physically on-air either way, so the medium occupancy stays.
   if (dest.alive()) charge_window(dest, now, now + airtime);
@@ -409,7 +391,7 @@ void NetworkSimulator::handle_tx_end(const Event& ev) {
       done = now + config_.turnaround_s + ack_air;
       if (!node.radio().advance(
               util::Seconds(config_.turnaround_s + ack_air))) {
-        note_death(node);
+        node.set_alive(false);
       }
       charge_window(dest, now, done);
       const double p_ack =
@@ -428,26 +410,23 @@ void NetworkSimulator::handle_tx_end(const Event& ev) {
                         static_cast<double>(t.dest));
   }
 
-  // Flight recorder: the resolved attempt lands in the sender's uplink
-  // row, and a failed one is attributed to dropout or interference when
-  // either was present (read-only bookkeeping; no RNG, no schedule).
-  record_.link_attempt(ev.node, data_ok, acked);
-  if (!acked) {
-    if (dropout) {
-      node.count(NodeCounter::FaultLosses);
-    } else if (penalty > 0.0) {
-      node.count(NodeCounter::Collisions);
-    }
-  }
-
+  // The resolved attempt lands in exactly one uplink outcome, and a
+  // failed one is attributed to dropout or interference when either was
+  // present (bookkeeping only: no RNG, no schedule).
+  NodeStats& counts = node.stats();
   if (acked) {
+    ++counts.uplink_acked;
     finish_transfer(node, true, done);
     return;
   }
+  ++(data_ok ? counts.uplink_ack_lost : counts.uplink_data_lost);
+  if (dropout) {
+    ++counts.fault_losses;
+  } else if (penalty > 0.0) {
+    ++counts.collisions;
+  }
   if (t.attempts > config_.max_retransmissions) {
-    ++stats_.arq_drops;
-    ++node.stats().arq_drops;
-    node.count(NodeCounter::DropsArq);
+    ++counts.arq_drops;
     obs::count(obs::Counter::ArqDrops);
     trace_flow(obs::EventType::PacketFlowEnd, "drop:arq", ev.node, now,
                t.packet_id);
@@ -467,22 +446,16 @@ void NetworkSimulator::finish_transfer(Node& node, bool acked,
   const double next = done_s + config_.turnaround_s;
   if (acked) {
     if (t.dest == 0) {
-      ++stats_.delivered;
+      // Delivery is attributed to the ORIGIN node and closes the
+      // packet's flow chain at the hub.
       ++nodes_[t.origin].stats().delivered;
-      stats_.delivered_payload_bits +=
-          static_cast<double>(t.frame.payload.size()) * 8.0;
-      // Delivery is attributed to the ORIGIN node's counter block and
-      // closes the packet's flow chain at the hub.
-      nodes_[t.origin].count(NodeCounter::Delivered);
       const double latency_s = done_s - t.birth_s;
       record_.note_delivery(latency_s);
       obs::observe(obs::Histogram::NetLatencySeconds, latency_s);
       trace_flow(obs::EventType::PacketFlowEnd, "ack hub", node.index(),
                  done_s, t.packet_id);
     } else {
-      ++stats_.forwarded;
       ++node.stats().forwarded;
-      node.count(NodeCounter::Relayed);
       trace_flow(obs::EventType::PacketFlowStep, "relay", t.dest, done_s,
                  t.packet_id);
       nodes_[t.dest].enqueue(
@@ -511,7 +484,6 @@ NetStats NetworkSimulator::run() {
       node.enqueue(QueuedPacket{static_cast<std::uint32_t>(i),
                                 ++next_packet_id_, -1.0});
     }
-    stats_.generated += config_.packets_per_node;
     node.stats().generated += config_.packets_per_node;
     const double start =
         config_.kick_spread_s > 0.0
@@ -554,19 +526,35 @@ NetStats NetworkSimulator::run() {
   }
 
   // Sleep fill: every radio idles forward to the final virtual time, so
-  // each ledger covers the whole run and conservation is exact.
+  // each ledger covers the whole run and conservation is exact. The
+  // NetStats totals are the index-ordered sums of the per-node records.
   stats_.elapsed_s = queue_.now_s();
   stats_.node_joules.reserve(nodes_.size());
+  NodeStats sum;
   for (Node& node : nodes_) {
     node.radio().go_idle();
     const double gap = stats_.elapsed_s - node.radio().clock_s();
     if (gap > 0.0 && !node.radio().advance(util::Seconds(gap))) {
-      note_death(node);
+      node.set_alive(false);
     }
     const double joules = node.radio().ledger().total_joules();
     stats_.node_joules.push_back(joules);
     stats_.total_joules += joules;
+    sum += node.stats();
+    if (!node.alive()) ++stats_.battery_deaths;
   }
+  stats_.generated = sum.generated;
+  stats_.delivered = sum.delivered;
+  stats_.forwarded = sum.forwarded;
+  stats_.tx_attempts = sum.tx_attempts;
+  stats_.csma_failures = sum.csma_failures;
+  stats_.arq_drops = sum.arq_drops;
+  stats_.delivered_payload_bits = static_cast<double>(sum.delivered) *
+                                  static_cast<double>(config_.payload_bytes) *
+                                  8.0;
+  policy_->finalize(stats_.mac);
+  stats_.mac.registrations = sum.slot_registrations;
+  stats_.mac.slots_reclaimed = sum.slots_reclaimed;
   stats_.hub_joules = stats_.node_joules.empty() ? 0.0
                                                  : stats_.node_joules[0];
   stats_.events = queue_.processed();
@@ -576,6 +564,9 @@ NetStats NetworkSimulator::run() {
   stats_.sched_scan_steps = queue_.scan_steps();
   stats_.sched_width_s = queue_.bucket_width_s();
   if (record_.enabled) {
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      record_.nodes[i] = nodes_[i].stats();
+    }
     record_.events = stats_.events;
     record_.sched_retunes = stats_.sched_retunes;
     record_.sched_grows = stats_.sched_grows;
@@ -585,7 +576,6 @@ NetStats NetworkSimulator::run() {
     record_.sched_width_s = stats_.sched_width_s;
     record_.elapsed_s = stats_.elapsed_s;
   }
-  policy_->finalize(stats_.mac);
   obs::count(obs::Counter::NetEvents, stats_.events);
   return stats_;
 }
@@ -593,7 +583,8 @@ NetStats NetworkSimulator::run() {
 void NetworkSimulator::emit_fault_activations(double now_s) {
   while (fault_cursor_ < fault_edges_.size() &&
          fault_edges_[fault_cursor_].start_s <= now_s) {
-    const sim::faults::FaultEvent& edge = fault_edges_[fault_cursor_];
+    [[maybe_unused]] const sim::faults::FaultEvent& edge =
+        fault_edges_[fault_cursor_];
     ++fault_cursor_;
     obs::count(obs::Counter::FaultActivations);
 #if BRAIDIO_OBS_COMPILED

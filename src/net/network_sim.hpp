@@ -99,14 +99,18 @@ struct NetConfig {
   /// Scripted faults (not owned; must outlive the run). Node-targeted
   /// events (`@<id>`) hit only that node's links.
   const sim::faults::ImpairmentSchedule* impairments = nullptr;
-  /// Arm the flight recorder (net/netstats.hpp): per-node counter
-  /// blocks, the per-link matrix, latency, and the scheduler series.
-  /// Ignored (stays off) when BRAIDIO_OBS is compiled out.
+  /// Arm the flight recorder (net/netstats.hpp): an end-of-run copy of
+  /// every node's NodeStats, latency, and the scheduler series. Ignored
+  /// (stays off) when BRAIDIO_OBS is compiled out.
   bool flight_recorder = false;
   /// Sim-time bucket for the recorder's scheduler series [s].
   double stats_bucket_s = 0.25;
 };
 
+/// Run summary. The frame counts, delivered_payload_bits, and
+/// mac.registrations/slots_reclaimed are index-ordered sums of the
+/// per-node NodeStats, and battery_deaths counts the dead nodes, all
+/// taken once when the run ends.
 struct NetStats {
   std::uint64_t events = 0;       // events the queue processed
   double elapsed_s = 0.0;         // final virtual time
@@ -150,8 +154,8 @@ class NetworkSimulator final : public MacContext {
   NetStats run();
 
   const Topology& topology() const { return topo_; }
-  /// Post-run inspection: per-node stats, radio ledger/battery, CSMA
-  /// state. Index 0 is the hub.
+  /// Post-run inspection: per-node stats (the one per-node counter
+  /// store), radio ledger/battery, CSMA state. Index 0 is the hub.
   const Node& node(std::uint32_t i) const;
   /// The (mode, rate) chosen for node i's uplink hop; nullopt when no
   /// lattice point reaches i's next hop (or i is the hub / stranded).
@@ -186,7 +190,6 @@ class NetworkSimulator final : public MacContext {
   };
 
   void plan_links();
-  void note_death(Node& node);
   /// Charge `node`'s radio for occupying [from_s, to_s] of air, clamped
   /// against its busy-until mark (shared receivers pay once). The node
   /// must be alive: post-death spend would hide in a drained battery's

@@ -5,10 +5,11 @@
 // deterministic RNG stream (stream index == node index, so contention
 // resolution never depends on sweep threading), its CSMA-CA state
 // machine, a relay queue of frame origins waiting to be forwarded toward
-// the hub, and the in-flight transfer the ARQ loop is currently
-// retrying. Everything the simulator mutates per event lives here; the
-// Node itself has no behavior beyond queue bookkeeping — protocol logic
-// stays in NetworkSimulator so it reads as one event loop.
+// the hub, the in-flight transfer the ARQ loop is currently retrying,
+// and its NodeStats, the only per-node counter store (net/netstats.hpp).
+// Everything the simulator mutates per event lives here; the Node itself
+// has no behavior beyond queue bookkeeping — protocol logic stays in
+// NetworkSimulator so it reads as one event loop.
 #pragma once
 
 #include <cstdint>
@@ -19,19 +20,9 @@
 #include "mac/frame.hpp"
 #include "net/csma.hpp"
 #include "net/netstats.hpp"
-#include "obs/obs_config.hpp"
 #include "util/rng.hpp"
 
 namespace braidio::net {
-
-struct NodeStats {
-  std::uint64_t generated = 0;      // frames originated at this node
-  std::uint64_t delivered = 0;      // originated frames that reached the hub
-  std::uint64_t forwarded = 0;      // relayed frames passed one hop onward
-  std::uint64_t tx_attempts = 0;    // physical transmissions
-  std::uint64_t csma_failures = 0;  // channel-access failures (CCA budget)
-  std::uint64_t arq_drops = 0;      // retry budget exhausted
-};
 
 /// A frame waiting in a relay queue, carrying the identity the flight
 /// recorder threads from origin to hub: the originating node, a
@@ -75,23 +66,6 @@ class Node {
   bool alive() const { return alive_; }
   void set_alive(bool alive) { alive_ = alive; }
 
-  /// Point this node's flight-recorder counter block (nullptr = off).
-  /// The block must outlive the node's use of it; the simulator wires
-  /// blocks from its own NetFlightRecord after arming it.
-  void set_counters(NodeCounterBlock* block) { counters_ = block; }
-
-  /// Flight-recorder per-node counter post: one array increment when a
-  /// block is wired, a null check otherwise. Compiled out entirely when
-  /// BRAIDIO_OBS is off.
-  void count(NodeCounter counter, std::uint64_t n = 1) {
-#if BRAIDIO_OBS_COMPILED
-    if (counters_ != nullptr) counters_->bump(counter, n);
-#else
-    (void)counter;
-    (void)n;
-#endif
-  }
-
   /// FIFO of frames waiting at this node for their next hop.
   void enqueue(const QueuedPacket& packet);
   bool queue_empty() const { return head_ == queue_.size(); }
@@ -108,7 +82,6 @@ class Node {
   Transfer transfer_;
   std::vector<QueuedPacket> queue_;
   std::size_t head_ = 0;
-  NodeCounterBlock* counters_ = nullptr;
   bool alive_ = true;
 };
 

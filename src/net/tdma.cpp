@@ -33,8 +33,18 @@ bool ScheduledSlotMac::wants_service(MacContext& ctx,
   return node.transfer().active || node.backlog() > 0;
 }
 
+bool ScheduledSlotMac::given_up(std::uint32_t i) const {
+  return registered_[i] == 0 &&
+         reg_attempts_[i] >= config_.max_registration_attempts;
+}
+
 void ScheduledSlotMac::on_kick(MacContext& ctx, std::uint32_t node) {
-  (void)node;
+  // A given-up member's frame will never get a slot: fail its channel
+  // access at once (on_attempt rules Drop).
+  if (given_up(node)) {
+    ctx.schedule_attempt(ctx.now_s(), node);
+    return;
+  }
   // The frame waits for its assigned slot; all this kick may do is wake
   // the planner when the population had gone quiet.
   if (armed_) return;
@@ -42,9 +52,10 @@ void ScheduledSlotMac::on_kick(MacContext& ctx, std::uint32_t node) {
   ctx.schedule_policy(ctx.now_s(), 0, kRoundPlan);
 }
 
-AttemptDecision ScheduledSlotMac::on_attempt(MacContext&, std::uint32_t) {
+AttemptDecision ScheduledSlotMac::on_attempt(MacContext&,
+                                             std::uint32_t node) {
   // The slot is this node's by assignment: no sensing, no contention.
-  return AttemptDecision::Transmit;
+  return given_up(node) ? AttemptDecision::Drop : AttemptDecision::Transmit;
 }
 
 void ScheduledSlotMac::on_tx_done(MacContext&, std::uint32_t, double) {
@@ -63,10 +74,13 @@ void ScheduledSlotMac::on_policy_event(MacContext& ctx, const Event& ev) {
       ++reg_attempts_[i];
       if (ctx.register_exchange(i)) {
         registered_[i] = 1;
-        ++registrations_;
-        ctx.mac_node(i).count(NodeCounter::SlotRegistrations);
-      } else {
+        ++ctx.mac_node(i).stats().slot_registrations;
+      } else if (!given_up(i)) {
         next_reg_s_[i] = ctx.now_s() + config_.reg_retry_s;
+      } else if (ctx.mac_node(i).transfer().active) {
+        // Budget spent with a frame in flight: drop it now. A frame
+        // still queued is dropped when its kick fires (on_kick).
+        ctx.schedule_attempt(ctx.now_s(), i);
       }
       return;
     }
@@ -85,7 +99,7 @@ void ScheduledSlotMac::plan_round(MacContext& ctx) {
   // order. An exchange is one control frame each way plus turnaround.
   for (std::uint32_t i = 1; i < n; ++i) {
     if (registered_[i] != 0 || !wants_service(ctx, i)) continue;
-    if (reg_attempts_[i] >= config_.max_registration_attempts) continue;
+    if (given_up(i)) continue;
     if (next_reg_s_[i] > t) {
       deferred = std::min(deferred, next_reg_s_[i]);
       continue;
@@ -102,8 +116,7 @@ void ScheduledSlotMac::plan_round(MacContext& ctx) {
     if (registered_[i] == 0) continue;
     if (!ctx.mac_node(i).alive()) {
       registered_[i] = 0;
-      ++slots_reclaimed_;
-      ctx.mac_node(i).count(NodeCounter::SlotsReclaimed);
+      ++ctx.mac_node(i).stats().slots_reclaimed;
       continue;
     }
     if (!wants_service(ctx, i)) continue;
@@ -126,8 +139,6 @@ void ScheduledSlotMac::plan_round(MacContext& ctx) {
 
 void ScheduledSlotMac::finalize(MacPolicyStats& stats) const {
   stats.rounds = rounds_;
-  stats.registrations = registrations_;
-  stats.slots_reclaimed = slots_reclaimed_;
 }
 
 }  // namespace braidio::net

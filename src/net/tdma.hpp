@@ -11,7 +11,10 @@
 //       with their uplink neighbor (hub in a star). A targeted dropout
 //       swallows the exchange; the node retries after reg_retry_s, up
 //       to max_registration_attempts before it is given up on (bounded,
-//       so a permanently faulted node cannot keep rounds alive forever);
+//       so a permanently faulted node cannot keep rounds alive forever).
+//       A given-up member never gets a slot: its frames, the one in
+//       flight and every later one, end as channel-access drops, as a
+//       CSMA frame does when its busy budget runs out;
 //   data slots — registered members with pending traffic get one slot
 //       each, in index order, sized from the member's own planned
 //       operating point: data airtime + turnaround + ack airtime +
@@ -65,8 +68,6 @@ class ScheduledSlotMac final : public MacPolicy {
   // Post-run introspection (tests).
   bool is_registered(std::uint32_t i) const { return registered_[i] != 0; }
   std::uint64_t rounds() const { return rounds_; }
-  std::uint64_t registrations() const { return registrations_; }
-  std::uint64_t slots_reclaimed() const { return slots_reclaimed_; }
 
  private:
   // Payloads on the policy-event channel.
@@ -75,6 +76,8 @@ class ScheduledSlotMac final : public MacPolicy {
 
   /// Alive, routable, and holding traffic (in flight or queued).
   bool wants_service(MacContext& ctx, std::uint32_t i) const;
+  /// Unregistered with the registration budget spent.
+  bool given_up(std::uint32_t i) const;
   void plan_round(MacContext& ctx);
 
   TdmaConfig config_;
@@ -83,8 +86,6 @@ class ScheduledSlotMac final : public MacPolicy {
   std::vector<double> next_reg_s_;
   bool armed_ = false;
   std::uint64_t rounds_ = 0;
-  std::uint64_t registrations_ = 0;
-  std::uint64_t slots_reclaimed_ = 0;
 };
 
 }  // namespace braidio::net

@@ -165,7 +165,8 @@ TEST(ScheduledSlotMac, RegistrationRidesOutTargetedDropout) {
 
 TEST(ScheduledSlotMac, PermanentDropoutIsBoundedAndIsolated) {
   // A dropout that never lifts: tag 1 burns its registration budget and
-  // is given up on — the run terminates and tag 2 is untouched.
+  // is given up on — the run terminates, tag 2 is untouched, and both of
+  // tag 1's frames (one in flight, one queued) end as access drops.
   std::istringstream script("dropout 0 1e6 @1\n");
   std::string error;
   const auto timeline = sim::faults::FaultTimeline::parse(script, &error);
@@ -185,6 +186,10 @@ TEST(ScheduledSlotMac, PermanentDropoutIsBoundedAndIsolated) {
   EXPECT_EQ(stats.mac.registrations, 1u);
   EXPECT_EQ(sim.node(1).stats().delivered, 0u);
   EXPECT_EQ(sim.node(2).stats().delivered, 2u);
+  EXPECT_EQ(stats.csma_failures, 2u);
+  EXPECT_EQ(sim.node(1).backlog(), 0u);
+  EXPECT_EQ(stats.generated,
+            stats.delivered + stats.csma_failures + stats.arq_drops);
   const auto& policy = dynamic_cast<const ScheduledSlotMac&>(sim.mac_policy());
   EXPECT_FALSE(policy.is_registered(1));
   EXPECT_TRUE(policy.is_registered(2));

@@ -303,5 +303,81 @@ TEST(NetworkSimulator, NodeTargetedFaultsHitOnlyTheirNode) {
   EXPECT_EQ(stats.arq_drops, 2u);  // both of tag 1's frames timed out
 }
 
+TEST(NetworkSimulator, EveryFrameAndCounterIsAccountedFor) {
+  // 288 runs of 60 tags x 3 frames: every backend, MAC, topology, three
+  // seeds, healthy or with tag 5 silenced for good (under TDMA it spends
+  // its registration budget), and 0.5 Wh tags or 2e-7 Wh tags that die
+  // mid-run.
+  std::istringstream script("dropout 0 1e6 @5\n");
+  std::string error;
+  const auto timeline = sim::faults::FaultTimeline::parse(script, &error);
+  ASSERT_TRUE(timeline.has_value()) << error;
+  const sim::faults::ImpairmentSchedule dropout(*timeline);
+
+  for (const char* name : {backends::kBraidio, backends::kBleActive,
+                           backends::kReaderPassive, backends::kBlispHybrid}) {
+    for (const MacKind mac : {MacKind::Csma, MacKind::Tdma}) {
+      for (const TopologyKind kind :
+           {TopologyKind::Star, TopologyKind::Grid,
+            TopologyKind::RandomGeometric}) {
+        for (const std::uint64_t seed : {1, 2, 7}) {
+          for (const bool faulted : {false, true}) {
+            for (const double tag_wh : {0.5, 2e-7}) {
+              std::ostringstream label;
+              label << name << ' ' << to_string(mac) << ' '
+                    << to_string(kind) << " seed " << seed
+                    << (faulted ? " faulted " : " healthy ") << tag_wh
+                    << " Wh";
+              SCOPED_TRACE(label.str());
+              NetConfig config;
+              config.backend = &backend(name);
+              config.mac = mac;
+              config.topology.kind = kind;
+              config.topology.nodes = 60;
+              config.packets_per_node = 3;
+              config.seed = seed;
+              config.tag_battery_wh = tag_wh;
+              if (faulted) config.impairments = &dropout;
+              NetworkSimulator sim(config);
+              const NetStats stats = sim.run();
+
+              std::uint64_t queued = 0, acked = 0;
+              double joules = 0.0;
+              for (std::uint32_t i = 0; i < sim.node_count(); ++i) {
+                const Node& node = sim.node(i);
+                const NodeStats& counts = node.stats();
+                EXPECT_EQ(counts.tx_attempts,
+                          counts.uplink_acked + counts.uplink_data_lost +
+                              counts.uplink_ack_lost)
+                    << "node " << i;
+                queued += node.backlog();
+                acked += counts.uplink_acked;
+                const hal::IRadio& radio = node.radio();
+                EXPECT_EQ(stats.node_joules[i], radio.ledger().total_joules())
+                    << "node " << i;
+                const double capacity = radio.battery().capacity_joules();
+                EXPECT_NEAR(radio.ledger().total_joules(),
+                            capacity - radio.battery().remaining_joules(),
+                            1e-9 * capacity)
+                    << "node " << i;
+                joules += stats.node_joules[i];
+              }
+              EXPECT_EQ(stats.total_joules, joules);
+              EXPECT_EQ(acked, stats.delivered + stats.forwarded);
+              // A frame may be left without a terminal state only while
+              // in flight at a node whose battery died.
+              const std::uint64_t settled = stats.delivered +
+                                            stats.csma_failures +
+                                            stats.arq_drops + queued;
+              ASSERT_LE(settled, stats.generated);
+              EXPECT_LE(stats.generated - settled, stats.battery_deaths);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace braidio::net

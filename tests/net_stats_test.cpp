@@ -1,5 +1,5 @@
-// Network flight recorder (DESIGN.md §17): per-node counter planes,
-// the per-link loss matrix, packet-lifecycle flow tracing, scheduler
+// Network flight recorder (DESIGN.md §17): the per-node stats copy and
+// its per-link loss view, packet-lifecycle flow tracing, scheduler
 // introspection, and the serial-vs-parallel merge determinism pin.
 #include "net/netstats.hpp"
 
@@ -39,9 +39,10 @@ struct TracerGuard {
   }
 };
 
-std::uint64_t node_sum(const NetFlightRecord& record, NodeCounter counter) {
+std::uint64_t node_sum(const NetFlightRecord& record,
+                       std::uint64_t NodeStats::*field) {
   std::uint64_t sum = 0;
-  for (const auto& block : record.nodes) sum += block.value(counter);
+  for (const NodeStats& node : record.nodes) sum += node.*field;
   return sum;
 }
 
@@ -55,7 +56,7 @@ TEST(NetFlightRecorder, DisabledByDefaultAndInert) {
   const NetFlightRecord& record = sim.flight_record();
   EXPECT_FALSE(record.enabled);
   EXPECT_TRUE(record.nodes.empty());
-  EXPECT_TRUE(record.links.empty());
+  EXPECT_TRUE(record.dst.empty());
   EXPECT_EQ(record.latency.count(), 0u);
 }
 
@@ -73,26 +74,17 @@ TEST(NetFlightRecorder, CountersReconcileWithNetStats) {
 
   ASSERT_TRUE(record.enabled);
   ASSERT_EQ(record.nodes.size(), cfg.topology.nodes + 1);
-  ASSERT_EQ(record.links.size(), cfg.topology.nodes + 1);
+  ASSERT_EQ(record.dst.size(), cfg.topology.nodes + 1);
 
-  // The counter planes must agree with the simulator's own summary.
-  EXPECT_EQ(node_sum(record, NodeCounter::TxAttempts), stats.tx_attempts);
-  EXPECT_EQ(node_sum(record, NodeCounter::Delivered), stats.delivered);
-  EXPECT_EQ(node_sum(record, NodeCounter::Relayed), stats.forwarded);
-  EXPECT_EQ(node_sum(record, NodeCounter::DropsArq), stats.arq_drops);
-  EXPECT_EQ(record.latency.count(), stats.delivered);
-
-  // Every resolved transmission lands in exactly one uplink row, and
-  // every failure is attributed to exactly one loss leg.
-  std::uint64_t attempts = 0, acked = 0, lost = 0;
-  for (const auto& link : record.links) {
-    attempts += link.attempts;
-    acked += link.acked;
-    lost += link.data_lost + link.ack_lost;
-    EXPECT_EQ(link.attempts, link.acked + link.data_lost + link.ack_lost);
+  // Every resolved transmission lands in exactly one uplink outcome, and
+  // every acked hop either delivered its frame or forwarded it.
+  for (const NodeStats& node : record.nodes) {
+    EXPECT_EQ(node.tx_attempts, node.uplink_acked + node.uplink_data_lost +
+                                    node.uplink_ack_lost);
   }
-  EXPECT_EQ(attempts, stats.tx_attempts);
-  EXPECT_EQ(acked + lost, attempts);
+  EXPECT_EQ(node_sum(record, &NodeStats::uplink_acked),
+            stats.delivered + stats.forwarded);
+  EXPECT_EQ(record.latency.count(), stats.delivered);
 
   // Scheduler plane: the series covers every pop (or counts it skipped),
   // and the end-of-run summary mirrors NetStats.
@@ -167,9 +159,9 @@ TEST(NetFlightRecorder, MergeAddsCountersAndLatency) {
   NetFlightRecord merged;
   merged.merge(a.flight_record());
   merged.merge(b.flight_record());
-  EXPECT_EQ(node_sum(merged, NodeCounter::TxAttempts),
-            node_sum(a.flight_record(), NodeCounter::TxAttempts) +
-                node_sum(b.flight_record(), NodeCounter::TxAttempts));
+  EXPECT_EQ(node_sum(merged, &NodeStats::tx_attempts),
+            node_sum(a.flight_record(), &NodeStats::tx_attempts) +
+                node_sum(b.flight_record(), &NodeStats::tx_attempts));
   EXPECT_EQ(merged.latency.count(), a.flight_record().latency.count() +
                                         b.flight_record().latency.count());
   EXPECT_EQ(merged.events,
@@ -258,10 +250,10 @@ TEST(NetFlightRecorder, RingOverflowDropAccountingAt10kNodes) {
   }
   EXPECT_EQ(recorded, kept + dropped);
 
-  // The stats plane is ring-independent: nothing the ring dropped is
-  // missing from the counters.
+  // The recorder is ring-independent: nothing the ring dropped is
+  // missing from its latency histogram or scheduler summary.
   const NetFlightRecord& record = sim.flight_record();
-  EXPECT_EQ(node_sum(record, NodeCounter::TxAttempts), stats.tx_attempts);
+  EXPECT_EQ(record.latency.count(), stats.delivered);
   EXPECT_EQ(record.events, stats.events);
 }
 

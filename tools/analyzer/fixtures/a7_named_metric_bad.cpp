@@ -2,9 +2,9 @@
 // Known-bad fixture: per-node accounting through string-keyed named
 // metrics. Every transmit attempt pays a std::map lookup on the key —
 // O(events) map traffic on the exact scheduler path the flight
-// recorder measures. Hot-path counters must use the array-indexed
-// builtins (net::NodeCounter / obs::Counter); named metrics are for
-// one-shot run summaries only.
+// recorder measures. Hot-path counters must post to net::NodeStats
+// fields or the obs::Counter builtins; named metrics are for one-shot
+// run summaries only.
 
 #include "obs/metrics.hpp"
 

@@ -52,10 +52,10 @@ RULES: tuple[Rule, ...] = (
          "containers — the event schedule is a pure function of "
          "(config, seed)"),
     Rule("A7-net-hot-counter", "net-hot-counter",
-         "per-node hot-path counters in src/net/ must use the "
-         "array-indexed builtins (NodeCounter / obs::Counter enums), "
-         "not string-keyed named-metric lookups — a map lookup per "
-         "event taxes the scheduler the flight recorder is measuring"),
+         "per-node hot-path counters in src/net/ must post to NodeStats "
+         "fields or the obs::Counter enum builtins, not string-keyed "
+         "named-metric lookups — a map lookup per event taxes the "
+         "scheduler the flight recorder is measuring"),
     Rule("bad-suppression", "bad-suppression",
          "a suppression annotation needs a non-empty reason"),
 )

@@ -291,15 +291,15 @@ _NAMED_METRIC_RE = re.compile(
 
 
 def check_net_hot_counters(model: SourceModel) -> list[Finding]:
-    """A7: src/net/ per-node accounting must be array-indexed.
+    """A7: src/net/ per-node accounting must be a plain field increment.
 
-    The flight recorder's contract (DESIGN.md §17) is that per-node
-    stats cost one bounds-free array bump per event. A string-keyed
-    named-metric lookup (`registry.counter("tx")`) hashes/compares the
-    key on every event — per-node, that is O(nodes * events) map
-    traffic on the exact path the recorder exists to measure. Named
-    metrics stay fine for one-shot summaries; hot paths must use the
-    NodeCounter / obs::Counter enum builtins.
+    Per-node stats (DESIGN.md §17) cost one increment per event
+    (`++node.stats().tx_attempts`). A string-keyed named-metric lookup
+    (`registry.counter("tx")`) hashes/compares the key on every event —
+    per-node, that is O(nodes * events) map traffic on the exact path
+    the recorder exists to measure. Named metrics stay fine for one-shot
+    summaries; hot paths must post to NodeStats fields or the
+    obs::Counter enum builtins.
     """
     if not model.rel.startswith(_A6_DIR):
         return []
@@ -313,9 +313,9 @@ def check_net_hot_counters(model: SourceModel) -> list[Finding]:
         findings.append(Finding(
             "A7-net-hot-counter", model.rel, lineno,
             f"string-keyed {match.group(1)}(\"...\") lookup in src/net/ "
-            "— per-node hot-path accounting must use the array-indexed "
-            "builtins (net::NodeCounter / obs::Counter); a map lookup "
-            "per event taxes the scheduler under test"))
+            "— per-node hot-path accounting must post to net::NodeStats "
+            "fields or the obs::Counter builtins; a map lookup per event "
+            "taxes the scheduler under test"))
     return findings
 
 
