@@ -4,6 +4,7 @@
 #include <iostream>
 #include <vector>
 
+#include "backends/backends.hpp"
 #include "bench_common.hpp"
 #include "core/lifetime_sim.hpp"
 #include "sim/run_report.hpp"
@@ -17,9 +18,7 @@ int main(int argc, char** argv) {
   sim::RunReport report(std::cout, "Ablation",
                         "Mode-switch dwell vs lifetime impact");
 
-  core::PowerTable table;
-  phy::LinkBudget budget;
-  core::LifetimeSimulator sim(table, budget);
+  core::LifetimeSimulator sim(backends::braidio_backend());
 
   // Fuel Band; symmetric: braid of 2 modes.
   const auto e1 = util::to_joules(util::WattHours(0.26));

@@ -2,10 +2,11 @@
 // where do the protocol's joules go, and what does ARQ/fallback cost?
 #include <iostream>
 
+#include "backends/backends.hpp"
 #include "bench_common.hpp"
 #include "core/braided_link.hpp"
-#include "core/braidio_radio.hpp"
 #include "core/lifetime_sim.hpp"
+#include "hal/radio.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
@@ -13,15 +14,14 @@ int main() {
   using namespace braidio;
   bench::header("Ablation", "Packetized protocol overhead vs fluid model");
 
-  core::PowerTable table;
-  phy::LinkBudget budget;
-  core::RegimeMap regimes(table, budget);
+  const hal::RadioBackend& backend = backends::braidio_backend();
+  core::RegimeMap regimes(backend);
 
   util::TablePrinter out({"payload [B]", "delivery", "J/bit phone",
                           "J/bit watch", "overhead vs fluid"});
   for (std::size_t payload : {8u, 32u, 128u, 512u}) {
-    core::BraidioRadio a("phone", 1, util::WattHours(6.55), table);
-    core::BraidioRadio b("watch", 2, util::WattHours(0.78), table);
+    hal::StandardRadio a("phone", 1, util::WattHours(6.55), backend.caps());
+    hal::StandardRadio b("watch", 2, util::WattHours(0.78), backend.caps());
     const auto e1 = util::Joules(a.battery().remaining_joules());
     const auto e2 = util::Joules(b.battery().remaining_joules());
     core::BraidedLinkConfig cfg;
@@ -30,7 +30,7 @@ int main() {
     core::BraidedLink link(a, b, regimes, cfg);
     const auto stats = link.run(4096);
 
-    core::LifetimeSimulator sim(table, budget);
+    core::LifetimeSimulator sim(backend);
     core::LifetimeConfig fluid;
     fluid.distance_m = 0.4;
     const auto outcome = sim.braidio(e1, e2, fluid);
@@ -57,8 +57,8 @@ int main() {
               "1.0x. The paper's lifetime numbers assume the fluid limit.");
 
   // Energy breakdown of one session.
-  core::BraidioRadio a("phone", 1, util::WattHours(6.55), table);
-  core::BraidioRadio b("watch", 2, util::WattHours(0.78), table);
+  hal::StandardRadio a("phone", 1, util::WattHours(6.55), backend.caps());
+  hal::StandardRadio b("watch", 2, util::WattHours(0.78), backend.caps());
   core::BraidedLinkConfig cfg;
   cfg.distance_m = 0.4;
   core::BraidedLink link(a, b, regimes, cfg);

@@ -6,31 +6,12 @@
 // Hamming(7,4)), at a 4/7 throughput cost.
 #include <iostream>
 
+#include "backends/backends.hpp"
 #include "bench_common.hpp"
 #include "core/coded_candidates.hpp"
 #include "mac/fec.hpp"
 #include "phy/link_budget.hpp"
 #include "util/table.hpp"
-
-namespace {
-
-double coded_range(const braidio::phy::LinkBudget& budget,
-                   braidio::phy::LinkMode mode, braidio::phy::Bitrate rate,
-                   double target) {
-  double lo = 0.05, hi = 100.0;
-  auto residual = [&](double d) {
-    return braidio::mac::hamming74_residual_ber(budget.ber(mode, rate, d));
-  };
-  if (residual(hi) <= target) return hi;
-  if (residual(lo) > target) return 0.0;
-  for (int i = 0; i < 100; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    (residual(mid) <= target ? lo : hi) = mid;
-  }
-  return 0.5 * (lo + hi);
-}
-
-}  // namespace
 
 int main() {
   using namespace braidio;
@@ -43,7 +24,7 @@ int main() {
        {phy::LinkMode::Backscatter, phy::LinkMode::PassiveRx}) {
     for (phy::Bitrate rate : phy::kAllBitrates) {
       const double uncoded = budget.range_m(mode, rate);
-      const double coded = coded_range(budget, mode, rate, 0.01);
+      const double coded = core::coded_range_m(budget, mode, rate);
       out.add_row({std::string(phy::to_string(mode)) + "@" +
                        phy::to_string(rate),
                    util::format_fixed(uncoded, 2) + " m",
@@ -59,12 +40,11 @@ int main() {
   }
   out.print(std::cout);
 
-  core::PowerTable table;
-  core::RegimeMap map(table, budget);
-  bench::check_line("Regime A limit (carrier offloadable to either end)",
-                    "2.4 m uncoded",
-                    util::format_fixed(core::coded_regime_a_limit_m(map), 2) +
-                        " m with coded backscatter");
+  const core::RegimeMap map(backends::braidio_backend());
+  bench::check_line(
+      "Regime A limit (carrier offloadable to either end)", "2.4 m uncoded",
+      util::format_fixed(core::coded_regime_a_limit_m(map, budget), 2) +
+          " m with coded backscatter");
   bench::note("Backscatter's d^-4 rolloff turns coding gain into little "
               "extra range; the passive link's d^-2 slope converts the "
               "same dB into noticeably more meters. The planner treats "

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <iostream>
 
+#include "backends/backends.hpp"
 #include "bench_common.hpp"
 #include "circuits/harvester.hpp"
 #include "core/harvest_aware.hpp"
@@ -44,15 +45,12 @@ int main() {
               "this to room scale — why WISP-class tags are bursty.");
 
   // Harvest-aware offload: the tag banks carrier energy while modulating.
-  core::PowerTable ptable;
-  phy::LinkBudget budget;
-  core::RegimeMap map(ptable, budget);
+  const core::RegimeMap map(backends::braidio_backend());
   util::TablePrinter be({"tag bitrate", "break-even distance",
                          "net tag power at 0.3 m"});
   const double credit_03 = core::harvested_power_w({}, 0.3);
   for (phy::Bitrate rate : phy::kAllBitrates) {
-    const auto& tag =
-        ptable.candidate(phy::LinkMode::Backscatter, rate);
+    const auto& tag = map.candidate(phy::LinkMode::Backscatter, rate);
     const double net = std::max(tag.tx_power_w - credit_03, 0.0);
     be.add_row({phy::to_string(rate),
                 util::format_fixed(

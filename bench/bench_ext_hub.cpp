@@ -5,6 +5,7 @@
 // of the asymmetric architecture goes to the tag floor.
 #include <iostream>
 
+#include "backends/backends.hpp"
 #include "bench_common.hpp"
 #include "core/carrier_hub.hpp"
 #include "util/table.hpp"
@@ -12,10 +13,6 @@
 int main() {
   using namespace braidio;
   bench::header("Extension", "One carrier, many tags (TDMA hub)");
-
-  core::PowerTable table;
-  phy::LinkBudget budget;
-  core::RegimeMap regimes(table, budget);
 
   util::TablePrinter out({"nodes", "delivered", "hub J/bit", "mean node J",
                           "elapsed [s]"});
@@ -25,7 +22,7 @@ int main() {
       nodes.push_back({"tag" + std::to_string(i), 0.5,
                        0.5 + 0.04 * static_cast<double>(i), 0.0, 24});
     }
-    core::CarrierHub hub(regimes, {}, nodes);
+    core::CarrierHub hub(backends::braidio_backend(), {}, nodes);
     const auto stats = hub.run(50);
     double node_j = 0.0;
     for (const auto& s : stats.nodes) node_j += s.node_joules;

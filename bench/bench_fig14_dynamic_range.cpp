@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "backends/backends.hpp"
 #include "bench_common.hpp"
 #include "core/efficiency.hpp"
 #include "sim/run_report.hpp"
@@ -16,9 +17,7 @@ int main(int argc, char** argv) {
   sim::RunReport report(std::cout, "Figure 14",
                         "Dynamic range vs distance");
 
-  core::PowerTable table;
-  phy::LinkBudget budget;
-  core::RegimeMap map(table, budget);
+  core::RegimeMap map(backends::braidio_backend());
 
   const std::vector<double> distances{0.3, 0.9, 1.2, 1.8, 2.1, 2.4,
                                       3.0, 3.9, 4.2, 4.8, 5.5};

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <iostream>
 
+#include "backends/backends.hpp"
 #include "bench_common.hpp"
 #include "bench_matrix_common.hpp"
 #include "core/lifetime_sim.hpp"
@@ -17,9 +18,7 @@ int main(int argc, char** argv) {
       std::cout, "Figure 15",
       "Total-bits gain of Braidio over Bluetooth (unidirectional)");
 
-  core::PowerTable table;
-  phy::LinkBudget budget;
-  core::LifetimeSimulator sim(table, budget);
+  core::LifetimeSimulator sim(backends::braidio_backend());
   core::LifetimeConfig cfg;
   cfg.distance_m = 0.5;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iostream>
 
+#include "backends/backends.hpp"
 #include "bench_common.hpp"
 #include "bench_matrix_common.hpp"
 #include "core/lifetime_sim.hpp"
@@ -13,9 +14,7 @@ int main(int argc, char** argv) {
                         "Braidio vs Bluetooth, bi-directional data "
                         "transfer");
 
-  core::PowerTable table;
-  phy::LinkBudget budget;
-  core::LifetimeSimulator sim(table, budget);
+  core::LifetimeSimulator sim(backends::braidio_backend());
   core::LifetimeConfig cfg;
   cfg.distance_m = 0.5;
   cfg.bidirectional = true;

@@ -3,6 +3,7 @@
 #include <iostream>
 #include <vector>
 
+#include "backends/backends.hpp"
 #include "bench_common.hpp"
 #include "core/lifetime_sim.hpp"
 #include "obs/obs.hpp"
@@ -21,9 +22,7 @@ int main(int argc, char** argv) {
   // record carries the per-mode energy split (merged deterministically).
   obs::set_attribution_enabled(true);
 
-  core::PowerTable table;
-  phy::LinkBudget budget;
-  core::LifetimeSimulator sim(table, budget);
+  core::LifetimeSimulator sim(backends::braidio_backend());
 
   const auto phone = *energy::find_device("iPhone 6S");
   const auto watch = *energy::find_device("Apple Watch");

@@ -1,6 +1,7 @@
 // Figure 8: the three operating regimes of Braidio vs distance.
 #include <iostream>
 
+#include "backends/backends.hpp"
 #include "bench_common.hpp"
 #include "core/regimes.hpp"
 #include "util/table.hpp"
@@ -9,9 +10,7 @@ int main() {
   using namespace braidio;
   bench::header("Figure 8", "Operating regimes vs distance");
 
-  core::PowerTable table;
-  phy::LinkBudget budget;
-  core::RegimeMap map(table, budget);
+  core::RegimeMap map(backends::braidio_backend());
 
   util::TablePrinter out({"distance [m]", "regime", "available links",
                           "best rates (active/passive/backscatter)"});
@@ -21,7 +20,7 @@ int main() {
     const auto best = map.available_best_rate(d);
     std::string rates;
     for (phy::LinkMode mode : phy::kAllLinkModes) {
-      const auto rate = budget.best_bitrate(mode, d);
+      const auto rate = map.channel().best_bitrate(mode, d);
       if (!rates.empty()) rates += " / ";
       rates += rate ? phy::to_string(*rate) : std::string("-");
     }

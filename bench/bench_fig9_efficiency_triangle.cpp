@@ -3,6 +3,7 @@
 // point P for a 100:1 energy ratio.
 #include <iostream>
 
+#include "backends/backends.hpp"
 #include "bench_common.hpp"
 #include "core/efficiency.hpp"
 #include "util/table.hpp"
@@ -11,9 +12,7 @@ int main() {
   using namespace braidio;
   bench::header("Figure 9", "Transmitter vs receiver energy efficiency");
 
-  core::PowerTable table;
-  phy::LinkBudget budget;
-  core::RegimeMap map(table, budget);
+  core::RegimeMap map(backends::braidio_backend());
   const auto region = efficiency_region(map, 0.3);
 
   util::TablePrinter out({"operating point", "TX bits/J", "RX bits/J",

@@ -87,9 +87,7 @@ void BM_ChargePumpTransient(benchmark::State& state) {
 BENCHMARK(BM_ChargePumpTransient);
 
 void BM_LifetimeMatrixCell(benchmark::State& state) {
-  core::PowerTable table;
-  phy::LinkBudget budget;
-  core::LifetimeSimulator sim(table, budget);
+  core::LifetimeSimulator sim(backends::braidio_backend());
   const auto& catalog = energy::device_catalog();
   core::LifetimeConfig cfg;
   cfg.distance_m = 0.5;
@@ -119,9 +117,7 @@ void BM_Fig15SweepObs(benchmark::State& state) {
   obs::set_attribution_enabled(attribute);
   obs::reset_global_energy_profile();
 #endif
-  core::PowerTable table;
-  phy::LinkBudget budget;
-  core::LifetimeSimulator sim(table, budget);
+  core::LifetimeSimulator sim(backends::braidio_backend());
   const auto& catalog = energy::device_catalog();
   core::LifetimeConfig cfg;
   cfg.distance_m = 0.5;

@@ -8,6 +8,7 @@
 #include <iostream>
 #include <vector>
 
+#include "backends/backends.hpp"
 #include "bench_common.hpp"
 #include "bench_matrix_common.hpp"
 #include "core/lifetime_sim.hpp"
@@ -65,9 +66,8 @@ int main(int argc, char** argv) {
   report.note("parallel width: " + std::to_string(threads) + " threads");
 
   // Fig. 15 matrix through the engine (the acceptance-criterion workload).
-  core::PowerTable table;
   phy::LinkBudget budget;
-  core::LifetimeSimulator lifetime(table, budget);
+  core::LifetimeSimulator lifetime(backends::braidio_backend());
   core::LifetimeConfig cfg;
   cfg.distance_m = 0.5;
   compare(report,

@@ -2,6 +2,7 @@
 // lifetime results at realistic dwells.
 #include <iostream>
 
+#include "backends/backends.hpp"
 #include "bench_common.hpp"
 #include "core/lifetime_sim.hpp"
 #include "util/table.hpp"
@@ -33,8 +34,7 @@ int main() {
 
   // Quantify "negligible": total-bits impact of the overhead at a
   // second-scale dwell for an asymmetric pair.
-  phy::LinkBudget budget;
-  core::LifetimeSimulator sim(table, budget);
+  core::LifetimeSimulator sim(backends::braidio_backend());
   core::LifetimeConfig with;
   with.distance_m = 0.5;
   core::LifetimeConfig without = with;

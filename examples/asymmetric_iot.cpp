@@ -10,8 +10,9 @@
 #include <string>
 #include <vector>
 
+#include "backends/backends.hpp"
 #include "core/braided_link.hpp"
-#include "core/braidio_radio.hpp"
+#include "hal/radio.hpp"
 #include "sim/run_report.hpp"
 #include "sim/scenario.hpp"
 #include "sim/sweep_runner.hpp"
@@ -23,9 +24,8 @@ int main(int argc, char** argv) {
   sim::RunReport report(std::cout, "Example",
                         "Asymmetric IoT: coin-cell sensors -> mains hub");
 
-  core::PowerTable table;
-  phy::LinkBudget budget;
-  core::RegimeMap regimes(table, budget);
+  const hal::RadioBackend& backend = backends::braidio_backend();
+  core::RegimeMap regimes(backend);
 
   struct Sensor {
     std::string name;
@@ -51,9 +51,10 @@ int main(int argc, char** argv) {
         const auto& s = sensors[p.axis_index(0)];
         // Each point builds its own radios: BraidedLink mutates both ends,
         // so no state is shared between concurrent evaluations.
-        core::BraidioRadio node(s.name, 1, util::WattHours(s.battery_wh),
-                                table);
-        core::BraidioRadio hub("hub", 2, util::WattHours(99.5), table);
+        hal::StandardRadio node(s.name, 1, util::WattHours(s.battery_wh),
+                                backend.caps());
+        hal::StandardRadio hub("hub", 2, util::WattHours(99.5),
+                               backend.caps());
         const double e0 = node.battery().remaining_joules();
 
         core::BraidedLinkConfig cfg;

@@ -7,6 +7,7 @@
 // wearer walks away from the laptop.
 #include <iostream>
 
+#include "backends/backends.hpp"
 #include "core/lifetime_sim.hpp"
 #include "energy/device_catalog.hpp"
 #include "obs/obs.hpp"
@@ -16,10 +17,9 @@
 int main() {
   using namespace braidio;
 
-  core::PowerTable table;
-  phy::LinkBudget budget;
-  core::LifetimeSimulator sim(table, budget);
-  core::RegimeMap regimes(table, budget);
+  const hal::RadioBackend& backend = backends::braidio_backend();
+  core::LifetimeSimulator sim(backend);
+  core::RegimeMap regimes(backend);
 
   const auto camera = *energy::find_device("Pivothead");
   const auto laptop = *energy::find_device("MacBook Pro 15");

@@ -11,6 +11,7 @@
 #include <iostream>
 #include <vector>
 
+#include "backends/backends.hpp"
 #include "core/mobility_sim.hpp"
 #include "obs/obs.hpp"
 #include "sim/run_report.hpp"
@@ -27,9 +28,7 @@ int main(int argc, char** argv) {
   sim::RunReport report(std::cout, "Example",
                         "Mobility walk: phone -> watch across regimes");
 
-  core::PowerTable table;
-  phy::LinkBudget budget;
-  core::MobilitySimulator mobility(table, budget);
+  core::MobilitySimulator mobility(backends::braidio_backend());
 
   core::MobilitySimConfig cfg;
   cfg.e1 = util::WattHours(6.55);  // iPhone 6S transmits

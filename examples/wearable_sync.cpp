@@ -7,10 +7,11 @@
 // for the radio subsystem.
 #include <iostream>
 
+#include "backends/backends.hpp"
 #include "core/braided_link.hpp"
-#include "core/braidio_radio.hpp"
 #include "core/lifetime_sim.hpp"
 #include "energy/device_catalog.hpp"
+#include "hal/radio.hpp"
 #include "obs/obs.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
@@ -22,9 +23,8 @@ int main() {
   constexpr double kSyncsPerDay = 24.0;
   const double bits_per_day = kSyncMB * 8e6 * kSyncsPerDay;
 
-  core::PowerTable table;
-  phy::LinkBudget budget;
-  core::LifetimeSimulator sim(table, budget);
+  const hal::RadioBackend& backend = backends::braidio_backend();
+  core::LifetimeSimulator sim(backend);
 
   const auto band = *energy::find_device("Nike Fuel Band");
   const auto phone = *energy::find_device("iPhone 6S");
@@ -57,11 +57,11 @@ int main() {
 
   // Run one sync session through the packetized protocol to confirm the
   // plan is achievable with real framing/ARQ.
-  core::RegimeMap regimes(table, budget);
-  core::BraidioRadio a("band", 1, util::WattHours(band.battery_wh),
-                       table);
-  core::BraidioRadio b("phone", 2, util::WattHours(phone.battery_wh),
-                       table);
+  core::RegimeMap regimes(backend);
+  hal::StandardRadio a("band", 1, util::WattHours(band.battery_wh),
+                       backend.caps());
+  hal::StandardRadio b("phone", 2, util::WattHours(phone.battery_wh),
+                       backend.caps());
   core::BraidedLinkConfig link_cfg;
   link_cfg.distance_m = cfg.distance_m;
   link_cfg.payload_bytes = 256;

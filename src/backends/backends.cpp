@@ -51,22 +51,12 @@ class BraidioBackend final : public StandardBackend {
                         "Calibrated Braidio prototype: active, passive-RX, "
                         "and backscatter at 10k/100k/1M (PowerTable + "
                         "Fig. 13 link budget)") {
-    caps_ = core::braidio_capabilities(table_);
+    caps_ = core::braidio_capabilities(core::PowerTable());
   }
 
   const hal::ChannelModel& channel() const override { return budget_; }
 
-  std::unique_ptr<hal::IRadio> create_radio(
-      std::string name, std::uint8_t address,
-      util::WattHours battery_capacity) const override {
-    // The table-bound subclass, not a caps copy: keeps the braidio backend
-    // the same concrete type the pre-HAL stack instantiated.
-    return std::make_unique<core::BraidioRadio>(std::move(name), address,
-                                                battery_capacity, table_);
-  }
-
  private:
-  core::PowerTable table_;
   phy::LinkBudget budget_;
 };
 

@@ -4,7 +4,7 @@
 // ChannelModel physics, and an IRadio factory:
 //
 //  * braidio        — the calibrated prototype (PowerTable + Fig. 13 link
-//                     budget); bit-identical to the pre-HAL BraidioRadio.
+//                     budget), and the only way to build the Braidio model.
 //  * ble-active     — an SPBT/CC26xx-class BLE module: active-only, 1 Mbps.
 //  * reader-passive — an AS3993-class commercial reader driving passive
 //                     tags: backscatter-only, reader-grade carrier.

@@ -10,18 +10,12 @@ hal::Capabilities braidio_capabilities(const PowerTable& table) {
   // The passive chain's envelope detector doubles as a carrier sensor.
   caps.can_cca = true;
   caps.cca_threshold_dbm = -60.0;
-  caps.sleep_power = BraidioRadio::kIdleFloor;
+  caps.sleep_power = util::Watts{2e-6};
   caps.lattice = table.candidates();
   for (phy::LinkMode mode : phy::kAllLinkModes) {
     caps.switch_overhead[static_cast<int>(mode)] = table.switch_overhead(mode);
   }
   return caps;
 }
-
-BraidioRadio::BraidioRadio(std::string name, std::uint8_t address,
-                           util::WattHours battery_capacity,
-                           const PowerTable& table)
-    : hal::StandardRadio(std::move(name), address, battery_capacity,
-                         braidio_capabilities(table)) {}
 
 }  // namespace braidio::core

@@ -1,17 +1,13 @@
-// A Braidio radio endpoint: the calibrated PowerTable behind the HAL.
+// The Braidio prototype behind the HAL: its declared capability set.
 //
-// All the stateful bookkeeping (operating point, role, Table 5 switching
-// overheads, per-category ledger charged against the battery) lives in
-// hal::StandardRadio; BraidioRadio just binds the calibrated capability
-// set, so its behavior is the generic driver's behavior by construction.
+// The braidio backend (backends/backends.hpp) binds this set to the
+// calibrated link budget; its radios are plain hal::StandardRadio
+// endpoints, so a Braidio radio behaves like the generic driver by
+// construction.
 #pragma once
-
-#include <cstdint>
-#include <string>
 
 #include "core/power_table.hpp"
 #include "hal/radio.hpp"
-#include "util/units.hpp"
 
 namespace braidio::core {
 
@@ -21,16 +17,8 @@ using hal::to_string;
 
 /// Declared capabilities of the Braidio prototype: all three modes at all
 /// three bitrates, carrier sourcing, tag reflection, and envelope-detector
-/// carrier sense, with Table 5 switch-in costs.
+/// carrier sense, with Table 5 switch-in costs and a 2 uW sleep floor
+/// (MCU retention + RTC).
 hal::Capabilities braidio_capabilities(const PowerTable& table);
-
-class BraidioRadio final : public hal::StandardRadio {
- public:
-  BraidioRadio(std::string name, std::uint8_t address,
-               util::WattHours battery_capacity, const PowerTable& table);
-
-  /// Sleep-state floor draw (MCU retention + RTC).
-  static constexpr util::Watts kIdleFloor{2e-6};
-};
 
 }  // namespace braidio::core

@@ -26,21 +26,10 @@ double HubStats::hub_joules_per_bit(std::size_t payload_bytes) const {
   return bits > 0.0 ? hub_joules / bits : 0.0;
 }
 
-CarrierHub::CarrierHub(const RegimeMap& regimes, HubConfig config,
-                       std::vector<HubNodeConfig> nodes)
-    : regimes_(regimes), config_(config), node_configs_(std::move(nodes)) {
-  if (node_configs_.empty()) {
-    throw std::invalid_argument("CarrierHub: need at least one node");
-  }
-  if (config_.packets_per_slot == 0) {
-    throw std::invalid_argument("CarrierHub: packets_per_slot must be >= 1");
-  }
-}
-
 CarrierHub::CarrierHub(const hal::RadioBackend& backend, HubConfig config,
                        std::vector<HubNodeConfig> nodes)
     : regimes_(backend),
-      backend_(&backend),
+      backend_(backend),
       config_(config),
       node_configs_(std::move(nodes)) {
   if (node_configs_.empty()) {
@@ -51,22 +40,12 @@ CarrierHub::CarrierHub(const hal::RadioBackend& backend, HubConfig config,
   }
 }
 
-std::unique_ptr<hal::IRadio> CarrierHub::make_radio(
-    const std::string& name, std::uint8_t address,
-    util::WattHours battery_capacity) const {
-  if (backend_ != nullptr) {
-    return backend_->create_radio(name, address, battery_capacity);
-  }
-  return std::make_unique<BraidioRadio>(name, address, battery_capacity,
-                                        regimes_.table());
-}
-
 HubStats CarrierHub::run(std::uint64_t rounds) {
   // Root attribution scope: hub-side and node-side drains both land
   // under "hub/<node>/..." (the per-slot span below names the node).
   BRAIDIO_ENERGY_SPAN(exchange_span, "hub");
-  const auto hub_radio =
-      make_radio("hub", 0, util::WattHours(config_.hub_battery_wh));
+  const auto hub_radio = backend_.create_radio(
+      "hub", 0, util::WattHours(config_.hub_battery_wh));
   hal::IRadio& hub = *hub_radio;
 
   struct NodeState {
@@ -89,7 +68,8 @@ HubStats CarrierHub::run(std::uint64_t rounds) {
     if (candidates.empty()) {
       throw std::runtime_error("CarrierHub: node out of range: " + nc.name);
     }
-    auto radio = make_radio(nc.name, address, util::WattHours(nc.battery_wh));
+    auto radio = backend_.create_radio(nc.name, address,
+                                       util::WattHours(nc.battery_wh));
     const auto plan = OffloadPlanner::plan(
         candidates, radio->battery().remaining_joules(),
         hub.battery().remaining_joules());

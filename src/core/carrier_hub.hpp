@@ -73,13 +73,8 @@ struct HubStats {
 
 class CarrierHub {
  public:
-  /// Legacy braidio form: the map must come from the PowerTable/LinkBudget
-  /// ctor (hub and node radios are built from its table).
-  CarrierHub(const RegimeMap& regimes, HubConfig config,
-             std::vector<HubNodeConfig> nodes);
-
-  /// Backend form: radios come from backend.create_radio. The backend must
-  /// outlive the hub.
+  /// Radios come from backend.create_radio. The backend must outlive the
+  /// hub.
   CarrierHub(const hal::RadioBackend& backend, HubConfig config,
              std::vector<HubNodeConfig> nodes);
 
@@ -92,12 +87,8 @@ class CarrierHub {
   const std::vector<OffloadPlan>& plans() const { return plans_; }
 
  private:
-  std::unique_ptr<hal::IRadio> make_radio(
-      const std::string& name, std::uint8_t address,
-      util::WattHours battery_capacity) const;
-
   RegimeMap regimes_;
-  const hal::RadioBackend* backend_ = nullptr;
+  const hal::RadioBackend& backend_;
   HubConfig config_;
   std::vector<HubNodeConfig> node_configs_;
   std::vector<OffloadPlan> plans_;

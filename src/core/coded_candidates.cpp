@@ -33,8 +33,8 @@ double coded_range_m(const phy::LinkBudget& budget, phy::LinkMode mode,
   return 0.5 * (lo + hi);
 }
 
-std::vector<CodedCandidate> candidates_with_coding(const RegimeMap& map,
-                                                   double distance_m) {
+std::vector<CodedCandidate> candidates_with_coding(
+    const RegimeMap& map, const phy::LinkBudget& budget, double distance_m) {
   std::vector<CodedCandidate> out;
   for (const auto& candidate : map.available_best_rate(distance_m)) {
     out.push_back({candidate, false});
@@ -42,13 +42,15 @@ std::vector<CodedCandidate> candidates_with_coding(const RegimeMap& map,
   // Add a coded variant per mode when the uncoded best rate is gone but
   // coding rescues some rate (highest coded-feasible rate wins).
   for (phy::LinkMode mode : phy::kAllLinkModes) {
-    const bool uncoded_alive =
-        map.budget().best_bitrate(mode, distance_m).has_value();
-    if (uncoded_alive) continue;
+    if (map.best_rate(mode, distance_m)) continue;  // uncoded still alive
     for (phy::Bitrate rate :
          {phy::Bitrate::M1, phy::Bitrate::k100, phy::Bitrate::k10}) {
-      if (!coded_available(map.budget(), mode, rate, distance_m)) continue;
-      ModeCandidate coded = map.table().candidate(mode, rate);
+      const ModeCandidate* point = map.find(mode, rate);
+      if (point == nullptr ||
+          !coded_available(budget, mode, rate, distance_m)) {
+        continue;
+      }
+      ModeCandidate coded = *point;
       // Same radio state, fewer delivered bits per second: per-bit costs
       // rise by 1/code_rate. ModeCandidate derives per-bit cost from
       // power/bitrate, so scale the powers to express the coded cost at
@@ -63,11 +65,12 @@ std::vector<CodedCandidate> candidates_with_coding(const RegimeMap& map,
   return out;
 }
 
-double coded_regime_a_limit_m(const RegimeMap& map) {
+double coded_regime_a_limit_m(const RegimeMap& map,
+                              const phy::LinkBudget& budget) {
   double limit = map.regime_a_limit_m();
-  for (phy::Bitrate rate : phy::kAllBitrates) {
-    limit = std::max(limit, coded_range_m(map.budget(),
-                                          phy::LinkMode::Backscatter, rate));
+  for (const auto& c : map.lattice()) {
+    if (c.mode != phy::LinkMode::Backscatter) continue;
+    limit = std::max(limit, coded_range_m(budget, c.mode, c.rate));
   }
   return limit;
 }

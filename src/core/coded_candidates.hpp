@@ -33,14 +33,19 @@ bool coded_available(const phy::LinkBudget& budget, phy::LinkMode mode,
                      phy::Bitrate rate, double distance_m);
 
 /// Candidate set at a distance including coded variants where (a) the
-/// uncoded link is dead and (b) the coded link still clears the threshold.
-/// Coded variants keep each end's power but deliver code_rate * bitrate,
-/// so their per-bit costs are 7/4 of the uncoded entry.
-std::vector<CodedCandidate> candidates_with_coding(const RegimeMap& map,
-                                                   double distance_m);
+/// map's uncoded lattice points of a mode are all dead and (b) a coded
+/// lattice point still clears the threshold. Coded variants keep each
+/// end's power but deliver code_rate * bitrate, so their per-bit costs
+/// are 7/4 of the uncoded entry. `budget` supplies the BER threshold the
+/// coded residual must clear; the map supplies the lattice and the
+/// uncoded channel answers.
+std::vector<CodedCandidate> candidates_with_coding(
+    const RegimeMap& map, const phy::LinkBudget& budget, double distance_m);
 
-/// Regime-A limit when coded backscatter counts (the extended offload
-/// horizon).
-double coded_regime_a_limit_m(const RegimeMap& map);
+/// Regime-A limit when the map's coded backscatter points count (the
+/// extended offload horizon), with the coded ranges taken against
+/// `budget`.
+double coded_regime_a_limit_m(const RegimeMap& map,
+                              const phy::LinkBudget& budget);
 
 }  // namespace braidio::core

@@ -44,11 +44,11 @@ std::vector<ModeCandidate> harvest_adjusted_candidates(
 
 double tag_break_even_distance_m(const RegimeMap& map, phy::Bitrate rate,
                                  const HarvestAwareConfig& config) {
-  const auto& tag =
-      map.table().candidate(phy::LinkMode::Backscatter, rate);
+  const auto& tag = map.candidate(phy::LinkMode::Backscatter, rate);
   // harvested power decreases monotonically with distance; bisect where it
   // crosses the tag draw, bounded by the link's own operating range.
-  const double range = map.budget().range_m(phy::LinkMode::Backscatter, rate);
+  const double range =
+      map.channel().range_m(phy::LinkMode::Backscatter, rate);
   if (range <= 0.0) return 0.0;
   auto neutral = [&](double d) {
     return harvested_power_w(config, d) >= tag.tx_power_w;

@@ -39,6 +39,8 @@ std::vector<ModeCandidate> harvest_adjusted_candidates(
 
 /// Largest distance at which the backscatter tag end is energy-neutral
 /// (harvest covers the tag's own draw at the given bitrate); 0 if nowhere.
+/// Throws std::out_of_range when the map's lattice lacks backscatter at
+/// `rate`.
 double tag_break_even_distance_m(const RegimeMap& map, phy::Bitrate rate,
                                  const HarvestAwareConfig& config = {});
 

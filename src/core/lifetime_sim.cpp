@@ -72,10 +72,6 @@ void post_lifetime_attribution(const LifetimeOutcome& outcome) {
 
 }  // namespace
 
-LifetimeSimulator::LifetimeSimulator(const PowerTable& table,
-                                     const phy::LinkBudget& budget)
-    : regimes_(table, budget) {}
-
 LifetimeSimulator::LifetimeSimulator(const hal::RadioBackend& backend)
     : regimes_(backend) {}
 
@@ -127,19 +123,6 @@ void LifetimeSimulator::apply_switch_overhead(
   }
   plan.tx_joules_per_bit += tx_extra / cycle_bits;
   plan.rx_joules_per_bit += rx_extra / cycle_bits;
-}
-
-double LifetimeSimulator::plan_seconds_per_bit(const OffloadPlan& plan) {
-  double s = 0.0;
-  for (const auto& e : plan.entries) {
-    if (e.reverse) {
-      s += e.fraction * (0.5 / e.candidate.bits_per_second() +
-                         0.5 / e.reverse->bits_per_second());
-    } else {
-      s += e.fraction / e.candidate.bits_per_second();
-    }
-  }
-  return s;
 }
 
 LifetimeOutcome LifetimeSimulator::braidio(util::Joules e1, util::Joules e2,

@@ -37,15 +37,12 @@ struct LifetimeOutcome {
 };
 
 /// Concurrency contract: every public method is const and touches only
-/// immutable state (the power table, regime map, and Bluetooth model are
-/// built in the constructor and never mutated), so one simulator instance
-/// may be shared by all sim-engine sweep workers. Audited for the sim
-/// engine; keep new members const-initialized or re-audit.
+/// immutable state (the regime map and Bluetooth model are built in the
+/// constructor and never mutated), so one simulator instance may be
+/// shared by all sim-engine sweep workers. Audited for the sim engine;
+/// keep new members const-initialized or re-audit.
 class LifetimeSimulator {
  public:
-  /// Legacy braidio form. Both references must outlive the simulator.
-  LifetimeSimulator(const PowerTable& table, const phy::LinkBudget& budget);
-
   /// Any HAL backend (lattice + channel + overheads from its declared
   /// capability set). The backend must outlive the simulator.
   explicit LifetimeSimulator(const hal::RadioBackend& backend);
@@ -89,7 +86,6 @@ class LifetimeSimulator {
                       double e1, double e2, bool bidirectional) const;
   void apply_switch_overhead(OffloadPlan& plan,
                              const LifetimeConfig& config) const;
-  static double plan_seconds_per_bit(const OffloadPlan& plan);
 
   RegimeMap regimes_;
   baseline::BluetoothRadioModel bluetooth_;

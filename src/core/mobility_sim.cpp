@@ -74,10 +74,6 @@ double MobilityTrace::distance_at(util::Seconds time) const {
   return waypoints_.back().distance_m;
 }
 
-MobilitySimulator::MobilitySimulator(const PowerTable& table,
-                                     const phy::LinkBudget& budget)
-    : regimes_(table, budget) {}
-
 MobilitySimulator::MobilitySimulator(const hal::RadioBackend& backend)
     : regimes_(backend) {}
 
@@ -139,16 +135,7 @@ MobilityOutcome MobilitySimulator::run(const MobilityTrace& trace,
                             sample.plan.c_str(), t, d);
       }
       // Throughput of the braid: seconds per bit from the mode mix.
-      double s_per_bit = 0.0;
-      for (const auto& e : plan.entries) {
-        if (e.reverse) {
-          s_per_bit += e.fraction * (0.5 / e.candidate.bits_per_second() +
-                                     0.5 / e.reverse->bits_per_second());
-        } else {
-          s_per_bit += e.fraction / e.candidate.bits_per_second();
-        }
-      }
-      double bits = dt / s_per_bit;
+      double bits = dt / plan_seconds_per_bit(plan);
       // Battery-limited cap.
       bits = std::min(bits, e1 / plan.tx_joules_per_bit);
       bits = std::min(bits, e2 / plan.rx_joules_per_bit);

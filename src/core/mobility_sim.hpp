@@ -107,9 +107,6 @@ struct MobilityOutcome {
 
 class MobilitySimulator {
  public:
-  /// Legacy braidio form. Both references must outlive the simulator.
-  MobilitySimulator(const PowerTable& table, const phy::LinkBudget& budget);
-
   /// Any HAL backend. The backend must outlive the simulator.
   explicit MobilitySimulator(const hal::RadioBackend& backend);
 

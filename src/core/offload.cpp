@@ -153,17 +153,22 @@ OffloadPlan checked_plan(OffloadPlan plan) {
 
 }  // namespace
 
-double plan_throughput_bps(const OffloadPlan& plan) {
-  double s_per_bit = 0.0;
+double plan_seconds_per_bit(const OffloadPlan& plan) {
+  double s = 0.0;
   for (const auto& e : plan.entries) {
     if (e.reverse) {
-      s_per_bit += e.fraction * (0.5 / e.candidate.bits_per_second() +
-                                 0.5 / e.reverse->bits_per_second());
+      s += e.fraction * (0.5 / e.candidate.bits_per_second() +
+                         0.5 / e.reverse->bits_per_second());
     } else {
-      s_per_bit += e.fraction / e.candidate.bits_per_second();
+      s += e.fraction / e.candidate.bits_per_second();
     }
   }
-  return s_per_bit > 0.0 ? 1.0 / s_per_bit : 0.0;
+  return s;
+}
+
+double plan_throughput_bps(const OffloadPlan& plan) {
+  const double s = plan_seconds_per_bit(plan);
+  return s > 0.0 ? 1.0 / s : 0.0;
 }
 
 double OffloadPlan::bits_until_depletion(double e1_joules,

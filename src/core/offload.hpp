@@ -61,8 +61,11 @@ struct OffloadPlan {
   std::string summary() const;
 };
 
-/// Delivered throughput of a plan [bits/s]: 1 / sum(p_i / rate_i), with
-/// bidirectional composites averaging their two legs.
+/// Airtime of a plan [s/bit]: sum(p_i / rate_i), with bidirectional
+/// composites averaging their two legs.
+double plan_seconds_per_bit(const OffloadPlan& plan);
+
+/// Delivered throughput of a plan [bits/s]: 1 / plan_seconds_per_bit.
 double plan_throughput_bps(const OffloadPlan& plan);
 
 class OffloadPlanner {

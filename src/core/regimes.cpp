@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/braidio_radio.hpp"
-
 namespace braidio::core {
 
 const char* to_string(Regime regime) {
@@ -14,17 +12,6 @@ const char* to_string(Regime regime) {
     case Regime::C: return "C";
   }
   return "?";
-}
-
-RegimeMap::RegimeMap(const PowerTable& table, const phy::LinkBudget& budget)
-    : lattice_(table.candidates()),
-      sleep_power_(BraidioRadio::kIdleFloor),
-      channel_(&budget),
-      table_(&table),
-      budget_(&budget) {
-  for (phy::LinkMode mode : phy::kAllLinkModes) {
-    overheads_[static_cast<int>(mode)] = table.switch_overhead(mode);
-  }
 }
 
 RegimeMap::RegimeMap(const hal::RadioBackend& backend)
@@ -86,16 +73,21 @@ double RegimeMap::regime_b_limit_m() const {
   return limit;
 }
 
+const ModeCandidate* RegimeMap::find(phy::LinkMode mode,
+                                     phy::Bitrate rate) const {
+  for (const auto& c : lattice_) {
+    if (c.mode == mode && c.rate == rate) return &c;
+  }
+  return nullptr;
+}
+
 const ModeCandidate& RegimeMap::candidate(phy::LinkMode mode,
                                           phy::Bitrate rate) const {
-  const auto it = std::find_if(
-      lattice_.begin(), lattice_.end(), [&](const ModeCandidate& c) {
-        return c.mode == mode && c.rate == rate;
-      });
-  if (it == lattice_.end()) {
+  const ModeCandidate* point = find(mode, rate);
+  if (point == nullptr) {
     throw std::out_of_range("RegimeMap: unsupported mode/rate");
   }
-  return *it;
+  return *point;
 }
 
 bool RegimeMap::supports(phy::LinkMode mode) const {
@@ -107,13 +99,9 @@ std::optional<phy::Bitrate> RegimeMap::best_rate(phy::LinkMode mode,
                                                  double distance_m) const {
   using phy::Bitrate;
   for (Bitrate rate : {Bitrate::M1, Bitrate::k100, Bitrate::k10}) {
-    if (!std::any_of(lattice_.begin(), lattice_.end(),
-                     [&](const ModeCandidate& c) {
-                       return c.mode == mode && c.rate == rate;
-                     })) {
-      continue;
+    if (find(mode, rate) && channel_->available(mode, rate, distance_m)) {
+      return rate;
     }
-    if (channel_->available(mode, rate, distance_m)) return rate;
   }
   return std::nullopt;
 }
@@ -121,34 +109,13 @@ std::optional<phy::Bitrate> RegimeMap::best_rate(phy::LinkMode mode,
 std::optional<phy::Bitrate> RegimeMap::lowest_rate(phy::LinkMode mode) const {
   using phy::Bitrate;
   for (Bitrate rate : {Bitrate::k10, Bitrate::k100, Bitrate::M1}) {
-    if (std::any_of(lattice_.begin(), lattice_.end(),
-                    [&](const ModeCandidate& c) {
-                      return c.mode == mode && c.rate == rate;
-                    })) {
-      return rate;
-    }
+    if (find(mode, rate)) return rate;
   }
   return std::nullopt;
 }
 
 const SwitchOverhead& RegimeMap::switch_overhead(phy::LinkMode mode) const {
   return overheads_[static_cast<int>(mode)];
-}
-
-const phy::LinkBudget& RegimeMap::budget() const {
-  if (!budget_) {
-    throw std::logic_error(
-        "RegimeMap::budget: not built from a PowerTable/LinkBudget pair");
-  }
-  return *budget_;
-}
-
-const PowerTable& RegimeMap::table() const {
-  if (!table_) {
-    throw std::logic_error(
-        "RegimeMap::table: not built from a PowerTable/LinkBudget pair");
-  }
-  return *table_;
 }
 
 }  // namespace braidio::core

@@ -7,9 +7,7 @@
 //   Regime C: only active -> no offload, Braidio behaves like Bluetooth.
 //
 // RegimeMap is the MAC side's view of a radio backend: the capability
-// lattice crossed with the channel model. It is built either from a
-// hal::RadioBackend (any driver) or, for legacy braidio-only call sites,
-// directly from the PowerTable + LinkBudget pair.
+// lattice crossed with the channel model, built from a hal::RadioBackend.
 #pragma once
 
 #include <optional>
@@ -17,7 +15,6 @@
 
 #include "core/power_table.hpp"
 #include "hal/backend.hpp"
-#include "phy/link_budget.hpp"
 #include "util/units.hpp"
 
 namespace braidio::core {
@@ -28,11 +25,8 @@ const char* to_string(Regime regime);
 
 class RegimeMap {
  public:
-  /// Legacy braidio-only form. Keeps table()/budget() accessors valid.
-  RegimeMap(const PowerTable& table, const phy::LinkBudget& budget);
-
-  /// Backend form: lattice/overheads copied from the declared capability
-  /// set, channel borrowed from the backend (which must outlive this map).
+  /// Lattice/overheads copied from the declared capability set, channel
+  /// borrowed from the backend (which must outlive this map).
   explicit RegimeMap(const hal::RadioBackend& backend);
 
   /// All (mode, bitrate) candidates whose BER clears the threshold at d.
@@ -51,6 +45,9 @@ class RegimeMap {
 
   /// The capability lattice this map plans over.
   const std::vector<ModeCandidate>& lattice() const { return lattice_; }
+
+  /// Lattice lookup; nullptr when unsupported.
+  const ModeCandidate* find(phy::LinkMode mode, phy::Bitrate rate) const;
 
   /// Lattice lookup; throws std::out_of_range when unsupported.
   const ModeCandidate& candidate(phy::LinkMode mode, phy::Bitrate rate) const;
@@ -73,18 +70,11 @@ class RegimeMap {
   /// The channel physics behind this map.
   const hal::ChannelModel& channel() const { return *channel_; }
 
-  /// Legacy accessors for braidio-only call sites; require the legacy ctor.
-  const phy::LinkBudget& budget() const;
-  const PowerTable& table() const;
-
  private:
   std::vector<ModeCandidate> lattice_;
   SwitchOverhead overheads_[3];
-  util::Watts sleep_power_{2e-6};
-  const hal::ChannelModel* channel_ = nullptr;
-  // Non-null only when constructed the legacy way.
-  const PowerTable* table_ = nullptr;
-  const phy::LinkBudget* budget_ = nullptr;
+  util::Watts sleep_power_;
+  const hal::ChannelModel* channel_;
 };
 
 }  // namespace braidio::core

@@ -169,12 +169,11 @@ class IRadio {
 };
 
 /// Generic driver endpoint: the full battery/ledger/span bookkeeping for
-/// any radio described by a Capabilities set. Backends that are pure
-/// power-table hardware (BLE modules, readers, BLISP sketches) use it
-/// directly; BraidioRadio derives from it, binding the calibrated
-/// PowerTable. Energy spans ("<device>/<mode>[:role]") and trace events
-/// (ModeSwitch, BatteryDeath) are emitted here, at the HAL boundary, so
-/// attribution paths are backend-independent.
+/// any radio described by a Capabilities set. Every built-in backend, the
+/// calibrated Braidio prototype included, builds its radios as this class.
+/// Energy spans ("<device>/<mode>[:role]") and trace events (ModeSwitch,
+/// BatteryDeath) are emitted here, at the HAL boundary, so attribution
+/// paths are backend-independent.
 class StandardRadio : public IRadio {
  public:
   /// The capability set is copied; no external lifetime requirements.

@@ -34,7 +34,7 @@ namespace braidio::obs {
 
 /// Built-in counters posted by the instrumented layers.
 enum class Counter : std::uint8_t {
-  ModeSwitches,    // BraidioRadio actually changed (mode, role)
+  ModeSwitches,    // a HAL radio actually changed (mode, role)
   OffloadPlans,    // OffloadPlanner solved Eq. 1
   Replans,         // a running session recomputed its plan
   Fallbacks,       // braided link fell back to the active mode

@@ -1,11 +1,12 @@
 #include "core/braided_link.hpp"
-#include "core/braidio_radio.hpp"
 #include "util/units.hpp"
 
 #include <gtest/gtest.h>
 
 #include <utility>
 
+#include "backends/backends.hpp"
+#include "hal/radio.hpp"
 #include "sim/faults/fault_timeline.hpp"
 #include "sim/faults/impairment.hpp"
 
@@ -13,11 +14,10 @@ namespace braidio::core {
 namespace {
 
 struct Rig {
-  PowerTable table;
-  phy::LinkBudget budget;
-  RegimeMap regimes{table, budget};
-  BraidioRadio a{"phone", 1, util::WattHours(6.55), table};
-  BraidioRadio b{"watch", 2, util::WattHours(0.78), table};
+  const hal::RadioBackend& backend = backends::braidio_backend();
+  RegimeMap regimes{backend};
+  hal::StandardRadio a{"phone", 1, util::WattHours(6.55), backend.caps()};
+  hal::StandardRadio b{"watch", 2, util::WattHours(0.78), backend.caps()};
 };
 
 TEST(BraidedLink, DeliversAllPacketsOnCleanLink) {
@@ -97,14 +97,12 @@ TEST(BraidedLink, FallsBackToActiveUnderInjectedLoss) {
 }
 
 TEST(BraidedLink, TinyBatteryDiesMidRunAndStopsCleanly) {
-  PowerTable table;
-  phy::LinkBudget budget;
-  RegimeMap regimes(table, budget);
-  BraidioRadio big("phone", 1, util::WattHours(6.55), table);
-  BraidioRadio tiny("coin", 2, util::WattHours(2e-6), table);  // 7.2 mJ
+  Rig rig;
+  hal::StandardRadio tiny("coin", 2, util::WattHours(2e-6),
+                          rig.backend.caps());  // 7.2 mJ
   BraidedLinkConfig cfg;
   cfg.distance_m = 0.4;
-  BraidedLink link(big, tiny, regimes, cfg);
+  BraidedLink link(rig.a, tiny, rig.regimes, cfg);
   const auto stats = link.run(1u << 30);  // far more than the battery allows
   EXPECT_TRUE(tiny.battery().empty());
   EXPECT_LT(stats.data_packets_offered, 1u << 30);

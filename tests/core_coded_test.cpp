@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "backends/backends.hpp"
+#include "baseline/reader.hpp"
 #include "core/offload.hpp"
 
 namespace braidio::core {
@@ -9,9 +11,8 @@ namespace {
 
 class CodedTest : public ::testing::Test {
  protected:
-  PowerTable table_;
   phy::LinkBudget budget_;
-  RegimeMap map_{table_, budget_};
+  RegimeMap map_{backends::braidio_backend()};
 };
 
 TEST_F(CodedTest, CodedRangeExceedsUncoded) {
@@ -29,16 +30,17 @@ TEST_F(CodedTest, RegimeAExtension) {
   // Headline of the extension: coding pushes the carrier-offload horizon
   // past the uncoded 2.4 m backscatter limit.
   const double uncoded = map_.regime_a_limit_m();
-  const double coded = coded_regime_a_limit_m(map_);
+  const double coded = coded_regime_a_limit_m(map_, budget_);
   EXPECT_NEAR(uncoded, 2.4, 0.01);
-  EXPECT_GT(coded, 2.6);
-  EXPECT_LT(coded, 3.2);
+  // Bit-exact: the horizon is a function of the calibrated table and
+  // budget alone, whatever object carries them to the helper.
+  EXPECT_DOUBLE_EQ(coded, 2.7224188604525219);
 }
 
 TEST_F(CodedTest, NoCodedVariantsWhereUncodedLives) {
   // At 0.5 m everything runs uncoded; the candidate set has no coded
   // entries.
-  for (const auto& c : candidates_with_coding(map_, 0.5)) {
+  for (const auto& c : candidates_with_coding(map_, budget_, 0.5)) {
     EXPECT_FALSE(c.coded);
   }
 }
@@ -46,14 +48,13 @@ TEST_F(CodedTest, NoCodedVariantsWhereUncodedLives) {
 TEST_F(CodedTest, CodedBackscatterAppearsInTheGap) {
   // Between the uncoded (2.4 m) and coded (~2.7 m) backscatter limits, a
   // coded backscatter candidate must appear.
-  const auto candidates = candidates_with_coding(map_, 2.55);
+  const auto candidates = candidates_with_coding(map_, budget_, 2.55);
   bool saw_coded_backscatter = false;
   for (const auto& c : candidates) {
     if (c.coded && c.candidate.mode == phy::LinkMode::Backscatter) {
       saw_coded_backscatter = true;
       // Per-bit cost inflated by 7/4 over the uncoded table entry.
-      const auto& raw =
-          table_.candidate(c.candidate.mode, c.candidate.rate);
+      const auto& raw = map_.candidate(c.candidate.mode, c.candidate.rate);
       EXPECT_NEAR(c.candidate.tx_joules_per_bit() /
                       raw.tx_joules_per_bit(),
                   7.0 / 4.0, 1e-9);
@@ -65,7 +66,7 @@ TEST_F(CodedTest, CodedBackscatterAppearsInTheGap) {
 TEST_F(CodedTest, CodedCandidatesExtendOffloadInTheGap) {
   // At 2.55 m, an energy-poor transmitter can still shed its carrier via
   // coded backscatter; without coding the planner would clamp.
-  const auto coded = candidates_with_coding(map_, 2.55);
+  const auto coded = candidates_with_coding(map_, budget_, 2.55);
   std::vector<ModeCandidate> pool;
   for (const auto& c : coded) pool.push_back(c.candidate);
   const auto plan = OffloadPlanner::plan(pool, 1.0, 500.0);
@@ -78,6 +79,24 @@ TEST_F(CodedTest, CodedCandidatesExtendOffloadInTheGap) {
   // at 10 kbps is expensive airtime, so the braid still leans on active
   // for 30% of the bits).
   EXPECT_LT(plan.tx_joules_per_bit, 0.5 * uncoded_plan.tx_joules_per_bit);
+}
+
+TEST(CodedBackends, HelpersStayInsideTheDeclaredLattice) {
+  // The reader drives backscatter tags only: coding may stretch its
+  // backscatter horizon but never invents an active or passive point.
+  const baseline::CommercialReaderModel reader;
+  const RegimeMap reader_map(backends::reader_passive_backend());
+  for (double d = 0.1; d < 40.0; d *= 1.1) {
+    for (const auto& c :
+         candidates_with_coding(reader_map, reader.link_budget(), d)) {
+      EXPECT_EQ(c.candidate.mode, phy::LinkMode::Backscatter) << d;
+    }
+  }
+  EXPECT_GT(coded_regime_a_limit_m(reader_map, reader.link_budget()),
+            reader_map.regime_a_limit_m());
+  // An active-only radio has no Regime A, coded or not.
+  const RegimeMap ble_map(backends::ble_active_backend());
+  EXPECT_EQ(coded_regime_a_limit_m(ble_map, phy::LinkBudget()), 0.0);
 }
 
 TEST_F(CodedTest, AvailabilityMatchesRangeBisect) {

@@ -1,6 +1,7 @@
 // Deadline-aware carrier offload: Eq. 1 + a minimum-throughput constraint.
 #include <gtest/gtest.h>
 
+#include "backends/backends.hpp"
 #include "core/offload.hpp"
 #include "core/regimes.hpp"
 
@@ -12,9 +13,7 @@ class DeadlineTest : public ::testing::Test {
   std::vector<ModeCandidate> at(double d) {
     return map_.available_best_rate(d);
   }
-  PowerTable table_;
-  phy::LinkBudget budget_;
-  RegimeMap map_{table_, budget_};
+  RegimeMap map_{backends::braidio_backend()};
 };
 
 TEST_F(DeadlineTest, ThroughputHelperMatchesMixArithmetic) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "backends/backends.hpp"
 #include "core/offload.hpp"
 
 namespace braidio::core {
@@ -9,9 +10,7 @@ namespace {
 
 class HarvestAwareTest : public ::testing::Test {
  protected:
-  PowerTable table_;
-  phy::LinkBudget budget_;
-  RegimeMap map_{table_, budget_};
+  RegimeMap map_{backends::braidio_backend()};
 };
 
 TEST_F(HarvestAwareTest, HarvestedPowerDecaysWithDistance) {

@@ -2,14 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "backends/backends.hpp"
+
 namespace braidio::core {
 namespace {
-
-struct Rig {
-  PowerTable table;
-  phy::LinkBudget budget;
-  RegimeMap regimes{table, budget};
-};
 
 std::vector<HubNodeConfig> three_sensors() {
   return {{"door", 0.5, 0.6, 0.0, 24},
@@ -18,8 +14,8 @@ std::vector<HubNodeConfig> three_sensors() {
 }
 
 TEST(CarrierHub, ServesAllNodes) {
-  Rig rig;
-  CarrierHub hub(rig.regimes, {}, three_sensors());
+  const auto& backend = backends::braidio_backend();
+  CarrierHub hub(backend, {}, three_sensors());
   const auto stats = hub.run(20);
   ASSERT_EQ(stats.nodes.size(), 3u);
   for (const auto& n : stats.nodes) {
@@ -34,8 +30,8 @@ TEST(CarrierHub, ServesAllNodes) {
 TEST(CarrierHub, PoorNodesRideTheHubCarrier) {
   // With a 99.5 Wh hub and 0.5 Wh nodes, every in-Regime-A node's plan
   // must be backscatter-dominant: the node reflects, the hub pays.
-  Rig rig;
-  CarrierHub hub(rig.regimes, {}, three_sensors());
+  const auto& backend = backends::braidio_backend();
+  CarrierHub hub(backend, {}, three_sensors());
   hub.run(5);
   for (const auto& plan : hub.plans()) {
     double backscatter_fraction = 0.0;
@@ -49,8 +45,8 @@ TEST(CarrierHub, PoorNodesRideTheHubCarrier) {
 }
 
 TEST(CarrierHub, NodeEnergyOrdersOfMagnitudeBelowHub) {
-  Rig rig;
-  CarrierHub hub(rig.regimes, {}, {{"near", 0.5, 0.5, 0.0, 24}});
+  const auto& backend = backends::braidio_backend();
+  CarrierHub hub(backend, {}, {{"near", 0.5, 0.5, 0.0, 24}});
   const auto stats = hub.run(50);
   ASSERT_EQ(stats.nodes.size(), 1u);
   // Tag-side joules vs hub carrier joules: the whole point of offload.
@@ -58,14 +54,14 @@ TEST(CarrierHub, NodeEnergyOrdersOfMagnitudeBelowHub) {
 }
 
 TEST(CarrierHub, HubEnergyPerBitAmortizesAcrossNodes) {
-  Rig rig;
+  const auto& backend = backends::braidio_backend();
   HubConfig cfg;
   // One node vs four identical nodes at the same distance: per delivered
   // bit the hub pays roughly the same, so total service scales with node
   // count at constant hub J/bit (the amortization claim).
-  CarrierHub one(rig.regimes, cfg, {{"n1", 0.5, 0.8, 0.0, 24}});
+  CarrierHub one(backend, cfg, {{"n1", 0.5, 0.8, 0.0, 24}});
   const auto s1 = one.run(40);
-  CarrierHub four(rig.regimes, cfg,
+  CarrierHub four(backend, cfg,
                   {{"n1", 0.5, 0.8, 0.0, 24},
                    {"n2", 0.5, 0.8, 0.0, 24},
                    {"n3", 0.5, 0.8, 0.0, 24},
@@ -77,8 +73,8 @@ TEST(CarrierHub, HubEnergyPerBitAmortizesAcrossNodes) {
 }
 
 TEST(CarrierHub, DistantNodeFallsBackToActive) {
-  Rig rig;
-  CarrierHub hub(rig.regimes, {}, {{"far", 0.5, 4.0, 0.0, 24}});
+  const auto& backend = backends::braidio_backend();
+  CarrierHub hub(backend, {}, {{"far", 0.5, 4.0, 0.0, 24}});
   hub.run(3);
   ASSERT_EQ(hub.plans().size(), 1u);
   // At 4 m only active+passive exist; sending node->hub cannot use
@@ -88,8 +84,8 @@ TEST(CarrierHub, DistantNodeFallsBackToActive) {
 }
 
 TEST(CarrierHub, ShadowedNodeDeliversLess) {
-  Rig rig;
-  CarrierHub hub(rig.regimes, {},
+  const auto& backend = backends::braidio_backend();
+  CarrierHub hub(backend, {},
                  {{"clear", 0.5, 1.0, 0.0, 24},
                   {"shadowed", 0.5, 1.0, 14.0, 24}});
   const auto stats = hub.run(20);
@@ -97,10 +93,10 @@ TEST(CarrierHub, ShadowedNodeDeliversLess) {
 }
 
 TEST(CarrierHub, TinyNodeDiesAndOthersContinue) {
-  Rig rig;
+  const auto& backend = backends::braidio_backend();
   // 9e-8 Wh = 0.32 mJ: enough for the backscatter switch-in (0.309 mJ,
   // Table 5) plus a few hundred tag-side packets, then the node dies.
-  CarrierHub hub(rig.regimes, {},
+  CarrierHub hub(backend, {},
                  {{"coin", 9e-8, 0.6, 0.0, 24},
                   {"normal", 0.5, 0.6, 0.0, 24}});
   const auto stats = hub.run(300);
@@ -110,13 +106,13 @@ TEST(CarrierHub, TinyNodeDiesAndOthersContinue) {
 }
 
 TEST(CarrierHub, Validation) {
-  Rig rig;
-  EXPECT_THROW(CarrierHub(rig.regimes, {}, {}), std::invalid_argument);
+  const auto& backend = backends::braidio_backend();
+  EXPECT_THROW(CarrierHub(backend, {}, {}), std::invalid_argument);
   HubConfig bad;
   bad.packets_per_slot = 0;
-  EXPECT_THROW(CarrierHub(rig.regimes, bad, three_sensors()),
+  EXPECT_THROW(CarrierHub(backend, bad, three_sensors()),
                std::invalid_argument);
-  CarrierHub out_of_range(rig.regimes, {},
+  CarrierHub out_of_range(backend, {},
                           {{"moon", 0.5, 40.0, 0.0, 24}});
   EXPECT_THROW(out_of_range.run(1), std::runtime_error);
 }

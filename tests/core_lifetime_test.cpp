@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "backends/backends.hpp"
 #include "util/units.hpp"
 
 namespace braidio::core {
@@ -17,8 +18,7 @@ class LifetimeTest : public ::testing::Test {
   }
 
   PowerTable table_;
-  phy::LinkBudget budget_;
-  LifetimeSimulator sim_{table_, budget_};
+  LifetimeSimulator sim_{backends::braidio_backend()};
   LifetimeConfig close_{.distance_m = 0.5};
 };
 
@@ -196,9 +196,7 @@ TEST_F(LifetimeTest, OutOfRangeThrows) {
 class DistanceSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(DistanceSweep, GainNeverBelowBluetooth) {
-  PowerTable table;
-  phy::LinkBudget budget;
-  LifetimeSimulator sim(table, budget);
+  LifetimeSimulator sim(backends::braidio_backend());
   LifetimeConfig cfg;
   cfg.distance_m = GetParam();
   const auto& catalog = energy::device_catalog();

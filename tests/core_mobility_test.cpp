@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "backends/backends.hpp"
 #include "util/units.hpp"
 
 namespace braidio::core {
@@ -9,9 +10,7 @@ namespace {
 
 class MobilityTest : public ::testing::Test {
  protected:
-  PowerTable table_;
-  phy::LinkBudget budget_;
-  MobilitySimulator sim_{table_, budget_};
+  MobilitySimulator sim_{backends::braidio_backend()};
 };
 
 TEST(MobilityTraceTest, InterpolatesAndClamps) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "backends/backends.hpp"
 #include "util/units.hpp"
 
 namespace braidio::core {
@@ -9,15 +10,16 @@ namespace {
 
 class RadioTest : public ::testing::Test {
  protected:
+  const hal::Capabilities& caps_ = backends::braidio_backend().caps();
   PowerTable table_;
-  BraidioRadio radio_{"watch", 1, util::WattHours(0.78), table_};
+  hal::StandardRadio radio_{"watch", 1, util::WattHours(0.78), caps_};
 };
 
 TEST_F(RadioTest, StartsIdleAtFloorPower) {
   EXPECT_FALSE(radio_.operating_point().has_value());
   EXPECT_FALSE(radio_.role().has_value());
-  EXPECT_DOUBLE_EQ(radio_.power_draw().value(),
-                   BraidioRadio::kIdleFloor.value());
+  EXPECT_DOUBLE_EQ(radio_.power_draw().value(), caps_.sleep_power.value());
+  EXPECT_DOUBLE_EQ(caps_.sleep_power.value(), 2e-6);
   EXPECT_EQ(radio_.name(), "watch");
   EXPECT_EQ(radio_.address(), 1);
 }
@@ -87,23 +89,22 @@ TEST_F(RadioTest, LedgerCategoriesByModeAndRole) {
 }
 
 TEST_F(RadioTest, BatteryDeathDuringAdvanceGoesIdle) {
-  PowerTable table;
-  BraidioRadio tiny("band", 2, util::WattHours(1e-6), table);  // 3.6 mJ
-  const auto& active = table.candidate(phy::LinkMode::Active,
-                                       phy::Bitrate::M1);
+  hal::StandardRadio tiny("band", 2, util::WattHours(1e-6), caps_);  // 3.6 mJ
+  const auto& active = table_.candidate(phy::LinkMode::Active,
+                                        phy::Bitrate::M1);
   ASSERT_TRUE(tiny.switch_to(active, Role::DataTransmitter));
   // 94.56 mW drains 3.6 mJ in ~38 ms; a 1 s advance must fail.
   EXPECT_FALSE(tiny.advance(util::Seconds(1.0)));
   EXPECT_TRUE(tiny.battery().empty());
   EXPECT_FALSE(tiny.operating_point().has_value());
-  EXPECT_DOUBLE_EQ(tiny.power_draw().value(), BraidioRadio::kIdleFloor.value());
+  EXPECT_DOUBLE_EQ(tiny.power_draw().value(), caps_.sleep_power.value());
 }
 
 TEST_F(RadioTest, IdleAdvanceUsesFloor) {
   const double before = radio_.battery().remaining_joules();
   ASSERT_TRUE(radio_.advance(util::Seconds(100.0)));
   EXPECT_NEAR(before - radio_.battery().remaining_joules(),
-              100.0 * BraidioRadio::kIdleFloor.value(), 1e-12);
+              100.0 * caps_.sleep_power.value(), 1e-12);
   EXPECT_GT(radio_.ledger().joules(energy::EnergyCategory::Idle), 0.0);
 }
 
@@ -112,8 +113,7 @@ TEST_F(RadioTest, GoIdleStopsModeDraw) {
       table_.candidate(phy::LinkMode::Active, phy::Bitrate::M1);
   ASSERT_TRUE(radio_.switch_to(active, Role::DataTransmitter));
   radio_.go_idle();
-  EXPECT_DOUBLE_EQ(radio_.power_draw().value(),
-                   BraidioRadio::kIdleFloor.value());
+  EXPECT_DOUBLE_EQ(radio_.power_draw().value(), caps_.sleep_power.value());
 }
 
 TEST(RoleNames, Stable) {

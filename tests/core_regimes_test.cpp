@@ -2,14 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include "backends/backends.hpp"
+
 namespace braidio::core {
 namespace {
 
 class RegimesTest : public ::testing::Test {
  protected:
   PowerTable table_;
-  phy::LinkBudget budget_;
-  RegimeMap map_{table_, budget_};
+  RegimeMap map_{backends::braidio_backend()};
 };
 
 TEST_F(RegimesTest, RegimeBoundariesMatchFig8Narrative) {

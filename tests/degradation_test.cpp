@@ -8,8 +8,9 @@
 #include <cstdio>
 #include <vector>
 
+#include "backends/backends.hpp"
 #include "core/braided_link.hpp"
-#include "core/braidio_radio.hpp"
+#include "hal/radio.hpp"
 #include "sim/faults/fault_timeline.hpp"
 #include "sim/faults/impairment.hpp"
 #include "sim/scenario.hpp"
@@ -20,11 +21,10 @@ namespace braidio {
 namespace {
 
 struct Rig {
-  core::PowerTable table;
-  phy::LinkBudget budget;
-  core::RegimeMap regimes{table, budget};
-  core::BraidioRadio a{"phone", 1, util::WattHours(6.55), table};
-  core::BraidioRadio b{"watch", 2, util::WattHours(0.78), table};
+  const hal::RadioBackend& backend = backends::braidio_backend();
+  core::RegimeMap regimes{backend};
+  hal::StandardRadio a{"phone", 1, util::WattHours(6.55), backend.caps()};
+  hal::StandardRadio b{"watch", 2, util::WattHours(0.78), backend.caps()};
 };
 
 core::BraidedLinkStats run_faulted(
@@ -105,8 +105,8 @@ TEST(Degradation, DeliveredBitsNonIncreasingInBrownoutDrain) {
     cfg.impairments = &schedule;
     // Shrink the watch battery so the brownout is material and the
     // run-to-death stays fast.
-    core::BraidioRadio small("watch", 2, util::WattHours(5e-7),
-                             rig.table);  // 1.8 mJ
+    hal::StandardRadio small("watch", 2, util::WattHours(5e-7),
+                             rig.backend.caps());  // 1.8 mJ
     core::BraidedLink link(rig.a, small, rig.regimes, cfg);
     delivered_bits.push_back(link.run(1u << 20).payload_bits_delivered);
   }

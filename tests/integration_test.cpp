@@ -6,14 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include "backends/backends.hpp"
 #include "circuits/charge_pump.hpp"
 #include "circuits/comparator.hpp"
 #include "circuits/inst_amp.hpp"
 #include "circuits/netlist.hpp"
 #include "circuits/transient.hpp"
 #include "core/braided_link.hpp"
-#include "core/braidio_radio.hpp"
 #include "core/lifetime_sim.hpp"
+#include "hal/radio.hpp"
 #include "phy/waveform.hpp"
 #include "rf/phase_field.hpp"
 #include "util/rng.hpp"
@@ -25,11 +26,10 @@ namespace {
 TEST(Integration, EventSimulatorTracksFluidModelPerBitCosts) {
   // Run the packetized protocol for a while and compare each device's
   // measured per-delivered-bit energy against the fluid plan's prediction.
-  core::PowerTable table;
-  phy::LinkBudget budget;
-  core::RegimeMap regimes(table, budget);
-  core::BraidioRadio a("phone", 1, util::WattHours(6.55), table);
-  core::BraidioRadio b("watch", 2, util::WattHours(0.78), table);
+  const hal::RadioBackend& backend = backends::braidio_backend();
+  core::RegimeMap regimes(backend);
+  hal::StandardRadio a("phone", 1, util::WattHours(6.55), backend.caps());
+  hal::StandardRadio b("watch", 2, util::WattHours(0.78), backend.caps());
   const double e1 = a.battery().remaining_joules();
   const double e2 = b.battery().remaining_joules();
 
@@ -40,7 +40,7 @@ TEST(Integration, EventSimulatorTracksFluidModelPerBitCosts) {
   const auto stats = link.run(8192);
   ASSERT_GT(stats.payload_bits_delivered, 0.0);
 
-  core::LifetimeSimulator sim(table, budget);
+  core::LifetimeSimulator sim(backend);
   core::LifetimeConfig fluid;
   fluid.distance_m = 0.4;
   const auto outcome =
@@ -122,9 +122,8 @@ TEST(Integration, PhaseFieldNullsMatchWaveformBehaviour) {
 
 TEST(Integration, LifetimeMatrixAgreesWithDirectPlanComputation) {
   // Spot-check one Fig. 15 cell computed two independent ways.
-  core::PowerTable table;
-  phy::LinkBudget budget;
-  core::LifetimeSimulator sim(table, budget);
+  const hal::RadioBackend& backend = backends::braidio_backend();
+  core::LifetimeSimulator sim(backend);
   const auto tx = energy::find_device("Pebble Watch");
   const auto rx = energy::find_device("Nexus 6P");
   ASSERT_TRUE(tx && rx);
@@ -134,7 +133,7 @@ TEST(Integration, LifetimeMatrixAgreesWithDirectPlanComputation) {
   const double gain = sim.gain_vs_bluetooth(*tx, *rx, cfg);
 
   // Independent: plan + closed forms.
-  core::RegimeMap regimes(table, budget);
+  core::RegimeMap regimes(backend);
   const auto plan = core::OffloadPlanner::plan(
       regimes.available_best_rate(0.5), util::wh_to_joules(tx->battery_wh),
       util::wh_to_joules(rx->battery_wh));
@@ -148,11 +147,10 @@ TEST(Integration, LifetimeMatrixAgreesWithDirectPlanComputation) {
 
 TEST(Integration, EndToEndEnergyConservation) {
   // Ledger totals must equal battery drain exactly for both radios.
-  core::PowerTable table;
-  phy::LinkBudget budget;
-  core::RegimeMap regimes(table, budget);
-  core::BraidioRadio a("a", 1, util::WattHours(0.26), table);
-  core::BraidioRadio b("b", 2, util::WattHours(0.48), table);
+  const hal::RadioBackend& backend = backends::braidio_backend();
+  core::RegimeMap regimes(backend);
+  hal::StandardRadio a("a", 1, util::WattHours(0.26), backend.caps());
+  hal::StandardRadio b("b", 2, util::WattHours(0.48), backend.caps());
   const double e1 = a.battery().remaining_joules();
   const double e2 = b.battery().remaining_joules();
   core::BraidedLinkConfig cfg;

@@ -12,16 +12,16 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "backends/backends.hpp"
 #include "core/braided_link.hpp"
-#include "core/braidio_radio.hpp"
 #include "core/mobility_sim.hpp"
 #include "energy/ledger.hpp"
+#include "hal/radio.hpp"
 #include "obs/event.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/span.hpp"
 #include "obs/tracer.hpp"
-#include "phy/link_budget.hpp"
 #include "sim/bench_telemetry.hpp"
 #include "util/units.hpp"
 #include "sim/faults/fault_timeline.hpp"
@@ -684,9 +684,7 @@ TEST(EnergySpan, LedgerChargesAreTaggedWithTheSanitizedSpanPath) {
 // must sum to the ledger total for a mobility walk...
 TEST(EnergyAttribution, MobilityWalkConservesLedgerTotal) {
   obs::set_attribution_enabled(true);
-  core::PowerTable table;
-  phy::LinkBudget budget;
-  core::MobilitySimulator sim(table, budget);
+  core::MobilitySimulator sim(backends::braidio_backend());
   const auto trace =
       core::MobilityTrace::random_walk(0.3, 3.0, 1.4, util::Seconds(120.0),
                                        7);
@@ -714,11 +712,12 @@ TEST(EnergyAttribution, MobilityWalkConservesLedgerTotal) {
 // and fallback paths post through the same spans).
 TEST(EnergyAttribution, FaultedBraidConservesDeviceLedgers) {
   obs::set_attribution_enabled(true);
-  core::PowerTable table;
-  phy::LinkBudget budget;
-  core::RegimeMap regimes(table, budget);
-  core::BraidioRadio device1("device1", 1, util::WattHours(0.01), table);
-  core::BraidioRadio device2("device2", 2, util::WattHours(0.01), table);
+  const hal::RadioBackend& backend = backends::braidio_backend();
+  core::RegimeMap regimes(backend);
+  hal::StandardRadio device1("device1", 1, util::WattHours(0.01),
+                             backend.caps());
+  hal::StandardRadio device2("device2", 2, util::WattHours(0.01),
+                             backend.caps());
   const auto timeline = sim::faults::FaultTimeline::periodic_bursts(
       sim::faults::FaultKind::FadeBurst, /*count=*/3,
       /*first_start_s=*/0.02, /*period_s=*/0.2, /*duration_s=*/0.05,

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "backends/backends.hpp"
 #include "core/lifetime_sim.hpp"
+#include "phy/link_budget.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -16,8 +18,7 @@ using JL = util::Joules;
 class PropertyTest : public ::testing::Test {
  protected:
   core::PowerTable table_;
-  phy::LinkBudget budget_;
-  core::LifetimeSimulator sim_{table_, budget_};
+  core::LifetimeSimulator sim_{backends::braidio_backend()};
 };
 
 TEST_F(PropertyTest, BraidioNeverLosesToItsOwnModes) {

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "backends/backends.hpp"
 #include "core/lifetime_sim.hpp"
 #include "sim/result_table.hpp"
 #include "sim/run_report.hpp"
@@ -55,9 +56,7 @@ sim::Scenario stochastic_scenario() {
 }
 
 TEST(SweepDeterminism, MatrixIdenticalAcrossThreadCounts) {
-  core::PowerTable table;
-  phy::LinkBudget budget;
-  core::LifetimeSimulator lifetime(table, budget);
+  core::LifetimeSimulator lifetime(backends::braidio_backend());
   core::LifetimeConfig cfg;
   cfg.distance_m = 0.5;
   const auto scenario = fig15_style_scenario(lifetime, cfg);
