@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
 
   core::LifetimeConfig base;
   base.distance_m = 0.5;
-  base.include_switch_overhead = false;
+  base.bits_per_dwell = core::kInfiniteDwell;
   const double ideal = sim.braidio(e1, e2, base).bits;
 
   const std::vector<double> dwells{1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9};
@@ -40,7 +40,6 @@ int main(int argc, char** argv) {
       {"dwell @1 Mbps", "bits vs ideal"}, [&](sim::SweepPoint& p) {
         const double dwell = dwells[p.axis_index(0)];
         core::LifetimeConfig cfg = base;
-        cfg.include_switch_overhead = true;
         cfg.bits_per_dwell = dwell;
         const double bits = sim.braidio(e1, e2, cfg).bits;
         sim::RunRecord record;

@@ -38,7 +38,7 @@ int main() {
   core::LifetimeConfig with;
   with.distance_m = 0.5;
   core::LifetimeConfig without = with;
-  without.include_switch_overhead = false;
+  without.bits_per_dwell = core::kInfiniteDwell;
   const auto e1 = util::to_joules(util::WattHours(0.78));
   const auto e2 = util::to_joules(util::WattHours(6.55));
   const double loss = 1.0 - sim.braidio(e1, e2, with).bits /

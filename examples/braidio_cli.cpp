@@ -31,6 +31,7 @@
 // Device names are the Fig. 1 catalog entries ("Apple Watch", "iPhone 6S",
 // ...). All output is plain tables; exit code 2 flags usage errors.
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -167,12 +168,45 @@ std::optional<phy::Bitrate> parse_rate(const std::string& s) {
   return std::nullopt;
 }
 
+/// Parse an unsigned integer flag value into `out`: the whole text, no
+/// sign, within T's range. Otherwise report "bad <flag> value: <text>"
+/// and return false (the caller exits 2).
+template <typename T>
+bool parse_unsigned_flag(const char* flag, const std::string& text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  if (ec == std::errc{} && ptr == end) return true;
+  std::cerr << "bad " << flag << " value: " << text << '\n';
+  return false;
+}
+
+/// Parse a finite number > 0 into `out`: the whole text. Otherwise report
+/// "bad <name> value: <text>" and return false (the caller exits 2).
+bool parse_positive(const char* name, const std::string& text, double& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  if (ec == std::errc{} && ptr == end && std::isfinite(out) && out > 0.0) {
+    return true;
+  }
+  std::cerr << "bad " << name << " value: " << text << '\n';
+  return false;
+}
+
+/// The <e1_wh> <e2_wh> <distance_m> triple of plan, braid and profile.
+bool parse_link_args(const std::vector<std::string>& args, double& e1_wh,
+                     double& e2_wh, double& distance_m) {
+  return parse_positive("e1_wh", args[0], e1_wh) &&
+         parse_positive("e2_wh", args[1], e2_wh) &&
+         parse_positive("distance_m", args[2], distance_m);
+}
+
 int cmd_plan(const hal::RadioBackend& backend,
              const std::vector<std::string>& args) {
   if (args.size() < 3) return usage();
-  const double e1 = util::wh_to_joules(std::stod(args[0]));
-  const double e2 = util::wh_to_joules(std::stod(args[1]));
-  const double d = std::stod(args[2]);
+  double e1_wh = 0.0, e2_wh = 0.0, d = 0.0;
+  if (!parse_link_args(args, e1_wh, e2_wh, d)) return 2;
+  const double e1 = util::wh_to_joules(e1_wh);
+  const double e2 = util::wh_to_joules(e2_wh);
   const bool bidir = args.size() > 3 && args[3] == "--bidirectional";
 
   core::RegimeMap regimes(backend);
@@ -181,10 +215,8 @@ int cmd_plan(const hal::RadioBackend& backend,
     std::cout << "no link at " << d << " m\n";
     return 1;
   }
-  const auto plan = bidir
-                        ? core::OffloadPlanner::plan_bidirectional(
-                              candidates, e1, e2)
-                        : core::OffloadPlanner::plan(candidates, e1, e2);
+  const auto plan = core::plan_link(regimes, candidates, e1, e2, bidir,
+                                    core::kInfiniteDwell);
   std::cout << "regime " << to_string(regimes.regime(d)) << " at " << d
             << " m; plan: " << plan.summary() << '\n'
             << "  device1 " << plan.tx_joules_per_bit * 1e9
@@ -199,16 +231,15 @@ int cmd_braid(const hal::RadioBackend& backend,
               const std::vector<std::string>& args,
               const GlobalOptions& options) {
   if (args.size() < 3) return usage();
-  const double e1_wh = std::stod(args[0]);
-  const double e2_wh = std::stod(args[1]);
-  const double d = std::stod(args[2]);
+  double e1_wh = 0.0, e2_wh = 0.0, d = 0.0;
+  if (!parse_link_args(args, e1_wh, e2_wh, d)) return 2;
   std::uint64_t packets = 4096;
   bool bidir = false;
   for (std::size_t i = 3; i < args.size(); ++i) {
     if (args[i] == "--bidirectional") {
       bidir = true;
-    } else {
-      packets = std::stoull(args[i]);
+    } else if (!parse_unsigned_flag("packets", args[i], packets)) {
+      return 2;
     }
   }
 
@@ -250,9 +281,8 @@ int cmd_profile(const hal::RadioBackend& backend,
                 const std::vector<std::string>& args,
                 const GlobalOptions& options) {
   if (args.size() < 3) return usage();
-  const double e1_wh = std::stod(args[0]);
-  const double e2_wh = std::stod(args[1]);
-  const double d = std::stod(args[2]);
+  double e1_wh = 0.0, e2_wh = 0.0, d = 0.0;
+  if (!parse_link_args(args, e1_wh, e2_wh, d)) return 2;
   std::uint64_t packets = 4096;
   bool bidir = false;
   std::string flame_out;
@@ -262,8 +292,8 @@ int cmd_profile(const hal::RadioBackend& backend,
     } else if (args[i].rfind("--flame-out=", 0) == 0) {
       flame_out = args[i].substr(12);
       if (flame_out.empty()) return usage();
-    } else {
-      packets = std::stoull(args[i]);
+    } else if (!parse_unsigned_flag("packets", args[i], packets)) {
+      return 2;
     }
   }
 
@@ -329,7 +359,10 @@ int cmd_lifetime(const hal::RadioBackend& backend,
     return 2;
   }
   core::LifetimeConfig cfg;
-  cfg.distance_m = args.size() > 2 ? std::stod(args[2]) : 0.5;
+  if (args.size() > 2 &&
+      !parse_positive("distance_m", args[2], cfg.distance_m)) {
+    return 2;
+  }
 
   core::LifetimeSimulator sim(backend);
   const auto e1 = util::to_joules(util::WattHours(tx->battery_wh));
@@ -351,9 +384,12 @@ int cmd_lifetime(const hal::RadioBackend& backend,
 
 int cmd_matrix(const hal::RadioBackend& backend,
                const std::vector<std::string>& args) {
-  core::LifetimeSimulator sim(backend);
   core::LifetimeConfig cfg;
-  cfg.distance_m = args.empty() ? 0.5 : std::stod(args[0]);
+  if (!args.empty() &&
+      !parse_positive("distance_m", args[0], cfg.distance_m)) {
+    return 2;
+  }
+  core::LifetimeSimulator sim(backend);
   const auto& catalog = energy::device_catalog();
   std::vector<std::string> headers{"RX \\ TX"};
   for (const auto& d : catalog) headers.push_back(d.name.substr(0, 8));
@@ -422,18 +458,6 @@ bool write_text_file(const std::string& path, const std::string& text) {
   return true;
 }
 
-/// Parse an unsigned integer flag value into `out`: the whole text, no
-/// sign, within T's range. Otherwise report "bad <flag> value: <text>"
-/// and return false (the caller exits 2).
-template <typename T>
-bool parse_unsigned_flag(const char* flag, const std::string& text, T& out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
-  if (ec == std::errc{} && ptr == end) return true;
-  std::cerr << "bad " << flag << " value: " << text << '\n';
-  return false;
-}
-
 // Many-node discrete-event network run: build the topology, drain the
 // scheduler, and report delivery + energy. Global --backend and --faults
 // plug straight into the NetConfig.
@@ -464,9 +488,15 @@ int cmd_net(const hal::RadioBackend& backend,
         return 2;
       }
     } else if (arg.rfind("--extent=", 0) == 0) {
-      cfg.topology.extent_m = std::stod(arg.substr(9));
+      if (!parse_positive("--extent", arg.substr(9),
+                          cfg.topology.extent_m)) {
+        return 2;
+      }
     } else if (arg.rfind("--range=", 0) == 0) {
-      cfg.topology.link_range_m = std::stod(arg.substr(8));
+      if (!parse_positive("--range", arg.substr(8),
+                          cfg.topology.link_range_m)) {
+        return 2;
+      }
     } else if (arg.rfind("--seed=", 0) == 0) {
       if (!parse_unsigned_flag("--seed", arg.substr(7), cfg.seed)) return 2;
     } else if (arg.rfind("--mac=", 0) == 0) {
@@ -485,10 +515,8 @@ int cmd_net(const hal::RadioBackend& backend,
       }
       cfg.flight_recorder = true;
     } else if (arg.rfind("--stats-bucket=", 0) == 0) {
-      cfg.stats_bucket_s = std::stod(arg.substr(15));
-      if (!(cfg.stats_bucket_s > 0.0)) {
-        std::cerr << "bad --stats-bucket value: " << arg.substr(15)
-                  << " (want seconds > 0)\n";
+      if (!parse_positive("--stats-bucket", arg.substr(15),
+                          cfg.stats_bucket_s)) {
         return 2;
       }
     } else {

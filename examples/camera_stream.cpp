@@ -43,7 +43,7 @@ int main() {
   row("Bluetooth", bt);
   for (const auto& c : regimes.available_best_rate(cfg.distance_m)) {
     row("Braidio, " + c.label() + " only",
-        sim.single_mode_bits(c, e_cam, e_lap, false));
+        core::single_mode_bits(c, e_cam.value(), e_lap.value(), false));
   }
   const auto braid = sim.braidio(e_cam, e_lap, cfg);
   row("Braidio, braided (" + braid.plan.summary() + ")", braid.bits);

@@ -208,13 +208,9 @@ void BraidedLink::replan() {
     dead_ = true;  // out of range entirely
     return;
   }
-  plan_ = config_.bidirectional
-              ? OffloadPlanner::plan_bidirectional(
-                    candidates, a_.battery().remaining_joules(),
-                    b_.battery().remaining_joules())
-              : OffloadPlanner::plan(candidates,
-                                     a_.battery().remaining_joules(),
-                                     b_.battery().remaining_joules());
+  plan_ = plan_link(regimes_, candidates, a_.battery().remaining_joules(),
+                    b_.battery().remaining_joules(), config_.bidirectional,
+                    kInfiniteDwell);
   stats_.last_plan = plan_.summary();
   ++stats_.replans;
   obs::count(obs::Counter::Replans);

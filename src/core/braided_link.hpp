@@ -4,7 +4,9 @@
 // primitives and the BER-driven packet channel:
 //   1. setup over the active link: battery status exchange + probe packets
 //      for every mode at its best sustainable bitrate;
-//   2. carrier-offload planning (Eq. 1) from the exchanged energies;
+//   2. carrier-offload planning from the exchanged energies through
+//      core::plan_link (Eq. 1 plus the best-exclusive-mode fallback) with
+//      an infinite dwell, since step 3 charges every switch as it happens;
 //   3. a packet schedule that realizes the planned mode fractions
 //      ("Active-Active-Passive-Backscatter (repeated)") with Table 5
 //      switching costs charged on every transition;
@@ -81,9 +83,9 @@ struct BraidedLinkConfig {
   /// redraw. Only meaningful with block_fading.
   util::Seconds coherence_time{5e-3};
   /// Alternate transfer direction packet-by-packet with an equal data
-  /// split (the Fig. 17 traffic pattern); plans come from
-  /// OffloadPlanner::plan_bidirectional and each schedule slot carries a
-  /// forward and a reverse operating point.
+  /// split (the Fig. 17 traffic pattern); plans come from plan_link's
+  /// bidirectional Eq. 1 and each schedule slot carries a forward and a
+  /// reverse operating point.
   bool bidirectional = false;
   /// Scripted fault schedule (not owned; must outlive the link). nullptr
   /// = clean run.

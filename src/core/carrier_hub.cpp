@@ -70,9 +70,10 @@ HubStats CarrierHub::run(std::uint64_t rounds) {
     }
     auto radio = backend_.create_radio(nc.name, address,
                                        util::WattHours(nc.battery_wh));
-    const auto plan = OffloadPlanner::plan(
-        candidates, radio->battery().remaining_joules(),
-        hub.battery().remaining_joules());
+    const auto plan = plan_link(regimes_, candidates,
+                                radio->battery().remaining_joules(),
+                                hub.battery().remaining_joules(),
+                                /*bidirectional=*/false, kInfiniteDwell);
     plans_.push_back(plan);
     // The slot runs the plan's dominant operating point; a full braid per
     // node would also be possible but slots are short.

@@ -11,7 +11,8 @@
 // behaves exactly like a two-node braid restricted to the node's planned
 // mode (backscatter while the node is poor relative to the hub; active
 // when the link is too long); the Table 5 switch costs apply when the
-// slot's mode differs from the previous slot's.
+// slot's mode differs from the previous slot's, so each node's plan
+// (core::plan_link, node -> hub at setup) uses an infinite dwell.
 #pragma once
 
 #include <cstdint>

@@ -86,94 +86,18 @@ std::vector<ModeCandidate> LifetimeSimulator::candidates_at(
   return candidates;
 }
 
-OffloadPlan LifetimeSimulator::planned(
-    const std::vector<ModeCandidate>& candidates, double e1, double e2,
-    bool bidirectional) const {
-  return bidirectional
-             ? OffloadPlanner::plan_bidirectional(candidates, e1, e2)
-             : OffloadPlanner::plan(candidates, e1, e2);
-}
-
-void LifetimeSimulator::apply_switch_overhead(
-    OffloadPlan& plan, const LifetimeConfig& config) const {
-  if (!config.include_switch_overhead || plan.entries.size() < 2) return;
-  if (!(config.bits_per_dwell > 0.0)) {
-    throw std::invalid_argument("LifetimeSimulator: bits_per_dwell <= 0");
-  }
-  // One full schedule cycle visits every entry once; each visit charges the
-  // entry's switch-in cost at both ends. An entry's dwell carries
-  // fraction * cycle_bits bits, so cycle_bits = bits_per_dwell /
-  // max_fraction normalizes the largest dwell to bits_per_dwell.
-  double max_fraction = 0.0;
-  for (const auto& e : plan.entries) {
-    max_fraction = std::max(max_fraction, e.fraction);
-  }
-  const double cycle_bits = config.bits_per_dwell / max_fraction;
-  double tx_extra = 0.0, rx_extra = 0.0;
-  for (const auto& e : plan.entries) {
-    const auto& o = regimes_.switch_overhead(e.candidate.mode);
-    tx_extra += o.tx_joules;
-    rx_extra += o.rx_joules;
-    if (e.reverse) {
-      const auto& ro = regimes_.switch_overhead(e.reverse->mode);
-      // Role swap: device 1 receives in the reverse leg.
-      tx_extra += ro.rx_joules;
-      rx_extra += ro.tx_joules;
-    }
-  }
-  plan.tx_joules_per_bit += tx_extra / cycle_bits;
-  plan.rx_joules_per_bit += rx_extra / cycle_bits;
-}
-
 LifetimeOutcome LifetimeSimulator::braidio(util::Joules e1, util::Joules e2,
                                            const LifetimeConfig& config) const {
   const double e1_joules = e1.value();
   const double e2_joules = e2.value();
-  const auto candidates = candidates_at(config.distance_m);
   LifetimeOutcome outcome;
-  outcome.plan =
-      planned(candidates, e1_joules, e2_joules, config.bidirectional);
-  apply_switch_overhead(outcome.plan, config);
+  outcome.plan = plan_link(regimes_, candidates_at(config.distance_m),
+                           e1_joules, e2_joules, config.bidirectional,
+                           config.bits_per_dwell);
   outcome.bits = outcome.plan.bits_until_depletion(e1_joules, e2_joules);
-  double best_single = 0.0;
-
-  // A braid pays mode-switch overhead that an exclusive mode does not; at
-  // extreme asymmetry the overhead-adjusted braid can fall just below the
-  // best single mode, in which case the offload layer simply stays in that
-  // mode (the paper: "when battery levels are highly asymmetric, Braidio
-  // almost exclusively uses a single mode").
-  for (const auto& c : candidates) {
-    const double single =
-        single_mode_bits(c, e1, e2, config.bidirectional);
-    best_single = std::max(best_single, single);
-    if (single > outcome.bits) {
-      outcome.bits = single;
-      OffloadPlan exclusive;
-      PlanEntry entry;
-      entry.candidate = c;
-      if (config.bidirectional) entry.reverse = c;
-      entry.fraction = 1.0;
-      exclusive.entries = {entry};
-      if (config.bidirectional) {
-        exclusive.tx_joules_per_bit =
-            0.5 * (c.tx_joules_per_bit() + c.rx_joules_per_bit());
-        exclusive.rx_joules_per_bit = exclusive.tx_joules_per_bit;
-      } else {
-        exclusive.tx_joules_per_bit = c.tx_joules_per_bit();
-        exclusive.rx_joules_per_bit = c.rx_joules_per_bit();
-      }
-      exclusive.proportional = false;
-      outcome.plan = exclusive;
-    }
-  }
   outcome.seconds = outcome.bits * plan_seconds_per_bit(outcome.plan);
   obs::count(obs::Counter::LifetimeRuns);
   if (obs::attribution_enabled()) post_lifetime_attribution(outcome);
-  // Lifetime monotonicity: a braid never moves fewer bits than the best
-  // exclusive mode (the loop above falls back to it), and both outputs are
-  // finite and non-negative.
-  BRAIDIO_ENSURE(std::isfinite(outcome.bits) && outcome.bits >= best_single,
-                 "bits", outcome.bits, "best_single", best_single);
   BRAIDIO_ENSURE(std::isfinite(outcome.seconds) && outcome.seconds >= 0.0,
                  "seconds", outcome.seconds);
   return outcome;
@@ -187,25 +111,13 @@ double LifetimeSimulator::bluetooth_bits(util::Joules e1, util::Joules e2,
              : bluetooth_.bits_until_depletion(e1.value(), e2.value());
 }
 
-double LifetimeSimulator::single_mode_bits(const ModeCandidate& candidate,
-                                           util::Joules e1, util::Joules e2,
-                                           bool bidirectional) const {
-  const double t = candidate.tx_joules_per_bit();
-  const double r = candidate.rx_joules_per_bit();
-  if (!bidirectional) {
-    return std::min(e1.value() / t, e2.value() / r);
-  }
-  const double per_end = 0.5 * (t + r);
-  return std::min(e1.value(), e2.value()) / per_end;
-}
-
 double LifetimeSimulator::best_single_mode_bits(
     util::Joules e1, util::Joules e2, const LifetimeConfig& config) const {
   const auto candidates = candidates_at(config.distance_m);
   double best = 0.0;
   for (const auto& c : candidates) {
-    best =
-        std::max(best, single_mode_bits(c, e1, e2, config.bidirectional));
+    best = std::max(best, single_mode_bits(c, e1.value(), e2.value(),
+                                           config.bidirectional));
   }
   return best;
 }

@@ -5,9 +5,10 @@
 // keeps the two drain rates locked to the energy ratio, the ratio — and
 // hence the plan — is invariant over the transfer, so lifetime reduces to
 // bits = min(E1 / d1, E2 / d2) with (d1, d2) the planned per-bit drains.
-// Table 5 switching overheads are amortized over a configurable mode dwell
-// (the paper: "switching overhead is negligible in all modes" — true for
-// second-scale dwells; the ablation bench shows where that stops holding).
+// core::plan_link amortizes Table 5 switching overheads over a configurable
+// mode dwell (the paper: "switching overhead is negligible in all modes" —
+// true for second-scale dwells; the ablation bench shows where that stops
+// holding) and falls back to the best exclusive mode.
 #pragma once
 
 #include <string>
@@ -24,10 +25,9 @@ namespace braidio::core {
 struct LifetimeConfig {
   double distance_m = 0.5;
   bool bidirectional = false;
-  /// Amortize each plan entry's switch-in cost (both ends) over one dwell
-  /// of this many bits. 1e8 bits at 1 Mbps is a ~100 s dwell.
-  double bits_per_dwell = 1e8;
-  bool include_switch_overhead = true;
+  /// plan_link's dwell [bits] for the switch-in costs; kInfiniteDwell
+  /// plans without them.
+  double bits_per_dwell = kDefaultBitsPerDwell;
 };
 
 struct LifetimeOutcome {
@@ -56,10 +56,6 @@ class LifetimeSimulator {
   double bluetooth_bits(util::Joules e1, util::Joules e2,
                         bool bidirectional) const;
 
-  /// A single (mode, bitrate) used exclusively.
-  double single_mode_bits(const ModeCandidate& candidate, util::Joules e1,
-                          util::Joules e2, bool bidirectional) const;
-
   /// Best single mode available at the configured distance (Fig. 16
   /// baseline).
   double best_single_mode_bits(util::Joules e1, util::Joules e2,
@@ -78,14 +74,9 @@ class LifetimeSimulator {
   const baseline::BluetoothRadioModel& bluetooth_model() const {
     return bluetooth_;
   }
-  const RegimeMap& regimes() const { return regimes_; }
 
  private:
   std::vector<ModeCandidate> candidates_at(double distance_m) const;
-  OffloadPlan planned(const std::vector<ModeCandidate>& candidates,
-                      double e1, double e2, bool bidirectional) const;
-  void apply_switch_overhead(OffloadPlan& plan,
-                             const LifetimeConfig& config) const;
 
   RegimeMap regimes_;
   baseline::BluetoothRadioModel bluetooth_;

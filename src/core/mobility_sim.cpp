@@ -121,10 +121,8 @@ MobilityOutcome MobilitySimulator::run(const MobilityTrace& trace,
       e1 = std::max(0.0, e1 - regimes_.sleep_power().value() * dt);
       e2 = std::max(0.0, e2 - regimes_.sleep_power().value() * dt);
     } else {
-      const auto plan =
-          config.bidirectional
-              ? OffloadPlanner::plan_bidirectional(candidates, e1, e2)
-              : OffloadPlanner::plan(candidates, e1, e2);
+      const auto plan = plan_link(regimes_, candidates, e1, e2,
+                                  config.bidirectional, kDefaultBitsPerDwell);
       ++outcome.replans;
       obs::count(obs::Counter::Replans);
       sample.plan = plan.summary();

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/regimes.hpp"
 #include "obs/obs.hpp"
 #include "util/contract.hpp"
 
@@ -438,6 +439,75 @@ OffloadPlan OffloadPlanner::plan_bidirectional(
   }
   return checked_plan(solve(costs, candidates, candidates, e1_joules,
                             e2_joules));
+}
+
+double single_mode_bits(const ModeCandidate& candidate, double e1_joules,
+                        double e2_joules, bool bidirectional) {
+  const double t = candidate.tx_joules_per_bit();
+  const double r = candidate.rx_joules_per_bit();
+  if (!bidirectional) return std::min(e1_joules / t, e2_joules / r);
+  // Roles alternate, so each end pays the mean of the two costs.
+  return std::min(e1_joules, e2_joules) / (0.5 * (t + r));
+}
+
+OffloadPlan plan_link(const RegimeMap& map,
+                      const std::vector<ModeCandidate>& candidates,
+                      double e1_joules, double e2_joules, bool bidirectional,
+                      double bits_per_dwell) {
+  if (!(bits_per_dwell > 0.0)) {
+    throw std::invalid_argument("plan_link: bits_per_dwell must be > 0");
+  }
+  OffloadPlan plan =
+      bidirectional
+          ? OffloadPlanner::plan_bidirectional(candidates, e1_joules,
+                                               e2_joules)
+          : OffloadPlanner::plan(candidates, e1_joules, e2_joules);
+  if (plan.entries.size() >= 2) {
+    // One schedule cycle visits every entry once and charges its switch-in
+    // cost at both ends; the largest entry dwells bits_per_dwell bits.
+    double max_fraction = 0.0, tx_extra = 0.0, rx_extra = 0.0;
+    for (const auto& e : plan.entries) {
+      max_fraction = std::max(max_fraction, e.fraction);
+      const auto& o = map.switch_overhead(e.candidate.mode);
+      tx_extra += o.tx_joules;
+      rx_extra += o.rx_joules;
+      if (e.reverse) {  // roles swap: device 1 receives in the reverse leg
+        const auto& ro = map.switch_overhead(e.reverse->mode);
+        tx_extra += ro.rx_joules;
+        rx_extra += ro.tx_joules;
+      }
+    }
+    const double cycle_bits = bits_per_dwell / max_fraction;
+    plan.tx_joules_per_bit += tx_extra / cycle_bits;
+    plan.rx_joules_per_bit += rx_extra / cycle_bits;
+  }
+  // A lone mode pays no switches, and Eq. 1's proportional mix can trail
+  // one even without them: stay in the best exclusive mode when it moves
+  // more bits.
+  double bits = plan.bits_until_depletion(e1_joules, e2_joules);
+  double best_single = 0.0;
+  const ModeCandidate* exclusive = nullptr;
+  for (const auto& c : candidates) {
+    const double single =
+        single_mode_bits(c, e1_joules, e2_joules, bidirectional);
+    best_single = std::max(best_single, single);
+    if (single > bits) {
+      bits = single;
+      exclusive = &c;
+    }
+  }
+  if (exclusive != nullptr) {
+    const double t = exclusive->tx_joules_per_bit();
+    const double r = exclusive->rx_joules_per_bit();
+    plan.entries.assign(1, PlanEntry{*exclusive, std::nullopt, 1.0});
+    if (bidirectional) plan.entries.front().reverse = *exclusive;
+    plan.proportional = false;
+    plan.tx_joules_per_bit = bidirectional ? 0.5 * (t + r) : t;
+    plan.rx_joules_per_bit = bidirectional ? 0.5 * (t + r) : r;
+  }
+  BRAIDIO_ENSURE(std::isfinite(bits) && bits >= best_single, "bits", bits,
+                 "best_single", best_single);
+  return plan;
 }
 
 }  // namespace braidio::core

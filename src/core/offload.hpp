@@ -17,6 +17,7 @@
 // the single candidate that minimizes the binding end's per-bit cost.
 #pragma once
 
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -25,6 +26,8 @@
 #include "hal/radio.hpp"
 
 namespace braidio::core {
+
+class RegimeMap;
 
 struct PlanEntry {
   ModeCandidate candidate;  // forward-direction operating point
@@ -119,5 +122,26 @@ class OffloadPlanner {
       const std::vector<ModeCandidate>& candidates, double e1_joules,
       double e2_joules, double min_bps);
 };
+
+/// The fluid engines' mode dwell [bits]: ~100 s at 1 Mbps.
+inline constexpr double kDefaultBitsPerDwell = 1e8;
+/// No amortization, for engines whose radios charge each Table 5 switch
+/// as it happens (hal::StandardRadio::switch_to).
+inline constexpr double kInfiniteDwell =
+    std::numeric_limits<double>::infinity();
+
+/// Bits `candidate` alone moves before the first battery dies.
+double single_mode_bits(const ModeCandidate& candidate, double e1_joules,
+                        double e2_joules, bool bidirectional);
+
+/// The one planning step every engine runs (DESIGN.md §5): Eq. 1 in
+/// either direction; a braid's Table 5 switch-in costs from `map`,
+/// amortized over a cycle whose largest dwell is `bits_per_dwell`; then
+/// the best exclusive mode when it moves more bits. Throws
+/// std::invalid_argument when `bits_per_dwell` is not > 0.
+OffloadPlan plan_link(const RegimeMap& map,
+                      const std::vector<ModeCandidate>& candidates,
+                      double e1_joules, double e2_joules, bool bidirectional,
+                      double bits_per_dwell);
 
 }  // namespace braidio::core

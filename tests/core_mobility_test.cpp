@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "backends/backends.hpp"
+#include "core/lifetime_sim.hpp"
 #include "util/units.hpp"
 
 namespace braidio::core {
@@ -147,6 +150,54 @@ TEST_F(MobilityTest, RejectsBadConfig) {
   MobilitySimConfig cfg;
   cfg.replan_interval = util::Seconds(0.0);
   EXPECT_THROW(sim_.run(still, cfg), std::invalid_argument);
+}
+
+TEST(MobilityVsLifetime, ConstantTracesPlanLikeTheLifetimeModel) {
+  // Both fluid engines run plan_link at the default dwell. With one
+  // replan interval spanning a trace twice the lifetime, mobility is the
+  // lifetime model exactly. With ~1,000 replans each interval re-solves
+  // for the energy ratio that has drifted; the amortized plan is not
+  // proportional, so the total lands between the default-dwell and the
+  // infinite-dwell lifetimes.
+  const hal::RadioBackend& backend = backends::braidio_backend();
+  const MobilitySimulator mobility(backend);
+  const LifetimeSimulator lifetime(backend);
+  const std::pair<double, double> batteries_wh[] = {
+      {0.78, 6.55}, {6.55, 0.78}, {1.0, 1.0}, {0.01, 6.55}, {6.55, 0.01}};
+  for (bool bidirectional : {false, true}) {
+    for (double d : {0.3, 0.5, 1.0, 2.0, 3.0, 4.5}) {
+      for (const auto& [wh1, wh2] : batteries_wh) {
+        SCOPED_TRACE(testing::Message()
+                     << "d=" << d << " " << wh1 << ":" << wh2
+                     << " Wh bidirectional=" << bidirectional);
+        const auto e1 = util::to_joules(util::WattHours(wh1));
+        const auto e2 = util::to_joules(util::WattHours(wh2));
+        LifetimeConfig cfg;
+        cfg.distance_m = d;
+        cfg.bidirectional = bidirectional;
+        const auto life = lifetime.braidio(e1, e2, cfg);
+        LifetimeConfig ideal = cfg;
+        ideal.bits_per_dwell = kInfiniteDwell;
+        const double ideal_bits = lifetime.braidio(e1, e2, ideal).bits;
+
+        const double span_s = 2.0 * life.seconds;
+        const MobilityTrace still({{0.0, d}, {span_s, d}});
+        MobilitySimConfig mcfg;
+        mcfg.e1 = util::WattHours(wh1);
+        mcfg.e2 = util::WattHours(wh2);
+        mcfg.bidirectional = bidirectional;
+        mcfg.replan_interval = util::Seconds(span_s);
+        EXPECT_EQ(mobility.run(still, mcfg).total_bits, life.bits);
+
+        mcfg.replan_interval = util::Seconds(life.seconds / 1000.0);
+        const double bits = mobility.run(still, mcfg).total_bits;
+        // 1e-12 relative slack: summing ~1,000 intervals rounds, and an
+        // exclusive-mode plan is the lifetime model exactly.
+        EXPECT_LE(life.bits * (1.0 - 1e-12), bits);
+        EXPECT_LE(bits, ideal_bits * (1.0 + 1e-12));
+      }
+    }
+  }
 }
 
 }  // namespace

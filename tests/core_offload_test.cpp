@@ -1,6 +1,7 @@
 // Property suite for the carrier-offload planner (Eq. 1).
 #include "core/offload.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -8,6 +9,7 @@
 
 #include "backends/backends.hpp"
 #include "core/power_table.hpp"
+#include "core/regimes.hpp"
 #include "hal/backend.hpp"
 #include "util/units.hpp"
 
@@ -333,6 +335,100 @@ TEST(OffloadHeterogeneous, DisjointCapabilityPairsThrow) {
   EXPECT_TRUE(OffloadPlanner::intersect_candidates(reader, ble).empty());
   EXPECT_THROW(OffloadPlanner::plan_heterogeneous(ble, reader, 1.0, 1.0),
                std::invalid_argument);
+}
+
+// --- plan_link: the one planning step every engine runs ------------------
+
+OffloadPlan eq1(const std::vector<ModeCandidate>& candidates, double e1,
+                double e2, bool bidirectional) {
+  return bidirectional
+             ? OffloadPlanner::plan_bidirectional(candidates, e1, e2)
+             : OffloadPlanner::plan(candidates, e1, e2);
+}
+
+TEST(PlanLink, InfiniteDwellIsEq1WhereverTheBraidWins) {
+  // The plans BraidedLink, CarrierHub and `braidio_cli plan` run: with
+  // no switch cost to amortize, plan_link hands back Eq. 1's plan field
+  // for field unless a lone mode moves more bits.
+  const RegimeMap map(backends::braidio_backend());
+  int braid_wins = 0;
+  for (bool bidirectional : {false, true}) {
+    for (double d : {0.3, 0.5, 1.0, 2.0, 3.0, 4.5, 5.5}) {
+      const auto candidates = map.available_best_rate(d);
+      for (double ratio : {1e-4, 1e-2, 0.12, 1.0, 8.4, 1e2, 1e4}) {
+        const double e1 = 1e3 * ratio;
+        const double e2 = 1e3;
+        const auto raw = eq1(candidates, e1, e2, bidirectional);
+        const auto linked =
+            plan_link(map, candidates, e1, e2, bidirectional, kInfiniteDwell);
+        double best_single = 0.0;
+        for (const auto& c : candidates) {
+          best_single = std::max(
+              best_single, single_mode_bits(c, e1, e2, bidirectional));
+        }
+        SCOPED_TRACE(testing::Message() << "d=" << d << " ratio=" << ratio
+                                        << " bidirectional="
+                                        << bidirectional);
+        if (raw.bits_until_depletion(e1, e2) < best_single) {
+          ASSERT_EQ(linked.entries.size(), 1u);
+          EXPECT_FALSE(linked.proportional);
+          EXPECT_EQ(linked.bits_until_depletion(e1, e2), best_single);
+          continue;
+        }
+        ++braid_wins;
+        ASSERT_EQ(linked.entries.size(), raw.entries.size());
+        for (std::size_t i = 0; i < raw.entries.size(); ++i) {
+          EXPECT_EQ(linked.entries[i].candidate, raw.entries[i].candidate);
+          EXPECT_EQ(linked.entries[i].reverse, raw.entries[i].reverse);
+          EXPECT_EQ(linked.entries[i].fraction, raw.entries[i].fraction);
+        }
+        EXPECT_EQ(linked.proportional, raw.proportional);
+        EXPECT_EQ(linked.tx_joules_per_bit, raw.tx_joules_per_bit);
+        EXPECT_EQ(linked.rx_joules_per_bit, raw.rx_joules_per_bit);
+        EXPECT_EQ(linked.meets_throughput, raw.meets_throughput);
+      }
+    }
+  }
+  EXPECT_GT(braid_wins, 0);
+}
+
+TEST(PlanLink, PicksALoneModeThatBeatsTheProportionalMix) {
+  // Per-bit costs at 1 Mbps, in nJ: A = (T, R) = (1, 0.1), B = (2, 10).
+  // With E1 = E2, Eq. 1 mixes them at p = 8 / 8.9 ~ 0.899 and drains
+  // 1.101 nJ per bit at each end: 0.908 units of bits, where A alone
+  // moves 1 (one unit = 1e9 bits per joule). No switch cost is needed
+  // for the lone mode to win.
+  const ModeCandidate a{phy::LinkMode::PassiveRx, phy::Bitrate::M1, 1e-3,
+                        1e-4};
+  const ModeCandidate b{phy::LinkMode::Backscatter, phy::Bitrate::M1, 2e-3,
+                        1e-2};
+  const double e = 1.0;
+  const auto raw = OffloadPlanner::plan({a, b}, e, e);
+  ASSERT_TRUE(raw.proportional);
+  ASSERT_EQ(raw.entries.size(), 2u);
+  EXPECT_NEAR(raw.entries[0].fraction, 8.0 / 8.9, 1e-9);
+  EXPECT_NEAR(raw.bits_until_depletion(e, e) / 1e9, 0.908, 1e-3);
+
+  const RegimeMap map(backends::braidio_backend());
+  const auto linked = plan_link(map, {a, b}, e, e, false, kInfiniteDwell);
+  ASSERT_EQ(linked.entries.size(), 1u);
+  EXPECT_EQ(linked.entries[0].candidate, a);
+  EXPECT_EQ(linked.entries[0].fraction, 1.0);
+  EXPECT_FALSE(linked.proportional);
+  EXPECT_NEAR(linked.bits_until_depletion(e, e) / 1e9, 1.0, 1e-12);
+}
+
+TEST(PlanLink, RejectsANonPositiveDwell) {
+  const RegimeMap map(backends::braidio_backend());
+  const auto candidates = map.available_best_rate(0.5);
+  for (double dwell : {0.0, -1.0, std::nan("")}) {
+    for (bool bidirectional : {false, true}) {
+      EXPECT_THROW(
+          plan_link(map, candidates, 1.0, 1.0, bidirectional, dwell),
+          std::invalid_argument)
+          << dwell;
+    }
+  }
 }
 
 }  // namespace

@@ -129,7 +129,7 @@ TEST(Integration, LifetimeMatrixAgreesWithDirectPlanComputation) {
   ASSERT_TRUE(tx && rx);
   core::LifetimeConfig cfg;
   cfg.distance_m = 0.5;
-  cfg.include_switch_overhead = false;
+  cfg.bits_per_dwell = core::kInfiniteDwell;
   const double gain = sim.gain_vs_bluetooth(*tx, *rx, cfg);
 
   // Independent: plan + closed forms.

@@ -56,6 +56,11 @@ RULES: tuple[Rule, ...] = (
          "fields or the obs::Counter enum builtins, not string-keyed "
          "named-metric lookups — a map lookup per event taxes the "
          "scheduler the flight recorder is measuring"),
+    Rule("A8-one-planner", "one-planner",
+         "in src/, OffloadPlanner::plan and plan_bidirectional are "
+         "called only from core/offload.cpp (plan_link) and "
+         "core/efficiency.cpp — every engine plans through "
+         "core::plan_link"),
     Rule("bad-suppression", "bad-suppression",
          "a suppression annotation needs a non-empty reason"),
 )

@@ -1,4 +1,4 @@
-"""Rule implementations A1-A7 over the SourceModel (DESIGN.md §13)."""
+"""Rule implementations A1-A8 over the SourceModel (DESIGN.md §13)."""
 
 from __future__ import annotations
 
@@ -319,6 +319,41 @@ def check_net_hot_counters(model: SourceModel) -> list[Finding]:
     return findings
 
 
+# --- A8: one planning step -------------------------------------------
+
+_A8_PLANNER_CALL_RE = re.compile(
+    r"\bOffloadPlanner::(plan(?:_bidirectional)?)\s*\(")
+# offload.cpp defines Eq. 1 and plan_link; efficiency.cpp's Fig. 9
+# triangle is plain Eq. 1 by design.
+_A8_ALLOWED = ("src/core/offload.cpp", "src/core/efficiency.cpp")
+
+
+def check_one_planner(model: SourceModel) -> list[Finding]:
+    """A8: engines plan through core::plan_link, never raw Eq. 1.
+
+    plan_link (DESIGN.md §5) is the one planning step: Eq. 1 in either
+    direction, Table 5 switch costs amortized over a dwell, and the
+    best-exclusive-mode fallback. A direct OffloadPlanner::plan or
+    plan_bidirectional call elsewhere in src/ skips the last two and
+    forks the engines' rules again.
+    """
+    if not _in_src(model) or model.rel in _A8_ALLOWED:
+        return []
+    findings = []
+    for lineno, line in enumerate(model.blanked.split("\n"), 1):
+        match = _A8_PLANNER_CALL_RE.search(line)
+        if not match:
+            continue
+        if model.suppressed("one-planner", lineno):
+            continue
+        findings.append(Finding(
+            "A8-one-planner", model.rel, lineno,
+            f"OffloadPlanner::{match.group(1)}() outside core/offload.cpp "
+            "— engines plan through core::plan_link so every one gets "
+            "the same switch amortization and single-mode fallback"))
+    return findings
+
+
 def _bare(name: str) -> str:
     return name.split("::")[-1].lstrip("~")
 
@@ -376,6 +411,7 @@ def run_all(models: list[SourceModel]) -> list[Finding]:
         findings.extend(check_layering(model))
         findings.extend(check_net_event_order(model))
         findings.extend(check_net_hot_counters(model))
+        findings.extend(check_one_planner(model))
         stem = re.sub(r"\.(?:hpp|cpp)$", "", model.rel)
         pairs.setdefault(stem, []).append(model)
     for stem in sorted(pairs):

@@ -6,7 +6,7 @@ Every fixture under fixtures/ declares its expected findings with
 over the fixtures and compares the per-file multiset of rule ids
 (line-insensitive, so fixtures stay editable). It also asserts the
 coverage floor from ISSUE 6: at least two known-bad examples per rule
-family A1-A7.
+family A1-A8.
 
 Exit status: 0 pass, 1 fixture mismatch, 2 internal error.
 """
@@ -75,7 +75,7 @@ def main() -> int:
     for counter in expected.values():
         for rule_id, count in counter.items():
             family_counts[rule_id.split("-")[0]] += count
-    for family in ("A1", "A2", "A3", "A4", "A5", "A6", "A7"):
+    for family in ("A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8"):
         if family_counts[family] < 2:
             failures += 1
             print(f"FAIL coverage: rule family {family} has "
