@@ -36,8 +36,7 @@
 
 namespace braidio::net {
 
-/// One node's counters. A hot-path post is one field increment, never a
-/// named-metric lookup (analyzer rule A7).
+/// One node's counters. A hot-path post is one field increment.
 struct NodeStats {
   std::uint64_t generated = 0;      // frames originated at this node
   std::uint64_t delivered = 0;      // originated frames that reached the hub

@@ -174,45 +174,12 @@ const HistogramData& MetricsRegistry::histogram(
   return builtin_histograms_[static_cast<std::size_t>(histogram)];
 }
 
-std::uint64_t& MetricsRegistry::counter(const std::string& name) {
-  return named_counters_[name];
-}
-
-double& MetricsRegistry::gauge(const std::string& name) {
-  return named_gauges_[name];
-}
-
-HistogramData& MetricsRegistry::histogram(
-    const std::string& name, std::vector<double> upper_bounds) {
-  auto it = named_histograms_.find(name);
-  if (it == named_histograms_.end()) {
-    it = named_histograms_
-             .emplace(name, HistogramData(std::move(upper_bounds)))
-             .first;
-  }
-  return it->second;
-}
-
 void MetricsRegistry::merge(const MetricsRegistry& other) {
   for (std::size_t c = 0; c < kCounterCount; ++c) {
     builtin_counters_[c] += other.builtin_counters_[c];
   }
   for (std::size_t h = 0; h < kHistogramCount; ++h) {
     builtin_histograms_[h].merge(other.builtin_histograms_[h]);
-  }
-  for (const auto& [name, v] : other.named_counters_) {
-    named_counters_[name] += v;
-  }
-  for (const auto& [name, v] : other.named_gauges_) {
-    named_gauges_[name] = v;
-  }
-  for (const auto& [name, h] : other.named_histograms_) {
-    auto it = named_histograms_.find(name);
-    if (it == named_histograms_.end()) {
-      named_histograms_.emplace(name, h);
-    } else {
-      it->second.merge(h);
-    }
   }
 }
 
@@ -225,25 +192,10 @@ bool MetricsRegistry::empty() const {
   for (const auto& h : builtin_histograms_) {
     if (h.count() != 0) return false;
   }
-  return named_counters_.empty() && named_gauges_.empty() &&
-         named_histograms_.empty();
+  return true;
 }
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) >= 0x20) {
-      out += c;
-    }
-  }
-  return out;
-}
 
 /// Shortest round-trip decimal rendering (deterministic, locale-free).
 std::string number(double v) {
@@ -279,17 +231,6 @@ std::string MetricsRegistry::to_json() const {
        << "\": " << builtin_counters_[c];
     first = false;
   }
-  for (const auto& [name, v] : named_counters_) {
-    os << (first ? "" : ", ") << '"' << json_escape(name) << "\": " << v;
-    first = false;
-  }
-  os << "},\n  \"gauges\": {";
-  first = true;
-  for (const auto& [name, v] : named_gauges_) {
-    os << (first ? "" : ", ") << '"' << json_escape(name)
-       << "\": " << number(v);
-    first = false;
-  }
   os << "},\n  \"histograms\": {";
   first = true;
   for (std::size_t h = 0; h < kHistogramCount; ++h) {
@@ -299,12 +240,6 @@ std::string MetricsRegistry::to_json() const {
     histogram_json(os, builtin_histograms_[h]);
     first = false;
   }
-  for (const auto& [name, h] : named_histograms_) {
-    os << (first ? "" : ", ") << "\n    \"" << json_escape(name)
-       << "\": ";
-    histogram_json(os, h);
-    first = false;
-  }
   os << "}\n}\n";
   return os.str();
 }
@@ -312,35 +247,21 @@ std::string MetricsRegistry::to_json() const {
 util::TablePrinter MetricsRegistry::to_table() const {
   util::TablePrinter table(
       {"metric", "kind", "count", "value", "p50", "p95", "p99"});
-  const auto add_histogram_row = [&](const std::string& name,
-                                     const HistogramData& h) {
-    table.add_row({name, "histogram", std::to_string(h.count()),
-                   util::format_engineering(h.sum(), 3),
-                   util::format_engineering(h.p50(), 3),
-                   util::format_engineering(h.p95(), 3),
-                   util::format_engineering(h.p99(), 3)});
-  };
   for (std::size_t c = 0; c < kCounterCount; ++c) {
     if (builtin_counters_[c] == 0) continue;
     table.add_row({to_string(static_cast<Counter>(c)), "counter",
                    std::to_string(builtin_counters_[c]), "-", "-", "-",
                    "-"});
   }
-  for (const auto& [name, v] : named_counters_) {
-    table.add_row(
-        {name, "counter", std::to_string(v), "-", "-", "-", "-"});
-  }
-  for (const auto& [name, v] : named_gauges_) {
-    table.add_row({name, "gauge", "-", util::format_engineering(v, 3),
-                   "-", "-", "-"});
-  }
   for (std::size_t h = 0; h < kHistogramCount; ++h) {
-    if (builtin_histograms_[h].count() == 0) continue;
-    add_histogram_row(to_string(static_cast<Histogram>(h)),
-                      builtin_histograms_[h]);
-  }
-  for (const auto& [name, h] : named_histograms_) {
-    add_histogram_row(name, h);
+    const HistogramData& data = builtin_histograms_[h];
+    if (data.count() == 0) continue;
+    table.add_row({to_string(static_cast<Histogram>(h)), "histogram",
+                   std::to_string(data.count()),
+                   util::format_engineering(data.sum(), 3),
+                   util::format_engineering(data.p50(), 3),
+                   util::format_engineering(data.p95(), 3),
+                   util::format_engineering(data.p99(), 3)});
   }
   return table;
 }

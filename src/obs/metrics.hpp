@@ -1,11 +1,9 @@
-// Metrics registry: counters, gauges, and fixed-bucket histograms.
+// Metrics registry: counters and fixed-bucket histograms.
 //
-// Two kinds of metrics coexist:
-//   - BUILT-IN metrics (the `Counter` / `Histogram` enums) are the ones
-//     the instrumented simulator layers post on hot paths — an array
-//     index, no string hashing, no allocation;
-//   - NAMED metrics (string-keyed counters/gauges/histograms) are for
-//     examples, CLIs, and tests that want ad-hoc instrumentation.
+// Every metric is a BUILT-IN one (the `Counter` / `Histogram` enums),
+// posted by the instrumented simulator layers: an array index, no string
+// hashing, no allocation. There are no string-keyed metrics, so no hot
+// path can pay for a map lookup per post.
 //
 // Attribution and determinism: a registry is a plain value owned by ONE
 // thread at a time. The sweep engine installs a per-point registry via
@@ -20,7 +18,6 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -119,33 +116,12 @@ class MetricsRegistry {
  public:
   MetricsRegistry();
 
-  // --- built-in fast path -------------------------------------------
   void add(Counter counter, std::uint64_t n = 1);
   std::uint64_t value(Counter counter) const;
   void observe(Histogram histogram, double value);
   const HistogramData& histogram(Histogram histogram) const;
 
-  // --- named metrics ------------------------------------------------
-  /// Create-or-get; returned references stay valid until clear().
-  std::uint64_t& counter(const std::string& name);
-  double& gauge(const std::string& name);
-  HistogramData& histogram(const std::string& name,
-                           std::vector<double> upper_bounds);
-
-  const std::map<std::string, std::uint64_t>& counters() const {
-    return named_counters_;
-  }
-  const std::map<std::string, double>& gauges() const {
-    return named_gauges_;
-  }
-  const std::map<std::string, HistogramData>& histograms() const {
-    return named_histograms_;
-  }
-
-  // --- aggregation & rendering --------------------------------------
-  /// Fold `other` in: counters/histograms add, gauges take the other's
-  /// value when it was ever set (last-merged-wins, so merging per-point
-  /// registries in index order stays deterministic).
+  /// Fold `other` in: counters and histograms add.
   void merge(const MetricsRegistry& other);
 
   void clear();
@@ -153,7 +129,7 @@ class MetricsRegistry {
   /// True when nothing has ever been posted.
   bool empty() const;
 
-  /// Deterministic JSON document (enum order, then sorted names).
+  /// Deterministic JSON document (enum order).
   std::string to_json() const;
 
   /// Rendered table of every non-zero metric: name, type, count/value,
@@ -163,9 +139,6 @@ class MetricsRegistry {
  private:
   std::vector<std::uint64_t> builtin_counters_;
   std::vector<HistogramData> builtin_histograms_;
-  std::map<std::string, std::uint64_t> named_counters_;
-  std::map<std::string, double> named_gauges_;
-  std::map<std::string, HistogramData> named_histograms_;
 };
 
 // ---------------------------------------------------------------------

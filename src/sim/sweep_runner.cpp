@@ -1,7 +1,6 @@
 #include "sim/sweep_runner.hpp"
 
 #include <chrono>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -22,11 +21,7 @@ unsigned threads_from_cli(int argc, char** argv) {
     } else {
       continue;
     }
-    char* end = nullptr;
-    const long parsed = std::strtol(value.c_str(), &end, 10);
-    if (end != value.c_str() && *end == '\0' && parsed > 0) {
-      return static_cast<unsigned>(parsed);
-    }
+    if (const unsigned count = parse_thread_count(value)) return count;
   }
   return 0;
 }

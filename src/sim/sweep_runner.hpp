@@ -25,7 +25,8 @@ struct SweepOptions {
 };
 
 /// Parse a `--threads N` / `--threads=N` option from a bench/example
-/// command line. Returns 0 (= use the default) when absent or malformed.
+/// command line. Returns 0 (= use the default) when absent or malformed
+/// (see `parse_thread_count`).
 unsigned threads_from_cli(int argc, char** argv);
 
 /// Parse a `--trace-out FILE` / `--trace-out=FILE` option from a

@@ -1,20 +1,24 @@
 #include "sim/thread_pool.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
-#include <string>
+#include <system_error>
 
 #include "util/contract.hpp"
 
 namespace braidio::sim {
 
+unsigned parse_thread_count(std::string_view text) {
+  unsigned count = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, count);
+  return error == std::errc() && stop == end ? count : 0;
+}
+
 unsigned ThreadPool::default_thread_count() {
   if (const char* env = std::getenv("BRAIDIO_THREADS")) {
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && parsed > 0) {
-      return static_cast<unsigned>(parsed);
-    }
+    if (const unsigned count = parse_thread_count(env)) return count;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;

@@ -1,8 +1,9 @@
 // Work-stealing thread pool for embarrassingly-parallel parameter sweeps.
 //
 // This is the ONLY place in the tree allowed to spawn threads (enforced by
-// tools/lint.py rule R5): every concurrent workload goes through the pool so
-// the `BRAIDIO_SANITIZE=thread` build exercises one well-audited primitive.
+// tools/analyzer rule A13): every concurrent workload goes through the pool
+// so the `BRAIDIO_SANITIZE=thread` build exercises one well-audited
+// primitive.
 //
 // Design: `parallel_for(n, body)` splits the index space [0, n) into one
 // contiguous range per participant (the calling thread plus `size() - 1`
@@ -20,10 +21,16 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 namespace braidio::sim {
+
+/// A thread count from user text (`--threads`, `BRAIDIO_THREADS`): the
+/// whole string must be decimal digits naming a value in [1, UINT_MAX].
+/// Returns 0 (= "use the default") for anything else.
+unsigned parse_thread_count(std::string_view text);
 
 /// Fixed-size pool of `std::jthread`s executing indexed parallel loops.
 /// A pool of size T runs loop bodies on the caller plus T-1 workers; a pool
@@ -51,8 +58,8 @@ class ThreadPool {
   /// Run a batch of independent tasks (convenience over parallel_for).
   void run_tasks(const std::vector<std::function<void()>>& tasks);
 
-  /// `BRAIDIO_THREADS` env var if set and positive, otherwise
-  /// `std::thread::hardware_concurrency()` (min 1).
+  /// `BRAIDIO_THREADS` env var if `parse_thread_count` accepts it,
+  /// otherwise `std::thread::hardware_concurrency()` (min 1).
   static unsigned default_thread_count();
 
  private:

@@ -301,29 +301,22 @@ TEST(HistogramData, MergeAddsAndRejectsMismatchedBounds) {
 // ---------------------------------------------------------------------
 // Metrics registry
 // ---------------------------------------------------------------------
-TEST(MetricsRegistry, BuiltinAndNamedMetricsRoundTrip) {
+TEST(MetricsRegistry, BuiltinMetricsRoundTrip) {
   obs::MetricsRegistry r;
   EXPECT_TRUE(r.empty());
   r.add(obs::Counter::PacketsTx, 3);
   r.observe(obs::Histogram::EnergyPostJoules, 1e-6);
-  r.counter("custom_total") += 7;
-  r.gauge("battery_frac") = 0.25;
   EXPECT_FALSE(r.empty());
   EXPECT_EQ(r.value(obs::Counter::PacketsTx), 3u);
   EXPECT_EQ(r.histogram(obs::Histogram::EnergyPostJoules).count(), 1u);
-  EXPECT_EQ(r.counters().at("custom_total"), 7u);
-  EXPECT_DOUBLE_EQ(r.gauges().at("battery_frac"), 0.25);
 }
 
-TEST(MetricsRegistry, MergeAddsCountersAndKeepsLastGauge) {
+TEST(MetricsRegistry, MergeSumsCounters) {
   obs::MetricsRegistry a, b;
   a.add(obs::Counter::ArqRetries, 2);
   b.add(obs::Counter::ArqRetries, 5);
-  a.gauge("g") = 1.0;
-  b.gauge("g") = 2.0;
   a.merge(b);
   EXPECT_EQ(a.value(obs::Counter::ArqRetries), 7u);
-  EXPECT_DOUBLE_EQ(a.gauges().at("g"), 2.0);
 }
 
 TEST(MetricsRegistry, ToJsonParsesBackAndIsDeterministic) {
@@ -331,18 +324,14 @@ TEST(MetricsRegistry, ToJsonParsesBackAndIsDeterministic) {
   r.add(obs::Counter::ModeSwitches, 4);
   r.observe(obs::Histogram::DwellSeconds, 0.125);
   r.observe(obs::Histogram::DwellSeconds, 2.5);
-  r.counter("zeta") += 1;
-  r.counter("alpha") += 2;
   const std::string json = r.to_json();
   EXPECT_EQ(json, r.to_json());  // stable rendering
   const auto doc = parse_json(json);
+  EXPECT_EQ(doc.object.size(), 2u);  // "counters" and "histograms"
   EXPECT_EQ(doc.at("counters").at("mode_switches").number, 4.0);
-  EXPECT_EQ(doc.at("counters").at("alpha").number, 2.0);
   const auto& dwell = doc.at("histograms").at("dwell_seconds");
   EXPECT_EQ(dwell.at("count").number, 2.0);
   EXPECT_DOUBLE_EQ(dwell.at("sum").number, 2.625);
-  // Named metrics render in sorted order.
-  EXPECT_LT(json.find("\"alpha\""), json.find("\"zeta\""));
 }
 
 // ---------------------------------------------------------------------

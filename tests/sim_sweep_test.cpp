@@ -149,6 +149,11 @@ TEST(SweepStructure, ThreadsFromCliParsesBothForms) {
   EXPECT_EQ(sim::threads_from_cli(2, const_cast<char**>(argv3)), 0u);
   const char* argv4[] = {"bench"};
   EXPECT_EQ(sim::threads_from_cli(1, const_cast<char**>(argv4)), 0u);
+  // Counts that do not fit in `unsigned` are malformed, not wrapped.
+  const char* argv5[] = {"bench", "--threads=4294967297"};
+  EXPECT_EQ(sim::threads_from_cli(2, const_cast<char**>(argv5)), 0u);
+  const char* argv6[] = {"bench", "--threads", "99999999999"};
+  EXPECT_EQ(sim::threads_from_cli(3, const_cast<char**>(argv6)), 0u);
 }
 
 TEST(RunReport, ExportFailureIsDetected) {

@@ -107,7 +107,12 @@ TEST(ThreadPool, DefaultThreadCountHonorsEnv) {
   ASSERT_EQ(setenv("BRAIDIO_THREADS", "not-a-number", 1), 0);
   EXPECT_GE(ThreadPool::default_thread_count(), 1u);
   ASSERT_EQ(unsetenv("BRAIDIO_THREADS"), 0);
-  EXPECT_GE(ThreadPool::default_thread_count(), 1u);
+  const unsigned fallback = ThreadPool::default_thread_count();
+  EXPECT_GE(fallback, 1u);
+  // 2^32 + 1 does not fit in `unsigned`: the default, not 1 thread.
+  ASSERT_EQ(setenv("BRAIDIO_THREADS", "4294967297", 1), 0);
+  EXPECT_EQ(ThreadPool::default_thread_count(), fallback);
+  ASSERT_EQ(unsetenv("BRAIDIO_THREADS"), 0);
 }
 
 }  // namespace

@@ -1,6 +1,4 @@
-"""braidio-analyzer: project-semantic static analysis (DESIGN.md §13).
-
-Rules regex lint (tools/lint.py) cannot express:
+"""braidio-analyzer: the repo's one source checker (DESIGN.md §13).
 
 A1 determinism   no wall clock in src/ outside the util/obs timing
                  shims; no iteration over std::unordered_map/set whose
@@ -18,6 +16,18 @@ A3 units         public APIs in src/energy, src/core, src/mac and
 A4 contracts     overloads of a REQUIRE-checked function in the same
                  header/source pair must not silently skip the
                  precondition.
+A5 layering      src/mac/ includes no phy/ or core/ header; src/net/
+                 includes no core/ header.
+A6 event order   no hash- or address-ordered iteration in src/net/.
+A8 one planner   OffloadPlanner::plan/plan_bidirectional only in
+                 core/offload.cpp and core/efficiency.cpp.
+A9-A14 hygiene   seeded RNG only, no naked stdout in src/, every
+                 src/*.cpp covered by a registered test, tabs/trailing
+                 blanks/80 columns, threads spawned only in src/sim/,
+                 trace events instead of info logging in src/.
+
+A1-A6 and A8 look at src/ only; A9-A14 cover src/, tests/, bench/ and
+examples/ as far as the rule says.
 
 Suppressions: `// analyzer: <rule-key>(<reason>)` on the finding line
 or the line above. The reason string is mandatory; an empty reason is

@@ -1,12 +1,9 @@
-"""Pure-Python lexical backend.
+"""Pure-Python lexical backend, the analyzer's only frontend.
 
 Builds the SourceModel without a compiler: comments/strings are blanked
 with exact byte positions, lexical brace scopes drive the
 BRAIDIO_ENERGY_SPAN containment check, and function definitions are
-recovered with a parenthesis-matching scan. This is the fallback (and,
-in containers without libclang, the primary) frontend; the rules are
-written against the model, so swapping in the AST backend changes
-precision, not behavior.
+recovered with a parenthesis-matching scan.
 """
 
 from __future__ import annotations

@@ -1,10 +1,13 @@
 """Command-line driver for braidio-analyzer.
 
-    python3 tools/analyzer                      # analyze src/
+    python3 tools/analyzer                      # the whole tree
     python3 tools/analyzer --list               # rule docs
     python3 tools/analyzer path1.cpp path2.hpp  # specific files
-    python3 tools/analyzer --compile-commands build/compile_commands.json
     python3 tools/analyzer --json out.json --sarif out.sarif
+
+A bare run walks src/, tests/, bench/ and examples/ and adds the
+whole-tree rule A11; a run over explicit paths checks only those
+files, so it skips A11.
 
 Exit status: 0 clean, 1 findings, 2 usage/internal error.
 """
@@ -12,65 +15,29 @@ Exit status: 0 clean, 1 findings, 2 usage/internal error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 import backend_lexical
-import backend_libclang
 import rules
 import sarif
-from model import RULES, SourceModel
+from model import RULES
 
 REPO = Path(__file__).resolve().parent.parent.parent
+TREE_DIRS = ("src", "tests", "bench", "examples")
 CXX_SUFFIXES = {".cpp", ".hpp"}
 
 
-def _tu_paths(compile_commands: Path | None,
-              roots: list[Path]) -> list[Path]:
-    """The files to analyze: TUs from compile_commands (filtered to the
-    requested roots) plus every header under the roots; or a plain walk
-    when no database is given."""
+def _source_paths(roots: list[Path]) -> list[Path]:
+    """Every C++ source or header at or under ``roots``."""
     files: set[Path] = set()
-    root_strs = [str(r.resolve()) for r in roots]
-
-    def wanted(path: Path) -> bool:
-        resolved = str(path.resolve())
-        return any(resolved == r or resolved.startswith(r + "/")
-                   for r in root_strs)
-
-    if compile_commands is not None:
-        try:
-            entries = json.loads(compile_commands.read_text())
-        except (OSError, json.JSONDecodeError) as error:
-            raise SystemExit(
-                f"analyzer: cannot read {compile_commands}: {error}")
-        for entry in entries:
-            path = Path(entry["directory"]) / entry["file"]
-            if path.suffix in CXX_SUFFIXES and wanted(path):
-                files.add(path.resolve())
     for root in roots:
         if root.is_file():
             files.add(root.resolve())
             continue
-        for path in root.rglob("*"):
-            if path.suffix == ".hpp" or (compile_commands is None and
-                                         path.suffix in CXX_SUFFIXES):
-                files.add(path.resolve())
+        files.update(path.resolve() for path in root.rglob("*")
+                     if path.suffix in CXX_SUFFIXES)
     return sorted(files)
-
-
-def build_models(paths: list[Path], backend: str) -> tuple[
-        list[SourceModel], str]:
-    if backend == "auto":
-        backend = ("libclang" if backend_libclang.available()
-                   else "lexical")
-    if backend == "libclang" and not backend_libclang.available():
-        raise SystemExit("analyzer: libclang backend requested but "
-                         "clang.cindex is not importable")
-    builder = (backend_libclang.build_model if backend == "libclang"
-               else backend_lexical.build_model)
-    return [builder(path, REPO) for path in paths], backend
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -78,12 +45,8 @@ def main(argv: list[str] | None = None) -> int:
         prog="tools/analyzer",
         description=__doc__.splitlines()[0])
     parser.add_argument("paths", nargs="*",
-                        help="files or directories (default: src/)")
-    parser.add_argument("--compile-commands", type=Path, default=None,
-                        help="compile_commands.json to enumerate TUs")
-    parser.add_argument("--backend",
-                        choices=("auto", "lexical", "libclang"),
-                        default="auto")
+                        help="files or directories (default: the whole "
+                             "tree, " + " ".join(TREE_DIRS) + ")")
     parser.add_argument("--json", type=Path, default=None,
                         help="write machine-readable findings JSON")
     parser.add_argument("--sarif", type=Path, default=None,
@@ -94,37 +57,31 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.list:
         for rule in RULES:
-            print(f"{rule.rule_id:20s} (suppress: {rule.key})\n"
+            print(f"{rule.rule_id:21s} (suppress: {rule.key})\n"
                   f"    {rule.summary}")
         return 0
 
     roots = ([Path(p) for p in args.paths] if args.paths
-             else [REPO / "src"])
+             else [REPO / top for top in TREE_DIRS])
     for root in roots:
         if not root.exists():
             print(f"analyzer: no such path: {root}", file=sys.stderr)
             return 2
 
-    try:
-        paths = _tu_paths(args.compile_commands, roots)
-        models, backend = build_models(paths, args.backend)
-    except SystemExit as error:
-        print(error, file=sys.stderr)
-        return 2
-    findings = rules.run_all(models)
+    models = [backend_lexical.build_model(path, REPO)
+              for path in _source_paths(roots)]
+    findings = rules.run_all(models, None if args.paths else REPO)
 
     if args.json is not None:
-        args.json.write_text(sarif.to_json(findings, backend,
-                                           len(models)))
+        args.json.write_text(sarif.to_json(findings, len(models)))
     if args.sarif is not None:
-        args.sarif.write_text(sarif.to_sarif(findings, backend))
+        args.sarif.write_text(sarif.to_sarif(findings))
 
     for finding in findings:
         print(finding.render())
     if findings:
-        print(f"\ntools/analyzer [{backend}]: {len(findings)} "
-              f"finding(s) in {len(models)} file(s)", file=sys.stderr)
+        print(f"\ntools/analyzer: {len(findings)} finding(s) in "
+              f"{len(models)} file(s)", file=sys.stderr)
         return 1
-    print(f"tools/analyzer [{backend}]: clean "
-          f"({len(models)} files)")
+    print(f"tools/analyzer: clean ({len(models)} files)")
     return 0

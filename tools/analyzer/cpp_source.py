@@ -5,8 +5,7 @@ while preserving byte positions (so line/column math stays exact),
 records every comment for suppression parsing, and provides small
 structural helpers (matching parentheses, splitting top-level argument
 lists). The lexical backend builds its scope and function models on
-top of these primitives; the libclang backend, when available, replaces
-them with real AST nodes.
+top of these primitives.
 """
 
 from __future__ import annotations
@@ -47,22 +46,25 @@ def blank_comments_and_strings(text: str) -> tuple[str, list[tuple[int, str]]]:
             out.append("".join("\n" if c == "\n" else " " for c in chunk))
             line += chunk.count("\n")
             continue
+        if ch == "'" and _after_number(text, i):
+            out.append(ch)  # digit separator: 1'000'000
+            i += 1
+            continue
         if ch in "\"'":
             quote = ch
             start = i
             i += 1
-            while i < n and text[i] != quote:
-                if text[i] == "\\":
-                    i += 1
-                if i < n and text[i] == "\n":  # unterminated; bail out
-                    break
-                i += 1
-            i = min(i + 1, n)
+            # An unterminated literal stops at the newline, which stays.
+            while i < n and text[i] not in (quote, "\n"):
+                i += 2 if text[i] == "\\" else 1
+            closed = i < n and text[i] == quote
+            i = min(i + 1, n) if closed else min(i, n)
             chunk = text[start:i]
+            inner = chunk[1:-1] if closed else chunk[1:]
             # Keep the delimiters so f("x") still scans as f(...).
-            out.append(quote + " " * max(0, len(chunk) - 2) +
-                       (quote if chunk.endswith(quote) and len(chunk) > 1
-                        else ""))
+            out.append(quote +
+                       "".join("\n" if c == "\n" else " " for c in inner) +
+                       (quote if closed else ""))
             line += chunk.count("\n")
             continue
         if ch == "\n":
@@ -70,6 +72,15 @@ def blank_comments_and_strings(text: str) -> tuple[str, list[tuple[int, str]]]:
         out.append(ch)
         i += 1
     return "".join(out), comments
+
+
+def _after_number(text: str, index: int) -> bool:
+    """True when the quote at ``index`` continues a numeric literal."""
+    start = index
+    while start > 0 and (text[start - 1].isalnum() or
+                         text[start - 1] in "'."):
+        start -= 1
+    return start < index and text[start].isdigit()
 
 
 def matching_paren(text: str, open_index: int) -> int:

@@ -1,7 +1,7 @@
 """Shared data model: findings, rules, and the per-file source model.
 
-Both backends (lexical, libclang) produce the same ``SourceModel`` so
-the rules in rules.py never care which frontend parsed the file.
+The lexical backend builds one ``SourceModel`` per file; the rules in
+rules.py read nothing else.
 """
 
 from __future__ import annotations
@@ -51,16 +51,31 @@ RULES: tuple[Rule, ...] = (
          "order: no unordered-container iteration, no pointer-keyed "
          "containers — the event schedule is a pure function of "
          "(config, seed)"),
-    Rule("A7-net-hot-counter", "net-hot-counter",
-         "per-node hot-path counters in src/net/ must post to NodeStats "
-         "fields or the obs::Counter enum builtins, not string-keyed "
-         "named-metric lookups — a map lookup per event taxes the "
-         "scheduler the flight recorder is measuring"),
     Rule("A8-one-planner", "one-planner",
          "in src/, OffloadPlanner::plan and plan_bidirectional are "
          "called only from core/offload.cpp (plan_link) and "
          "core/efficiency.cpp — every engine plans through "
          "core::plan_link"),
+    Rule("A9-no-global-rng", "no-global-rng",
+         "stochastic code takes an explicit util::Rng so runs replay bit "
+         "for bit: no rand()/random()/drand48(), std::random_device, "
+         "std::default_random_engine or raw std::mt19937 outside "
+         "src/util/rng"),
+    Rule("A10-no-naked-stdout", "no-naked-stdout",
+         "library code in src/ never prints: printf/puts/std::cout and "
+         "friends only in util/log.cpp and util/contract.cpp"),
+    Rule("A11-test-registration", "test-registration",
+         "every src/**/*.cpp has a test registered in tests/CMakeLists.txt "
+         "that includes its header (whole-tree runs only)"),
+    Rule("A12-line-hygiene", "line-hygiene",
+         "no tabs, no trailing whitespace, at most 80 columns"),
+    Rule("A13-no-stray-threads", "no-stray-threads",
+         "only src/sim/ spawns threads (std::thread/jthread, std::async, "
+         "pthread_create); everything else uses sim::SweepRunner or "
+         "sim::ThreadPool"),
+    Rule("A14-events-not-logs", "events-not-logs",
+         "src/ outside util/ and obs/ posts simulator state as trace "
+         "events, not Trace/Debug/Info log lines"),
     Rule("bad-suppression", "bad-suppression",
          "a suppression annotation needs a non-empty reason"),
 )

@@ -1,10 +1,11 @@
-"""Rule implementations A1-A8 over the SourceModel (DESIGN.md §13)."""
+"""Rule implementations A1-A14 over the SourceModel (DESIGN.md §13)."""
 
 from __future__ import annotations
 
 import re
+from pathlib import Path
 
-from model import Finding, SourceModel
+from model import RULES_BY_ID, Finding, SourceModel
 
 # --- A1: determinism -------------------------------------------------
 
@@ -281,44 +282,6 @@ def check_net_event_order(model: SourceModel) -> list[Finding]:
     return findings
 
 
-# --- A7: net hot-path counters ----------------------------------------
-
-# A string-keyed metric lookup: `registry.counter("...")` /
-# `.gauge("...")` / `.histogram("...")`. The blanker erases literal
-# *contents* but keeps the quotes, so the opening `("` survives.
-_NAMED_METRIC_RE = re.compile(
-    r'[.>]\s*(counter|gauge|histogram)\s*\(\s*"')
-
-
-def check_net_hot_counters(model: SourceModel) -> list[Finding]:
-    """A7: src/net/ per-node accounting must be a plain field increment.
-
-    Per-node stats (DESIGN.md §17) cost one increment per event
-    (`++node.stats().tx_attempts`). A string-keyed named-metric lookup
-    (`registry.counter("tx")`) hashes/compares the key on every event —
-    per-node, that is O(nodes * events) map traffic on the exact path
-    the recorder exists to measure. Named metrics stay fine for one-shot
-    summaries; hot paths must post to NodeStats fields or the
-    obs::Counter enum builtins.
-    """
-    if not model.rel.startswith(_A6_DIR):
-        return []
-    findings = []
-    for lineno, line in enumerate(model.blanked.split("\n"), 1):
-        match = _NAMED_METRIC_RE.search(line)
-        if not match:
-            continue
-        if model.suppressed("net-hot-counter", lineno):
-            continue
-        findings.append(Finding(
-            "A7-net-hot-counter", model.rel, lineno,
-            f"string-keyed {match.group(1)}(\"...\") lookup in src/net/ "
-            "— per-node hot-path accounting must post to net::NodeStats "
-            "fields or the obs::Counter builtins; a map lookup per event "
-            "taxes the scheduler under test"))
-    return findings
-
-
 # --- A8: one planning step -------------------------------------------
 
 _A8_PLANNER_CALL_RE = re.compile(
@@ -351,6 +314,152 @@ def check_one_planner(model: SourceModel) -> list[Finding]:
             f"OffloadPlanner::{match.group(1)}() outside core/offload.cpp "
             "— engines plan through core::plan_link so every one gets "
             "the same switch amortization and single-mode fallback"))
+    return findings
+
+
+# --- A9-A14: repo hygiene over the whole tree ---------------------------
+
+_TREE_DIRS = ("src/", "tests/", "bench/", "examples/")
+_MAX_COLUMNS = 80
+
+_GLOBAL_RNG_PATTERNS = [
+    (re.compile(r"\b(?:std::)?s?rand\s*\("), "rand()/srand()"),
+    (re.compile(r"\brandom\s*\(\s*\)"), "random()"),
+    (re.compile(r"\bdrand48\s*\("), "drand48()"),
+    (re.compile(r"\bstd::random_device\b"), "std::random_device"),
+    (re.compile(r"\bstd::default_random_engine\b"),
+     "std::default_random_engine"),
+    (re.compile(r"\bstd::mt19937(?:_64)?\b"), "raw std::mt19937"),
+]
+# util/rng wraps the engine; everything else must go through it.
+_RNG_HOME = ("src/util/rng.hpp", "src/util/rng.cpp")
+
+_STDOUT_PATTERNS = [
+    (re.compile(r"\b(?:std::)?f?printf\s*\("), "printf/fprintf"),
+    (re.compile(r"\b(?:std::)?puts\s*\("), "puts"),
+    (re.compile(r"\bputchar\s*\("), "putchar"),
+    (re.compile(r"\bstd::(?:cout|cerr|clog)\b"), "std::cout/cerr/clog"),
+]
+# The contract failure path must not depend on the logger.
+_STDOUT_HOMES = ("src/util/log.cpp", "src/util/contract.cpp")
+
+# `(?!\s*::)` keeps non-spawning statics legal: std::thread::id,
+# std::thread::hardware_concurrency(). std::this_thread never matches
+# (the `::` between std and this_thread breaks the literal).
+_THREAD_SPAWN_PATTERNS = [
+    (re.compile(r"\bstd::j?thread\b(?!\s*::)"), "std::thread/std::jthread"),
+    (re.compile(r"\bstd::async\s*\("), "std::async"),
+    (re.compile(r"\bpthread_create\s*\("), "pthread_create"),
+]
+
+_INFO_LOG_PATTERNS = [
+    (re.compile(r"\bBRAIDIO_LOG_(?:TRACE|DEBUG|INFO)\b"),
+     "BRAIDIO_LOG_TRACE/DEBUG/INFO"),
+    (re.compile(r"\bBRAIDIO_LOG\s*\(\s*LogLevel::(?:Trace|Debug|Info)\b"),
+     "BRAIDIO_LOG(LogLevel::Trace/Debug/Info)"),
+]
+
+# Rule id -> (files it covers, banned tokens, what to do instead). The
+# tokens are matched against blanked text, so comments and string
+# literals never trip them.
+_TOKEN_BANS = {
+    "A9-no-global-rng": (
+        lambda rel: rel.startswith(_TREE_DIRS) and rel not in _RNG_HOME,
+        _GLOBAL_RNG_PATTERNS, "use braidio::util::Rng"),
+    "A10-no-naked-stdout": (
+        lambda rel: rel.startswith("src/") and rel not in _STDOUT_HOMES,
+        _STDOUT_PATTERNS, "library code logs via util/log or returns data"),
+    "A13-no-stray-threads": (
+        lambda rel: (rel.startswith(_TREE_DIRS)
+                     and not rel.startswith("src/sim/")),
+        _THREAD_SPAWN_PATTERNS,
+        "only src/sim/ spawns threads; use sim::SweepRunner or "
+        "sim::ThreadPool"),
+    "A14-events-not-logs": (
+        lambda rel: (rel.startswith("src/")
+                     and not rel.startswith(("src/util/", "src/obs/"))),
+        _INFO_LOG_PATTERNS,
+        "sim state goes through obs::Tracer (BRAIDIO_TRACE_EVENT), not "
+        "informational logging"),
+}
+
+
+def check_banned_tokens(model: SourceModel) -> list[Finding]:
+    """A9/A10/A13/A14: tokens banned from (part of) the tree."""
+    findings = []
+    blanked_lines = model.blanked.split("\n")
+    for rule_id, (in_scope, patterns, advice) in _TOKEN_BANS.items():
+        if not in_scope(model.rel):
+            continue
+        key = RULES_BY_ID[rule_id].key
+        for lineno, line in enumerate(blanked_lines, 1):
+            for pattern, label in patterns:
+                if pattern.search(line) and not model.suppressed(key, lineno):
+                    findings.append(Finding(rule_id, model.rel, lineno,
+                                            f"{label} — {advice}"))
+    return findings
+
+
+def check_line_hygiene(model: SourceModel) -> list[Finding]:
+    """A12: no tabs, no trailing whitespace, 80 columns (.clang-format)."""
+    if not model.rel.startswith(_TREE_DIRS):
+        return []
+    findings = []
+    for lineno, line in enumerate(model.lines, 1):
+        problems = []
+        if "\t" in line:
+            problems.append("tab character (2-space indent only)")
+        if line != line.rstrip():
+            problems.append("trailing whitespace")
+        if len(line) > _MAX_COLUMNS:
+            problems.append(f"line is {len(line)} columns "
+                            f"(max {_MAX_COLUMNS})")
+        if problems and model.suppressed("line-hygiene", lineno):
+            continue
+        findings.extend(Finding("A12-line-hygiene", model.rel, lineno,
+                                problem) for problem in problems)
+    return findings
+
+
+_REGISTERED_TEST_RE = re.compile(r"braidio_test\(\s*([A-Za-z0-9_]+)\s*\)")
+_INCLUDE_RE = re.compile(r'#include\s+"([^"]+\.hpp)"')
+
+
+def check_test_registration(models: list[SourceModel],
+                            tree: Path) -> list[Finding]:
+    """A11: every src/**/*.cpp is covered by a registered test.
+
+    A test covers a module when the file of a `braidio_test(<name>)` in
+    tree/tests/CMakeLists.txt includes the module's header. Include
+    paths sit inside string literals, which the blanker erases, so the
+    raw lines are read. Needs every file of the tree in ``models``.
+    """
+    cmake = tree / "tests" / "CMakeLists.txt"
+    registry = cmake.read_text() if cmake.is_file() else ""
+    by_rel = {model.rel: model for model in models}
+    covered: set[str] = set()
+    findings = []
+    for match in _REGISTERED_TEST_RE.finditer(registry):
+        name = match.group(1)
+        test = by_rel.get(f"tests/{name}.cpp")
+        if test is None:
+            findings.append(Finding(
+                "A11-test-registration", "tests/CMakeLists.txt",
+                registry.count("\n", 0, match.start()) + 1,
+                f"registered test {name} has no tests/{name}.cpp"))
+            continue
+        for raw in test.lines:
+            covered.update(_INCLUDE_RE.findall(raw))
+    for model in models:
+        if not (model.rel.startswith("src/") and model.rel.endswith(".cpp")):
+            continue
+        header = model.rel[len("src/"):-len(".cpp")] + ".hpp"
+        if header in covered or model.suppressed("test-registration", 1):
+            continue
+        findings.append(Finding(
+            "A11-test-registration", model.rel, 1,
+            f"no registered test in tests/CMakeLists.txt includes "
+            f"\"{header}\""))
     return findings
 
 
@@ -398,7 +507,10 @@ def check_contract_coverage(models: list[SourceModel]) -> list[Finding]:
     return findings
 
 
-def run_all(models: list[SourceModel]) -> list[Finding]:
+def run_all(models: list[SourceModel],
+            tree: Path | None = None) -> list[Finding]:
+    """Every rule over ``models``; A11 too when ``tree`` names the root
+    of a whole-tree run."""
     findings: list[Finding] = []
     pairs: dict[str, list[SourceModel]] = {}
     for model in models:
@@ -410,11 +522,14 @@ def run_all(models: list[SourceModel]) -> list[Finding]:
         findings.extend(check_units_discipline(model))
         findings.extend(check_layering(model))
         findings.extend(check_net_event_order(model))
-        findings.extend(check_net_hot_counters(model))
         findings.extend(check_one_planner(model))
+        findings.extend(check_banned_tokens(model))
+        findings.extend(check_line_hygiene(model))
         stem = re.sub(r"\.(?:hpp|cpp)$", "", model.rel)
         pairs.setdefault(stem, []).append(model)
     for stem in sorted(pairs):
         findings.extend(check_contract_coverage(pairs[stem]))
+    if tree is not None:
+        findings.extend(check_test_registration(models, tree))
     findings.sort(key=lambda f: (f.path, f.line, f.rule_id))
     return findings

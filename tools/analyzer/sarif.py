@@ -6,8 +6,11 @@ import json
 
 from model import Finding, RULES
 
+# The frontend that built the source models (backend_lexical).
+BACKEND = "lexical"
 
-def to_sarif(findings: list[Finding], backend: str) -> str:
+
+def to_sarif(findings: list[Finding]) -> str:
     rules = [
         {
             "id": rule.rule_id,
@@ -47,7 +50,7 @@ def to_sarif(findings: list[Finding], backend: str) -> str:
                         "informationUri":
                             "https://example.invalid/braidio",
                         "version": "1.0.0",
-                        "properties": {"backend": backend},
+                        "properties": {"backend": BACKEND},
                         "rules": rules,
                     }
                 },
@@ -58,11 +61,10 @@ def to_sarif(findings: list[Finding], backend: str) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def to_json(findings: list[Finding], backend: str,
-            files_scanned: int) -> str:
+def to_json(findings: list[Finding], files_scanned: int) -> str:
     doc = {
         "schema": "braidio-analyzer/v1",
-        "backend": backend,
+        "backend": BACKEND,
         "files_scanned": files_scanned,
         "finding_count": len(findings),
         "findings": [
