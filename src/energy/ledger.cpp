@@ -37,7 +37,7 @@ void EnergyLedger::charge(EnergyCategory category, util::Joules amount,
   BRAIDIO_REQUIRE(std::isnan(sim_time_s) ||
                       (std::isfinite(sim_time_s) && sim_time_s >= 0.0),
                   "sim_time_s", sim_time_s);
-  entries_[category] += joules;
+  joules_[static_cast<std::size_t>(category)] += joules;
   obs::count(obs::Counter::EnergyPosts);
   obs::observe(obs::Histogram::EnergyPostJoules, joules);
   obs::post_energy(to_string(category), joules, sim_time_s);
@@ -47,29 +47,31 @@ void EnergyLedger::charge(EnergyCategory category, util::Joules amount,
 
 double EnergyLedger::total_joules() const {
   double sum = 0.0;
-  for (const auto& [cat, j] : entries_) sum += j;
+  for (const double j : joules_) sum += j;
   // Conservation: the total is a sum of non-negative postings.
   return util::contract::check_nonneg_energy_j(sum,
                                                "EnergyLedger::total_joules");
 }
 
 double EnergyLedger::joules(EnergyCategory category) const {
-  const auto it = entries_.find(category);
-  return it == entries_.end() ? 0.0 : it->second;
+  return joules_[static_cast<std::size_t>(category)];
 }
 
 void EnergyLedger::merge(const EnergyLedger& other) {
-  for (const auto& [cat, j] : other.entries_) entries_[cat] += j;
+  for (std::size_t c = 0; c < kEnergyCategoryCount; ++c) {
+    joules_[c] += other.joules_[c];
+  }
 }
 
-void EnergyLedger::clear() { entries_.clear(); }
+void EnergyLedger::clear() { joules_.fill(0.0); }
 
 std::string EnergyLedger::report() const {
   std::ostringstream os;
   os << "energy breakdown (J):\n";
-  for (const auto& [cat, j] : entries_) {
-    if (j == 0.0) continue;
-    os << "  " << to_string(cat) << ": " << j << '\n';
+  for (std::size_t c = 0; c < kEnergyCategoryCount; ++c) {
+    if (joules_[c] == 0.0) continue;
+    os << "  " << to_string(static_cast<EnergyCategory>(c)) << ": "
+       << joules_[c] << '\n';
   }
   os << "  total: " << total_joules() << '\n';
   return os.str();

@@ -5,7 +5,8 @@
 // the joules went, not just totals.
 #pragma once
 
-#include <map>
+#include <array>
+#include <cstddef>
 #include <string>
 
 #include "util/units.hpp"
@@ -23,6 +24,10 @@ enum class EnergyCategory {
   Mcu,                // controller baseline
   Idle,               // sleep / listen floor
 };
+
+/// Number of EnergyCategory values (Idle is the last).
+inline constexpr std::size_t kEnergyCategoryCount =
+    static_cast<std::size_t>(EnergyCategory::Idle) + 1;
 
 /// Human-readable category name.
 const char* to_string(EnergyCategory category);
@@ -54,10 +59,10 @@ class EnergyLedger {
   /// Multi-line breakdown report, categories in enum order, omitting zeros.
   std::string report() const;
 
-  const std::map<EnergyCategory, double>& entries() const { return entries_; }
-
  private:
-  std::map<EnergyCategory, double> entries_;
+  // Indexed by category. A never-charged category holds +0.0, which
+  // adds nothing to a total or a merge.
+  std::array<double, kEnergyCategoryCount> joules_{};
 };
 
 }  // namespace braidio::energy

@@ -35,6 +35,11 @@ inline constexpr std::size_t kHeaderBytes = 7;
 inline constexpr std::size_t kCrcBytes = 2;
 inline constexpr std::size_t kMaxPayloadBytes = 1024;
 
+/// Serialized size in bits of a frame carrying `payload_bytes`.
+constexpr std::size_t wire_bits_for(std::size_t payload_bytes) {
+  return (kHeaderBytes + payload_bytes + kCrcBytes) * 8;
+}
+
 struct Frame {
   FrameType type = FrameType::Data;
   std::uint8_t source = 0;
@@ -46,7 +51,7 @@ struct Frame {
   std::size_t wire_size() const {
     return kHeaderBytes + payload.size() + kCrcBytes;
   }
-  std::size_t wire_bits() const { return wire_size() * 8; }
+  std::size_t wire_bits() const { return wire_bits_for(payload.size()); }
 
   bool operator==(const Frame&) const = default;
 };

@@ -34,7 +34,11 @@ double PacketChannel::current_ber(hal::LinkMode mode,
 }
 
 double PacketChannel::airtime_s(const Frame& frame, hal::Bitrate rate) {
-  return static_cast<double>(frame.wire_bits()) / hal::bitrate_bps(rate);
+  return airtime_s(frame.wire_bits(), rate);
+}
+
+double PacketChannel::airtime_s(std::size_t wire_bits, hal::Bitrate rate) {
+  return static_cast<double>(wire_bits) / hal::bitrate_bps(rate);
 }
 
 void PacketChannel::set_distance(double distance_m) {

@@ -56,6 +56,8 @@ class PacketChannel {
 
   /// Airtime of a frame at `rate` [s].
   static double airtime_s(const Frame& frame, hal::Bitrate rate);
+  /// Airtime of `wire_bits` serialized bits at `rate` [s].
+  static double airtime_s(std::size_t wire_bits, hal::Bitrate rate);
 
   void set_distance(double distance_m);
   double distance() const { return config_.distance_m; }

@@ -23,6 +23,8 @@ void MacPolicy::on_policy_event(MacContext&, const Event& ev) {
   BRAIDIO_INVARIANT(false, "unexpected policy event", ev.kind);
 }
 
+void MacPolicy::on_node_changed(std::uint32_t) {}
+
 void MacPolicy::finalize(MacPolicyStats&) const {}
 
 void CsmaCaMac::on_kick(MacContext& ctx, std::uint32_t node) {

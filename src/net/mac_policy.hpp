@@ -6,8 +6,9 @@
 // simulator forwards its calendar-queue events to a MacPolicy through
 // three hooks (on_kick when a node pops a fresh frame, on_attempt when a
 // scheduled attempt fires, on_tx_done when an un-acked frame still has
-// ARQ budget) plus an opaque policy-event channel for schedules the
-// policy itself plants (TDMA round planning, registration slots).
+// ARQ budget), an opaque policy-event channel for schedules the policy
+// itself plants (TDMA round planning, registration slots), and a notice
+// (on_node_changed) when a relay enqueue or a death may give a node work.
 //
 // Policies talk back through MacContext, a narrow view of the simulator:
 // node state, link usability, airtime/turnaround arithmetic, a *charged*
@@ -62,7 +63,6 @@ struct MacPolicyStats {
 class MacContext {
  public:
   virtual double now_s() const = 0;
-  virtual std::size_t node_count() const = 0;
   virtual Node& mac_node(std::uint32_t i) = 0;
   /// True when node i's uplink hop has a usable operating point.
   virtual bool uplink_usable(std::uint32_t i) const = 0;
@@ -110,6 +110,13 @@ class MacPolicy {
 
   /// A policy-planted event (schedule_policy) fired.
   virtual void on_policy_event(MacContext& ctx, const Event& ev);
+
+  /// Node `node` may need the policy again: a relayed frame joined its
+  /// queue, or it died (a TDMA member is still owed its slot reclaim).
+  /// These are the only transitions that can give an idle node work, so
+  /// a policy that polls may skip nodes between them. A notice only:
+  /// it fires mid-handler and must not schedule. Default: no-op.
+  virtual void on_node_changed(std::uint32_t node);
 
   /// Export policy counters after the run.
   virtual void finalize(MacPolicyStats& stats) const;

@@ -23,18 +23,6 @@ constexpr std::uint32_t kAttempt = 1;  // attempt fires: MAC rules, then tx
 constexpr std::uint32_t kTxEnd = 2;    // airtime over: resolve delivery
 constexpr std::uint32_t kPolicy = 3;   // MAC-planted (TDMA rounds, reg)
 
-mac::Frame make_data_frame(std::uint32_t source, std::uint32_t dest,
-                           std::uint16_t sequence,
-                           std::size_t payload_bytes) {
-  mac::Frame frame;
-  frame.type = mac::FrameType::Data;
-  frame.source = static_cast<std::uint8_t>(source);
-  frame.destination = static_cast<std::uint8_t>(dest);
-  frame.sequence = sequence;
-  frame.payload.assign(payload_bytes, 0);
-  return frame;
-}
-
 /// Packet-lifecycle stage into the trace rings. The packet id rides
 /// Event::value and becomes the Chrome flow "id", so begin -> step ->
 /// end chain into one arrow per packet; the label carries the stage
@@ -97,7 +85,6 @@ NetworkSimulator::NetworkSimulator(NetConfig config)
                         util::Rng::stream(config_.seed, i), config_.csma);
   }
   busy_until_s_.assign(total, 0.0);
-  next_sequence_.assign(total, 0);
   medium_.emplace(config_.medium, topo_.positions);
   policy_ = make_mac_policy(config_.mac, config_.tdma, total);
   plan_links();
@@ -110,6 +97,8 @@ NetworkSimulator::NetworkSimulator(NetConfig config)
 void NetworkSimulator::plan_links() {
   const hal::Capabilities& caps = config_.backend->caps();
   const hal::ChannelModel& channel = config_.backend->channel();
+  const std::size_t data_bits = mac::wire_bits_for(config_.payload_bytes);
+  const std::size_t ack_bits = mac::wire_bits_for(0);
   links_.assign(topo_.size(), LinkPlan{});
   // Uplink preference order (the asymmetric-energy default): reflect if
   // the pair can, source a carrier for a passive receiver otherwise,
@@ -137,6 +126,10 @@ void NetworkSimulator::plan_links() {
       if (point == nullptr) continue;
       plan.point = *point;
       plan.usable = true;
+      plan.data_airtime_s =
+          mac::PacketChannel::airtime_s(data_bits, plan.point.rate);
+      plan.ack_airtime_s =
+          mac::PacketChannel::airtime_s(ack_bits, plan.point.rate);
       plan.interferer_dbm =
           config_.medium.tx_power_dbm -
           (rule.mode == hal::LinkMode::Backscatter
@@ -165,9 +158,14 @@ void NetworkSimulator::charge_window(Node& node, double from_s,
   double& busy = busy_until_s_[node.index()];
   const double start = std::max(from_s, busy);
   if (to_s > start && !node.radio().advance(util::Seconds(to_s - start))) {
-    node.set_alive(false);
+    mark_dead(node);
   }
   busy = std::max(busy, to_s);
+}
+
+void NetworkSimulator::mark_dead(Node& node) {
+  node.set_alive(false);
+  policy_->on_node_changed(node.index());
 }
 
 Node& NetworkSimulator::mac_node(std::uint32_t i) {
@@ -182,16 +180,12 @@ bool NetworkSimulator::uplink_usable(std::uint32_t i) const {
 
 double NetworkSimulator::data_airtime_s(std::uint32_t i) const {
   BRAIDIO_REQUIRE(i < links_.size() && links_[i].usable, "i", i);
-  const mac::Frame frame = make_data_frame(
-      i, topo_.next_hop[i], 0, config_.payload_bytes);
-  return mac::PacketChannel::airtime_s(frame, links_[i].point.rate);
+  return links_[i].data_airtime_s;
 }
 
 double NetworkSimulator::control_airtime_s(std::uint32_t i) const {
   BRAIDIO_REQUIRE(i < links_.size() && links_[i].usable, "i", i);
-  mac::Frame ack;
-  ack.type = mac::FrameType::Ack;
-  return mac::PacketChannel::airtime_s(ack, links_[i].point.rate);
+  return links_[i].ack_airtime_s;
 }
 
 bool NetworkSimulator::sense_clear(std::uint32_t i) {
@@ -200,7 +194,7 @@ bool NetworkSimulator::sense_clear(std::uint32_t i) {
   // medium at the attempt instant, as before the listen was billed.
   const double ambient = medium_->ambient_dbm(i, i);
   if (!node.radio().sense(util::Seconds(config_.csma.cca_window_s))) {
-    node.set_alive(false);
+    mark_dead(node);
     return false;
   }
   return node.radio().cca_clear(util::Dbm(ambient));
@@ -220,14 +214,14 @@ bool NetworkSimulator::register_exchange(std::uint32_t i) {
   const double air = control_airtime_s(i);
   const double span = 2.0 * air + config_.turnaround_s;
   if (!node.radio().switch_to(plan.point, hal::Role::DataTransmitter)) {
-    node.set_alive(false);
+    mark_dead(node);
     return false;
   }
   if (dest.alive() &&
       !dest.radio().switch_to(plan.point, hal::Role::DataReceiver)) {
-    dest.set_alive(false);
+    mark_dead(dest);
   }
-  if (!node.radio().advance(util::Seconds(span))) node.set_alive(false);
+  if (!node.radio().advance(util::Seconds(span))) mark_dead(node);
   if (dest.alive()) charge_window(dest, now, now + span);
   bool dropout = false;
   fault_loss_db(now, i, dest.index(), dropout);
@@ -258,6 +252,20 @@ double NetworkSimulator::fault_loss_db(double now_s, std::uint32_t tx,
   return std::max(at_tx.extra_loss_db, at_rx.extra_loss_db);
 }
 
+NetworkSimulator::DeliveryOdds NetworkSimulator::delivery_odds(
+    const LinkPlan& plan, double loss_db, double penalty_db) const {
+  const hal::ChannelModel& channel = config_.backend->channel();
+  const double snr =
+      channel.snr_db(plan.point.mode, plan.point.rate, plan.distance_m) -
+      loss_db - penalty_db;
+  const double ber = channel.ber_from_snr_db(plan.point.mode, snr);
+  const auto survives = [ber](std::size_t payload_bytes) {
+    return std::pow(1.0 - ber,
+                    static_cast<double>(mac::wire_bits_for(payload_bytes)));
+  };
+  return {survives(config_.payload_bytes), survives(0)};
+}
+
 void NetworkSimulator::handle_kick(const Event& ev) {
   Node& node = nodes_[ev.node];
   if (!node.alive() || node.transfer().active || node.queue_empty()) return;
@@ -280,8 +288,6 @@ void NetworkSimulator::handle_kick(const Event& ev) {
     trace_flow(obs::EventType::PacketFlowStep, "enq", ev.node, now,
                t.packet_id);
   }
-  t.frame = make_data_frame(ev.node, t.dest, next_sequence_[ev.node]++,
-                            config_.payload_bytes);
   policy_->on_kick(*this, ev.node);
 }
 
@@ -323,17 +329,16 @@ void NetworkSimulator::handle_attempt(const Event& ev) {
   }
 
   if (!node.radio().switch_to(plan.point, hal::Role::DataTransmitter)) {
-    node.set_alive(false);
+    mark_dead(node);
     t.active = false;
     return;
   }
   if (dest.alive() &&
       !dest.radio().switch_to(plan.point, hal::Role::DataReceiver)) {
-    dest.set_alive(false);
+    mark_dead(dest);
   }
 
-  const double airtime =
-      mac::PacketChannel::airtime_s(t.frame, plan.point.rate);
+  const double airtime = plan.data_airtime_s;
   ++t.attempts;
   ++node.stats().tx_attempts;
   obs::count(obs::Counter::PacketsTx);
@@ -342,7 +347,7 @@ void NetworkSimulator::handle_attempt(const Event& ev) {
   trace_flow(obs::EventType::PacketFlowStep, "air", ev.node, now,
              t.packet_id);
 
-  if (!node.radio().advance(util::Seconds(airtime))) node.set_alive(false);
+  if (!node.radio().advance(util::Seconds(airtime))) mark_dead(node);
   // A dead destination accrues no receive-window charge; the carrier is
   // physically on-air either way, so the medium occupancy stays.
   if (dest.alive()) charge_window(dest, now, now + airtime);
@@ -357,7 +362,7 @@ void NetworkSimulator::handle_attempt(const Event& ev) {
 void NetworkSimulator::handle_tx_end(const Event& ev) {
   Node& node = nodes_[ev.node];
   Node::Transfer& t = node.transfer();
-  const LinkPlan& plan = links_[ev.node];
+  LinkPlan& plan = links_[ev.node];
   Node& dest = nodes_[t.dest];
   const double now = queue_.now_s();
 
@@ -373,30 +378,25 @@ void NetworkSimulator::handle_tx_end(const Event& ev) {
   bool acked = false;
   double done = now;
   if (node.alive() && dest.alive() && !dropout) {
-    const hal::ChannelModel& channel = config_.backend->channel();
-    const double snr = channel.snr_db(plan.point.mode, plan.point.rate,
-                                      plan.distance_m) -
-                       loss - penalty;
-    const double ber = channel.ber_from_snr_db(plan.point.mode, snr);
-    const double p_data =
-        std::pow(1.0 - ber, static_cast<double>(t.frame.wire_bits()));
-    data_ok = node.rng().bernoulli(p_data);
+    // A clean tx-end sees the link's own SNR, so its odds are the link's
+    // cached ones (filled here the first time).
+    const bool clean = loss == 0.0 && penalty == 0.0;
+    if (clean && !plan.clean_odds) {
+      plan.clean_odds = delivery_odds(plan, loss, penalty);
+    }
+    const DeliveryOdds odds =
+        clean ? *plan.clean_odds : delivery_odds(plan, loss, penalty);
+    data_ok = node.rng().bernoulli(odds.data);
     if (data_ok) {
       // Ack leg: turnaround then a bare Ack frame at the same operating
       // point, roles held at both ends (the CarrierHub convention).
-      mac::Frame ack;
-      ack.type = mac::FrameType::Ack;
-      const double ack_air =
-          mac::PacketChannel::airtime_s(ack, plan.point.rate);
-      done = now + config_.turnaround_s + ack_air;
+      done = now + config_.turnaround_s + plan.ack_airtime_s;
       if (!node.radio().advance(
-              util::Seconds(config_.turnaround_s + ack_air))) {
-        node.set_alive(false);
+              util::Seconds(config_.turnaround_s + plan.ack_airtime_s))) {
+        mark_dead(node);
       }
       charge_window(dest, now, done);
-      const double p_ack =
-          std::pow(1.0 - ber, static_cast<double>(ack.wire_bits()));
-      acked = node.rng().bernoulli(p_ack);
+      acked = node.rng().bernoulli(odds.ack);
     }
   }
 
@@ -460,6 +460,7 @@ void NetworkSimulator::finish_transfer(Node& node, bool acked,
                  t.packet_id);
       nodes_[t.dest].enqueue(
           QueuedPacket{t.origin, t.packet_id, t.birth_s});
+      policy_->on_node_changed(t.dest);
       queue_.schedule(next, t.dest, kKick);
     }
   }
@@ -535,7 +536,7 @@ NetStats NetworkSimulator::run() {
     node.radio().go_idle();
     const double gap = stats_.elapsed_s - node.radio().clock_s();
     if (gap > 0.0 && !node.radio().advance(util::Seconds(gap))) {
-      node.set_alive(false);
+      mark_dead(node);
     }
     const double joules = node.radio().ledger().total_joules();
     stats_.node_joules.push_back(joules);

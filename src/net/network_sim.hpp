@@ -33,6 +33,14 @@
 //             frame either lands at the hub or joins the next relay's
 //             queue. Failures retry through the per-hop ARQ budget.
 //
+// Static links: every uplink is planned once (plan_links) and never
+// moves, so its plan also carries the data and ack airtimes, and, from
+// the link's first tx-end that sees no fault loss and no interference
+// penalty (both exactly 0.0, so the SNR is the link's own), the two
+// legs' delivery odds. Later clean tx-ends reuse them; any loss or
+// penalty takes the full SNR -> BER -> odds path and leaves the cache
+// alone. The RNG draws are the same either way.
+//
 // Determinism: node i draws only from util::Rng::stream(seed, i), always
 // from within that node's event handlers, so the schedule is a pure
 // function of (config, seed) and byte-identical under any SweepRunner
@@ -157,6 +165,7 @@ class NetworkSimulator final : public MacContext {
   /// Post-run inspection: per-node stats (the one per-node counter
   /// store), radio ledger/battery, CSMA state. Index 0 is the hub.
   const Node& node(std::uint32_t i) const;
+  std::size_t node_count() const { return nodes_.size(); }
   /// The (mode, rate) chosen for node i's uplink hop; nullopt when no
   /// lattice point reaches i's next hop (or i is the hub / stranded).
   std::optional<hal::OperatingPoint> link_point(std::uint32_t i) const;
@@ -169,7 +178,6 @@ class NetworkSimulator final : public MacContext {
 
   // ---- MacContext: the surface the MAC policy drives (mac_policy.hpp).
   double now_s() const override { return queue_.now_s(); }
-  std::size_t node_count() const override { return nodes_.size(); }
   Node& mac_node(std::uint32_t i) override;
   bool uplink_usable(std::uint32_t i) const override;
   double turnaround_s() const override { return config_.turnaround_s; }
@@ -182,14 +190,28 @@ class NetworkSimulator final : public MacContext {
                        std::uint64_t payload) override;
 
  private:
+  /// Odds that each leg of one attempt survives: (1 - BER)^wire_bits.
+  struct DeliveryOdds {
+    double data = 0.0;
+    double ack = 0.0;
+  };
+
   struct LinkPlan {
     bool usable = false;
     hal::OperatingPoint point;
     double distance_m = 0.0;
     double interferer_dbm = 0.0;  // power this link radiates at others
+    double data_airtime_s = 0.0;  // payload-sized data frame at point
+    double ack_airtime_s = 0.0;   // bare control frame at point
+    std::optional<DeliveryOdds> clean_odds;  // set on first clean tx-end
   };
 
   void plan_links();
+  /// The leg odds at the link's SNR less `loss_db` and `penalty_db`.
+  DeliveryOdds delivery_odds(const LinkPlan& plan, double loss_db,
+                             double penalty_db) const;
+  /// Every death funnels through here so the policy hears of it.
+  void mark_dead(Node& node);
   /// Charge `node`'s radio for occupying [from_s, to_s] of air, clamped
   /// against its busy-until mark (shared receivers pay once). The node
   /// must be alive: post-death spend would hide in a drained battery's
@@ -211,7 +233,6 @@ class NetworkSimulator final : public MacContext {
   std::vector<Node> nodes_;
   std::vector<LinkPlan> links_;
   std::vector<double> busy_until_s_;
-  std::vector<std::uint16_t> next_sequence_;
   std::optional<SharedMedium> medium_;
   std::unique_ptr<MacPolicy> policy_;
   EventQueue queue_;

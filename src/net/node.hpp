@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "hal/radio.hpp"
-#include "mac/frame.hpp"
 #include "net/csma.hpp"
 #include "net/netstats.hpp"
 #include "util/rng.hpp"
@@ -47,7 +46,6 @@ class Node {
     unsigned attempts = 0;
     std::uint64_t packet_id = 0;
     double birth_s = -1.0;
-    mac::Frame frame;
   };
 
   /// Takes ownership of `radio` (must be non-null).

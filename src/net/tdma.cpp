@@ -1,6 +1,7 @@
 #include "net/tdma.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -9,8 +10,15 @@
 
 namespace braidio::net {
 
+namespace {
+std::uint64_t ready_bit(std::uint32_t i) {
+  return std::uint64_t{1} << (i % 64);
+}
+}  // namespace
+
 ScheduledSlotMac::ScheduledSlotMac(TdmaConfig config, std::size_t nodes)
     : config_(config),
+      ready_((nodes + 63) / 64, 0),
       registered_(nodes, 0),
       reg_attempts_(nodes, 0),
       next_reg_s_(nodes, 0.0) {
@@ -24,6 +32,25 @@ ScheduledSlotMac::ScheduledSlotMac(TdmaConfig config, std::size_t nodes)
     throw std::invalid_argument(
         "net::ScheduledSlotMac: need max_registration_attempts > 0");
   }
+  for (std::uint32_t i = 1; i < nodes; ++i) ready_[i / 64] |= ready_bit(i);
+}
+
+template <class Visit>
+void ScheduledSlotMac::for_each_ready(Visit visit) {
+  for (std::size_t w = 0; w < ready_.size(); ++w) {
+    const auto first = static_cast<std::uint32_t>(w * 64);
+    for (std::uint64_t bits = ready_[w]; bits != 0; bits &= bits - 1) {
+      visit(first + static_cast<std::uint32_t>(std::countr_zero(bits)));
+    }
+  }
+}
+
+void ScheduledSlotMac::clear_ready(std::uint32_t i) {
+  ready_[i / 64] &= ~ready_bit(i);
+}
+
+void ScheduledSlotMac::on_node_changed(std::uint32_t node) {
+  ready_[node / 64] |= ready_bit(node);
 }
 
 bool ScheduledSlotMac::wants_service(MacContext& ctx,
@@ -93,38 +120,45 @@ void ScheduledSlotMac::plan_round(MacContext& ctx) {
   double t = ctx.now_s();
   bool any = false;
   double deferred = std::numeric_limits<double>::infinity();
-  const auto n = static_cast<std::uint32_t>(ctx.node_count());
 
   // Registration mini-slots: unregistered nodes with traffic, in index
   // order. An exchange is one control frame each way plus turnaround.
-  for (std::uint32_t i = 1; i < n; ++i) {
-    if (registered_[i] != 0 || !wants_service(ctx, i)) continue;
-    if (given_up(i)) continue;
+  // Registered members keep their bit for the data pass.
+  for_each_ready([&](std::uint32_t i) {
+    if (registered_[i] != 0) return;
+    if (!wants_service(ctx, i) || given_up(i)) {
+      clear_ready(i);
+      return;
+    }
     if (next_reg_s_[i] > t) {
       deferred = std::min(deferred, next_reg_s_[i]);
-      continue;
+      return;
     }
     ctx.schedule_policy(t, i, kRegister);
     t += 2.0 * ctx.control_airtime_s(i) + ctx.turnaround_s() +
          config_.reg_guard_s;
     any = true;
-  }
+  });
 
   // Data slots: registered members with traffic, in index order, each
   // slot sized from that member's own planned operating point.
-  for (std::uint32_t i = 1; i < n; ++i) {
-    if (registered_[i] == 0) continue;
+  for_each_ready([&](std::uint32_t i) {
+    if (registered_[i] == 0) return;
     if (!ctx.mac_node(i).alive()) {
       registered_[i] = 0;
       ++ctx.mac_node(i).stats().slots_reclaimed;
-      continue;
+      clear_ready(i);
+      return;
     }
-    if (!wants_service(ctx, i)) continue;
+    if (!wants_service(ctx, i)) {
+      clear_ready(i);
+      return;
+    }
     ctx.schedule_attempt(t, i);
     t += ctx.data_airtime_s(i) + ctx.turnaround_s() +
          ctx.control_airtime_s(i) + config_.guard_s;
     any = true;
-  }
+  });
 
   if (any) {
     ++rounds_;

@@ -20,11 +20,19 @@
 //       operating point: data airtime + turnaround + ack airtime +
 //       guard_s. One transmission is ever on the air, so CCA-deaf
 //       passive backends are served exactly as well as active ones;
-//   re-assignment — the planner re-scans every round: dead members are
-//       dropped (their slots reclaimed), drained members are skipped
-//       until they queue again, newly registered members join. Rounds
-//       chain while any slot was planned and stop when the population
-//       goes quiet (re-armed by the next kick).
+//   re-assignment — dead members are dropped (their slots reclaimed),
+//       drained members are skipped until they queue again, newly
+//       registered members join. Rounds chain while any slot was planned
+//       and stop when the population goes quiet (re-armed by the next
+//       kick);
+//   ready set — a round visits only nodes that may need it: one bit per
+//       node, walked in index order, always covering every node with
+//       traffic and every registered member that died since the last
+//       round (still owed its reclaim). Every tag starts set. The
+//       planner clears a bit when it finds the node drained, unroutable,
+//       given up or reclaimed, and exactly two transitions set it again,
+//       both reported through on_node_changed: a relay enqueue and a
+//       death. A kick does not: the enqueue before it already did.
 //
 // No randomness: the schedule is a pure function of the event order, so
 // serial and parallel sweeps stay byte-identical trivially.
@@ -63,6 +71,7 @@ class ScheduledSlotMac final : public MacPolicy {
   void on_tx_done(MacContext& ctx, std::uint32_t node,
                   double done_s) override;
   void on_policy_event(MacContext& ctx, const Event& ev) override;
+  void on_node_changed(std::uint32_t node) override;
   void finalize(MacPolicyStats& stats) const override;
 
   // Post-run introspection (tests).
@@ -79,10 +88,16 @@ class ScheduledSlotMac final : public MacPolicy {
   /// Unregistered with the registration budget spent.
   bool given_up(std::uint32_t i) const;
   void plan_round(MacContext& ctx);
+  /// Calls visit(i) for each ready node in ascending index order; visit
+  /// may clear bits but must not set any.
+  template <class Visit>
+  void for_each_ready(Visit visit);
+  void clear_ready(std::uint32_t i);
 
   TdmaConfig config_;
+  std::vector<std::uint64_t> ready_;  // the ready set, 64 nodes per word
   std::vector<std::uint8_t> registered_;
-  std::vector<std::uint16_t> reg_attempts_;
+  std::vector<unsigned> reg_attempts_;  // as wide as the budget
   std::vector<double> next_reg_s_;
   bool armed_ = false;
   std::uint64_t rounds_ = 0;

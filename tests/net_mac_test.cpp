@@ -195,6 +195,33 @@ TEST(ScheduledSlotMac, PermanentDropoutIsBoundedAndIsolated) {
   EXPECT_TRUE(policy.is_registered(2));
 }
 
+TEST(ScheduledSlotMac, RegistrationBudgetAboveSixteenBitsStillGivesUp) {
+  // The same never-lifting dropout with a budget past 16 bits: the
+  // per-node attempt count must reach it, so tag 1 is still given up on
+  // and the run ends (a 16-bit count wraps at 65,536 and livelocks).
+  std::istringstream script("dropout 0 1e6 @1\n");
+  std::string error;
+  const auto timeline = sim::faults::FaultTimeline::parse(script, &error);
+  ASSERT_TRUE(timeline.has_value()) << error;
+  const sim::faults::ImpairmentSchedule schedule(*timeline);
+
+  NetConfig config;
+  config.backend = &backend(backends::kBraidio);
+  config.mac = MacKind::Tdma;
+  config.tdma.max_registration_attempts = 65536;
+  config.topology.nodes = 2;
+  config.topology.extent_m = 0.3;
+  config.packets_per_node = 2;
+  config.kick_spread_s = 0.01;
+  config.impairments = &schedule;
+  NetworkSimulator sim(config);
+  const NetStats stats = sim.run();
+  EXPECT_EQ(sim.node(2).stats().delivered, 2u);
+  EXPECT_EQ(stats.csma_failures, 2u);
+  const auto& policy = dynamic_cast<const ScheduledSlotMac&>(sim.mac_policy());
+  EXPECT_FALSE(policy.is_registered(1));
+}
+
 TEST(ScheduledSlotMac, CcaDeafReaderPassiveDeliversDenseStar) {
   // The collapse scenario, fixed: pure-backscatter tags cannot carrier
   // sense, so a dense uncoordinated population collides itself to death

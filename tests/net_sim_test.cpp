@@ -1,17 +1,25 @@
 // Many-node network simulator: topology builders, the shared medium,
 // node bookkeeping, energy conservation at 1k nodes, sweep determinism,
-// and per-node fault targeting (DESIGN.md §15).
+// per-node fault targeting, the schedule pinned to recorded digests, and
+// the static-link BER reuse (DESIGN.md §15).
 #include "net/network_sim.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "backends/backends.hpp"
+#include "hal/backend.hpp"
 #include "net/medium.hpp"
 #include "net/node.hpp"
 #include "net/topology.hpp"
@@ -375,6 +383,241 @@ TEST(NetworkSimulator, EveryFrameAndCounterIsAccountedFor) {
           }
         }
       }
+    }
+  }
+}
+
+/// FNV-1a over 64-bit words: folds a run's counters and every joule's
+/// bit pattern into one number.
+struct Digest {
+  std::uint64_t value = 0xcbf29ce484222325ull;
+  void word(std::uint64_t w) {
+    for (int b = 0; b < 8; ++b) {
+      value ^= (w >> (8 * b)) & 0xffu;
+      value *= 0x100000001b3ull;
+    }
+  }
+  void real(double x) { word(std::bit_cast<std::uint64_t>(x)); }
+};
+
+/// Folds what the simulated schedule determines. The event queue's own
+/// tuning counters (NetStats::sched_*) are left out: re-tuning the queue
+/// moves them without changing a single event.
+void fold_run(Digest& d, const NetworkSimulator& sim, const NetStats& s) {
+  for (const std::uint64_t w :
+       {s.events, s.generated, s.delivered, s.forwarded, s.tx_attempts,
+        s.csma_failures, s.arq_drops, s.battery_deaths,
+        static_cast<std::uint64_t>(s.reachable),
+        static_cast<std::uint64_t>(s.planned),
+        static_cast<std::uint64_t>(s.max_hops), s.mac.rounds,
+        s.mac.registrations, s.mac.slots_reclaimed}) {
+    d.word(w);
+  }
+  for (const double x : {s.elapsed_s, s.hub_joules, s.total_joules,
+                         s.delivered_payload_bits}) {
+    d.real(x);
+  }
+  for (const double j : s.node_joules) d.real(j);
+  for (std::uint32_t i = 0; i < sim.node_count(); ++i) {
+    const Node& node = sim.node(i);
+    const NodeStats& c = node.stats();
+    for (const std::uint64_t w :
+         {c.generated, c.delivered, c.forwarded, c.tx_attempts,
+          c.csma_failures, c.arq_drops, c.cca_busy, c.backoff_draws,
+          c.collisions, c.fault_losses, c.slot_registrations,
+          c.slots_reclaimed, c.uplink_acked, c.uplink_data_lost,
+          c.uplink_ack_lost, static_cast<std::uint64_t>(node.backlog()),
+          static_cast<std::uint64_t>(node.alive())}) {
+      d.word(w);
+    }
+  }
+}
+
+/// One (backend, MAC setting, topology) cell of the schedule pin and the
+/// digest its 12 runs folded to when it was recorded.
+struct ScheduleCell {
+  const char* backend;
+  const char* mac;  // "csma", "tdma", or "tdma-g100" (guard_s = 100 us)
+  const char* topology;
+  std::uint64_t digest;
+};
+
+// Recorded before the TDMA ready set and the per-link airtime/odds cache
+// landed; both are pure speedups, so every cell must still match.
+constexpr ScheduleCell kRecordedSchedules[] = {
+    {"braidio", "csma", "star", 0xff7e15bffb20f495},
+    {"braidio", "csma", "grid", 0xf0976b5bb33e8c39},
+    {"braidio", "csma", "rgg", 0x4893aed3da319a1d},
+    {"braidio", "tdma", "star", 0x328492061593ff0d},
+    {"braidio", "tdma", "grid", 0xce5044ae0c6fbf57},
+    {"braidio", "tdma", "rgg", 0xcffe057559ff1a60},
+    {"braidio", "tdma-g100", "star", 0x9af390dc983e0d89},
+    {"braidio", "tdma-g100", "grid", 0x8c7be7e0f4b3e4ae},
+    {"braidio", "tdma-g100", "rgg", 0xb2fc97c97482150b},
+    {"ble-active", "csma", "star", 0xa6e8bf907c6ea6b5},
+    {"ble-active", "csma", "grid", 0x165fe9dd0383899a},
+    {"ble-active", "csma", "rgg", 0x367f6c87089a7e1a},
+    {"ble-active", "tdma", "star", 0x6ffebd739b0a7961},
+    {"ble-active", "tdma", "grid", 0xd90faaa9a182fb4e},
+    {"ble-active", "tdma", "rgg", 0x0e74203652ff7a4e},
+    {"ble-active", "tdma-g100", "star", 0xa167d7d29a1117a9},
+    {"ble-active", "tdma-g100", "grid", 0xbfe7c6df0c279d2a},
+    {"ble-active", "tdma-g100", "rgg", 0xc2216e2968099193},
+    {"reader-passive", "csma", "star", 0xdef8bf72ed8b9d65},
+    {"reader-passive", "csma", "grid", 0x0a7ab5f468e8a22a},
+    {"reader-passive", "csma", "rgg", 0x6f0a779996324df5},
+    {"reader-passive", "tdma", "star", 0x0c226fe18eb26939},
+    {"reader-passive", "tdma", "grid", 0xd2fa66a9c89256fd},
+    {"reader-passive", "tdma", "rgg", 0xcb74f367e79ae87f},
+    {"reader-passive", "tdma-g100", "star", 0xd579c238b66e4d31},
+    {"reader-passive", "tdma-g100", "grid", 0x7b293861fbb5b0c0},
+    {"reader-passive", "tdma-g100", "rgg", 0xea47841b7099ca99},
+    {"blisp-hybrid", "csma", "star", 0x327cce38aba1ce81},
+    {"blisp-hybrid", "csma", "grid", 0xd97995a15ed3530d},
+    {"blisp-hybrid", "csma", "rgg", 0x09a712ba413f0fc6},
+    {"blisp-hybrid", "tdma", "star", 0x29d48996d8bd108d},
+    {"blisp-hybrid", "tdma", "grid", 0xb481d24f60c05099},
+    {"blisp-hybrid", "tdma", "rgg", 0xc3252acec4b61d9d},
+    {"blisp-hybrid", "tdma-g100", "star", 0x04f98b6dd861703d},
+    {"blisp-hybrid", "tdma-g100", "grid", 0x0ac3a566f856225d},
+    {"blisp-hybrid", "tdma-g100", "rgg", 0x04d7fa41edce6cc2},
+};
+
+sim::faults::ImpairmentSchedule parse_schedule(const char* text) {
+  std::istringstream script(text);
+  std::string error;
+  const auto timeline = sim::faults::FaultTimeline::parse(script, &error);
+  if (!timeline) throw std::invalid_argument(error);
+  return sim::faults::ImpairmentSchedule(*timeline);
+}
+
+TEST(NetworkSimulator, ScheduleMatchesRecordedDigests) {
+  // 432 runs of 60 tags x 3 frames. Each cell folds 12 of them: healthy,
+  // tag 5 silenced for good, or a network-wide shadowing window plus a
+  // dropout at tag 3; 0.5 Wh tags or 2e-7 Wh tags that die mid-run;
+  // seeds 1 and 7. TDMA runs at the default guard and at a guard below
+  // the turnaround, where a relay's backlog exists before its kick.
+  const sim::faults::ImpairmentSchedule dropout =
+      parse_schedule("dropout 0 1e6 @5\n");
+  const sim::faults::ImpairmentSchedule shadowed =
+      parse_schedule("shadowing 0.2 0.6 12\ndropout 0.1 0.3 @3\n");
+  const sim::faults::ImpairmentSchedule* faults[] = {nullptr, &dropout,
+                                                     &shadowed};
+
+  for (const ScheduleCell& cell : kRecordedSchedules) {
+    const std::string mac = cell.mac;
+    // blisp-hybrid plans braidio's backscatter point on every hop within
+    // backscatter's 2.4 m reach, so its cells spread the tags until the
+    // far uplinks go active (braidio's go passive there).
+    const bool wide = std::string(cell.backend) == backends::kBlispHybrid;
+    Digest digest;
+    for (const sim::faults::ImpairmentSchedule* fault : faults) {
+      for (const double tag_wh : {0.5, 2e-7}) {
+        for (const std::uint64_t seed : {1, 7}) {
+          NetConfig config;
+          config.backend = &backend(cell.backend);
+          config.mac = mac == "csma" ? MacKind::Csma : MacKind::Tdma;
+          if (mac == "tdma-g100") config.tdma.guard_s = 100e-6;
+          config.topology.kind = *parse_topology(cell.topology);
+          config.topology.nodes = 60;
+          if (wide) {
+            config.topology.extent_m = 4.0;
+            config.topology.link_range_m = 3.0;
+          }
+          config.packets_per_node = 3;
+          config.seed = seed;
+          config.tag_battery_wh = tag_wh;
+          config.impairments = fault;
+          NetworkSimulator sim(config);
+          const NetStats stats = sim.run();
+          fold_run(digest, sim, stats);
+        }
+      }
+    }
+    char recorded[160];
+    std::snprintf(recorded, sizeof recorded,
+                  "{\"%s\", \"%s\", \"%s\", 0x%016llx}", cell.backend,
+                  cell.mac, cell.topology,
+                  static_cast<unsigned long long>(digest.value));
+    EXPECT_EQ(digest.value, cell.digest) << "schedule changed: " << recorded;
+  }
+}
+
+/// Pass-through backend whose channel counts BER evaluations.
+class BerCountingBackend final : public hal::RadioBackend {
+ public:
+  explicit BerCountingBackend(const hal::RadioBackend& inner)
+      : inner_(inner), channel_(inner.channel()) {}
+
+  const std::string& name() const override { return inner_.name(); }
+  const std::string& description() const override {
+    return inner_.description();
+  }
+  const hal::Capabilities& caps() const override { return inner_.caps(); }
+  const hal::ChannelModel& channel() const override { return channel_; }
+  std::unique_ptr<hal::IRadio> create_radio(
+      std::string name, std::uint8_t address,
+      util::WattHours battery_capacity) const override {
+    return inner_.create_radio(std::move(name), address, battery_capacity);
+  }
+  std::uint64_t ber_calls() const { return channel_.calls; }
+
+ private:
+  struct Channel final : hal::ChannelModel {
+    explicit Channel(const hal::ChannelModel& wrapped) : inner(wrapped) {}
+    double snr_db(hal::LinkMode mode, hal::Bitrate rate,
+                  double distance_m) const override {
+      return inner.snr_db(mode, rate, distance_m);
+    }
+    double ber_from_snr_db(hal::LinkMode mode,
+                           double snr_db) const override {
+      ++calls;
+      return inner.ber_from_snr_db(mode, snr_db);
+    }
+    bool available(hal::LinkMode mode, hal::Bitrate rate,
+                   double distance_m) const override {
+      return inner.available(mode, rate, distance_m);
+    }
+    std::optional<hal::Bitrate> best_bitrate(
+        hal::LinkMode mode, double distance_m) const override {
+      return inner.best_bitrate(mode, distance_m);
+    }
+    double range_m(hal::LinkMode mode, hal::Bitrate rate) const override {
+      return inner.range_m(mode, rate);
+    }
+    const hal::ChannelModel& inner;
+    mutable std::uint64_t calls = 0;
+  };
+
+  const hal::RadioBackend& inner_;
+  Channel channel_;
+};
+
+TEST(NetworkSimulator, StaticCleanLinksEvaluateBerOnce) {
+  // TDMA keeps one transmitter on the air, so on a healthy grid every
+  // tx-end sees no interference and no fault loss: each planned uplink
+  // evaluates its BER once and reuses the delivery odds. A shadowing
+  // window takes the full path for every tx-end inside it.
+  const sim::faults::ImpairmentSchedule shadowed =
+      parse_schedule("shadowing 0.2 0.6 12\ndropout 0.1 0.3 @3\n");
+  for (const bool faulted : {false, true}) {
+    SCOPED_TRACE(faulted ? "shadowed" : "healthy");
+    BerCountingBackend counting(backend(backends::kBraidio));
+    NetConfig config;
+    config.backend = &counting;
+    config.mac = MacKind::Tdma;
+    config.topology.kind = TopologyKind::Grid;
+    config.topology.nodes = 60;
+    config.packets_per_node = 3;
+    if (faulted) config.impairments = &shadowed;
+    NetworkSimulator sim(config);
+    const NetStats stats = sim.run();
+    ASSERT_GT(stats.planned, 0u);
+    ASSERT_GT(stats.tx_attempts, stats.planned);
+    if (faulted) {
+      EXPECT_GT(counting.ber_calls(), stats.planned);
+    } else {
+      EXPECT_EQ(counting.ber_calls(), stats.planned);
     }
   }
 }
