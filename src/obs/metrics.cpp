@@ -148,15 +148,6 @@ void HistogramData::clear() {
   max_ = -std::numeric_limits<double>::infinity();
 }
 
-MetricsRegistry::MetricsRegistry()
-    : builtin_counters_(kCounterCount, 0) {
-  builtin_histograms_.reserve(kHistogramCount);
-  for (std::size_t h = 0; h < kHistogramCount; ++h) {
-    builtin_histograms_.emplace_back(
-        bucket_bounds(static_cast<Histogram>(h)));
-  }
-}
-
 void MetricsRegistry::add(Counter counter, std::uint64_t n) {
   builtin_counters_[static_cast<std::size_t>(counter)] += n;
 }
@@ -166,12 +157,27 @@ std::uint64_t MetricsRegistry::value(Counter counter) const {
 }
 
 void MetricsRegistry::observe(Histogram histogram, double value) {
-  builtin_histograms_[static_cast<std::size_t>(histogram)].record(value);
+  HistogramData& data =
+      builtin_histograms_[static_cast<std::size_t>(histogram)];
+  if (data.bounds().empty()) data = HistogramData(bucket_bounds(histogram));
+  data.record(value);
 }
 
 const HistogramData& MetricsRegistry::histogram(
     Histogram histogram) const {
-  return builtin_histograms_[static_cast<std::size_t>(histogram)];
+  const auto h = static_cast<std::size_t>(histogram);
+  if (!builtin_histograms_[h].bounds().empty()) {
+    return builtin_histograms_[h];
+  }
+  // Never observed: an empty histogram with the built-in bounds.
+  static const auto kUnobserved = [] {
+    std::array<HistogramData, kHistogramCount> unobserved;
+    for (std::size_t i = 0; i < kHistogramCount; ++i) {
+      unobserved[i] = HistogramData(bucket_bounds(static_cast<Histogram>(i)));
+    }
+    return unobserved;
+  }();
+  return kUnobserved[h];
 }
 
 void MetricsRegistry::merge(const MetricsRegistry& other) {

@@ -1,12 +1,15 @@
 #include "obs/span.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <deque>
+#include <limits>
 #include <mutex>
 #include <sstream>
+#include <utility>
 
 #include "util/contract.hpp"
 #include "util/table.hpp"
-#include "util/units.hpp"
 
 namespace braidio::obs {
 
@@ -16,6 +19,14 @@ namespace {
 // beyond it count toward series_skipped(). 64Ki buckets at the default
 // 1 s bucket covers ~18 hours of simulated time per key.
 constexpr std::size_t kMaxSeriesBuckets = std::size_t{1} << 16;
+
+// A profile finds a path's slot by a linear scan up to this many paths
+// and through an id -> position index past it. Measured on a Xeon vCPU,
+// a scan beats the hash lookup up to about 8 paths and trails it by
+// under 2 ns at 16, so a sweep point's profile (about ten paths) never
+// builds an index; a scan-only attributed CarrierHub run of 3,000 tags
+// (9,750 paths) took 2.3x as long as the indexed run.
+constexpr std::size_t kLinearScanPaths = 16;
 
 // Span labels may not contain the path separator ('/'), the collapsed-
 // stack frame separator (';'), the collapsed-stack value separator
@@ -52,14 +63,161 @@ std::string number(double v) {
   return os.str();
 }
 
-/// The first two '/'-separated segments of `path` (the whole path when
-/// it has fewer) — the power-series key, typically "exchange/device".
-std::string series_key(const std::string& path) {
-  std::size_t slash = path.find('/');
-  if (slash == std::string::npos) return path;
-  slash = path.find('/', slash + 1);
-  if (slash == std::string::npos) return path;
-  return path.substr(0, slash);
+/// An interned path and the id of its power-series key (its first two
+/// segments, or the whole path when it has fewer).
+struct Interned {
+  PathId id = 0;
+  PathId key = 0;
+};
+
+/// The process-wide, append-only path table. Id 0 is the empty root.
+/// Every access takes the mutex; the thread-local memo below keeps warm
+/// posts away from it. Entries live in a deque, so a path string, once
+/// interned, never moves or changes.
+class PathTable {
+ public:
+  PathTable() {
+    entries_.push_back({std::string(), 0});
+    ids_.emplace(std::string(), 0);
+  }
+
+  /// Intern `path` verbatim.
+  Interned intern(const std::string& path) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return intern_locked(path);
+  }
+
+  /// Intern `<parent's path>/<label, sanitized>` (just the label under
+  /// the root).
+  Interned intern_child(PathId parent, const char* label) {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::string path = entries_[parent].path;
+    if (!path.empty()) path += '/';
+    append_sanitized(path, label);
+    return intern_locked(path);
+  }
+
+  /// Pair every item's path with its position, in path order: exporters
+  /// walk this view, so no export depends on interning order.
+  template <typename Item>
+  std::vector<std::pair<const std::string*, std::size_t>> sorted(
+      const std::vector<Item>& items) {
+    std::vector<std::pair<const std::string*, std::size_t>> view;
+    view.reserve(items.size());
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (std::size_t i = 0; i < items.size(); ++i) {
+        view.emplace_back(&entries_[items[i].id].path, i);
+      }
+    }
+    std::sort(view.begin(), view.end(), [](const auto& a, const auto& b) {
+      return *a.first < *b.first;
+    });
+    return view;
+  }
+
+ private:
+  struct Entry {
+    std::string path;
+    PathId key;
+  };
+
+  Interned intern_locked(const std::string& path) {
+    if (const auto it = ids_.find(path); it != ids_.end()) {
+      return {it->second, entries_[it->second].key};
+    }
+    // The series key is interned first, so `id` below is this path's.
+    const std::size_t first = path.find('/');
+    const std::size_t second =
+        first == std::string::npos ? first : path.find('/', first + 1);
+    const PathId key = second == std::string::npos
+                           ? static_cast<PathId>(entries_.size())
+                           : intern_locked(path.substr(0, second)).id;
+    BRAIDIO_REQUIRE(entries_.size() < std::numeric_limits<PathId>::max(),
+                    "interned_paths", entries_.size());
+    const auto id = static_cast<PathId>(entries_.size());
+    entries_.push_back({path, key});
+    ids_.emplace(path, id);
+    return {id, key};
+  }
+
+  std::mutex mu_;
+  std::deque<Entry> entries_;
+  std::unordered_map<std::string, PathId> ids_;
+};
+
+PathTable& path_table() {
+  static PathTable table;
+  return table;
+}
+
+/// The current thread's memo of (parent id, raw label) -> child path.
+/// The key is the parent id's bytes followed by the label; `probe` is
+/// reused so a warm lookup allocates nothing.
+struct ChildMemo {
+  std::unordered_map<std::string, Interned> children;
+  std::string probe;
+};
+
+thread_local ChildMemo t_memo;
+
+Interned child_of(PathId parent, const char* label) {
+  ChildMemo& memo = t_memo;
+  memo.probe.assign(reinterpret_cast<const char*>(&parent), sizeof parent);
+  memo.probe += label;
+  if (const auto it = memo.children.find(memo.probe);
+      it != memo.children.end()) {
+    return it->second;
+  }
+  const Interned child = path_table().intern_child(parent, label);
+  memo.children.emplace(memo.probe, child);
+  return child;
+}
+
+/// The item with path id `id` in a profile's flat storage, appended
+/// (zero-valued) when absent.
+template <typename Item>
+Item& find_or_add(std::vector<Item>& items,
+                  std::unordered_map<PathId, std::uint32_t>& index,
+                  PathId id) {
+  if (index.empty()) {
+    for (Item& item : items) {
+      if (item.id == id) return item;
+    }
+  } else if (const auto it = index.find(id); it != index.end()) {
+    return items[it->second];
+  }
+  if (items.empty()) items.reserve(kLinearScanPaths);
+  items.push_back(Item{id, {}});
+  if (items.size() > kLinearScanPaths) {
+    for (std::size_t i = index.size(); i < items.size(); ++i) {
+      index.emplace(items[i].id, static_cast<std::uint32_t>(i));
+    }
+  }
+  return items.back();
+}
+
+/// One node of the tree_report trie: its rolled-up joules and its
+/// children by segment name (so siblings print in sorted order).
+struct TreeNode {
+  double joules = 0.0;
+  std::map<std::string, std::size_t> children;
+};
+
+void print_subtree(std::ostringstream& os,
+                   const std::vector<TreeNode>& nodes, std::size_t node,
+                   std::size_t depth, double total) {
+  for (const auto& [name, child] : nodes[node].children) {
+    const double joules = nodes[child].joules;
+    const double share = total > 0.0 ? joules / total : 0.0;
+    os << std::string(2 * (depth + 1), ' ') << name << "  "
+       << util::format_engineering(joules, 4) << "J";
+    std::ostringstream pct;
+    pct.precision(1);
+    pct << std::fixed << 100.0 * share;
+    os << "  " << pct.str() << "%\n";
+    print_subtree(os, nodes, child, depth + 1, total);
+  }
 }
 
 }  // namespace
@@ -67,16 +225,24 @@ std::string series_key(const std::string& path) {
 void EnergyProfile::post(const std::string& path, double joules,
                          double sim_time_s) {
   BRAIDIO_REQUIRE(!path.empty(), "path_length", path.size());
+  const Interned interned = path_table().intern(path);
+  post_interned(interned.id, interned.key, joules, sim_time_s);
+}
+
+void EnergyProfile::post_interned(PathId id, PathId key, double joules,
+                                  double sim_time_s) {
+  BRAIDIO_REQUIRE(id != 0, "path_id", id);
   BRAIDIO_REQUIRE(std::isfinite(joules) && joules >= 0.0, "joules",
                   joules);
-  Slot& slot = entries_[path];
+  Slot& slot = find_or_add(leaves_, leaf_index_, id).slot;
   slot.joules += joules;
   slot.posts += 1;
   if (std::isfinite(sim_time_s) && sim_time_s >= 0.0) {
     const auto bucket = static_cast<std::size_t>(
         sim_time_s / bucket_seconds_);
     if (bucket < kMaxSeriesBuckets) {
-      std::vector<double>& track = series_[series_key(path)];
+      std::vector<double>& track =
+          find_or_add(series_, series_index_, key).buckets;
       if (track.size() <= bucket) track.resize(bucket + 1, 0.0);
       track[bucket] += joules;
     } else {
@@ -87,37 +253,60 @@ void EnergyProfile::post(const std::string& path, double joules,
 
 double EnergyProfile::total_joules() const {
   double total = 0.0;
-  for (const auto& [path, slot] : entries_) total += slot.joules;
+  for (const auto& [path, i] : path_table().sorted(leaves_)) {
+    total += leaves_[i].slot.joules;
+  }
   return total;
 }
 
 std::uint64_t EnergyProfile::total_posts() const {
   std::uint64_t total = 0;
-  for (const auto& [path, slot] : entries_) total += slot.posts;
+  for (const Leaf& leaf : leaves_) total += leaf.slot.posts;
   return total;
 }
 
+std::map<std::string, EnergyProfile::Slot> EnergyProfile::entries() const {
+  std::map<std::string, Slot> out;
+  for (const auto& [path, i] : path_table().sorted(leaves_)) {
+    out.emplace_hint(out.end(), *path, leaves_[i].slot);
+  }
+  return out;
+}
+
+std::map<std::string, std::vector<double>> EnergyProfile::series() const {
+  std::map<std::string, std::vector<double>> out;
+  for (const auto& [key, i] : path_table().sorted(series_)) {
+    out.emplace_hint(out.end(), *key, series_[i].buckets);
+  }
+  return out;
+}
+
 void EnergyProfile::set_bucket_seconds(double seconds) {
-  BRAIDIO_REQUIRE(empty(), "entries", entries_.size());
+  BRAIDIO_REQUIRE(empty(), "entries", leaves_.size());
   BRAIDIO_REQUIRE(std::isfinite(seconds) && seconds > 0.0,
                   "bucket_seconds", seconds);
   bucket_seconds_ = seconds;
 }
 
 void EnergyProfile::merge(const EnergyProfile& other) {
-  if (other.entries_.empty() && other.series_skipped_ == 0) return;
+  if (other.leaves_.empty() && other.series_skipped_ == 0) return;
   BRAIDIO_REQUIRE(bucket_seconds_ == other.bucket_seconds_,
                   "bucket_seconds", bucket_seconds_, "other",
                   other.bucket_seconds_);
-  for (const auto& [path, slot] : other.entries_) {
-    Slot& mine = entries_[path];
-    mine.joules += slot.joules;
-    mine.posts += slot.posts;
+  for (const Leaf& leaf : other.leaves_) {
+    Slot& mine = find_or_add(leaves_, leaf_index_, leaf.id).slot;
+    mine.joules += leaf.slot.joules;
+    mine.posts += leaf.slot.posts;
   }
-  for (const auto& [key, track] : other.series_) {
-    std::vector<double>& mine = series_[key];
-    if (mine.size() < track.size()) mine.resize(track.size(), 0.0);
-    for (std::size_t b = 0; b < track.size(); ++b) mine[b] += track[b];
+  for (const Track& track : other.series_) {
+    std::vector<double>& mine =
+        find_or_add(series_, series_index_, track.id).buckets;
+    if (mine.size() < track.buckets.size()) {
+      mine.resize(track.buckets.size(), 0.0);
+    }
+    for (std::size_t b = 0; b < track.buckets.size(); ++b) {
+      mine[b] += track.buckets[b];
+    }
   }
   series_skipped_ += other.series_skipped_;
 }
@@ -125,24 +314,29 @@ void EnergyProfile::merge(const EnergyProfile& other) {
 void EnergyProfile::clear() { *this = EnergyProfile(); }
 
 std::string EnergyProfile::to_json() const {
+  const auto leaves = path_table().sorted(leaves_);
+  double total = 0.0;
+  for (const auto& [path, i] : leaves) total += leaves_[i].slot.joules;
   std::ostringstream os;
   os << "{\n  \"schema\": \"braidio-energy-profile/v1\",\n"
      << "  \"bucket_seconds\": " << number(bucket_seconds_) << ",\n"
-     << "  \"total_joules\": " << number(total_joules()) << ",\n"
+     << "  \"total_joules\": " << number(total) << ",\n"
      << "  \"total_posts\": " << total_posts() << ",\n"
      << "  \"series_skipped\": " << series_skipped_ << ",\n"
      << "  \"attributions\": [";
   bool first = true;
-  for (const auto& [path, slot] : entries_) {
+  for (const auto& [path, i] : leaves) {
+    const Slot& slot = leaves_[i].slot;
     os << (first ? "" : ",") << "\n    {\"path\": \""
-       << json_escape(path) << "\", \"joules\": " << number(slot.joules)
+       << json_escape(*path) << "\", \"joules\": " << number(slot.joules)
        << ", \"posts\": " << slot.posts << "}";
     first = false;
   }
   os << (first ? "" : "\n  ") << "],\n  \"series\": {";
   first = true;
-  for (const auto& [key, track] : series_) {
-    os << (first ? "" : ",") << "\n    \"" << json_escape(key)
+  for (const auto& [key, i] : path_table().sorted(series_)) {
+    const std::vector<double>& track = series_[i].buckets;
+    os << (first ? "" : ",") << "\n    \"" << json_escape(*key)
        << "\": [";
     for (std::size_t b = 0; b < track.size(); ++b) {
       os << (b ? ", " : "") << number(track[b]);
@@ -156,8 +350,8 @@ std::string EnergyProfile::to_json() const {
 
 std::string EnergyProfile::to_collapsed_stack() const {
   std::string out;
-  for (const auto& [path, slot] : entries_) {
-    std::string line = path;
+  for (const auto& [path, i] : path_table().sorted(leaves_)) {
+    std::string line = *path;
     for (char& c : line) {
       if (c == '/') c = ';';
     }
@@ -166,7 +360,7 @@ std::string EnergyProfile::to_collapsed_stack() const {
     // Flame-graph counts are integers; nanojoules keep sub-microjoule
     // attributions visible without losing conservation past ~0.5 nJ
     // per path.
-    out += std::to_string(std::llround(slot.joules * 1e9));
+    out += std::to_string(std::llround(leaves_[i].slot.joules * 1e9));
     out += '\n';
   }
   return out;
@@ -176,10 +370,11 @@ std::string EnergyProfile::to_chrome_counters() const {
   std::ostringstream os;
   os << "{\n\"traceEvents\": [";
   bool first = true;
-  for (const auto& [key, track] : series_) {
+  for (const auto& [key, i] : path_table().sorted(series_)) {
+    const std::vector<double>& track = series_[i].buckets;
     for (std::size_t b = 0; b < track.size(); ++b) {
       os << (first ? "" : ",") << "\n"
-         << "{\"name\": \"power:" << json_escape(key)
+         << "{\"name\": \"power:" << json_escape(*key)
          << "\", \"ph\": \"C\", \"pid\": 0, \"tid\": 0, \"ts\": "
          << number(static_cast<double>(b) * bucket_seconds_ * 1e6)
          << ", \"args\": {\"w\": "
@@ -193,61 +388,34 @@ std::string EnergyProfile::to_chrome_counters() const {
 }
 
 std::string EnergyProfile::tree_report() const {
-  // Roll leaf totals up into every ancestor prefix. std::map keeps the
-  // prefixes in DFS order because a path always sorts right after its
-  // own prefix.
-  std::map<std::string, Slot> nodes;
-  for (const auto& [path, slot] : entries_) {
+  // Roll leaf totals up a trie of path segments, visiting leaves in path
+  // order (the summation order of total_joules), then print it parent
+  // to child with siblings in sorted order.
+  std::vector<TreeNode> nodes(1);  // nodes[0] is the root
+  double total = 0.0;
+  for (const auto& [path, i] : path_table().sorted(leaves_)) {
+    const double joules = leaves_[i].slot.joules;
+    total += joules;
+    std::size_t node = 0;
     std::size_t from = 0;
     while (true) {
-      const std::size_t slash = path.find('/', from);
-      const std::string prefix =
-          path.substr(0, slash == std::string::npos ? path.size()
-                                                    : slash);
-      Slot& node = nodes[prefix];
-      node.joules += slot.joules;
-      if (slash == std::string::npos) {
-        node.posts += slot.posts;
-        break;
-      }
+      const std::size_t slash = path->find('/', from);
+      const auto [it, added] = nodes[node].children.try_emplace(
+          path->substr(from, slash == std::string::npos ? slash
+                                                        : slash - from),
+          nodes.size());
+      node = it->second;
+      if (added) nodes.emplace_back();
+      nodes[node].joules += joules;
+      if (slash == std::string::npos) break;
       from = slash + 1;
     }
   }
-  const double total = total_joules();
   std::ostringstream os;
   os << "energy attribution: " << util::format_engineering(total, 4)
      << "J over " << total_posts() << " posts\n";
-  for (const auto& [prefix, node] : nodes) {
-    std::size_t depth = 0;
-    for (char c : prefix) {
-      if (c == '/') ++depth;
-    }
-    const std::size_t last = prefix.rfind('/');
-    const std::string name =
-        last == std::string::npos ? prefix : prefix.substr(last + 1);
-    const double share = total > 0.0 ? node.joules / total : 0.0;
-    os << std::string(2 * (depth + 1), ' ') << name << "  "
-       << util::format_engineering(node.joules, 4) << "J";
-    std::ostringstream pct;
-    pct.precision(1);
-    pct << std::fixed << 100.0 * share;
-    os << "  " << pct.str() << "%\n";
-  }
+  print_subtree(os, nodes, 0, 0, total);
   return os.str();
-}
-
-util::TablePrinter EnergyProfile::to_table() const {
-  util::TablePrinter table({"path", "joules", "posts", "share"});
-  const double total = total_joules();
-  for (const auto& [path, slot] : entries_) {
-    std::ostringstream pct;
-    pct.precision(1);
-    pct << std::fixed
-        << (total > 0.0 ? 100.0 * slot.joules / total : 0.0) << "%";
-    table.add_row({path, util::format_engineering(slot.joules, 4),
-                   std::to_string(slot.posts), pct.str()});
-  }
-  return table;
 }
 
 // ---------------------------------------------------------------------
@@ -260,17 +428,14 @@ std::atomic<bool> g_attribution_enabled{false};
 
 namespace {
 
-// The current thread's span path, kept pre-joined so a post is a single
-// string concatenation: push appends "/label", pop truncates back to
-// the recorded length.
-struct SpanStack {
-  std::string prefix;
-  std::vector<std::size_t> lengths;
-};
-
-thread_local SpanStack t_spans;
+// The current thread's open spans, innermost last: each frame is the
+// interned path of the spans so far, so a post only interns its category
+// under the top frame.
+thread_local std::vector<PathId> t_spans;
 
 thread_local EnergyProfile* t_profile = nullptr;
+
+PathId top_span() { return t_spans.empty() ? 0 : t_spans.back(); }
 
 std::mutex& global_mu() {
   static std::mutex mu;
@@ -310,31 +475,23 @@ void reset_global_energy_profile() {
 namespace detail {
 
 void push_span(const char* label) {
-  SpanStack& spans = t_spans;
-  spans.lengths.push_back(spans.prefix.size());
-  if (!spans.prefix.empty()) spans.prefix += '/';
-  append_sanitized(spans.prefix, label);
+  t_spans.push_back(child_of(top_span(), label).id);
 }
 
 void pop_span() {
-  SpanStack& spans = t_spans;
-  BRAIDIO_REQUIRE(!spans.lengths.empty(), "span_depth",
-                  spans.lengths.size());
-  spans.prefix.resize(spans.lengths.back());
-  spans.lengths.pop_back();
+  BRAIDIO_REQUIRE(!t_spans.empty(), "span_depth", t_spans.size());
+  t_spans.pop_back();
 }
 
 void post_energy_slow(const char* category, double joules,
                       double sim_time_s) {
-  std::string path = t_spans.prefix;
-  if (!path.empty()) path += '/';
-  append_sanitized(path, category);
+  const Interned leaf = child_of(top_span(), category);
   if (EnergyProfile* p = t_profile) {
-    p->post(path, joules, sim_time_s);
+    p->post_interned(leaf.id, leaf.key, joules, sim_time_s);
     return;
   }
   std::lock_guard<std::mutex> lock(global_mu());
-  global_profile().post(path, joules, sim_time_s);
+  global_profile().post_interned(leaf.id, leaf.key, joules, sim_time_s);
 }
 
 }  // namespace detail

@@ -10,15 +10,24 @@
 //   ledger.charge(EnergyCategory::ActiveTx, util::Joules(j),
 //                 util::Seconds(t));                       // tagged
 //
-// Every EnergyLedger::charge forwards to obs::post_energy, which appends
-// the category name to the current thread's span path and records
-// (path -> joules, posts) into an EnergyProfile, plus a time-bucketed
-// power-draw series keyed by the top of the path (typically
+// Every EnergyLedger::charge forwards to obs::post_energy, which records
+// (path -> joules, posts) into an EnergyProfile under the current
+// thread's span path plus the category name, plus a time-bucketed
+// power-draw series keyed by the path's first two segments (typically
 // "exchange/device"). The canonical span grammar is
 //
 //   exchange / [phase /] device / <mode>:<role> / <category>
 //
 // e.g. "braid/data/device1/active@1M:tx/active-tx" (DESIGN.md section 12).
+//
+// Paths are interned: a process-wide, append-only table gives every
+// sanitized path an id, and a thread-local memo maps (parent id, raw
+// label) to the child's id, so a label is sanitized only when a thread
+// first meets it under that parent, and a warm push or post takes no
+// lock and builds no string. A profile
+// stores its slots and series tracks by id, in flat storage sized by the
+// paths it has posted; exporters resolve ids and sort by path at export
+// time, so no export depends on the order paths were first seen.
 //
 // Determinism follows the metrics discipline exactly: a profile is a
 // plain value owned by one thread; SweepRunner installs a per-point
@@ -26,25 +35,33 @@
 // merged profile is byte-identical for any thread count. Outside a scope,
 // posts land in a mutex-guarded process-global profile.
 //
-// Costs: attribution is OFF by default (set_attribution_enabled) because
-// a post builds a path string. Disabled cost is one relaxed atomic load
-// per charge; with BRAIDIO_OBS=0 the macro and the hook compile to
-// nothing.
+// Costs: attribution is OFF by default (set_attribution_enabled). When
+// on, a post is a memo lookup plus a slot update. Disabled cost is one
+// relaxed atomic load per charge; with BRAIDIO_OBS=0 the macro and the
+// hook compile to nothing.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/obs_config.hpp"
 
-namespace braidio::util {
-class TablePrinter;
-}  // namespace braidio::util
-
 namespace braidio::obs {
+
+/// Id of an interned attribution path (0 is the empty root path).
+using PathId = std::uint32_t;
+
+namespace detail {
+extern std::atomic<bool> g_attribution_enabled;
+void post_energy_slow(const char* category, double joules,
+                      double sim_time_s);
+void push_span(const char* label);
+void pop_span();
+}  // namespace detail
 
 /// Attributed energy totals plus per-key time-bucketed power series.
 /// Value semantics, single-thread-owned (see file comment).
@@ -63,17 +80,17 @@ class EnergyProfile {
   /// the series but still counts toward the totals.
   void post(const std::string& path, double joules, double sim_time_s);
 
-  bool empty() const { return entries_.empty(); }
+  bool empty() const { return leaves_.empty(); }
   double total_joules() const;
   std::uint64_t total_posts() const;
 
-  /// Leaf attribution slots keyed by full path, in sorted path order.
-  const std::map<std::string, Slot>& entries() const { return entries_; }
+  /// Leaf attribution slots keyed by full path, in sorted path order
+  /// (built on each call).
+  std::map<std::string, Slot> entries() const;
 
-  /// Joules per time bucket, keyed by the first two path segments.
-  const std::map<std::string, std::vector<double>>& series() const {
-    return series_;
-  }
+  /// Joules per time bucket, keyed by the first two path segments
+  /// (built on each call).
+  std::map<std::string, std::vector<double>> series() const;
   double bucket_seconds() const { return bucket_seconds_; }
   /// Only legal while the profile is empty; bucket must be positive.
   void set_bucket_seconds(double seconds);
@@ -102,12 +119,29 @@ class EnergyProfile {
   /// `braidio_cli profile` and RunReport.
   std::string tree_report() const;
 
-  /// Flat table of attribution paths (path, joules, posts, share).
-  util::TablePrinter to_table() const;
-
  private:
-  std::map<std::string, Slot> entries_;
-  std::map<std::string, std::vector<double>> series_;
+  friend void detail::post_energy_slow(const char* category, double joules,
+                                       double sim_time_s);
+
+  struct Leaf {
+    PathId id = 0;
+    Slot slot;
+  };
+  struct Track {
+    PathId id = 0;  // the series key's path
+    std::vector<double> buckets;
+  };
+
+  /// post() by interned path id; `key` is the id of its series key.
+  void post_interned(PathId id, PathId key, double joules,
+                     double sim_time_s);
+
+  // Flat storage in first-posted order. Small profiles find a path by a
+  // linear scan; past a threshold the index maps path id -> position.
+  std::vector<Leaf> leaves_;
+  std::unordered_map<PathId, std::uint32_t> leaf_index_;
+  std::vector<Track> series_;
+  std::unordered_map<PathId, std::uint32_t> series_index_;
   double bucket_seconds_ = 1.0;
   std::uint64_t series_skipped_ = 0;
 };
@@ -116,16 +150,8 @@ class EnergyProfile {
 // Runtime gate, span stack, and hook entry points.
 // ---------------------------------------------------------------------
 
-namespace detail {
-extern std::atomic<bool> g_attribution_enabled;
-void post_energy_slow(const char* category, double joules,
-                      double sim_time_s);
-void push_span(const char* label);
-void pop_span();
-}  // namespace detail
-
-/// Master runtime gate for energy attribution (default OFF; posts build
-/// path strings). Always false when BRAIDIO_OBS is compiled out.
+/// Master runtime gate for energy attribution (default OFF). Always
+/// false when BRAIDIO_OBS is compiled out.
 inline bool attribution_enabled() {
 #if BRAIDIO_OBS_COMPILED
   return detail::g_attribution_enabled.load(std::memory_order_relaxed);

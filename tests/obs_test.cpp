@@ -14,7 +14,10 @@
 #include "gtest/gtest.h"
 #include "backends/backends.hpp"
 #include "core/braided_link.hpp"
+#include "core/carrier_hub.hpp"
+#include "core/lifetime_sim.hpp"
 #include "core/mobility_sim.hpp"
+#include "energy/device_catalog.hpp"
 #include "energy/ledger.hpp"
 #include "hal/radio.hpp"
 #include "obs/event.hpp"
@@ -29,6 +32,7 @@
 #include "sim/result_table.hpp"
 #include "sim/scenario.hpp"
 #include "sim/sweep_runner.hpp"
+#include "util/table.hpp"
 
 namespace {
 
@@ -556,7 +560,7 @@ TEST(EnergyProfile, PostsAccumulateAndFeedTheSeries) {
   EXPECT_EQ(p.entries().at("braid/device1/active-tx").posts, 2u);
   // The series key is the first two path segments; NaN sim time counts
   // toward the totals but never the series.
-  const auto& series = p.series().at("braid/device1");
+  const auto series = p.series().at("braid/device1");
   ASSERT_EQ(series.size(), 2u);
   EXPECT_DOUBLE_EQ(series[0], 1.0);
   EXPECT_DOUBLE_EQ(series[1], 2.0);
@@ -572,7 +576,7 @@ TEST(EnergyProfile, MergeAddsSlotWiseAndSeriesElementWise) {
   a.merge(b);
   EXPECT_DOUBLE_EQ(a.total_joules(), 7.0);
   EXPECT_DOUBLE_EQ(a.entries().at("x/y/c1").joules, 3.0);
-  const auto& series = a.series().at("x/y");
+  const auto series = a.series().at("x/y");
   ASSERT_EQ(series.size(), 3u);
   EXPECT_DOUBLE_EQ(series[0], 3.0);
   EXPECT_DOUBLE_EQ(series[2], 4.0);
@@ -619,6 +623,21 @@ TEST(EnergyProfileDeathTest, RejectsBadPostsAndMismatchedMerge) {
   obs::EnergyProfile p;
   EXPECT_DEATH(p.post("", 1.0, 0.0), "REQUIRE");
   EXPECT_DEATH(p.post("a/b", -1.0, 0.0), "REQUIRE");
+  EXPECT_DEATH(p.post("a/b", std::numeric_limits<double>::quiet_NaN(), 0.0),
+               "REQUIRE");
+  EXPECT_DEATH(p.set_bucket_seconds(0.0), "REQUIRE");
+  p.post("a/b", 1.0, 0.0);
+  EXPECT_DEATH(p.set_bucket_seconds(2.0), "REQUIRE");
+  EXPECT_DEATH(obs::detail::pop_span(), "REQUIRE");
+#if BRAIDIO_OBS_COMPILED
+  // A hook post with no open span resolves to the root path.
+  EXPECT_DEATH(
+      {
+        obs::set_attribution_enabled(true);
+        obs::post_energy("", 1.0, obs::no_sim_time());
+      },
+      "REQUIRE");
+#endif  // BRAIDIO_OBS_COMPILED
   obs::EnergyProfile narrow, wide;
   narrow.set_bucket_seconds(0.5);
   narrow.post("a/b/c", 1.0, 0.0);
@@ -627,6 +646,133 @@ TEST(EnergyProfileDeathTest, RejectsBadPostsAndMismatchedMerge) {
 #else
   GTEST_SKIP() << "contracts disabled";
 #endif
+}
+
+/// The '/'-joined path of every tree_report line, rebuilt from its
+/// indentation (two spaces per level below the header line).
+std::vector<std::string> tree_report_paths(const std::string& report) {
+  std::vector<std::string> paths;
+  std::vector<std::string> stack;
+  std::size_t pos = report.find('\n') + 1;  // skip the header
+  while (pos < report.size()) {
+    const std::size_t eol = report.find('\n', pos);
+    const std::string line = report.substr(pos, eol - pos);
+    pos = eol + 1;
+    const std::size_t indent = line.find_first_not_of(' ');
+    const std::size_t depth = indent / 2 - 1;
+    const std::string name = line.substr(indent, line.find("  ", indent) -
+                                                     indent);
+    stack.resize(depth);
+    stack.push_back(name);
+    std::string path;
+    for (const auto& segment : stack) {
+      path += (path.empty() ? "" : "/") + segment;
+    }
+    paths.push_back(path);
+  }
+  return paths;
+}
+
+// A sibling label that extends another with a character sorting below
+// '/' ("data" vs "data-retry") must not capture the other's children.
+TEST(EnergyProfile, TreeReportNestsUnderTheRightParent) {
+  obs::EnergyProfile p;
+  p.post("braid/data/device1/active-tx", 1.0, obs::no_sim_time());
+  p.post("braid/data-retry/device2/passive-rx", 2.0, obs::no_sim_time());
+  const std::vector<std::string> expected{
+      "braid",
+      "braid/data",
+      "braid/data/device1",
+      "braid/data/device1/active-tx",
+      "braid/data-retry",
+      "braid/data-retry/device2",
+      "braid/data-retry/device2/passive-rx"};
+  EXPECT_EQ(tree_report_paths(p.tree_report()), expected)
+      << p.tree_report();
+}
+
+// Exports sort by path, whatever order the paths were first seen in.
+TEST(EnergyProfile, ExportsListPathsInPathOrderNotFirstSeenOrder) {
+  const std::vector<std::string> reversed{
+      "order_probe/zeta/rx", "order_probe/mid/tx", "order_probe/alpha/tx",
+      "order_probe/alpha"};
+  obs::EnergyProfile p;
+  double joules = 1.0;
+  for (const auto& path : reversed) {
+    p.post(path, joules, obs::no_sim_time());
+    joules *= 2.0;
+  }
+  EXPECT_DOUBLE_EQ(p.total_joules(), 15.0);
+  EXPECT_EQ(p.total_posts(), 4u);
+
+  const auto doc = parse_json(p.to_json());
+  const auto& attributions = doc.at("attributions").array;
+  ASSERT_EQ(attributions.size(), 4u);
+  const std::vector<std::string> sorted{
+      "order_probe/alpha", "order_probe/alpha/tx", "order_probe/mid/tx",
+      "order_probe/zeta/rx"};
+  const std::vector<double> sorted_joules{8.0, 4.0, 2.0, 1.0};
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    EXPECT_EQ(attributions[i].at("path").string, sorted[i]);
+    EXPECT_EQ(attributions[i].at("joules").number, sorted_joules[i]);
+  }
+  EXPECT_EQ(doc.at("total_joules").number, 15.0);
+
+  EXPECT_EQ(p.to_collapsed_stack(),
+            "order_probe;alpha 8000000000\n"
+            "order_probe;alpha;tx 4000000000\n"
+            "order_probe;mid;tx 2000000000\n"
+            "order_probe;zeta;rx 1000000000\n");
+  const std::vector<std::string> tree{
+      "order_probe",        "order_probe/alpha",  "order_probe/alpha/tx",
+      "order_probe/mid",    "order_probe/mid/tx", "order_probe/zeta",
+      "order_probe/zeta/rx"};
+  EXPECT_EQ(tree_report_paths(p.tree_report()), tree) << p.tree_report();
+}
+
+// A profile with thousands of paths (a hub run with one span per tag)
+// posts, merges and exports exactly and in path order.
+TEST(EnergyProfile, TenThousandPathsMergeAndExportExactly) {
+  constexpr std::size_t kTags = 10000;
+  obs::EnergyProfile tags;
+  for (std::size_t i = 0; i < kTags; ++i) {
+    const std::string path =
+        "hub/tag" + std::to_string(i) + "/carrier";
+    tags.post(path, 0.5, obs::no_sim_time());
+    tags.post(path, 0.25 * static_cast<double>(i % 4), obs::no_sim_time());
+  }
+  obs::EnergyProfile merged;
+  merged.post("hub/tag0/carrier", 1.0, obs::no_sim_time());
+  merged.merge(tags);
+  merged.merge(tags);
+
+  const auto entries = merged.entries();
+  ASSERT_EQ(entries.size(), kTags);
+  std::string previous;
+  for (const auto& [path, slot] : entries) {
+    EXPECT_LT(previous, path);
+    previous = path;
+  }
+  for (std::size_t i = 0; i < kTags; ++i) {
+    const auto& slot =
+        entries.at("hub/tag" + std::to_string(i) + "/carrier");
+    const double expected =
+        (i == 0 ? 1.0 : 0.0) + 2.0 * (0.5 + 0.25 * static_cast<double>(i % 4));
+    EXPECT_EQ(slot.joules, expected) << i;
+    EXPECT_EQ(slot.posts, i == 0 ? 5u : 4u) << i;
+  }
+  // 10,000 tags x 2 merges x (0.5 + mean 0.375 J) + the extra joule,
+  // every term a multiple of 0.25 J, so the sum is exact.
+  EXPECT_EQ(merged.total_joules(), 17501.0);
+  EXPECT_EQ(merged.total_posts(), 4 * kTags + 1);
+
+  const auto doc = parse_json(merged.to_json());
+  const auto& attributions = doc.at("attributions").array;
+  ASSERT_EQ(attributions.size(), kTags);
+  for (std::size_t i = 1; i < attributions.size(); ++i) {
+    EXPECT_LT(attributions[i - 1].at("path").string,
+              attributions[i].at("path").string);
+  }
 }
 
 #if BRAIDIO_OBS_COMPILED
@@ -813,6 +959,144 @@ TEST(BenchTelemetry, RoundTripsThroughJsonWithTopAttributions) {
       parse_json(telemetry.to_json())
           .at("delivered_bits_per_joule").number,
       42.5);
+}
+
+// 64-bit FNV-1a: pins an export's exact bytes in one constant.
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+/// Digests of a profile's four exports, in the order to_json,
+/// to_collapsed_stack, to_chrome_counters, tree_report.
+std::vector<std::uint64_t> export_digests(const obs::EnergyProfile& p) {
+  return {fnv1a(p.to_json()), fnv1a(p.to_collapsed_stack()),
+          fnv1a(p.to_chrome_counters()), fnv1a(p.tree_report())};
+}
+
+/// A small Fig. 15-18 sweep: {uni, bi} x 6 distances x 3 x 3 catalog
+/// devices, each point evaluated as the figure benches do.
+sim::Scenario fluid_digest_scenario(const core::LifetimeSimulator& model) {
+  const auto& catalog = energy::device_catalog();
+  const std::vector<std::size_t> devices{0, 4, 9};
+  std::vector<std::string> names;
+  for (const std::size_t d : devices) names.push_back(catalog[d].name);
+  const std::vector<double> distances{0.3, 0.5, 1.0, 2.0, 4.0, 5.5};
+  std::vector<sim::Axis> axes{{"pattern", {"uni", "bi"}},
+                              sim::Axis::numeric("d [m]", distances, 1),
+                              {"RX", names},
+                              {"TX", names}};
+  return sim::Scenario(
+      "obs_fluid_digest", std::move(axes),
+      {"gain_vs_bt", "gain_vs_best", "bits"},
+      [&model, &catalog, devices, distances](sim::SweepPoint& p) {
+        const auto& rx = catalog[devices[p.axis_index(2)]];
+        const auto& tx = catalog[devices[p.axis_index(3)]];
+        core::LifetimeConfig config;
+        config.bidirectional = p.axis_index(0) == 1;
+        config.distance_m = distances[p.axis_index(1)];
+        const double e1 =
+            util::to_joules(util::WattHours(tx.battery_wh)).value();
+        const double e2 =
+            util::to_joules(util::WattHours(rx.battery_wh)).value();
+        const double vs_bt = model.gain_vs_bluetooth(tx, rx, config);
+        const double vs_best = model.gain_vs_best_mode(tx, rx, config);
+        const double bits =
+            model.braidio(util::Joules(e1), util::Joules(e2), config).bits;
+        sim::RunRecord record;
+        record.cells = {util::format_engineering(vs_bt, 3),
+                        util::format_engineering(vs_best, 3),
+                        util::format_engineering(bits, 4)};
+        record.numbers = {vs_bt, vs_best, bits};
+        return record;
+      });
+}
+
+// The attribution exports are a byte-for-byte contract: these digests
+// were recorded before path interning, and a change to how posts are
+// stored, merged or sorted must leave every one of them unchanged.
+TEST(EnergyAttribution, ExportsMatchRecordedDigests) {
+  obs::set_attribution_enabled(true);
+
+  // 1. A two-thread fluid sweep, plus its merged metrics and the bench
+  // record (wall-time fields zeroed).
+  const core::LifetimeSimulator model(backends::braidio_backend());
+  sim::SweepOptions options;
+  options.threads = 2;
+  options.seed = 1;
+  const auto table =
+      sim::SweepRunner(options).run(fluid_digest_scenario(model));
+  std::vector<std::uint64_t> sweep = export_digests(table.energy_profile());
+  sweep.push_back(fnv1a(table.metrics_registry().to_json()));
+  auto telemetry = sim::BenchTelemetry::from_table("obs_digest", table);
+  telemetry.wall_seconds = 0.0;
+  telemetry.points_per_second = 0.0;
+  sweep.push_back(fnv1a(telemetry.to_json()));
+
+  // 2. The faulted braid (sim-time series and the arq-* scopes).
+  const hal::RadioBackend& backend = backends::braidio_backend();
+  obs::EnergyProfile braid;
+  {
+    core::RegimeMap regimes(backend);
+    hal::StandardRadio device1("device1", 1, util::WattHours(0.01),
+                               backend.caps());
+    hal::StandardRadio device2("device2", 2, util::WattHours(0.01),
+                               backend.caps());
+    const auto timeline = sim::faults::FaultTimeline::periodic_bursts(
+        sim::faults::FaultKind::FadeBurst, 3, 0.02, 0.2, 0.05, 14.0);
+    const sim::faults::ImpairmentSchedule schedule(timeline);
+    core::BraidedLinkConfig cfg;
+    cfg.distance_m = 0.5;
+    cfg.impairments = &schedule;
+    core::BraidedLink link(device1, device2, regimes, cfg);
+    obs::ScopedEnergyProfile scoped(&braid);
+    link.run(512);
+  }
+
+  // 3. The mobility walk.
+  obs::EnergyProfile walk;
+  {
+    core::MobilitySimulator sim(backend);
+    const auto trace = core::MobilityTrace::random_walk(
+        0.3, 3.0, 1.4, util::Seconds(120.0), 7);
+    obs::ScopedEnergyProfile scoped(&walk);
+    sim.run(trace, core::MobilitySimConfig{});
+  }
+
+  // 4. A carrier hub: one span per tag.
+  obs::EnergyProfile hub;
+  {
+    core::CarrierHub carrier(backend, {},
+                             {{"door", 0.5, 0.6, 0.0, 24},
+                              {"window", 0.5, 1.2, 0.0, 24},
+                              {"motion", 0.5, 2.0, 0.0, 24},
+                              {"gate.far", 0.5, 4.5, 0.0, 24}});
+    obs::ScopedEnergyProfile scoped(&hub);
+    carrier.run(12);
+  }
+  obs::set_attribution_enabled(false);
+
+  const std::vector<std::uint64_t> recorded_sweep{
+      13222987259705838423ull, 4014801663040455794ull,
+      18381144563968767035ull, 15926050751476493608ull,
+      4715811358129215630ull,  2940708176312076360ull};
+  const std::vector<std::uint64_t> recorded_braid{
+      2502613027197378186ull, 14649212783078332664ull,
+      13529555888893012509ull, 10346988870794409370ull};
+  const std::vector<std::uint64_t> recorded_walk{
+      18001981544205009763ull, 11699925277941656785ull,
+      14860067532380731964ull, 1281087403663004770ull};
+  const std::vector<std::uint64_t> recorded_hub{
+      13401405157969889805ull, 5531674049099648571ull,
+      11486944419840699349ull, 2347643707590874786ull};
+  EXPECT_EQ(sweep, recorded_sweep);
+  EXPECT_EQ(export_digests(braid), recorded_braid);
+  EXPECT_EQ(export_digests(walk), recorded_walk);
+  EXPECT_EQ(export_digests(hub), recorded_hub);
 }
 
 #endif  // BRAIDIO_OBS_COMPILED
