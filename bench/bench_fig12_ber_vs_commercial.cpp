@@ -1,7 +1,7 @@
 // Figure 12: bit error rate vs distance for Braidio and the AS3993
 // commercial reader, both at 100 kbps backscatter. The Monte-Carlo
-// waveform column is the expensive part, so the distance sweep runs on the
-// sim engine's thread pool (output independent of --threads).
+// waveform column is the expensive part, so the distance sweep runs in
+// parallel on the sim engine (output independent of --threads).
 #include <iostream>
 #include <vector>
 

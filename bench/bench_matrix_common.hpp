@@ -1,7 +1,7 @@
 // Shared 10x10 device-matrix sweep for Figs. 15-17, run on the sim engine.
 //
-// The matrix is a two-axis Scenario (RX device x TX device) evaluated by
-// the SweepRunner thread pool; the printed matrix, CSV, and JSON are
+// The matrix is a two-axis Scenario (RX device x TX device) evaluated in
+// parallel by the SweepRunner; the printed matrix, CSV, and JSON are
 // byte-identical for any --threads value (see sim/sweep_runner.hpp).
 #pragma once
 

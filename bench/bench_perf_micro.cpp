@@ -103,7 +103,8 @@ BENCHMARK(BM_LifetimeMatrixCell);
 // DISABLED — compare its time against a -DBRAIDIO_OBS=OFF build to see
 // the contract's <2% ceiling; the instrumented layers only pay a relaxed
 // atomic load per hook when the tracer is off. Arg(1) runs with tracing
-// ENABLED into a bounded ring (sample_every=1) to price the worst case.
+// ENABLED, recording every event into a bounded ring, to price the worst
+// case.
 // Arg(2) additionally turns on energy attribution (span paths + profile
 // posts on every ledger charge) to price full provenance collection.
 void BM_Fig15SweepObs(benchmark::State& state) {

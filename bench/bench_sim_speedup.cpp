@@ -1,5 +1,5 @@
 // Engine acceptance bench: the Fig. 15 device matrix and a Fig. 12-style
-// Monte-Carlo BER sweep, run serially and on the thread pool.
+// Monte-Carlo BER sweep, run serially and in parallel.
 //
 // Verifies at runtime that the parallel ResultTable (CSV and JSON) is
 // byte-identical to the serial run, then reports the wall-clock speedup.
@@ -13,10 +13,10 @@
 #include "bench_matrix_common.hpp"
 #include "core/lifetime_sim.hpp"
 #include "phy/waveform.hpp"
+#include "sim/parallel_for.hpp"
 #include "sim/run_report.hpp"
 #include "sim/scenario.hpp"
 #include "sim/sweep_runner.hpp"
-#include "sim/thread_pool.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
                         "SweepRunner determinism and speedup");
 
   unsigned threads = sim::threads_from_cli(argc, argv);
-  if (threads == 0) threads = sim::ThreadPool::default_thread_count();
+  if (threads == 0) threads = sim::default_thread_count();
   report.note("parallel width: " + std::to_string(threads) + " threads");
 
   // Fig. 15 matrix through the engine (the acceptance-criterion workload).

@@ -4,8 +4,8 @@
 // the braid survives every regime crossing.
 //
 // Ported onto the sim engine: a Scenario over independent random walks
-// (one axis = walk replica, each seeded from its own child stream) runs on
-// the thread pool, then the first walk's plan transitions are replayed in
+// (one axis = walk replica, each seeded from its own child stream) runs in
+// parallel, then the first walk's plan transitions are replayed in
 // detail. Try `--threads N`, and `--trace-out=walk.json` for a Chrome
 // trace timeline of the whole run (mode switches, dwells, energy posts).
 #include <iostream>

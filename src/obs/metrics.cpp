@@ -276,10 +276,6 @@ util::TablePrinter MetricsRegistry::to_table() const {
 // Hook plumbing: thread-local scoped registry + global fallback.
 // ---------------------------------------------------------------------
 
-namespace detail {
-std::atomic<bool> g_metrics_enabled{true};
-}  // namespace detail
-
 namespace {
 
 thread_local MetricsRegistry* t_current = nullptr;
@@ -295,14 +291,6 @@ MetricsRegistry& global_registry() {
 }
 
 }  // namespace
-
-bool metrics_enabled() {
-  return detail::g_metrics_enabled.load(std::memory_order_relaxed);
-}
-
-void set_metrics_enabled(bool on) {
-  detail::g_metrics_enabled.store(on, std::memory_order_relaxed);
-}
 
 MetricsRegistry* current_metrics() { return t_current; }
 

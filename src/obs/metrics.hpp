@@ -19,7 +19,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -150,11 +149,6 @@ class MetricsRegistry {
 // Hook entry points for instrumented layers.
 // ---------------------------------------------------------------------
 
-/// Master runtime gate for metric collection (default ON — counters are a
-/// relaxed load plus an array increment).
-bool metrics_enabled();
-void set_metrics_enabled(bool on);
-
 /// The registry hooks currently post into: the thread's scoped registry
 /// if one is installed, else nullptr (posts then go to the process-global
 /// registry under its mutex).
@@ -178,16 +172,14 @@ MetricsRegistry global_metrics_snapshot();
 void reset_global_metrics();
 
 namespace detail {
-extern std::atomic<bool> g_metrics_enabled;
 void count_slow(Counter counter, std::uint64_t n);
 void observe_slow(Histogram histogram, double value);
 }  // namespace detail
 
 /// Post to a built-in counter/histogram. Compiled out entirely when
-/// BRAIDIO_OBS is off; a relaxed load + branch when disabled at runtime.
+/// BRAIDIO_OBS is off.
 inline void count(Counter counter, std::uint64_t n = 1) {
 #if BRAIDIO_OBS_COMPILED
-  if (!detail::g_metrics_enabled.load(std::memory_order_relaxed)) return;
   detail::count_slow(counter, n);
 #else
   (void)counter;
@@ -197,7 +189,6 @@ inline void count(Counter counter, std::uint64_t n = 1) {
 
 inline void observe(Histogram histogram, double value) {
 #if BRAIDIO_OBS_COMPILED
-  if (!detail::g_metrics_enabled.load(std::memory_order_relaxed)) return;
   detail::observe_slow(histogram, value);
 #else
   (void)histogram;

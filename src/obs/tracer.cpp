@@ -66,7 +66,6 @@ struct Tracer::Lane {
   std::mutex mu;
   std::vector<Event> ring;      // capacity fixed at construction
   std::uint64_t recorded = 0;   // events accepted into the ring
-  std::uint64_t sample_tick = 0;
   bool released = false;        // owner thread exited; reusable
 };
 
@@ -90,15 +89,6 @@ Tracer& Tracer::instance() {
 
 void Tracer::set_enabled(bool on) {
   g_enabled.store(on, std::memory_order_relaxed);
-}
-
-void Tracer::set_sample_every(std::uint32_t n) {
-  BRAIDIO_REQUIRE(n >= 1, "sample_every", n);
-  sample_every_.store(n, std::memory_order_relaxed);
-}
-
-std::uint32_t Tracer::sample_every() const {
-  return sample_every_.load(std::memory_order_relaxed);
 }
 
 void Tracer::set_lane_capacity(std::size_t events) {
@@ -143,9 +133,6 @@ void Tracer::record(EventType type, const char* label, double sim_s,
                     double value) {
   Lane& lane = lane_for_this_thread();
   std::lock_guard<std::mutex> lock(lane.mu);
-  const std::uint32_t every = sample_every_.load(std::memory_order_relaxed);
-  const std::uint64_t tick = lane.sample_tick++;
-  if (every > 1 && tick % every != 0) return;
   Event& slot = lane.ring[lane.recorded % lane.ring.size()];
   slot.wall_s = util::monotonic_seconds();
   slot.sim_s = sim_s;
@@ -204,7 +191,6 @@ void Tracer::clear() {
   for (auto& lane : lanes_) {
     std::lock_guard<std::mutex> lane_lock(lane->mu);
     lane->recorded = 0;
-    lane->sample_tick = 0;
     // Surviving lanes adopt the current capacity, so
     // set_lane_capacity() + clear() takes effect everywhere.
     if (lane->ring.size() != cap) lane->ring.assign(cap, Event{});

@@ -13,8 +13,9 @@
 // Lanes and threads: each OS thread records into its own lane (no
 // cross-thread contention beyond one uncontended mutex per record). When a
 // thread exits, its lane is released back to a free list and the next new
-// thread reuses it — a process that churns short-lived sweep pools keeps a
-// bounded number of lanes instead of leaking one ring per dead thread.
+// thread reuses it — a process that runs many sweeps, each starting its
+// own short-lived threads, keeps a bounded number of lanes instead of
+// leaking one ring per dead thread.
 // Events within a lane are strictly time-ordered, so span pairs
 // (DwellStart/End, SweepPointStart/End) nest correctly per lane.
 //
@@ -48,12 +49,6 @@ class Tracer {
   }
   void set_enabled(bool on);
 
-  /// Runtime sampling gate: record only every `n`-th event per lane
-  /// (n == 1 records everything). Spans may lose one side under
-  /// sampling — the exporters tolerate unbalanced B/E pairs.
-  void set_sample_every(std::uint32_t n);
-  std::uint32_t sample_every() const;
-
   /// Ring capacity (events per lane) for lanes created after the call.
   /// Existing lanes keep their capacity until the next clear().
   void set_lane_capacity(std::size_t events);
@@ -70,7 +65,7 @@ class Tracer {
   struct LaneSnapshot {
     std::uint32_t lane = 0;
     std::vector<Event> events;      // chronological
-    std::uint64_t recorded = 0;     // accepted by the ring (post-sampling)
+    std::uint64_t recorded = 0;     // accepted by the ring
     std::uint64_t dropped = 0;      // overwritten by wraparound
   };
 
@@ -106,7 +101,6 @@ class Tracer {
 
   mutable std::mutex lanes_mu_;
   std::vector<std::shared_ptr<Lane>> lanes_;
-  std::atomic<std::uint32_t> sample_every_{1};
   std::atomic<std::size_t> lane_capacity_{1u << 14};
 };
 

@@ -54,7 +54,7 @@ struct WaveformSimResult {
 /// Reentrant: all simulation state (RNG, detector, comparator, buffers) is
 /// local and seeded from `config.seed`, so concurrent calls with distinct
 /// configs are race-free — sweep benches run one call per grid point on
-/// the sim engine's thread pool, seeding each from the point's child
+/// the sim engine's sweep threads, seeding each from the point's child
 /// stream (`SweepPoint::seed()`).
 WaveformSimResult simulate_waveform(const LinkBudget& budget,
                                     const WaveformSimConfig& config);

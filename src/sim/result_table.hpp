@@ -71,7 +71,7 @@ class ResultTable {
 
   /// Everything the grid-point evaluations posted to the obs hooks,
   /// merged in flat-index order (byte-identical for any thread count;
-  /// empty when BRAIDIO_OBS is compiled out or metrics are disabled).
+  /// empty when BRAIDIO_OBS is compiled out).
   const obs::MetricsRegistry& metrics_registry() const {
     return metrics_registry_;
   }

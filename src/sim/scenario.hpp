@@ -4,9 +4,9 @@
 // "for each point of a parameter grid, evaluate the model and report a
 // row" — so the engine factors that shape out once. A Scenario names its
 // axes (the grid), its value columns (what each evaluation reports), and a
-// point-evaluation functor. SweepRunner executes the grid (serially or on
-// the ThreadPool) and collects a ResultTable whose row order and contents
-// are independent of the thread count.
+// point-evaluation functor. SweepRunner executes the grid (serially or in
+// parallel through sim::parallel_for) and collects a ResultTable whose row
+// order and contents are independent of the thread count.
 //
 // The evaluation functor MUST be thread-safe: it may be called for
 // different points concurrently. A sweep point carries a seed, not an

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "obs/obs.hpp"
-#include "sim/thread_pool.hpp"
+#include "sim/parallel_for.hpp"
 #include "util/contract.hpp"
 
 namespace braidio::sim {
@@ -44,8 +44,8 @@ ResultTable SweepRunner::run(const Scenario& scenario) const {
   table.records_.resize(n);
   table.metrics_.resize(n);
 
-  ThreadPool pool(options_.threads);
-  table.threads_used_ = pool.size();
+  table.threads_used_ =
+      options_.threads == 0 ? default_thread_count() : options_.threads;
 
   // One registry per grid point: whatever point i's evaluation posts to
   // the obs hooks lands in slot i, and the slots are merged in flat-index
@@ -57,7 +57,7 @@ ResultTable SweepRunner::run(const Scenario& scenario) const {
   std::vector<obs::EnergyProfile> point_profiles(n);
 
   const auto run_start = clock::now();
-  pool.parallel_for(n, [&](std::size_t i) {
+  parallel_for(table.threads_used_, n, [&](std::size_t i) {
     SweepPoint point(scenario, i, scenario.coords_of(i), options_.seed);
     BRAIDIO_TRACE_EVENT(obs::EventType::SweepPointStart,
                         table.scenario_name().c_str(), obs::no_sim_time(),

@@ -1,4 +1,4 @@
-// SweepRunner: executes a Scenario's parameter grid on the ThreadPool.
+// SweepRunner: executes a Scenario's parameter grid with sim::parallel_for.
 //
 // Determinism guarantee: grid point i is always evaluated with the RNG
 // child stream `util::Rng::stream(options.seed, i)` and its record is
@@ -17,7 +17,7 @@ namespace braidio::sim {
 
 struct SweepOptions {
   /// Total threads evaluating points. 0 = resolve at run time via
-  /// `ThreadPool::default_thread_count()` (BRAIDIO_THREADS env var, else
+  /// `default_thread_count()` (BRAIDIO_THREADS env var, else
   /// hardware concurrency); 1 = serial on the calling thread.
   unsigned threads = 0;
   /// Master seed; every grid point gets child stream `Rng::stream(seed, i)`.

@@ -346,7 +346,6 @@ class TracerTest : public ::testing::Test {
   void SetUp() override {
     auto& tracer = obs::Tracer::instance();
     tracer.set_enabled(false);
-    tracer.set_sample_every(1);
     tracer.set_lane_capacity(kCapacity);
     tracer.clear();
     tracer.set_enabled(true);
@@ -355,7 +354,6 @@ class TracerTest : public ::testing::Test {
   void TearDown() override {
     auto& tracer = obs::Tracer::instance();
     tracer.set_enabled(false);
-    tracer.set_sample_every(1);
     tracer.set_lane_capacity(std::size_t{1} << 14);
     tracer.clear();
   }
@@ -382,19 +380,6 @@ TEST_F(TracerTest, RingWrapsAndCountsDrops) {
     EXPECT_DOUBLE_EQ(lane.events[i].value,
                      12.0 + static_cast<double>(i));
   }
-}
-
-TEST_F(TracerTest, SamplingGateKeepsEveryNth) {
-  auto& tracer = obs::Tracer::instance();
-  tracer.set_sample_every(4);
-  for (int i = 0; i < 16; ++i) {
-    tracer.record(obs::EventType::ArqRetry, nullptr, obs::no_sim_time(),
-                  static_cast<double>(i));
-  }
-  const auto snapshot = tracer.snapshot();
-  ASSERT_EQ(snapshot.total_events(), 4u);
-  EXPECT_DOUBLE_EQ(snapshot.lanes.front().events[0].value, 0.0);
-  EXPECT_DOUBLE_EQ(snapshot.lanes.front().events[1].value, 4.0);
 }
 
 TEST_F(TracerTest, LabelsAreTruncatedAndSanitized) {
@@ -526,17 +511,6 @@ TEST(SweepMetrics, ScopedRegistryCapturesAndGlobalCatchesTheRest) {
   const auto global = obs::global_metrics_snapshot();
   EXPECT_EQ(global.value(obs::Counter::ArqDrops), 2u);
   EXPECT_EQ(global.value(obs::Counter::ArqRetries), 0u);
-  obs::reset_global_metrics();
-}
-
-TEST(SweepMetrics, MetricsGateStopsPosting) {
-  obs::reset_global_metrics();
-  obs::set_metrics_enabled(false);
-  obs::count(obs::Counter::PacketsTx, 5);
-  obs::set_metrics_enabled(true);
-  EXPECT_EQ(
-      obs::global_metrics_snapshot().value(obs::Counter::PacketsTx),
-      0u);
   obs::reset_global_metrics();
 }
 

@@ -7,11 +7,13 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "backends/backends.hpp"
 #include "core/lifetime_sim.hpp"
+#include "obs/metrics.hpp"
 #include "sim/result_table.hpp"
 #include "sim/run_report.hpp"
 #include "sim/scenario.hpp"
@@ -154,6 +156,37 @@ TEST(SweepStructure, ThreadsFromCliParsesBothForms) {
   EXPECT_EQ(sim::threads_from_cli(2, const_cast<char**>(argv5)), 0u);
   const char* argv6[] = {"bench", "--threads", "99999999999"};
   EXPECT_EQ(sim::threads_from_cli(3, const_cast<char**>(argv6)), 0u);
+}
+
+TEST(SweepFailure, ThrowingPointRethrowsAndCountsOnceInTheGlobalRegistry) {
+  const sim::Scenario failing(
+      "failing", {sim::Axis::indexed("point", 64)}, {"idx"},
+      [](sim::SweepPoint& p) {
+        if (p.flat_index() == 41) throw std::runtime_error("point 41");
+        sim::RunRecord record;
+        record.cells.push_back(std::to_string(p.flat_index()));
+        return record;
+      });
+  for (unsigned threads : {1u, 4u}) {
+    obs::reset_global_metrics();
+    sim::SweepOptions opts;
+    opts.threads = threads;
+    EXPECT_THROW(sim::SweepRunner(opts).run(failing), std::runtime_error)
+        << threads;
+#if BRAIDIO_OBS_COMPILED
+    // The failure is counted outside the point's scoped registry; the
+    // successful points counted into per-point registries that the
+    // rethrow discarded.
+    const auto global = obs::global_metrics_snapshot();
+    EXPECT_EQ(global.value(obs::Counter::SweepFailures), 1u) << threads;
+    EXPECT_EQ(global.value(obs::Counter::SweepPoints), 0u) << threads;
+#endif
+  }
+  obs::reset_global_metrics();
+  sim::SweepOptions opts;
+  opts.threads = 4;
+  EXPECT_EQ(sim::SweepRunner(opts).run(stochastic_scenario()).row_count(),
+            64u);
 }
 
 TEST(RunReport, ExportFailureIsDetected) {

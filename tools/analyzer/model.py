@@ -72,7 +72,7 @@ RULES: tuple[Rule, ...] = (
     Rule("A13-no-stray-threads", "no-stray-threads",
          "only src/sim/ spawns threads (std::thread/jthread, std::async, "
          "pthread_create); everything else uses sim::SweepRunner or "
-         "sim::ThreadPool"),
+         "sim::parallel_for"),
     Rule("A14-events-not-logs", "events-not-logs",
          "src/ outside util/ and obs/ posts simulator state as trace "
          "events, not Trace/Debug/Info log lines"),

@@ -374,7 +374,7 @@ _TOKEN_BANS = {
                      and not rel.startswith("src/sim/")),
         _THREAD_SPAWN_PATTERNS,
         "only src/sim/ spawns threads; use sim::SweepRunner or "
-        "sim::ThreadPool"),
+        "sim::parallel_for"),
     "A14-events-not-logs": (
         lambda rel: (rel.startswith("src/")
                      and not rel.startswith(("src/util/", "src/obs/"))),
