@@ -19,7 +19,7 @@
 //   --trace-out=<file>   enable the obs tracer, write Chrome trace JSON
 //                        (load in chrome://tracing / Perfetto) on exit
 //   --trace-ring=<n>     per-lane trace ring capacity in events (default
-//                        262144); requires --trace-out
+//                        262144, at most 16777216); requires --trace-out
 //   --metrics            print the metrics registry after the command
 //   --log-level=<level>  trace|debug|info|warn|error|off (default warn)
 //   --faults=<file>      scripted fault timeline (sim/faults text format)
@@ -32,7 +32,6 @@
 // ...). All output is plain tables; exit code 2 flags usage errors.
 #include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -91,6 +90,10 @@ int usage() {
 /// are reported on export either way. Override with --trace-ring=<n>.
 constexpr std::size_t kDefaultTraceRingEvents = std::size_t{1} << 18;
 
+/// Largest --trace-ring: 64x the default, 1 GiB of 64-byte events a lane.
+/// A bigger count is a usage error instead of a failed ring allocation.
+constexpr std::size_t kMaxTraceRingEvents = std::size_t{1} << 24;
+
 struct GlobalOptions {
   std::string trace_out;
   std::size_t trace_ring = kDefaultTraceRingEvents;
@@ -99,6 +102,18 @@ struct GlobalOptions {
   std::optional<sim::faults::ImpairmentSchedule> faults;
   std::string backend = backends::kBraidio;
 };
+
+/// Parse an unsigned integer flag value into `out`: the whole text, no
+/// sign, within T's range. Otherwise report "bad <flag> value: <text>"
+/// and return false (the caller exits 2).
+template <typename T>
+bool parse_unsigned_flag(const char* flag, const std::string& text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  if (ec == std::errc{} && ptr == end) return true;
+  std::cerr << "bad " << flag << " value: " << text << '\n';
+  return false;
+}
 
 /// Strip the global flags out of `args`; returns false on a bad value.
 bool parse_global_flags(std::vector<std::string>& args,
@@ -110,14 +125,15 @@ bool parse_global_flags(std::vector<std::string>& args,
       if (options.trace_out.empty()) return false;
     } else if (arg.rfind("--trace-ring=", 0) == 0) {
       const std::string value = arg.substr(13);
-      char* end = nullptr;
-      const unsigned long long n = std::strtoull(value.c_str(), &end, 10);
-      if (value.empty() || end == nullptr || *end != '\0' || n == 0) {
-        std::cerr << "bad --trace-ring value: " << value
-                  << " (want a positive event count)\n";
+      if (!parse_unsigned_flag("--trace-ring", value, options.trace_ring)) {
         return false;
       }
-      options.trace_ring = static_cast<std::size_t>(n);
+      if (options.trace_ring == 0 ||
+          options.trace_ring > kMaxTraceRingEvents) {
+        std::cerr << "bad --trace-ring value: " << value << " (want 1.."
+                  << kMaxTraceRingEvents << " events)\n";
+        return false;
+      }
       options.trace_ring_set = true;
     } else if (arg == "--metrics") {
       options.metrics = true;
@@ -166,18 +182,6 @@ std::optional<phy::Bitrate> parse_rate(const std::string& s) {
   if (s == "100k") return phy::Bitrate::k100;
   if (s == "1M") return phy::Bitrate::M1;
   return std::nullopt;
-}
-
-/// Parse an unsigned integer flag value into `out`: the whole text, no
-/// sign, within T's range. Otherwise report "bad <flag> value: <text>"
-/// and return false (the caller exits 2).
-template <typename T>
-bool parse_unsigned_flag(const char* flag, const std::string& text, T& out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
-  if (ec == std::errc{} && ptr == end) return true;
-  std::cerr << "bad " << flag << " value: " << text << '\n';
-  return false;
 }
 
 /// Parse a finite number > 0 into `out`: the whole text. Otherwise report

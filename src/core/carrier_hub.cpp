@@ -4,7 +4,6 @@
 
 #include "core/braidio_radio.hpp"
 #include "mac/arq.hpp"
-#include "net/event_queue.hpp"
 #include "obs/obs.hpp"
 #include "util/units.hpp"
 
@@ -119,22 +118,14 @@ HubStats CarrierHub::run(std::uint64_t rounds) {
   };
   scan_fault_edges();
 
-  // TDMA rounds ride the network scheduler: each (round, node-slot) is
-  // one event, and the handler chains the next slot at the virtual time
-  // the current one finished. A slot's body — and therefore every
-  // advance, RNG draw, and fault scan, in order — is exactly the old
-  // nested loop's, so stats and goldens are byte-identical to the
-  // pre-scheduler implementation.
-  net::EventQueue queue;
-  if (rounds > 0) queue.schedule(0.0, 0, 0, /*round=*/0);
-  net::Event slot_event;
-  while (queue.pop(slot_event)) {
-    const std::uint64_t round = slot_event.a;
-    const std::size_t i = slot_event.node;
-    // The old round loop checked the hub battery at every round start.
-    if (i == 0 && hub.battery().empty()) break;
-    auto& node = states[i];
-    if (node.alive) {
+  // TDMA rounds: every node gets one slot per round, in index order.
+  // An empty hub battery ends the run: an in-slot check leaves the
+  // node loop, and the next round's start check stops the rounds.
+  for (std::uint64_t round = 0; round < rounds; ++round) {
+    if (hub.battery().empty()) break;
+    for (std::size_t i = 0; i < states.size(); ++i) {
+      auto& node = states[i];
+      if (!node.alive) continue;
       scan_fault_edges();
       const auto& nc = node_configs_[i];
       BRAIDIO_ENERGY_SPAN(slot_span, nc.name.c_str());
@@ -209,12 +200,6 @@ HubStats CarrierHub::run(std::uint64_t rounds) {
                             stats.elapsed_s, stats.elapsed_s - slot_start_s);
         if (hub.battery().empty()) break;
       }
-    }
-    if (i + 1 < states.size()) {
-      queue.schedule(stats.elapsed_s, static_cast<std::uint32_t>(i + 1), 0,
-                     round);
-    } else if (round + 1 < rounds) {
-      queue.schedule(stats.elapsed_s, 0, 0, round + 1);
     }
   }
 

@@ -57,14 +57,6 @@ double EnergyLedger::joules(EnergyCategory category) const {
   return joules_[static_cast<std::size_t>(category)];
 }
 
-void EnergyLedger::merge(const EnergyLedger& other) {
-  for (std::size_t c = 0; c < kEnergyCategoryCount; ++c) {
-    joules_[c] += other.joules_[c];
-  }
-}
-
-void EnergyLedger::clear() { joules_.fill(0.0); }
-
 std::string EnergyLedger::report() const {
   std::ostringstream os;
   os << "energy breakdown (J):\n";

@@ -50,18 +50,12 @@ class EnergyLedger {
   /// Total for one category (0 if never charged).
   double joules(EnergyCategory category) const;
 
-  /// Merge another ledger into this one.
-  void merge(const EnergyLedger& other);
-
-  /// Reset all counters.
-  void clear();
-
   /// Multi-line breakdown report, categories in enum order, omitting zeros.
   std::string report() const;
 
  private:
   // Indexed by category. A never-charged category holds +0.0, which
-  // adds nothing to a total or a merge.
+  // adds nothing to a total.
   std::array<double, kEnergyCategoryCount> joules_{};
 };
 

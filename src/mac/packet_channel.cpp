@@ -93,10 +93,9 @@ double PacketChannel::fault_fade_power_gain(
 std::optional<Frame> PacketChannel::transmit(const Frame& frame,
                                              hal::LinkMode mode,
                                              hal::Bitrate rate) {
-  ++sent_;
   sim::faults::ImpairmentState impairment;
   if (impairments_ != nullptr) {
-    impairment = impairments_->state_at(clock_s_, fault_node_);
+    impairment = impairments_->state_at(clock_s_);
   }
   auto bytes = serialize(frame);
   obs::count(obs::Counter::PacketsTx);
@@ -105,7 +104,6 @@ std::optional<Frame> PacketChannel::transmit(const Frame& frame,
                       static_cast<double>(bytes.size()));
   if (impairment.carrier_dropout) {
     // Carrier gone: nothing reaches the receiver, deterministically.
-    ++corrupted_;
     obs::count(obs::Counter::PacketsDropped);
     BRAIDIO_TRACE_EVENT(obs::EventType::PacketDrop, hal::to_string(mode),
                         obs::no_sim_time(),
@@ -131,13 +129,11 @@ std::optional<Frame> PacketChannel::transmit(const Frame& frame,
   }
   auto parsed = deserialize(bytes);
   if (parsed) {
-    ++delivered_;
     obs::count(obs::Counter::PacketsRx);
     BRAIDIO_TRACE_EVENT(obs::EventType::PacketRx, hal::to_string(mode),
                         obs::no_sim_time(),
                         static_cast<double>(bytes.size()));
   } else {
-    ++corrupted_;
     obs::count(obs::Counter::PacketsDropped);
     BRAIDIO_TRACE_EVENT(obs::EventType::PacketDrop, hal::to_string(mode),
                         obs::no_sim_time(),

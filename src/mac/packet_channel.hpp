@@ -16,7 +16,7 @@
 // layer (BraidedLink), not the channel.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <optional>
 #include <vector>
 
@@ -73,15 +73,6 @@ class PacketChannel {
     impairments_ = schedule;
   }
 
-  /// Scope fault lookups to one network node id; the default
-  /// (kNodeBroadcast) keeps the legacy all-events view, so single-link
-  /// users are unaffected.
-  void set_fault_node(int node) { fault_node_ = node; }
-
-  std::uint64_t frames_sent() const { return sent_; }
-  std::uint64_t frames_delivered() const { return delivered_; }
-  std::uint64_t frames_corrupted() const { return corrupted_; }
-
  private:
   /// Rayleigh block-fade power gain: coherent (Gauss-Markov over the sim
   /// clock) when configured, independent per call otherwise.
@@ -93,7 +84,6 @@ class PacketChannel {
   PacketChannelConfig config_;
   util::Rng rng_;
   const sim::faults::ImpairmentSchedule* impairments_ = nullptr;
-  int fault_node_ = sim::faults::kNodeBroadcast;
   double clock_s_ = 0.0;
   // Coherent block-fade process (lazily built on first faded transmit).
   std::optional<rf::CoherentChannelProcess> fade_;
@@ -102,9 +92,6 @@ class PacketChannel {
   std::optional<rf::CoherentChannelProcess> fault_fade_;
   double fault_fade_clock_s_ = 0.0;
   double fault_fade_coherence_s_ = 0.0;
-  std::uint64_t sent_ = 0;
-  std::uint64_t delivered_ = 0;
-  std::uint64_t corrupted_ = 0;
 };
 
 }  // namespace braidio::mac

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <span>
 #include <sstream>
 
 #include "util/contract.hpp"
+#include "util/table.hpp"
 
 namespace braidio::net {
 
@@ -63,14 +63,6 @@ constexpr Column kLinkColumns[] = {
     {"ack_lost", &NodeStats::uplink_ack_lost},
 };
 
-/// Fixed-decimal rendering: no exponents, no locale surprises, stable
-/// bytes for the serial-vs-parallel identity.
-std::string plain_number(double v, int decimals) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", decimals, v);
-  return buf;
-}
-
 }  // namespace
 
 void SchedulerSeries::sample(double sim_s, std::uint64_t depth,
@@ -94,24 +86,6 @@ void SchedulerSeries::sample(double sim_s, std::uint64_t depth,
   scan_steps[index] += scan_delta;
 }
 
-void SchedulerSeries::merge(const SchedulerSeries& other) {
-  BRAIDIO_REQUIRE(bucket_s == other.bucket_s, "bucket_s", bucket_s,
-                  "other", other.bucket_s);
-  if (other.events.size() > events.size()) {
-    events.resize(other.events.size(), 0);
-    peak_depth.resize(other.events.size(), 0);
-    retunes.resize(other.events.size(), 0);
-    scan_steps.resize(other.events.size(), 0);
-  }
-  for (std::size_t i = 0; i < other.events.size(); ++i) {
-    events[i] += other.events[i];
-    peak_depth[i] = std::max(peak_depth[i], other.peak_depth[i]);
-    retunes[i] += other.retunes[i];
-    scan_steps[i] += other.scan_steps[i];
-  }
-  skipped += other.skipped;
-}
-
 void NetFlightRecord::arm(const Topology& topo, double sched_bucket_s) {
 #if BRAIDIO_OBS_COMPILED
   BRAIDIO_REQUIRE(sched_bucket_s > 0.0, "sched_bucket_s", sched_bucket_s);
@@ -126,31 +100,6 @@ void NetFlightRecord::arm(const Topology& topo, double sched_bucket_s) {
   (void)topo;
   (void)sched_bucket_s;
 #endif
-}
-
-void NetFlightRecord::merge(const NetFlightRecord& other) {
-  if (!other.enabled) return;
-  if (!enabled) {
-    *this = other;
-    return;
-  }
-  BRAIDIO_REQUIRE(nodes.size() == other.nodes.size(), "nodes",
-                  nodes.size(), "other", other.nodes.size());
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    BRAIDIO_REQUIRE(dst[i] == other.dst[i], "node", i, "dst", dst[i],
-                    "other", other.dst[i]);
-    nodes[i] += other.nodes[i];
-  }
-  latency.merge(other.latency);
-  sched.merge(other.sched);
-  events += other.events;
-  sched_retunes += other.sched_retunes;
-  sched_grows += other.sched_grows;
-  sched_peak_depth = std::max(sched_peak_depth, other.sched_peak_depth);
-  sched_scan_steps += other.sched_scan_steps;
-  sched_buckets = std::max(sched_buckets, other.sched_buckets);
-  sched_width_s = std::max(sched_width_s, other.sched_width_s);
-  elapsed_s = std::max(elapsed_s, other.elapsed_s);
 }
 
 namespace {
@@ -195,7 +144,7 @@ std::string NetFlightRecord::to_json() const {
   os << "  \"enabled\": " << (enabled ? "true" : "false") << ",\n";
   os << "  \"nodes\": " << nodes.size() << ",\n";
   os << "  \"events\": " << events << ",\n";
-  os << "  \"elapsed_s\": " << plain_number(elapsed_s, 6) << ",\n";
+  os << "  \"elapsed_s\": " << util::format_fixed(elapsed_s, 6) << ",\n";
 
   os << "  \"node_counters\": {\n";
   write_columns(os, kNodeColumns, nodes);
@@ -213,16 +162,16 @@ std::string NetFlightRecord::to_json() const {
 
   os << "  \"latency\": {\n";
   os << "    \"count\": " << latency.count() << ",\n";
-  os << "    \"sum_s\": " << plain_number(latency.sum(), 9) << ",\n";
-  os << "    \"min_s\": " << plain_number(latency.min(), 9) << ",\n";
-  os << "    \"max_s\": " << plain_number(latency.max(), 9) << ",\n";
-  os << "    \"p50_s\": " << plain_number(latency.p50(), 9) << ",\n";
-  os << "    \"p95_s\": " << plain_number(latency.p95(), 9) << ",\n";
-  os << "    \"p99_s\": " << plain_number(latency.p99(), 9) << ",\n";
+  os << "    \"sum_s\": " << util::format_fixed(latency.sum(), 9) << ",\n";
+  os << "    \"min_s\": " << util::format_fixed(latency.min(), 9) << ",\n";
+  os << "    \"max_s\": " << util::format_fixed(latency.max(), 9) << ",\n";
+  os << "    \"p50_s\": " << util::format_fixed(latency.p50(), 9) << ",\n";
+  os << "    \"p95_s\": " << util::format_fixed(latency.p95(), 9) << ",\n";
+  os << "    \"p99_s\": " << util::format_fixed(latency.p99(), 9) << ",\n";
   os << "    \"bounds_s\": [";
   for (std::size_t i = 0; i < latency.bounds().size(); ++i) {
     if (i != 0) os << ", ";
-    os << plain_number(latency.bounds()[i], 6);
+    os << util::format_fixed(latency.bounds()[i], 6);
   }
   os << "],\n    \"buckets\": [";
   for (std::size_t i = 0; i < latency.bucket_count(); ++i) {
@@ -237,8 +186,8 @@ std::string NetFlightRecord::to_json() const {
   os << "    \"peak_depth\": " << sched_peak_depth << ",\n";
   os << "    \"scan_steps\": " << sched_scan_steps << ",\n";
   os << "    \"buckets\": " << sched_buckets << ",\n";
-  os << "    \"width_s\": " << plain_number(sched_width_s, 9) << ",\n";
-  os << "    \"series_bucket_s\": " << plain_number(sched.bucket_s, 6)
+  os << "    \"width_s\": " << util::format_fixed(sched_width_s, 9) << ",\n";
+  os << "    \"series_bucket_s\": " << util::format_fixed(sched.bucket_s, 6)
      << ",\n";
   os << "    \"series_skipped\": " << sched.skipped << ",\n";
   write_u64_array(os, "series_events", sched.events);
@@ -279,7 +228,7 @@ std::string NetFlightRecord::sched_chrome_counters() const {
     if (i != 0) os << ",\n";
     const double t_us = static_cast<double>(i) * sched.bucket_s * 1e6;
     os << "{\"name\": \"net.sched\", \"ph\": \"C\", \"ts\": "
-       << plain_number(t_us, 3) << ", \"pid\": 1, \"tid\": 0, "
+       << util::format_fixed(t_us, 3) << ", \"pid\": 1, \"tid\": 0, "
        << "\"args\": {\"events\": " << sched.events[i]
        << ", \"peak_depth\": " << sched.peak_depth[i]
        << ", \"retunes\": " << sched.retunes[i]

@@ -16,13 +16,10 @@
 //     width re-tunes, and insert scan cost, exported in the same
 //     Chrome counter-track shape as the energy power tracks.
 //
-// A NetFlightRecord is a plain value owned by one simulator run.
-// merge() is element-wise and associative-in-order: SweepRunner-style
-// callers collect one record per sweep point and fold them in
-// flat-index order, which makes the merged record byte-identical for
-// any thread count. Everything is inert (enabled == false, all hooks
-// no-ops) unless arm() ran, and arm() itself is a no-op when the
-// BRAIDIO_OBS compile-time switch is off.
+// A NetFlightRecord is a plain value owned by one simulator run; a
+// sweep exports one record per point. Everything is inert (enabled ==
+// false, all hooks no-ops) unless arm() ran, and arm() itself is a
+// no-op when the BRAIDIO_OBS compile-time switch is off.
 #pragma once
 
 #include <cstddef>
@@ -57,7 +54,7 @@ struct NodeStats {
   std::uint64_t uplink_data_lost = 0;  // data leg corrupted or unheard
   std::uint64_t uplink_ack_lost = 0;   // data survived, ACK leg lost
 
-  /// Field-wise sum (run totals, sweep merges).
+  /// Field-wise sum (run totals).
   NodeStats& operator+=(const NodeStats& other);
 };
 
@@ -76,12 +73,9 @@ struct SchedulerSeries {
 
   void sample(double sim_s, std::uint64_t depth, std::uint64_t retune_delta,
               std::uint64_t scan_delta);
-  /// Element-wise fold; bucket widths must match. peak_depth takes the
-  /// per-bucket max, everything else adds.
-  void merge(const SchedulerSeries& other);
 };
 
-/// The full flight record for one simulator run (or a merged sweep).
+/// The full flight record for one simulator run.
 struct NetFlightRecord {
   bool enabled = false;
   std::vector<NodeStats> nodes;    // copied when the run ends
@@ -109,9 +103,6 @@ struct NetFlightRecord {
     if (!enabled) return;
     latency.record(latency_s);
   }
-
-  /// Fold another run's record in (node counts and dst must match).
-  void merge(const NetFlightRecord& other);
 
   /// Deterministic JSON document (schema "braidio-netstats/v1").
   std::string to_json() const;

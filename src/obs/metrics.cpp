@@ -203,21 +203,15 @@ bool MetricsRegistry::empty() const {
 
 namespace {
 
-/// Shortest round-trip decimal rendering (deterministic, locale-free).
-std::string number(double v) {
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  return os.str();
-}
-
 void histogram_json(std::ostringstream& os, const HistogramData& h) {
-  os << "{\"count\": " << h.count() << ", \"sum\": " << number(h.sum())
-     << ", \"min\": " << number(h.min())
-     << ", \"max\": " << number(h.max())
-     << ", \"p50\": " << number(h.p50())
-     << ", \"p95\": " << number(h.p95())
-     << ", \"p99\": " << number(h.p99()) << ", \"buckets\": [";
+  os << "{\"count\": " << h.count()
+     << ", \"sum\": " << util::format_engineering(h.sum(), 17)
+     << ", \"min\": " << util::format_engineering(h.min(), 17)
+     << ", \"max\": " << util::format_engineering(h.max(), 17)
+     << ", \"p50\": " << util::format_engineering(h.p50(), 17)
+     << ", \"p95\": " << util::format_engineering(h.p95(), 17)
+     << ", \"p99\": " << util::format_engineering(h.p99(), 17)
+     << ", \"buckets\": [";
   for (std::size_t b = 0; b < h.bucket_count(); ++b) {
     os << (b ? ", " : "") << h.bucket(b);
   }

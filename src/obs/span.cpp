@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "util/contract.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 namespace braidio::obs {
@@ -39,28 +40,6 @@ void append_sanitized(std::string& out, const char* label) {
                      static_cast<unsigned char>(c) < 0x20;
     out += bad ? '_' : c;
   }
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) >= 0x20) {
-      out += c;
-    }
-  }
-  return out;
-}
-
-/// Shortest round-trip decimal rendering (deterministic, locale-free).
-std::string number(double v) {
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  return os.str();
 }
 
 /// An interned path and the id of its power-series key (its first two
@@ -319,8 +298,9 @@ std::string EnergyProfile::to_json() const {
   for (const auto& [path, i] : leaves) total += leaves_[i].slot.joules;
   std::ostringstream os;
   os << "{\n  \"schema\": \"braidio-energy-profile/v1\",\n"
-     << "  \"bucket_seconds\": " << number(bucket_seconds_) << ",\n"
-     << "  \"total_joules\": " << number(total) << ",\n"
+     << "  \"bucket_seconds\": "
+     << util::format_engineering(bucket_seconds_, 17) << ",\n"
+     << "  \"total_joules\": " << util::format_engineering(total, 17) << ",\n"
      << "  \"total_posts\": " << total_posts() << ",\n"
      << "  \"series_skipped\": " << series_skipped_ << ",\n"
      << "  \"attributions\": [";
@@ -328,7 +308,8 @@ std::string EnergyProfile::to_json() const {
   for (const auto& [path, i] : leaves) {
     const Slot& slot = leaves_[i].slot;
     os << (first ? "" : ",") << "\n    {\"path\": \""
-       << json_escape(*path) << "\", \"joules\": " << number(slot.joules)
+       << util::json_escape(*path)
+       << "\", \"joules\": " << util::format_engineering(slot.joules, 17)
        << ", \"posts\": " << slot.posts << "}";
     first = false;
   }
@@ -336,10 +317,10 @@ std::string EnergyProfile::to_json() const {
   first = true;
   for (const auto& [key, i] : path_table().sorted(series_)) {
     const std::vector<double>& track = series_[i].buckets;
-    os << (first ? "" : ",") << "\n    \"" << json_escape(*key)
+    os << (first ? "" : ",") << "\n    \"" << util::json_escape(*key)
        << "\": [";
     for (std::size_t b = 0; b < track.size(); ++b) {
-      os << (b ? ", " : "") << number(track[b]);
+      os << (b ? ", " : "") << util::format_engineering(track[b], 17);
     }
     os << "]";
     first = false;
@@ -374,16 +355,18 @@ std::string EnergyProfile::to_chrome_counters() const {
     const std::vector<double>& track = series_[i].buckets;
     for (std::size_t b = 0; b < track.size(); ++b) {
       os << (first ? "" : ",") << "\n"
-         << "{\"name\": \"power:" << json_escape(*key)
+         << "{\"name\": \"power:" << util::json_escape(*key)
          << "\", \"ph\": \"C\", \"pid\": 0, \"tid\": 0, \"ts\": "
-         << number(static_cast<double>(b) * bucket_seconds_ * 1e6)
+         << util::format_engineering(
+                static_cast<double>(b) * bucket_seconds_ * 1e6, 17)
          << ", \"args\": {\"w\": "
-         << number(track[b] / bucket_seconds_) << "}}";
+         << util::format_engineering(track[b] / bucket_seconds_, 17) << "}}";
       first = false;
     }
   }
   os << "\n],\n\"displayTimeUnit\": \"ms\",\n\"otherData\": "
-     << "{\"bucket_seconds\": " << number(bucket_seconds_) << "}\n}\n";
+     << "{\"bucket_seconds\": " << util::format_engineering(bucket_seconds_, 17)
+     << "}\n}\n";
   return os.str();
 }
 

@@ -1,12 +1,13 @@
 #include "obs/tracer.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <sstream>
 
 #include "util/contract.hpp"
+#include "util/json.hpp"
 #include "util/log.hpp"
+#include "util/table.hpp"
 
 namespace braidio::obs {
 
@@ -215,33 +216,6 @@ std::size_t Tracer::Snapshot::total_events() const {
   return sum;
 }
 
-namespace {
-
-void json_escape_into(std::ostringstream& os, const char* s) {
-  for (; *s; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      os << buf;
-    } else {
-      os << c;
-    }
-  }
-}
-
-/// Fixed-decimal rendering that never emits exponents or locale commas
-/// (Chrome's JSON loader and the CSV both want plain numbers).
-std::string plain_number(double v, int decimals) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", decimals, v);
-  return buf;
-}
-
-}  // namespace
-
 std::string chrome_trace_json(const Tracer::Snapshot& snapshot) {
   std::ostringstream os;
   os << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
@@ -257,7 +231,7 @@ std::string chrome_trace_json(const Tracer::Snapshot& snapshot) {
       // share one name so the viewer chains them by id, and instants
       // are named by their type so event classes group in the viewer.
       if ((phase == 'B' || phase == 'E') && ev.label[0] != '\0') {
-        json_escape_into(os, ev.label);
+        os << util::json_escape(ev.label);
       } else if (flow) {
         os << "packet";
       } else {
@@ -268,21 +242,19 @@ std::string chrome_trace_json(const Tracer::Snapshot& snapshot) {
       if (flow) {
         // The packet id rides `value`; matching ids + name + cat make
         // begin -> step -> end render as one connected arrow chain.
-        os << ", \"id\": " << plain_number(ev.value, 0);
+        os << ", \"id\": " << util::format_fixed(ev.value, 0);
         if (phase == 'f') os << ", \"bp\": \"e\"";
       }
-      os << ", \"ts\": " << plain_number(ev.wall_s * 1e6, 3)
+      os << ", \"ts\": " << util::format_fixed(ev.wall_s * 1e6, 3)
          << ", \"pid\": 1, \"tid\": " << lane.lane << ", \"args\": {";
       os << "\"type\": \"" << to_string(ev.type) << "\"";
       if (ev.label[0] != '\0') {
-        os << ", \"label\": \"";
-        json_escape_into(os, ev.label);
-        os << "\"";
+        os << ", \"label\": \"" << util::json_escape(ev.label) << "\"";
       }
       if (ev.has_sim_time()) {
-        os << ", \"sim_s\": " << plain_number(ev.sim_s, 6);
+        os << ", \"sim_s\": " << util::format_fixed(ev.sim_s, 6);
       }
-      os << ", \"value\": " << plain_number(ev.value, 9) << "}}";
+      os << ", \"value\": " << util::format_fixed(ev.value, 9) << "}}";
     }
   }
   os << "\n],\n\"otherData\": {\"recorded\": "
@@ -296,13 +268,13 @@ std::string trace_csv(const Tracer::Snapshot& snapshot) {
   os << "wall_s,lane,seq,type,label,sim_s,value\n";
   for (const auto& lane : snapshot.lanes) {
     for (const auto& ev : lane.events) {
-      os << plain_number(ev.wall_s, 9) << ',' << lane.lane << ','
+      os << util::format_fixed(ev.wall_s, 9) << ',' << lane.lane << ','
          << ev.seq << ',' << to_string(ev.type) << ',';
       // Labels are truncated to a fixed width and never contain commas
       // or quotes by construction; write them bare.
       os << ev.label << ',';
-      if (ev.has_sim_time()) os << plain_number(ev.sim_s, 9);
-      os << ',' << plain_number(ev.value, 9) << '\n';
+      if (ev.has_sim_time()) os << util::format_fixed(ev.sim_s, 9);
+      os << ',' << util::format_fixed(ev.value, 9) << '\n';
     }
   }
   return os.str();

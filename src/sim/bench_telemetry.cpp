@@ -8,34 +8,10 @@
 #include "obs/metrics.hpp"
 #include "sim/result_table.hpp"
 #include "util/contract.hpp"
+#include "util/json.hpp"
+#include "util/table.hpp"
 
 namespace braidio::sim {
-
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) >= 0x20) {
-      out += c;
-    }
-  }
-  return out;
-}
-
-/// Shortest round-trip decimal rendering (deterministic, locale-free).
-std::string number(double v) {
-  std::ostringstream os;
-  os.precision(17);
-  os << v;
-  return os.str();
-}
-
-}  // namespace
 
 BenchTelemetry::BenchTelemetry()
     : delivered_bits_per_joule(
@@ -78,27 +54,29 @@ BenchTelemetry BenchTelemetry::from_table(const std::string& name,
 std::string BenchTelemetry::to_json() const {
   std::ostringstream os;
   os << "{\n  \"schema\": \"" << kBenchTelemetrySchema << "\",\n"
-     << "  \"name\": \"" << json_escape(name) << "\",\n"
+     << "  \"name\": \"" << util::json_escape(name) << "\",\n"
      << "  \"points\": " << points << ",\n"
      << "  \"threads\": " << threads << ",\n"
-     << "  \"wall_seconds\": " << number(wall_seconds) << ",\n"
-     << "  \"points_per_second\": " << number(points_per_second)
+     << "  \"wall_seconds\": " << util::format_engineering(wall_seconds, 17)
+     << ",\n  \"points_per_second\": "
+     << util::format_engineering(points_per_second, 17)
      << ",\n  \"delivered_bits_per_joule\": "
      << (std::isnan(delivered_bits_per_joule)
              ? std::string("null")
-             : number(delivered_bits_per_joule))
+             : util::format_engineering(delivered_bits_per_joule, 17))
      << ",\n  \"top_attributions\": [";
   bool first = true;
   for (const auto& [path, joules] : top_attributions) {
     os << (first ? "" : ",") << "\n    {\"path\": \""
-       << json_escape(path) << "\", \"joules\": " << number(joules)
+       << util::json_escape(path)
+       << "\", \"joules\": " << util::format_engineering(joules, 17)
        << "}";
     first = false;
   }
   os << (first ? "" : "\n  ") << "],\n  \"counters\": {";
   first = true;
   for (const auto& [name_, v] : counters) {
-    os << (first ? "" : ", ") << "\"" << json_escape(name_)
+    os << (first ? "" : ", ") << "\"" << util::json_escape(name_)
        << "\": " << v;
     first = false;
   }
@@ -109,8 +87,8 @@ std::string BenchTelemetry::to_json() const {
     os << ",\n  \"soft\": {";
     first = true;
     for (const auto& [name_, v] : soft) {
-      os << (first ? "" : ", ") << "\"" << json_escape(name_)
-         << "\": " << number(v);
+      os << (first ? "" : ", ") << "\"" << util::json_escape(name_)
+         << "\": " << util::format_engineering(v, 17);
       first = false;
     }
     os << "}";

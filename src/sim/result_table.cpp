@@ -1,41 +1,14 @@
 #include "sim/result_table.hpp"
 
-#include <cstdio>
 #include <sstream>
 
 #include "obs/obs.hpp"
 #include "util/contract.hpp"
 #include "util/csv.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 namespace braidio::sim {
-
-namespace {
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 ResultTable::ResultTable(const Scenario& scenario, std::uint64_t master_seed)
     : name_(scenario.name()),
@@ -96,23 +69,23 @@ std::string ResultTable::to_csv() const {
 
 std::string ResultTable::to_json() const {
   std::ostringstream os;
-  os << "{\n  \"scenario\": \"" << json_escape(name_) << "\",\n"
+  os << "{\n  \"scenario\": \"" << util::json_escape(name_) << "\",\n"
      << "  \"seed\": " << seed_ << ",\n  \"axes\": [";
   for (std::size_t a = 0; a < axes_.size(); ++a) {
-    os << (a ? ", " : "") << '"' << json_escape(axes_[a].name) << '"';
+    os << (a ? ", " : "") << '"' << util::json_escape(axes_[a].name) << '"';
   }
   os << "],\n  \"rows\": [\n";
   for (std::size_t r = 0; r < records_.size(); ++r) {
     os << "    {";
     bool first = true;
     for (std::size_t a = 0; a < axes_.size(); ++a) {
-      os << (first ? "" : ", ") << '"' << json_escape(axes_[a].name)
-         << "\": \"" << json_escape(axis_label(r, a)) << '"';
+      os << (first ? "" : ", ") << '"' << util::json_escape(axes_[a].name)
+         << "\": \"" << util::json_escape(axis_label(r, a)) << '"';
       first = false;
     }
     for (std::size_t c = 0; c < columns_.size(); ++c) {
-      os << (first ? "" : ", ") << '"' << json_escape(columns_[c])
-         << "\": \"" << json_escape(records_[r].cells[c]) << '"';
+      os << (first ? "" : ", ") << '"' << util::json_escape(columns_[c])
+         << "\": \"" << util::json_escape(records_[r].cells[c]) << '"';
       first = false;
     }
     os << '}' << (r + 1 < records_.size() ? "," : "") << '\n';
@@ -124,7 +97,7 @@ std::string ResultTable::to_json() const {
 std::string ResultTable::to_json_with_meta() const {
   std::ostringstream os;
   os << "{\n  \"meta\": {\n"
-     << "    \"scenario\": \"" << json_escape(name_) << "\",\n"
+     << "    \"scenario\": \"" << util::json_escape(name_) << "\",\n"
      << "    \"seed\": " << seed_ << ",\n"
      << "    \"points\": " << records_.size() << ",\n"
      << "    \"threads\": " << threads_used_ << ",\n"

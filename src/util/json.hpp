@@ -1,0 +1,37 @@
+// JSON string escape shared by every exporter. Numbers go through
+// util/table.hpp: format_engineering(v, 17) for round-trip values and
+// format_fixed(v, d) for fixed-decimal ones.
+#pragma once
+
+#include <cstdio>
+#include <string>
+#include <string_view>
+
+namespace braidio::util {
+
+/// Escape `s` for the inside of a JSON string: quote and backslash are
+/// backslash-escaped, newline and tab become \n and \t, and every other
+/// control character becomes \u00XX.
+inline std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+}  // namespace braidio::util

@@ -60,15 +60,4 @@ Watts to_watts(Dbm level) { return Watts(dbm_to_watts(level.value())); }
 
 Dbm to_dbm(Watts power) { return Dbm(watts_to_dbm(power.value())); }
 
-double thermal_noise_watts(double bandwidth_hz, double temperature_k) {
-  if (bandwidth_hz < 0.0 || temperature_k < 0.0) {
-    throw std::domain_error("thermal_noise_watts: negative argument");
-  }
-  BRAIDIO_REQUIRE(std::isfinite(bandwidth_hz) && std::isfinite(temperature_k),
-                  "bandwidth_hz", bandwidth_hz, "temperature_k", temperature_k);
-  const double noise_w = kBoltzmann * temperature_k * bandwidth_hz;
-  BRAIDIO_ENSURE(std::isfinite(noise_w) && noise_w >= 0.0, "noise_w", noise_w);
-  return noise_w;
-}
-
 }  // namespace braidio::util

@@ -22,12 +22,6 @@ namespace braidio::util {
 /// Speed of light in vacuum [m/s].
 inline constexpr double kSpeedOfLight = 299'792'458.0;
 
-/// Boltzmann constant [J/K].
-inline constexpr double kBoltzmann = 1.380649e-23;
-
-/// Standard noise reference temperature [K] (290 K, per IEEE).
-inline constexpr double kReferenceTemperatureK = 290.0;
-
 /// Convert a power level in dBm to watts.
 double dbm_to_watts(double dbm);
 
@@ -60,11 +54,6 @@ constexpr double watts_to_uw(double w) { return w * 1e6; }
 
 /// Free-space wavelength [m] for a carrier frequency [Hz]. Requires > 0.
 double wavelength_m(double freq_hz);
-
-/// Thermal noise power [W] in a bandwidth [Hz] at temperature [K]:
-/// N = k * T * B.
-double thermal_noise_watts(double bandwidth_hz,
-                           double temperature_k = kReferenceTemperatureK);
 
 // ---------------------------------------------------------------------
 // Strong physical-unit types.

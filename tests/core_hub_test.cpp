@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "backends/backends.hpp"
+#include "util/units.hpp"
 
 namespace braidio::core {
 namespace {
@@ -103,6 +104,33 @@ TEST(CarrierHub, TinyNodeDiesAndOthersContinue) {
   EXPECT_GT(stats.nodes[0].offered, 0u);       // it did participate...
   EXPECT_LT(stats.nodes[0].offered, 300u * 8u);  // ...and dropped out early
   EXPECT_EQ(stats.nodes[1].offered, 300u * 8u);  // the other is unaffected
+}
+
+TEST(CarrierHub, DrainedHubEndsTheRunMidRound) {
+  const auto& backend = backends::braidio_backend();
+  // 1e-8 Wh = 36 uJ: the passive-mode hub empties during round 47.
+  HubConfig cfg;
+  cfg.hub_battery_wh = 1e-8;
+  CarrierHub short_run(backend, cfg, three_sensors());
+  CarrierHub long_run(backend, cfg, three_sensors());
+  const auto s = short_run.run(100);
+  const auto l = long_run.run(1000);
+  EXPECT_NEAR(s.hub_joules, util::wh_to_joules(cfg.hub_battery_wh), 1e-12);
+  // Once the hub is empty nothing moves, however many rounds are asked.
+  EXPECT_EQ(s.elapsed_s, l.elapsed_s);
+  ASSERT_EQ(s.nodes.size(), 3u);
+  for (std::size_t i = 0; i < s.nodes.size(); ++i) {
+    EXPECT_EQ(s.nodes[i].offered, l.nodes[i].offered) << i;
+    EXPECT_EQ(s.nodes[i].delivered, l.nodes[i].delivered) << i;
+  }
+  // The hub died inside a slot of "window", so "motion" never got that
+  // round's slot: it stops one whole slot behind "door".
+  const unsigned slot = cfg.packets_per_slot;
+  EXPECT_EQ(s.nodes[0].offered % slot, 0u);
+  EXPECT_EQ(s.nodes[2].offered % slot, 0u);
+  EXPECT_EQ(s.nodes[0].offered, s.nodes[2].offered + slot);
+  EXPECT_GT(s.nodes[1].offered, s.nodes[2].offered);
+  EXPECT_LT(s.nodes[1].offered, s.nodes[0].offered);
 }
 
 TEST(CarrierHub, Validation) {

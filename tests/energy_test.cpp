@@ -140,18 +140,6 @@ TEST(LedgerDeathTest, RejectsNonFiniteOrNegativeSimTime) {
 
 #endif  // BRAIDIO_CONTRACTS_ENABLED
 
-TEST(Ledger, MergeAndClear) {
-  EnergyLedger a, b;
-  a.charge(EnergyCategory::ActiveTx, util::Joules(1.0));
-  b.charge(EnergyCategory::ActiveTx, util::Joules(2.0));
-  b.charge(EnergyCategory::ModeSwitch, util::Joules(0.1));
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.joules(EnergyCategory::ActiveTx), 3.0);
-  EXPECT_DOUBLE_EQ(a.joules(EnergyCategory::ModeSwitch), 0.1);
-  a.clear();
-  EXPECT_DOUBLE_EQ(a.total_joules(), 0.0);
-}
-
 TEST(Ledger, ReportMentionsNonZeroCategoriesOnly) {
   EnergyLedger ledger;
   ledger.charge(EnergyCategory::BackscatterTx, util::Joules(1e-6));

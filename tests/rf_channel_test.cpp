@@ -7,7 +7,6 @@
 #include "rf/constants.hpp"
 #include "rf/fading.hpp"
 #include "rf/geometry.hpp"
-#include "rf/noise.hpp"
 #include "rf/saw_filter.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -41,31 +40,6 @@ TEST(Antenna, DiversityPairSpacing) {
   // Centered on the requested point.
   EXPECT_NEAR((pair[0].position.x + pair[1].position.x) / 2.0, 1.0, 1e-12);
   EXPECT_THROW(make_diversity_pair({0, 0}, 0.0), std::invalid_argument);
-}
-
-TEST(Noise, ThermalPlusNoiseFigure) {
-  NoiseModel model;
-  model.noise_figure_db = 6.0;
-  const double n = model.noise_watts(1e6);
-  // -114 dBm + 6 dB NF ~= -108 dBm.
-  EXPECT_NEAR(util::watts_to_dbm(n), -108.0, 0.2);
-}
-
-TEST(Noise, ImplementationFloorDominatesWhenHigher) {
-  NoiseModel model;
-  model.floor_dbm = -60.0;
-  EXPECT_NEAR(util::watts_to_dbm(model.noise_watts(1e6)), -60.0, 1e-9);
-  // Narrow bandwidth cannot go below the floor.
-  EXPECT_NEAR(util::watts_to_dbm(model.noise_watts(10.0)), -60.0, 1e-9);
-}
-
-TEST(Noise, SnrComputation) {
-  NoiseModel model;
-  model.floor_dbm = -70.0;
-  const double sig = util::dbm_to_watts(-50.0);
-  EXPECT_NEAR(model.snr_db(sig, 1e6), 20.0, 1e-6);
-  EXPECT_THROW(model.snr(-1.0, 1e6), std::domain_error);
-  EXPECT_THROW(model.noise_watts(-5.0), std::domain_error);
 }
 
 TEST(Fading, RayleighPowerGainUnitMean) {

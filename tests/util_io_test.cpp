@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "util/csv.hpp"
+#include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
 
@@ -80,6 +81,22 @@ TEST(Csv, WritesFile) {
   EXPECT_EQ(line, "x");
   std::remove(path.c_str());
   EXPECT_THROW(w.write_file("/nonexistent-dir/x.csv"), std::runtime_error);
+}
+
+TEST(Json, EscapesStringsAndRendersNumbers) {
+  EXPECT_EQ(json_escape("hub/tag-1/active"), "hub/tag-1/active");
+  EXPECT_EQ(json_escape("say \"hi\" \\ bye"), "say \\\"hi\\\" \\\\ bye");
+  EXPECT_EQ(json_escape("a\nb\tc"), "a\\nb\\tc");
+  EXPECT_EQ(json_escape("x\x01y\x1f"), "x\\u0001y\\u001f");
+  // The exporters' two number renderings: 17 significant digits for
+  // round-trip values, fixed decimals (never an exponent, any magnitude).
+  EXPECT_EQ(format_engineering(0.1, 17), "0.10000000000000001");
+  EXPECT_EQ(format_engineering(2546.0, 17), "2546");
+  EXPECT_EQ(format_engineering(1e-30, 17), "1.0000000000000001e-30");
+  EXPECT_EQ(format_fixed(1.0 / 3.0, 3), "0.333");
+  EXPECT_EQ(format_fixed(1e21, 0), "1000000000000000000000");
+  EXPECT_EQ(format_fixed(-2.5e-7, 6), "-0.000000");
+  EXPECT_EQ(format_fixed(1e60, 2).size(), 63U);
 }
 
 TEST(Log, LevelGateWorks) {

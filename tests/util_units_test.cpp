@@ -54,14 +54,6 @@ TEST(Units, WavelengthAt915MHz) {
   EXPECT_THROW(wavelength_m(0.0), std::domain_error);
 }
 
-TEST(Units, ThermalNoiseFloor) {
-  // kTB at 290 K over 1 MHz is about -114 dBm.
-  const double n = thermal_noise_watts(1e6);
-  EXPECT_NEAR(watts_to_dbm(n), -113.97, 0.1);
-  EXPECT_DOUBLE_EQ(thermal_noise_watts(0.0), 0.0);
-  EXPECT_THROW(thermal_noise_watts(-1.0), std::domain_error);
-}
-
 // -------------------------------------------------------------------
 // Strong unit types (Quantity<Tag>).
 // -------------------------------------------------------------------

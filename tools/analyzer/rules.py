@@ -58,7 +58,8 @@ _REQUIRE_RE = re.compile(r"\bBRAIDIO_(?:REQUIRE|ENSURE)\b")
 
 # Directory -> (banned-layer regex, why). mac/ sits below the radio HAL;
 # net/ MAC policies *port* core/ conventions (CarrierHub slots) but must
-# not include them — both talk to drivers only through hal/.
+# not include them — both talk to drivers only through hal/. core/ and
+# net/ are sibling engines, so neither includes the other.
 _A5_LAYERS = {
     "src/mac/": (
         re.compile(r'^\s*#\s*include\s*"((phy|core)/[^"]*)"'),
@@ -69,6 +70,11 @@ _A5_LAYERS = {
         re.compile(r'^\s*#\s*include\s*"((core)/[^"]*)"'),
         "net/ MAC policies port the {layer}/ conventions (CarrierHub "
         "slots) rather than include them; depend on hal/ and mac/ only",
+    ),
+    "src/core/": (
+        re.compile(r'^\s*#\s*include\s*"((net)/[^"]*)"'),
+        "core/ engines run their own slot loops and must not depend on "
+        "the many-node simulator in {layer}/; share hal/ and mac/ instead",
     ),
 }
 
@@ -202,8 +208,8 @@ def check_units_discipline(model: SourceModel) -> list[Finding]:
 
 
 def check_layering(model: SourceModel) -> list[Finding]:
-    """A5: layer boundaries — mac/ may not include phy/ or core/, and
-    net/ may not include core/.
+    """A5: layer boundaries — mac/ may not include phy/ or core/,
+    net/ may not include core/, and core/ may not include net/.
 
     Include paths live inside string literals, which the blanker erases,
     so the directive is matched on the raw line; the blanked line is
