@@ -145,11 +145,11 @@ BENCHMARK(BM_Fig15SweepObs)->Arg(0)->Arg(1)->Arg(2);
 // Network flight-recorder overhead contract (DESIGN.md §17): one dense
 // star run per iteration. Arg(0) runs with the recorder and tracer OFF
 // — the always-on per-node counters cost one increment per event, and
-// the disarmed recorder one branch per popped event and a relaxed load
-// per flow-stage site, which is where the <2% disabled-overhead ceiling
-// is priced. Arg(1) arms the recorder (scheduler series, latency, the
-// end-of-run node-stats copy); Arg(2) additionally turns on
-// packet-lifecycle tracing into a bounded ring.
+// the disarmed recorder one branch per delivery and a relaxed load per
+// flow-stage site, which is where the <2% disabled-overhead ceiling is
+// priced. Arg(1) arms the recorder (latency, the end-of-run node-stats
+// copy); Arg(2) additionally turns on packet-lifecycle tracing into a
+// bounded ring.
 void BM_NetFlightRecorder(benchmark::State& state) {
   const bool stats = state.range(0) >= 1;
   const bool trace = state.range(0) >= 2;

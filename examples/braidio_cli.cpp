@@ -74,7 +74,7 @@ int usage() {
       " [--packets=<n>]\n"
       "                  [--extent=<m>] [--range=<m>] [--seed=<n>]"
       " [--mac=<csma|tdma>]\n"
-      "                  [--net-stats-out=<file>] [--stats-bucket=<s>]\n"
+      "                  [--net-stats-out=<file>]\n"
       "  braidio_cli regimes\n"
       "  braidio_cli devices\n"
       "  braidio_cli backends\n"
@@ -89,10 +89,6 @@ int usage() {
 /// is sized for long runs (~256k events/lane, still bounded memory); drops
 /// are reported on export either way. Override with --trace-ring=<n>.
 constexpr std::size_t kDefaultTraceRingEvents = std::size_t{1} << 18;
-
-/// Largest --trace-ring: 64x the default, 1 GiB of 64-byte events a lane.
-/// A bigger count is a usage error instead of a failed ring allocation.
-constexpr std::size_t kMaxTraceRingEvents = std::size_t{1} << 24;
 
 struct GlobalOptions {
   std::string trace_out;
@@ -129,9 +125,9 @@ bool parse_global_flags(std::vector<std::string>& args,
         return false;
       }
       if (options.trace_ring == 0 ||
-          options.trace_ring > kMaxTraceRingEvents) {
+          options.trace_ring > obs::Tracer::kMaxLaneCapacity) {
         std::cerr << "bad --trace-ring value: " << value << " (want 1.."
-                  << kMaxTraceRingEvents << " events)\n";
+                  << obs::Tracer::kMaxLaneCapacity << " events)\n";
         return false;
       }
       options.trace_ring_set = true;
@@ -438,17 +434,17 @@ int cmd_ber(const hal::RadioBackend& backend,
   return 0;
 }
 
-/// Replace a trailing ".json" with `ext`, or append `ext` when the stats
-/// path has some other suffix — "run.json" -> "run.csv", "run" ->
-/// "run.csv".
-std::string stats_sibling(const std::string& path, const char* ext) {
+/// The per-node CSV beside the stats JSON: a trailing ".json" becomes
+/// ".csv", any other path gains ".csv" — "run.json" -> "run.csv",
+/// "run" -> "run.csv".
+std::string stats_csv_path(const std::string& path) {
   const std::string json_ext = ".json";
   if (path.size() > json_ext.size() &&
       path.compare(path.size() - json_ext.size(), json_ext.size(),
                    json_ext) == 0) {
-    return path.substr(0, path.size() - json_ext.size()) + ext;
+    return path.substr(0, path.size() - json_ext.size()) + ".csv";
   }
-  return path + ext;
+  return path + ".csv";
 }
 
 bool write_text_file(const std::string& path, const std::string& text) {
@@ -518,11 +514,6 @@ int cmd_net(const hal::RadioBackend& backend,
         return 2;
       }
       cfg.flight_recorder = true;
-    } else if (arg.rfind("--stats-bucket=", 0) == 0) {
-      if (!parse_positive("--stats-bucket", arg.substr(15),
-                          cfg.stats_bucket_s)) {
-        return 2;
-      }
     } else {
       std::cerr << "unknown net flag: " << arg << '\n';
       return usage();
@@ -571,15 +562,12 @@ int cmd_net(const hal::RadioBackend& backend,
                    "(built with BRAIDIO_OBS=OFF)\n";
       return 1;
     }
-    const std::string csv_path = stats_sibling(stats_out, ".csv");
-    const std::string sched_path = stats_sibling(stats_out, ".sched.json");
+    const std::string csv_path = stats_csv_path(stats_out);
     if (!write_text_file(stats_out, record.to_json()) ||
-        !write_text_file(csv_path, record.to_csv()) ||
-        !write_text_file(sched_path, record.sched_chrome_counters())) {
+        !write_text_file(csv_path, record.to_csv())) {
       return 1;
     }
-    std::cout << "net stats: " << stats_out << " (+ " << csv_path
-              << ", " << sched_path << ")\n";
+    std::cout << "net stats: " << stats_out << " (+ " << csv_path << ")\n";
   }
   return 0;
 }

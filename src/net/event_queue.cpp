@@ -122,9 +122,9 @@ void EventQueue::maybe_grow() {
   probe_scan_steps_ = 0;
 }
 
-EventId EventQueue::schedule(double time_s, std::uint32_t node,
-                             std::uint32_t kind, std::uint64_t a,
-                             std::uint64_t b) {
+void EventQueue::schedule(double time_s, std::uint32_t node,
+                          std::uint32_t kind, std::uint64_t a,
+                          std::uint64_t b) {
   BRAIDIO_REQUIRE(std::isfinite(time_s) && time_s >= now_s_, "time_s",
                   time_s, "now_s", now_s_);
   BRAIDIO_REQUIRE(time_s / width_ < kMaxDays, "time_s", time_s, "width_s",
@@ -144,7 +144,6 @@ EventId EventQueue::schedule(double time_s, std::uint32_t node,
   ++size_;
   peak_size_ = std::max<std::uint64_t>(peak_size_, size_);
   maybe_grow();
-  return id;
 }
 
 bool EventQueue::pop(Event& out) {
@@ -184,26 +183,6 @@ bool EventQueue::pop(Event& out) {
   --size_;
   ++processed_;
   return true;
-}
-
-void EventQueue::reset() {
-  for (EventId& head : heads_) head = kNoEvent;
-  free_head_ = kNoEvent;
-  for (std::size_t i = 0; i < pool_.size(); ++i) {
-    pool_[i].next = i + 1 < pool_.size() ? static_cast<EventId>(i + 1)
-                                         : kNoEvent;
-  }
-  if (!pool_.empty()) free_head_ = 0;
-  size_ = 0;
-  day_ = 0;
-  now_s_ = 0.0;
-  next_seq_ = 0;
-  // Introspection counters (retunes/grows/peak/scan) are lifetime-
-  // cumulative like processed_; only the open probe window closes.
-  scan_total_ += probe_scan_steps_;
-  probe_inserts_ = 0;
-  probe_scan_steps_ = 0;
-  max_sched_s_ = 0.0;
 }
 
 }  // namespace braidio::net

@@ -61,9 +61,9 @@ class EventQueue {
                       std::size_t buckets = 64);
 
   /// Schedule an event at `time_s` (>= now_s(); the virtual clock never
-  /// runs backwards). Returns the pooled id (valid until popped).
-  EventId schedule(double time_s, std::uint32_t node, std::uint32_t kind,
-                   std::uint64_t a = 0, std::uint64_t b = 0);
+  /// runs backwards).
+  void schedule(double time_s, std::uint32_t node, std::uint32_t kind,
+                std::uint64_t a = 0, std::uint64_t b = 0);
 
   /// Pop the earliest event by (time_s, seq) into `out`; advances the
   /// virtual clock. Returns false when the queue is empty.
@@ -78,22 +78,15 @@ class EventQueue {
   /// Events popped over this queue's lifetime (the events/sec numerator).
   std::uint64_t processed() const { return processed_; }
 
-  /// Arena reset: recycle every event and rewind the clock to zero.
-  /// Pool slots are retained, so a reset-and-refill cycle allocates
-  /// nothing once the pool has grown to the working-set size.
-  void reset();
-
-  /// Pool slots ever allocated (pinned by the pool-reuse tests).
+  /// Pool slots ever allocated (pinned by the pool-reuse test).
   std::size_t pool_slots() const { return pool_.size(); }
 
   /// Current day length; starts at the constructor value and shrinks
   /// when the calendar re-tunes to a clustered workload.
   double bucket_width_s() const { return width_; }
-  std::size_t bucket_count() const { return heads_.size(); }
 
-  // --- introspection (flight-recorder scheduler plane) ---------------
-  // Lifetime-cumulative like processed(): reset() rewinds the clock but
-  // keeps these, so a queue's telemetry survives arena reuse.
+  // --- introspection (NetStats::sched_*) ------------------------------
+  // Lifetime-cumulative, like processed().
   /// Width re-tunes triggered by the insert-scan probe.
   std::uint64_t retunes() const { return retunes_; }
   /// Calendar doublings triggered by occupancy.

@@ -1,11 +1,8 @@
 #include "net/netstats.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <span>
 #include <sstream>
 
-#include "util/contract.hpp"
 #include "util/table.hpp"
 
 namespace braidio::net {
@@ -33,7 +30,7 @@ static_assert(sizeof(NodeStats) == 15 * sizeof(std::uint64_t));
 
 namespace {
 
-/// An exported column: its name in the braidio-netstats/v1 JSON and CSV,
+/// An exported column: its name in the braidio-netstats/v2 JSON and CSV,
 /// and the NodeStats field it reads.
 struct Column {
   const char* name;
@@ -65,40 +62,15 @@ constexpr Column kLinkColumns[] = {
 
 }  // namespace
 
-void SchedulerSeries::sample(double sim_s, std::uint64_t depth,
-                             std::uint64_t retune_delta,
-                             std::uint64_t scan_delta) {
-  BRAIDIO_REQUIRE(bucket_s > 0.0, "bucket_s", bucket_s);
-  const auto index = static_cast<std::size_t>(sim_s / bucket_s);
-  if (index >= kMaxBuckets) {
-    ++skipped;
-    return;
-  }
-  if (index >= events.size()) {
-    events.resize(index + 1, 0);
-    peak_depth.resize(index + 1, 0);
-    retunes.resize(index + 1, 0);
-    scan_steps.resize(index + 1, 0);
-  }
-  ++events[index];
-  peak_depth[index] = std::max(peak_depth[index], depth);
-  retunes[index] += retune_delta;
-  scan_steps[index] += scan_delta;
-}
-
-void NetFlightRecord::arm(const Topology& topo, double sched_bucket_s) {
+void NetFlightRecord::arm(const Topology& topo) {
 #if BRAIDIO_OBS_COMPILED
-  BRAIDIO_REQUIRE(sched_bucket_s > 0.0, "sched_bucket_s", sched_bucket_s);
   enabled = true;
   nodes.assign(topo.size(), NodeStats{});
   dst = topo.next_hop;
   latency = obs::HistogramData(
       obs::bucket_bounds(obs::Histogram::NetLatencySeconds));
-  sched = SchedulerSeries{};
-  sched.bucket_s = sched_bucket_s;
 #else
   (void)topo;
-  (void)sched_bucket_s;
 #endif
 }
 
@@ -140,7 +112,7 @@ void write_dst(std::ostringstream& os, std::uint32_t dst) {
 
 std::string NetFlightRecord::to_json() const {
   std::ostringstream os;
-  os << "{\n  \"schema\": \"braidio-netstats/v1\",\n";
+  os << "{\n  \"schema\": \"braidio-netstats/v2\",\n";
   os << "  \"enabled\": " << (enabled ? "true" : "false") << ",\n";
   os << "  \"nodes\": " << nodes.size() << ",\n";
   os << "  \"events\": " << events << ",\n";
@@ -178,26 +150,7 @@ std::string NetFlightRecord::to_json() const {
     if (i != 0) os << ", ";
     os << latency.bucket(i);
   }
-  os << "]\n  },\n";
-
-  os << "  \"scheduler\": {\n";
-  os << "    \"retunes\": " << sched_retunes << ",\n";
-  os << "    \"grows\": " << sched_grows << ",\n";
-  os << "    \"peak_depth\": " << sched_peak_depth << ",\n";
-  os << "    \"scan_steps\": " << sched_scan_steps << ",\n";
-  os << "    \"buckets\": " << sched_buckets << ",\n";
-  os << "    \"width_s\": " << util::format_fixed(sched_width_s, 9) << ",\n";
-  os << "    \"series_bucket_s\": " << util::format_fixed(sched.bucket_s, 6)
-     << ",\n";
-  os << "    \"series_skipped\": " << sched.skipped << ",\n";
-  write_u64_array(os, "series_events", sched.events);
-  os << ",\n";
-  write_u64_array(os, "series_peak_depth", sched.peak_depth);
-  os << ",\n";
-  write_u64_array(os, "series_retunes", sched.retunes);
-  os << ",\n";
-  write_u64_array(os, "series_scan_steps", sched.scan_steps);
-  os << "\n  }\n}\n";
+  os << "]\n  }\n}\n";
   return os.str();
 }
 
@@ -218,23 +171,6 @@ std::string NetFlightRecord::to_csv() const {
     }
     os << '\n';
   }
-  return os.str();
-}
-
-std::string NetFlightRecord::sched_chrome_counters() const {
-  std::ostringstream os;
-  os << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
-  for (std::size_t i = 0; i < sched.events.size(); ++i) {
-    if (i != 0) os << ",\n";
-    const double t_us = static_cast<double>(i) * sched.bucket_s * 1e6;
-    os << "{\"name\": \"net.sched\", \"ph\": \"C\", \"ts\": "
-       << util::format_fixed(t_us, 3) << ", \"pid\": 1, \"tid\": 0, "
-       << "\"args\": {\"events\": " << sched.events[i]
-       << ", \"peak_depth\": " << sched.peak_depth[i]
-       << ", \"retunes\": " << sched.retunes[i]
-       << ", \"scan_steps\": " << sched.scan_steps[i] << "}}";
-  }
-  os << "\n]}\n";
   return os.str();
 }
 

@@ -6,15 +6,14 @@
 // the records when the run ends. The counters are always on; only the
 // recorder compiles out with BRAIDIO_OBS.
 //
-// The recorder holds three read-only planes (DESIGN.md §17):
+// The record holds (DESIGN.md §17):
 //   * per-node stats — the copied NodeStats plus each node's uplink
 //     destination, exported as per-node counters and as the per-link
 //     delivery/loss matrix (every node has exactly one uplink hop
 //     toward the hub, so the matrix is one row per source node);
-//   * latency — end-to-end origin-to-hub seconds;
-//   * scheduler series — time-bucketed calendar-queue depth, events,
-//     width re-tunes, and insert scan cost, exported in the same
-//     Chrome counter-track shape as the energy power tracks.
+//   * latency — end-to-end origin-to-hub seconds.
+// The scheduler's own summary is NetStats::sched_*, not part of the
+// record.
 //
 // A NetFlightRecord is a plain value owned by one simulator run; a
 // sweep exports one record per point. Everything is inert (enabled ==
@@ -22,7 +21,6 @@
 // no-op when the BRAIDIO_OBS compile-time switch is off.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -58,59 +56,29 @@ struct NodeStats {
   NodeStats& operator+=(const NodeStats& other);
 };
 
-/// Time-bucketed scheduler telemetry sampled once per popped event.
-/// Buckets are capped; samples past the cap land in `skipped` so the
-/// accounting identity sum(events) + skipped == pops always holds.
-struct SchedulerSeries {
-  static constexpr std::size_t kMaxBuckets = 1u << 16;
-
-  double bucket_s = 0.25;
-  std::vector<std::uint64_t> events;      // pops per bucket
-  std::vector<std::uint64_t> peak_depth;  // max queue size seen
-  std::vector<std::uint64_t> retunes;     // width re-tunes per bucket
-  std::vector<std::uint64_t> scan_steps;  // insert scan steps per bucket
-  std::uint64_t skipped = 0;              // samples past kMaxBuckets
-
-  void sample(double sim_s, std::uint64_t depth, std::uint64_t retune_delta,
-              std::uint64_t scan_delta);
-};
-
 /// The full flight record for one simulator run.
 struct NetFlightRecord {
   bool enabled = false;
   std::vector<NodeStats> nodes;    // copied when the run ends
   std::vector<std::uint32_t> dst;  // uplink next hop; kNoRoute if stranded
   obs::HistogramData latency;      // end-to-end origin->hub seconds
-  SchedulerSeries sched;
-
-  // End-of-run scheduler summary (always cheap to collect; also echoed
-  // into NetStats so benches can export it without the record).
-  std::uint64_t events = 0;            // queue pops
-  std::uint64_t sched_retunes = 0;     // bucket-width re-tunes
-  std::uint64_t sched_grows = 0;       // bucket-array doublings
-  std::uint64_t sched_peak_depth = 0;  // max simultaneous events
-  std::uint64_t sched_scan_steps = 0;  // cumulative insert scan steps
-  std::uint64_t sched_buckets = 0;     // calendar buckets at end of run
-  double sched_width_s = 0.0;          // bucket width at end of run
-  double elapsed_s = 0.0;              // simulated span covered
+  std::uint64_t events = 0;        // queue pops
+  double elapsed_s = 0.0;          // simulated span covered
 
   /// Size the per-node rows for `topo`, take its uplink destinations,
   /// and mark the record live. No-op (record stays disabled) when
   /// BRAIDIO_OBS is compiled out.
-  void arm(const Topology& topo, double sched_bucket_s);
+  void arm(const Topology& topo);
 
   void note_delivery(double latency_s) {
     if (!enabled) return;
     latency.record(latency_s);
   }
 
-  /// Deterministic JSON document (schema "braidio-netstats/v1").
+  /// Deterministic JSON document (schema "braidio-netstats/v2").
   std::string to_json() const;
   /// Per-node CSV: one row per node with counters + uplink columns.
   std::string to_csv() const;
-  /// Scheduler series as a Chrome trace of "ph":"C" counter tracks —
-  /// the same shape the energy power-track export uses.
-  std::string sched_chrome_counters() const;
 };
 
 }  // namespace braidio::net

@@ -90,7 +90,7 @@ NetworkSimulator::NetworkSimulator(NetConfig config)
   plan_links();
 
   if (config_.flight_recorder) {
-    record_.arm(topo_, config_.stats_bucket_s);
+    record_.arm(topo_);
   }
 }
 
@@ -501,20 +501,10 @@ NetStats NetworkSimulator::run() {
         -1.0, std::numeric_limits<double>::max());
   }
 
-  const bool recording = record_.enabled;
   Event ev;
   while (queue_.pop(ev)) {
     if (fault_cursor_ < fault_edges_.size()) {
       emit_fault_activations(ev.time_s);
-    }
-    if (recording) {
-      const std::uint64_t retunes = queue_.retunes();
-      const std::uint64_t scans = queue_.scan_steps();
-      record_.sched.sample(ev.time_s, queue_.size(),
-                           retunes - last_retunes_,
-                           scans - last_scan_steps_);
-      last_retunes_ = retunes;
-      last_scan_steps_ = scans;
     }
     switch (ev.kind) {
       case kKick: handle_kick(ev); break;
@@ -569,12 +559,6 @@ NetStats NetworkSimulator::run() {
       record_.nodes[i] = nodes_[i].stats();
     }
     record_.events = stats_.events;
-    record_.sched_retunes = stats_.sched_retunes;
-    record_.sched_grows = stats_.sched_grows;
-    record_.sched_peak_depth = stats_.sched_peak_depth;
-    record_.sched_scan_steps = stats_.sched_scan_steps;
-    record_.sched_buckets = queue_.bucket_count();
-    record_.sched_width_s = stats_.sched_width_s;
     record_.elapsed_s = stats_.elapsed_s;
   }
   obs::count(obs::Counter::NetEvents, stats_.events);

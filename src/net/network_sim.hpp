@@ -108,11 +108,9 @@ struct NetConfig {
   /// events (`@<id>`) hit only that node's links.
   const sim::faults::ImpairmentSchedule* impairments = nullptr;
   /// Arm the flight recorder (net/netstats.hpp): an end-of-run copy of
-  /// every node's NodeStats, latency, and the scheduler series. Ignored
-  /// (stays off) when BRAIDIO_OBS is compiled out.
+  /// every node's NodeStats, and the delivery latency. Ignored (stays
+  /// off) when BRAIDIO_OBS is compiled out.
   bool flight_recorder = false;
-  /// Sim-time bucket for the recorder's scheduler series [s].
-  double stats_bucket_s = 0.25;
 };
 
 /// Run summary. The frame counts, delivered_payload_bits, and
@@ -137,9 +135,8 @@ struct NetStats {
   std::vector<double> node_joules;  // per node; [0] is the hub
   double delivered_payload_bits = 0.0;
   MacPolicyStats mac;  // policy counters (zeros under plain CSMA)
-  // Scheduler introspection (always collected — the queue's counters
-  // are one compare/add each; the time-bucketed series needs the
-  // flight recorder).
+  // Scheduler introspection, the run's one scheduler summary (always
+  // collected — the queue's counters are one compare/add each).
   std::uint64_t sched_retunes = 0;     // calendar width re-tunes
   std::uint64_t sched_grows = 0;       // calendar doublings
   std::uint64_t sched_peak_depth = 0;  // max simultaneous events
@@ -242,9 +239,6 @@ class NetworkSimulator final : public MacContext {
   // Scripted fault activations in start order + the emit cursor.
   std::vector<sim::faults::FaultEvent> fault_edges_;
   std::size_t fault_cursor_ = 0;
-  // Scheduler-series delta cursors (last sampled cumulative values).
-  std::uint64_t last_retunes_ = 0;
-  std::uint64_t last_scan_steps_ = 0;
   bool ran_ = false;
 };
 

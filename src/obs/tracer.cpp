@@ -93,7 +93,8 @@ void Tracer::set_enabled(bool on) {
 }
 
 void Tracer::set_lane_capacity(std::size_t events) {
-  BRAIDIO_REQUIRE(events >= 1, "lane_capacity", events);
+  BRAIDIO_REQUIRE(events >= 1 && events <= kMaxLaneCapacity,
+                  "lane_capacity", events, "max", kMaxLaneCapacity);
   lane_capacity_.store(events, std::memory_order_relaxed);
 }
 

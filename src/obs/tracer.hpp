@@ -49,8 +49,15 @@ class Tracer {
   }
   void set_enabled(bool on);
 
-  /// Ring capacity (events per lane) for lanes created after the call.
-  /// Existing lanes keep their capacity until the next clear().
+  /// Largest ring capacity: 2^24 events, 1 GiB of 64-byte events a lane.
+  /// A lane allocates its whole ring on its thread's first event, so a
+  /// larger capacity is refused here rather than failing that allocation
+  /// inside model code.
+  static constexpr std::size_t kMaxLaneCapacity = std::size_t{1} << 24;
+
+  /// Ring capacity (events per lane, 1..kMaxLaneCapacity) for lanes
+  /// created after the call. Existing lanes keep their capacity until
+  /// the next clear().
   void set_lane_capacity(std::size_t events);
   std::size_t lane_capacity() const;
 

@@ -4,7 +4,6 @@
 
 #include "obs/obs.hpp"
 #include "util/contract.hpp"
-#include "util/csv.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
 
@@ -51,21 +50,7 @@ util::TablePrinter ResultTable::to_printer() const {
   return table;
 }
 
-std::string ResultTable::to_csv() const {
-  std::vector<std::string> headers;
-  for (const auto& axis : axes_) headers.push_back(axis.name);
-  for (const auto& col : columns_) headers.push_back(col);
-  util::CsvWriter csv(std::move(headers));
-  for (std::size_t r = 0; r < records_.size(); ++r) {
-    std::vector<std::string> row;
-    for (std::size_t a = 0; a < axes_.size(); ++a) {
-      row.push_back(axis_label(r, a));
-    }
-    for (const auto& cell : records_[r].cells) row.push_back(cell);
-    csv.add_row(row);
-  }
-  return csv.to_string();
-}
+std::string ResultTable::to_csv() const { return to_printer().to_csv(); }
 
 std::string ResultTable::to_json() const {
   std::ostringstream os;

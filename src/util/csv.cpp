@@ -43,7 +43,8 @@ std::string csv_escape(const std::string& cell) {
   return out;
 }
 
-std::string CsvWriter::to_string() const {
+std::string csv_document(const std::vector<std::string>& headers,
+                         const std::vector<std::vector<std::string>>& rows) {
   std::ostringstream os;
   auto emit = [&](const std::vector<std::string>& row) {
     for (std::size_t i = 0; i < row.size(); ++i) {
@@ -52,9 +53,13 @@ std::string CsvWriter::to_string() const {
     }
     os << '\n';
   };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
+  emit(headers);
+  for (const auto& row : rows) emit(row);
   return os.str();
+}
+
+std::string CsvWriter::to_string() const {
+  return csv_document(headers_, rows_);
 }
 
 void CsvWriter::write_file(const std::string& path) const {

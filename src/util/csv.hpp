@@ -31,4 +31,8 @@ class CsvWriter {
 /// Escape a single CSV cell.
 std::string csv_escape(const std::string& cell);
 
+/// Render a header line and the rows, one line each, cells escaped.
+std::string csv_document(const std::vector<std::string>& headers,
+                         const std::vector<std::vector<std::string>>& rows);
+
 }  // namespace braidio::util

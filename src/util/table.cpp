@@ -54,9 +54,7 @@ std::string TablePrinter::to_string() const {
 void TablePrinter::print(std::ostream& os) const { os << to_string(); }
 
 std::string TablePrinter::to_csv() const {
-  CsvWriter csv(headers_);
-  for (const auto& row : rows_) csv.add_row(row);
-  return csv.to_string();
+  return csv_document(headers_, rows_);
 }
 
 std::string format_si_power(double watts) {

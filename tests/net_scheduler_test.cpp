@@ -73,27 +73,6 @@ TEST(EventQueue, PoolSlotsAreReusedNotLeaked) {
   EXPECT_EQ(queue.processed(), 4000u);
 }
 
-TEST(EventQueue, ResetRecyclesTheArena) {
-  EventQueue queue;
-  for (std::uint32_t i = 0; i < 64; ++i) {
-    queue.schedule(static_cast<double>(i), i, 0);
-  }
-  const std::size_t slots = queue.pool_slots();
-  queue.reset();
-  EXPECT_TRUE(queue.empty());
-  EXPECT_DOUBLE_EQ(queue.now_s(), 0.0);
-  EXPECT_EQ(queue.pool_slots(), slots);  // retained, not freed
-  // A refill of the same working set must not allocate new slots, and
-  // the clock restarts from zero.
-  for (std::uint32_t i = 0; i < 64; ++i) {
-    queue.schedule(static_cast<double>(i), i, 0);
-  }
-  EXPECT_EQ(queue.pool_slots(), slots);
-  Event ev;
-  ASSERT_TRUE(queue.pop(ev));
-  EXPECT_EQ(ev.node, 0u);
-}
-
 TEST(EventQueue, WrapsAroundManyCalendarLaps) {
   // 8 buckets x 1 ms days: consecutive events 5 days apart lap the
   // calendar hundreds of times; order and clock must never slip.

@@ -1,11 +1,12 @@
 // Network flight recorder (DESIGN.md §17): the per-node stats copy and
-// its per-link loss view, packet-lifecycle flow tracing, scheduler
-// introspection, and the serial-vs-parallel export determinism pin.
+// its per-link loss view, packet-lifecycle flow tracing, the recorded
+// export digests, and the serial-vs-parallel export determinism pin.
 #include "net/netstats.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -85,21 +86,12 @@ TEST(NetFlightRecorder, CountersReconcileWithNetStats) {
   EXPECT_EQ(node_sum(record, &NodeStats::uplink_acked),
             stats.delivered + stats.forwarded);
   EXPECT_EQ(record.latency.count(), stats.delivered);
-
-  // Scheduler plane: the series covers every pop (or counts it skipped),
-  // and the end-of-run summary mirrors NetStats.
-  std::uint64_t series_events = 0;
-  for (const std::uint64_t e : record.sched.events) series_events += e;
-  EXPECT_EQ(series_events + record.sched.skipped, stats.events);
   EXPECT_EQ(record.events, stats.events);
-  EXPECT_EQ(record.sched_retunes, stats.sched_retunes);
-  EXPECT_EQ(record.sched_peak_depth, stats.sched_peak_depth);
-  EXPECT_GT(record.sched_peak_depth, 0u);
 
   // Exports parse-back at the smoke level: schema line, one CSV row per
   // node plus the header.
   const std::string json = record.to_json();
-  EXPECT_NE(json.find("\"schema\": \"braidio-netstats/v1\""),
+  EXPECT_NE(json.find("\"schema\": \"braidio-netstats/v2\""),
             std::string::npos);
   const std::string csv = record.to_csv();
   const auto rows = std::count(csv.begin(), csv.end(), '\n');
@@ -226,7 +218,7 @@ TEST(NetFlightRecorder, RingOverflowDropAccountingAt10kNodes) {
   EXPECT_EQ(recorded, kept + dropped);
 
   // The recorder is ring-independent: nothing the ring dropped is
-  // missing from its latency histogram or scheduler summary.
+  // missing from its latency histogram or its event count.
   const NetFlightRecord& record = sim.flight_record();
   EXPECT_EQ(record.latency.count(), stats.delivered);
   EXPECT_EQ(record.events, stats.events);
@@ -269,20 +261,52 @@ TEST(NetFlightRecorder, FaultActiveEventNamesTargetedNode) {
   EXPECT_TRUE(found) << "expected a FaultActive event labeled dropout@1";
 }
 
-TEST(NetFlightRecorder, SchedChromeCountersExport) {
-  NetConfig cfg;
-  cfg.backend = &backend();
-  cfg.topology.nodes = 64;
-  cfg.packets_per_node = 2;
-  cfg.flight_recorder = true;
-  cfg.stats_bucket_s = 0.01;
-  NetworkSimulator sim(cfg);
-  sim.run();
-  const std::string doc = sim.flight_record().sched_chrome_counters();
-  EXPECT_NE(doc.find("\"name\": \"net.sched\""), std::string::npos);
-  EXPECT_NE(doc.find("\"ph\": \"C\""), std::string::npos);
-  EXPECT_NE(doc.find("\"events\""), std::string::npos);
-  EXPECT_NE(doc.find("\"peak_depth\""), std::string::npos);
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const unsigned char c : text) {
+    hash ^= c;
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+// The export is a byte-for-byte contract. These digests of to_json() +
+// to_csv() are those of `braidio_cli net --topology=grid --nodes=96
+// --mac=<csma|tdma> --faults=F --net-stats-out=...`, with F holding the
+// two fault lines below: a change to what the record holds or how it
+// renders must re-record them and say why.
+TEST(NetFlightRecorder, ExportsMatchRecordedDigests) {
+  std::istringstream script("dropout 0 0.3 @1\nshadowing 0.2 0.6 12\n");
+  std::string error;
+  const auto timeline = sim::faults::FaultTimeline::parse(script, &error);
+  ASSERT_TRUE(timeline.has_value()) << error;
+  const sim::faults::ImpairmentSchedule faults(*timeline);
+
+  struct Cell {
+    MacKind mac;
+    std::uint64_t digest;
+  };
+  const Cell recorded[] = {{MacKind::Csma, 0x682a4d841588aa80ull},
+                           {MacKind::Tdma, 0xe2ee6f45d390f97bull}};
+  for (const Cell& cell : recorded) {
+    NetConfig cfg;
+    cfg.backend = &backend();
+    cfg.topology.kind = TopologyKind::Grid;
+    cfg.topology.nodes = 96;
+    cfg.mac = cell.mac;
+    cfg.impairments = &faults;
+    cfg.flight_recorder = true;
+    NetworkSimulator sim(cfg);
+    sim.run();
+    const NetFlightRecord& record = sim.flight_record();
+    const std::uint64_t digest = fnv1a(record.to_json() + record.to_csv());
+    char hex[19];
+    std::snprintf(hex, sizeof hex, "0x%016llx",
+                  static_cast<unsigned long long>(digest));
+    EXPECT_EQ(digest, cell.digest)
+        << "netstats export changed under " << to_string(cell.mac) << ": "
+        << hex;
+  }
 }
 
 #else  // !BRAIDIO_OBS_COMPILED

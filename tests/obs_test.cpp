@@ -452,6 +452,31 @@ TEST_F(TracerTest, CsvHasHeaderAndOneLinePerEvent) {
   EXPECT_NE(csv.find(",PacketRx,active@1M,,37"), std::string::npos);
 }
 
+// A lane allocates its whole ring on its thread's first event, so the
+// capacity is checked where it is set: past the cap the setter dies
+// instead of the next trace event throwing from inside model code.
+TEST(TracerDeathTest, RejectsLaneCapacityPastTheCap) {
+#if BRAIDIO_CONTRACTS_ENABLED
+  auto& tracer = obs::Tracer::instance();
+  constexpr std::size_t kMax = obs::Tracer::kMaxLaneCapacity;
+  EXPECT_EQ(kMax, std::size_t{1} << 24);
+  EXPECT_DEATH(tracer.set_lane_capacity(kMax + 1),
+               "lane_capacity=16777217");
+  EXPECT_DEATH(
+      tracer.set_lane_capacity(std::numeric_limits<std::size_t>::max()),
+      "lane_capacity=18446744073709551615");
+  EXPECT_DEATH(tracer.set_lane_capacity(0), "lane_capacity=0");
+  // The cap itself is accepted. No lane is created in between, so
+  // nothing is allocated at that size.
+  const std::size_t before = tracer.lane_capacity();
+  tracer.set_lane_capacity(kMax);
+  EXPECT_EQ(tracer.lane_capacity(), kMax);
+  tracer.set_lane_capacity(before);
+#else
+  GTEST_SKIP() << "contracts disabled";
+#endif
+}
+
 // ---------------------------------------------------------------------
 // Sweep integration: merged metrics must be byte-identical for any
 // thread count, like the data itself.

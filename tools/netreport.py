@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Post-mortem report over a braidio-netstats/v1 flight-recorder export.
+"""Post-mortem report over a braidio-netstats/v2 flight-recorder export.
 
 Usage:
 
@@ -180,28 +180,11 @@ def report_trace(path: str) -> None:
           f"hop(s)")
 
 
-def report_scheduler(doc: dict) -> None:
-    sched = doc.get("scheduler")
-    if not sched:
-        return
-    print("== scheduler ==")
-    print(f"  events {doc.get('events', 0)}, peak depth "
-          f"{sched.get('peak_depth', 0)}, re-tunes "
-          f"{sched.get('retunes', 0)}, grows {sched.get('grows', 0)}, "
-          f"calendar width {sched.get('width_s', 0)} s x "
-          f"{sched.get('buckets', 0)} buckets")
-    series = sched.get("series_events", [])
-    if series:
-        peak_bucket = max(range(len(series)), key=lambda i: series[i])
-        print(f"  busiest {sched.get('series_bucket_s', 0)} s bucket: "
-              f"#{peak_bucket} with {series[peak_bucket]} events")
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("netstats", help="braidio-netstats/v1 JSON path")
+    parser.add_argument("netstats", help="braidio-netstats/v2 JSON path")
     parser.add_argument("--trace", help="Chrome flow-event trace path")
     parser.add_argument("--top", type=int, default=10,
                         help="rows in the top-talkers table")
@@ -210,7 +193,7 @@ def main() -> int:
     args = parser.parse_args()
 
     doc = load(args.netstats)
-    if doc.get("schema") != "braidio-netstats/v1":
+    if doc.get("schema") != "braidio-netstats/v2":
         sys.exit(f"netreport: {args.netstats}: unexpected schema "
                  f"{doc.get('schema')!r}")
     if not doc.get("enabled", False):
@@ -232,8 +215,6 @@ def main() -> int:
     report_loss_tree(rows, args.max_children)
     print()
     report_tdma_map(rows)
-    print()
-    report_scheduler(doc)
     if args.trace:
         print()
         report_trace(args.trace)
