@@ -3,16 +3,17 @@
 #include <iostream>
 
 #include "backends/backends.hpp"
-#include "bench_common.hpp"
 #include "core/braided_link.hpp"
 #include "core/lifetime_sim.hpp"
 #include "hal/radio.hpp"
+#include "sim/run_report.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
 int main() {
   using namespace braidio;
-  bench::header("Ablation", "Packetized protocol overhead vs fluid model");
+  sim::RunReport report(std::cout, "Ablation",
+                        "Packetized protocol overhead vs fluid model");
 
   const hal::RadioBackend& backend = backends::braidio_backend();
   core::RegimeMap regimes(backend);
@@ -52,7 +53,7 @@ int main() {
   }
   out.print(std::cout);
 
-  bench::note("Headers, acks and half-duplex turnarounds multiply per-bit "
+  report.note("Headers, acks and half-duplex turnarounds multiply per-bit "
               "energy; larger payloads amortize it toward the fluid model's "
               "1.0x. The paper's lifetime numbers assume the fluid limit.");
 

@@ -3,14 +3,15 @@
 // tradeoff the authors navigated on hardware.
 #include <iostream>
 
-#include "bench_common.hpp"
 #include "circuits/pump_design.hpp"
+#include "sim/run_report.hpp"
 #include "util/table.hpp"
 
 int main() {
   using namespace braidio;
   using circuits::PumpDesignExplorer;
-  bench::header("Ablation", "Charge pump design space (Table 4 note)");
+  sim::RunReport report(std::cout, "Ablation",
+                        "Charge pump design space (Table 4 note)");
 
   circuits::ChargePumpConfig base;  // 100 pF / 1-stage Fig. 3 pump
 
@@ -29,7 +30,7 @@ int main() {
          util::format_fixed(p.output_impedance_ohms / 1e3, 1)});
   }
   caps.print(std::cout);
-  bench::note("Large caps hold the boost but settle too slowly for 1 Mbps "
+  report.note("Large caps hold the boost but settle too slowly for 1 Mbps "
               "OOK; the paper's 'reduced Cs and Cp' trades ripple for the "
               "bitrate headroom of Fig. 13.");
 
@@ -46,7 +47,7 @@ int main() {
                     util::format_fixed(p.settle_time_s * 1e6, 2)});
   }
   stages.print(std::cout);
-  bench::note("More stages boost weak signals (sensitivity) but multiply "
+  report.note("More stages boost weak signals (sensitivity) but multiply "
               "the output impedance the INA2331 must not load — why the "
               "paper pairs a short pump with an instrumentation amp "
               "instead of stacking stages.");

@@ -1,12 +1,8 @@
-// Shared helpers for the reproduction bench binaries.
-//
-// New benches should construct a `sim::RunReport` directly (see
-// bench_fig15_gain_matrix.cpp for the pattern); the free functions below
-// keep the older binaries working on top of the same reporting layer.
+// Shared helpers for the reproduction bench binaries. Every bench prints
+// through a `sim::RunReport` (see bench_fig15_gain_matrix.cpp for the
+// pattern); these cover the sweep options and the telemetry export.
 #pragma once
 
-#include <cmath>
-#include <iostream>
 #include <limits>
 #include <map>
 #include <string>
@@ -17,33 +13,6 @@
 #include "util/table.hpp"
 
 namespace braidio::bench {
-
-inline void header(const std::string& id, const std::string& title) {
-  const std::string rule(64, '=');
-  std::cout << '\n' << rule << '\n'
-            << id << " — " << title << '\n'
-            << rule << '\n';
-}
-
-inline void note(const std::string& text) {
-  std::cout << "  " << text << '\n';
-}
-
-/// "paper: X   measured: Y" one-liner for EXPERIMENTS.md-style checking.
-inline void check_line(const std::string& what, const std::string& paper,
-                       const std::string& measured) {
-  std::printf("  %-44s paper: %-16s ours: %s\n", what.c_str(), paper.c_str(),
-              measured.c_str());
-}
-
-/// When BRAIDIO_CSV_DIR is set, dump `table` to <dir>/<name>.csv so plot
-/// scripts can regenerate the figures from the same data the bench prints.
-/// Failed or partial writes are reported on stderr; with BRAIDIO_CSV_STRICT
-/// set the process exits non-zero (CI mode) — see sim/run_report.hpp.
-inline void maybe_export_csv(const std::string& name,
-                             const util::TablePrinter& table) {
-  sim::export_artifact(name, ".csv", table.to_csv(), std::cout);
-}
 
 /// Sweep options for a bench main(): `--threads N` wins, then the
 /// BRAIDIO_THREADS env var, then hardware concurrency.

@@ -6,15 +6,16 @@
 // cheapest braid toward the fastest one.
 #include <iostream>
 
-#include "bench_common.hpp"
 #include "core/offload.hpp"
 #include "core/regimes.hpp"
+#include "sim/run_report.hpp"
 #include "util/table.hpp"
 
 int main() {
   using namespace braidio;
   using namespace braidio::core;
-  bench::header("Extension", "Deadline-aware offload: the price of speed");
+  sim::RunReport report(std::cout, "Extension",
+                        "Deadline-aware offload: the price of speed");
 
   // The demonstration set from the test suite: a cheap crawling braid
   // (Y+Z) vs an expensive fast symmetric mode (X), equal batteries.
@@ -37,9 +38,9 @@ int main() {
                  plan.summary()});
   }
   out.print(std::cout);
-  bench::maybe_export_csv("ext_deadline", out);
+  report.export_csv("ext_deadline", out);
 
-  bench::note("Below ~11 kbps the cheapest braid suffices (45 nJ/bit "
+  report.note("Below ~11 kbps the cheapest braid suffices (45 nJ/bit "
               "total); each extra decade of demanded throughput shifts "
               "bits from the cheap 10 kbps leg onto the fast symmetric "
               "mode, converging to its 200 nJ/bit. '(!)' marks floors no "

@@ -7,15 +7,16 @@
 #include <iostream>
 
 #include "backends/backends.hpp"
-#include "bench_common.hpp"
 #include "core/coded_candidates.hpp"
 #include "mac/fec.hpp"
 #include "phy/link_budget.hpp"
+#include "sim/run_report.hpp"
 #include "util/table.hpp"
 
 int main() {
   using namespace braidio;
-  bench::header("Extension", "FEC (Hamming 7,4 + interleaving) range gains");
+  sim::RunReport report(std::cout, "Extension",
+                        "FEC (Hamming 7,4 + interleaving) range gains");
 
   phy::LinkBudget budget;
   util::TablePrinter out({"link", "uncoded range", "coded range",
@@ -41,11 +42,11 @@ int main() {
   out.print(std::cout);
 
   const core::RegimeMap map(backends::braidio_backend());
-  bench::check_line(
+  report.check(
       "Regime A limit (carrier offloadable to either end)", "2.4 m uncoded",
       util::format_fixed(core::coded_regime_a_limit_m(map, budget), 2) +
           " m with coded backscatter");
-  bench::note("Backscatter's d^-4 rolloff turns coding gain into little "
+  report.note("Backscatter's d^-4 rolloff turns coding gain into little "
               "extra range; the passive link's d^-2 slope converts the "
               "same dB into noticeably more meters. The planner treats "
               "coded links as extra (mode, rate) candidates, which is what "

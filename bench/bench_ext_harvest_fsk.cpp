@@ -8,17 +8,18 @@
 #include <iostream>
 
 #include "backends/backends.hpp"
-#include "bench_common.hpp"
 #include "circuits/harvester.hpp"
 #include "core/harvest_aware.hpp"
 #include "phy/fsk_subcarrier.hpp"
 #include "rf/constants.hpp"
+#include "sim/run_report.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
 int main() {
   using namespace braidio;
-  bench::header("Extension", "Battery-free tags and FSK subcarriers");
+  sim::RunReport report(std::cout, "Extension",
+                        "Battery-free tags and FSK subcarriers");
 
   circuits::Harvester harvester;
   util::TablePrinter h({"tag load", "duty cycle", "battery-free range"});
@@ -40,7 +41,7 @@ int main() {
                    " m"});
   }
   h.print(std::cout);
-  bench::note("A 13 dBm carrier can power a continuously backscattering "
+  report.note("A 13 dBm carrier can power a continuously backscattering "
               "tag only at tens of centimeters; duty cycling stretches "
               "this to room scale — why WISP-class tags are bursty.");
 
@@ -59,7 +60,7 @@ int main() {
                 util::format_si_power(net)});
   }
   be.print(std::cout);
-  bench::note("Inside the break-even radius the tag end is energy-neutral: "
+  report.note("Inside the break-even radius the tag end is energy-neutral: "
               "Eq. 1's achievable drain-ratio span becomes unbounded and a "
               "dying device can keep transmitting on the peer's energy.");
 
@@ -80,11 +81,11 @@ int main() {
       cfg, util::db_to_linear(-10.0), 30'000, 5, /*background=*/5000.0);
   const auto nodc = phy::simulate_fsk_subcarrier(
       cfg, util::db_to_linear(-10.0), 30'000, 5, /*background=*/0.0);
-  bench::check_line("BER with 5000x DC background vs none",
-                    "tone detection is DC-immune",
-                    util::format_scientific(dc.measured_ber, 3) + " vs " +
-                        util::format_scientific(nodc.measured_ber, 3));
-  bench::note("The subcarrier moves data energy to 600/900 kHz, far above "
+  report.check("BER with 5000x DC background vs none",
+               "tone detection is DC-immune",
+               util::format_scientific(dc.measured_ber, 3) + " vs " +
+                   util::format_scientific(nodc.measured_ber, 3));
+  report.note("The subcarrier moves data energy to 600/900 kHz, far above "
               "the <1 kHz self-interference band — the spectral version of "
               "the charge pump's DC-rejection trick (Sec. 3.1).");
   return 0;

@@ -6,13 +6,14 @@
 #include <iostream>
 
 #include "backends/backends.hpp"
-#include "bench_common.hpp"
 #include "core/carrier_hub.hpp"
+#include "sim/run_report.hpp"
 #include "util/table.hpp"
 
 int main() {
   using namespace braidio;
-  bench::header("Extension", "One carrier, many tags (TDMA hub)");
+  sim::RunReport report(std::cout, "Extension",
+                        "One carrier, many tags (TDMA hub)");
 
   util::TablePrinter out({"nodes", "delivered", "hub J/bit", "mean node J",
                           "elapsed [s]"});
@@ -35,7 +36,7 @@ int main() {
   }
   out.print(std::cout);
 
-  bench::note("Hub J/bit is constant in fleet size (it pays per served "
+  report.note("Hub J/bit is constant in fleet size (it pays per served "
               "bit, not per node) while each tag pays only the uW-class "
               "reflection cost — the paper's asymmetry story, scaled out.");
   return 0;

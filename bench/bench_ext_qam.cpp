@@ -5,14 +5,15 @@
 // shrinks through the d^-4 radar path.
 #include <iostream>
 
-#include "bench_common.hpp"
 #include "phy/qam_backscatter.hpp"
+#include "sim/run_report.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
 int main() {
   using namespace braidio;
-  bench::header("Extension", "M-QAM backscatter: rate/energy vs range");
+  sim::RunReport report(std::cout, "Extension",
+                        "M-QAM backscatter: rate/energy vs range");
 
   phy::QamTagModel tag;
   const util::Hertz symbol_rate{1e6};
@@ -33,13 +34,13 @@ int main() {
          util::format_fixed(phy::qam_range_m(m, bpsk_range), 2) + " m"});
   }
   out.print(std::cout);
-  bench::maybe_export_csv("ext_qam", out);
+  report.export_csv("ext_qam", out);
 
-  bench::check_line("16-QAM tag energy", "[48]: 15.5 pJ/bit class",
-                    util::format_fixed(
-                        tag.tag_joules_per_bit(16, symbol_rate) * 1e12, 1) +
-                        " pJ/bit");
-  bench::note("QAM needs a coherent (IQ) reader — the envelope detector "
+  report.check("16-QAM tag energy", "[48]: 15.5 pJ/bit class",
+               util::format_fixed(
+                   tag.tag_joules_per_bit(16, symbol_rate) * 1e12, 1) +
+                   " pJ/bit");
+  report.note("QAM needs a coherent (IQ) reader — the envelope detector "
               "cannot separate phase states — so this mode pairs the "
               "Braidio tag end with a commercial-reader-class receive "
               "chain. The d^-4 radar path softens the SNR penalty into a "

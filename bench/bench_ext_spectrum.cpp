@@ -8,16 +8,17 @@
 #include <cmath>
 #include <iostream>
 
-#include "bench_common.hpp"
 #include "phy/fsk_subcarrier.hpp"
 #include "phy/modulation.hpp"
 #include "phy/spectrum.hpp"
+#include "sim/run_report.hpp"
 #include "util/table.hpp"
 
 int main() {
   using namespace braidio;
-  bench::header("Extension",
-                "Baseband spectra vs the self-interference band");
+  sim::RunReport report(
+      std::cout, "Extension",
+      "Baseband spectra vs the self-interference band");
 
   const double fs = 8e6;
   const auto bits = phy::random_bits(8192, 7);
@@ -71,12 +72,12 @@ int main() {
                                                bands[i][1]), 1) + " %"});
   }
   out.print(std::cout);
-  bench::maybe_export_csv("ext_spectrum", out);
+  report.export_csv("ext_spectrum", out);
 
   // A high-pass at a tenth of the bit rate (what a low-bitrate link's
   // self-interference filter looks like relative to its data band).
   const util::Hertz corner{100e3};
-  bench::check_line(
+  report.check(
       "signal power below bitrate/10 (lost to the HP)",
       "NRZ >> Manchester ~ FSK",
       util::format_fixed(
@@ -88,7 +89,7 @@ int main() {
           util::format_fixed(
               100.0 * phy::power_fraction_below(psd_fsk, corner), 1) +
           " %");
-  bench::note("Self-interference sits below ~1 kHz (channel coherence "
+  report.note("Self-interference sits below ~1 kHz (channel coherence "
               "~ms, Sec. 3.1); both DC-balanced line codes clear the "
               "high-pass corner nearly unscathed while NRZ forfeits its "
               "DC component.");

@@ -5,14 +5,15 @@
 // envelope-detector chain.
 #include <iostream>
 
-#include "bench_common.hpp"
 #include "core/wakeup.hpp"
 #include "phy/link_budget.hpp"
+#include "sim/run_report.hpp"
 #include "util/table.hpp"
 
 int main() {
   using namespace braidio;
-  bench::header("Extension", "Passive wake-up vs duty-cycled listening");
+  sim::RunReport report(std::cout, "Extension",
+                        "Passive wake-up vs duty-cycled listening");
 
   core::DutyCycleListener active;
   core::PassiveWakeupListener passive;
@@ -32,21 +33,21 @@ int main() {
                util::format_fixed(passive.expected_latency_s() * 1e3, 1) +
                    " ms"});
   out.print(std::cout);
-  bench::maybe_export_csv("ext_wakeup", out);
+  report.export_csv("ext_wakeup", out);
 
-  bench::check_line(
+  report.check(
       "power to match the passive 3.2 ms latency", ">1000x more",
       util::format_fixed(core::equal_latency_power_ratio(active, passive),
                          0) +
           "x");
   phy::LinkBudget budget;
-  bench::check_line("wake-up range (passive link @10 kbps)", "5.1 m",
-                    util::format_fixed(
-                        budget.range_m(phy::LinkMode::PassiveRx,
-                                       phy::Bitrate::k10),
-                        1) +
-                        " m");
-  bench::note("The same charge-pump receiver that makes backscatter cheap "
+  report.check("wake-up range (passive link @10 kbps)", "5.1 m",
+               util::format_fixed(
+                   budget.range_m(phy::LinkMode::PassiveRx,
+                                  phy::Bitrate::k10),
+                   1) +
+                   " m");
+  report.note("The same charge-pump receiver that makes backscatter cheap "
               "gives Braidio an always-on wake-up channel: the peer keys "
               "its carrier with a 32-bit pattern and the comparator fires "
               "within milliseconds at a 23 uW listening floor.");

@@ -2,13 +2,14 @@
 #include <cmath>
 #include <iostream>
 
-#include "bench_common.hpp"
 #include "energy/device_catalog.hpp"
+#include "sim/run_report.hpp"
 #include "util/table.hpp"
 
 int main() {
   using namespace braidio;
-  bench::header("Figure 1", "Battery capacity for mobile devices");
+  sim::RunReport report(std::cout, "Figure 1",
+                        "Battery capacity for mobile devices");
 
   util::TablePrinter table({"device", "capacity [Wh]", "log10", "bar"});
   for (const auto& dev : energy::device_catalog()) {
@@ -22,15 +23,15 @@ int main() {
   }
   table.print(std::cout);
 
-  bench::check_line("laptop : fitness-band capacity span",
-                    "~3 orders of magnitude",
-                    util::format_fixed(
-                        std::log10(energy::catalog_capacity_span()), 2) +
-                        " orders (" +
-                        util::format_fixed(energy::catalog_capacity_span(),
-                                           0) +
-                        "x)");
-  bench::note("Capacity sources are public teardowns/specs (see "
+  report.check("laptop : fitness-band capacity span",
+               "~3 orders of magnitude",
+               util::format_fixed(
+                   std::log10(energy::catalog_capacity_span()), 2) +
+                   " orders (" +
+                   util::format_fixed(energy::catalog_capacity_span(),
+                                      0) +
+                   "x)");
+  report.note("Capacity sources are public teardowns/specs (see "
               "device_catalog.cpp); the paper plots the same devices.");
   return 0;
 }

@@ -3,13 +3,14 @@
 // waveforms of a single-stage pump driven by a 1 V sine.
 #include <iostream>
 
-#include "bench_common.hpp"
 #include "circuits/charge_pump.hpp"
+#include "sim/run_report.hpp"
 #include "util/table.hpp"
 
 int main() {
   using namespace braidio;
-  bench::header("Figure 3", "Simulated output of the RF charge pump");
+  sim::RunReport report(std::cout, "Figure 3",
+                        "Simulated output of the RF charge pump");
 
   circuits::ChargePump pump;  // 1 stage, 1 V drive (Fig. 3 configuration)
   const auto run = pump.simulate(10e-6, 0.0, 1);
@@ -29,24 +30,24 @@ int main() {
   table.print(std::cout);
 
   const auto settled = pump.simulate(40e-6, 0.0, 16);
-  bench::check_line("steady-state output from 1 V sine", "~2 V (ideal diodes)",
-                    util::format_fixed(settled.steady_state_volts, 2) +
-                        " V (HSMS-285x Schottky losses)");
-  bench::check_line("mid node B", "swings 0..2 V",
-                    "ripple " +
-                        util::format_fixed(
-                            settled.transient.ripple(settled.mid_nodes[0]),
-                            2) +
-                        " V around " +
-                        util::format_fixed(
-                            settled.transient.steady_state(
-                                settled.mid_nodes[0]),
-                            2) +
-                        " V");
-  bench::check_line("pump output impedance (why the amp must be hi-Z)",
-                    "N / (f C)",
-                    util::format_fixed(pump.output_impedance_ohms() / 1e3,
-                                       1) +
-                        " kohm");
+  report.check("steady-state output from 1 V sine", "~2 V (ideal diodes)",
+               util::format_fixed(settled.steady_state_volts, 2) +
+                   " V (HSMS-285x Schottky losses)");
+  report.check("mid node B", "swings 0..2 V",
+               "ripple " +
+                   util::format_fixed(
+                       settled.transient.ripple(settled.mid_nodes[0]),
+                       2) +
+                   " V around " +
+                   util::format_fixed(
+                       settled.transient.steady_state(
+                           settled.mid_nodes[0]),
+                       2) +
+                   " V");
+  report.check("pump output impedance (why the amp must be hi-Z)",
+               "N / (f C)",
+               util::format_fixed(pump.output_impedance_ohms() / 1e3,
+                                  1) +
+                   " kohm");
   return 0;
 }

@@ -5,13 +5,14 @@
 #include <algorithm>
 #include <iostream>
 
-#include "bench_common.hpp"
 #include "rf/phase_field.hpp"
+#include "sim/run_report.hpp"
 #include "util/table.hpp"
 
 int main() {
   using namespace braidio;
-  bench::header("Figure 4", "Phase cancellation field map and line cut");
+  sim::RunReport report(std::cout, "Figure 4",
+                        "Phase cancellation field map and line cut");
 
   rf::PhaseField field;  // defaults = the Fig. 4(b) geometry
 
@@ -37,7 +38,7 @@ int main() {
     }
     std::cout << "|\n";
   }
-  bench::note("TX antenna at (0.95, 0.5), RX antenna at (1.05, 0.5); note "
+  report.note("TX antenna at (0.95, 0.5), RX antenna at (1.05, 0.5); note "
               "the dark cancellation fringes close to the devices.");
 
   // (c) line cut along y = 0.5, sampled finely enough (<< lambda/2) to
@@ -55,10 +56,10 @@ int main() {
     worst = std::min(worst, s.snr_single_db);
     peak = std::max(peak, s.snr_single_db);
   }
-  bench::check_line("null depth along y=0.5",
-                    "null points with very low SNR close to the devices",
-                    "deepest null " + util::format_fixed(worst, 1) +
-                        " dB, " + util::format_fixed(peak - worst, 0) +
-                        " dB below the peak");
+  report.check("null depth along y=0.5",
+               "null points with very low SNR close to the devices",
+               "deepest null " + util::format_fixed(worst, 1) +
+                   " dB, " + util::format_fixed(peak - worst, 0) +
+                   " dB below the peak");
   return 0;
 }

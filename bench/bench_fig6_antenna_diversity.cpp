@@ -4,15 +4,16 @@
 #include <algorithm>
 #include <iostream>
 
-#include "bench_common.hpp"
 #include "rf/constants.hpp"
 #include "rf/phase_field.hpp"
+#include "sim/run_report.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
 int main() {
   using namespace braidio;
-  bench::header("Figure 6", "Effect of antenna diversity on SNR");
+  sim::RunReport report(std::cout, "Figure 6",
+                        "Effect of antenna diversity on SNR");
 
   rf::PhaseField field;
   const double lambda = util::wavelength_m(rf::kCarrierFrequencyHz);
@@ -32,15 +33,15 @@ int main() {
     max_single = std::max(max_single, s.snr_single_db);
   }
   table.print(std::cout);
-  bench::maybe_export_csv("fig6_antenna_diversity", table);
+  report.export_csv("fig6_antenna_diversity", table);
 
-  bench::check_line("typical SNR", "~30 dB",
-                    util::format_fixed(max_single, 1) + " dB peak");
-  bench::check_line("worst null without diversity", "drops to ~0 dB",
-                    util::format_fixed(min_single, 1) + " dB");
-  bench::check_line("worst null with diversity", "> 5 dB",
-                    util::format_fixed(min_div, 1) + " dB");
-  bench::note("lambda/8 spacing shifts the relative tag/background phase by "
+  report.check("typical SNR", "~30 dB",
+               util::format_fixed(max_single, 1) + " dB peak");
+  report.check("worst null without diversity", "drops to ~0 dB",
+               util::format_fixed(min_single, 1) + " dB");
+  report.check("worst null with diversity", "> 5 dB",
+               util::format_fixed(min_div, 1) + " dB");
+  report.note("lambda/8 spacing shifts the relative tag/background phase by "
               "~pi/2 between the two antennas, so their nulls cannot "
               "coincide (Sec. 3.2).");
   return 0;

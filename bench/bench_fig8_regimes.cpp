@@ -2,13 +2,13 @@
 #include <iostream>
 
 #include "backends/backends.hpp"
-#include "bench_common.hpp"
 #include "core/regimes.hpp"
+#include "sim/run_report.hpp"
 #include "util/table.hpp"
 
 int main() {
   using namespace braidio;
-  bench::header("Figure 8", "Operating regimes vs distance");
+  sim::RunReport report(std::cout, "Figure 8", "Operating regimes vs distance");
 
   core::RegimeMap map(backends::braidio_backend());
 
@@ -30,11 +30,11 @@ int main() {
   }
   out.print(std::cout);
 
-  bench::check_line("Regime A limit (backscatter link dies)", "2.4 m",
-                    util::format_fixed(map.regime_a_limit_m(), 2) + " m");
-  bench::check_line("Regime B limit (passive link dies)", "5.1 m",
-                    util::format_fixed(map.regime_b_limit_m(), 2) + " m");
-  bench::note("Regime A: carrier can sit at either end (full offload "
+  report.check("Regime A limit (backscatter link dies)", "2.4 m",
+               util::format_fixed(map.regime_a_limit_m(), 2) + " m");
+  report.check("Regime B limit (passive link dies)", "5.1 m",
+               util::format_fixed(map.regime_b_limit_m(), 2) + " m");
+  report.note("Regime A: carrier can sit at either end (full offload "
               "freedom). B: only the receiver can shed its carrier. C: "
               "active only.");
   return 0;

@@ -4,13 +4,14 @@
 #include <iostream>
 
 #include "backends/backends.hpp"
-#include "bench_common.hpp"
 #include "core/efficiency.hpp"
+#include "sim/run_report.hpp"
 #include "util/table.hpp"
 
 int main() {
   using namespace braidio;
-  bench::header("Figure 9", "Transmitter vs receiver energy efficiency");
+  sim::RunReport report(std::cout, "Figure 9",
+                        "Transmitter vs receiver energy efficiency");
 
   core::RegimeMap map(backends::braidio_backend());
   const auto region = efficiency_region(map, 0.3);
@@ -26,22 +27,22 @@ int main() {
   }
   out.print(std::cout);
 
-  bench::check_line("A (active) ratio", "0.9524:1",
-                    region.points[2].ratio_label());
+  report.check("A (active) ratio", "0.9524:1",
+               region.points[2].ratio_label());
   const auto passive_1m = efficiency_region(map, 0.3);
   for (const auto& p : passive_1m.points) {
     if (p.candidate.label() == "passive@1M") {
-      bench::check_line("B (passive) ratio", "1:2546", p.ratio_label());
+      report.check("B (passive) ratio", "1:2546", p.ratio_label());
     }
     if (p.candidate.label() == "backscatter@1M") {
-      bench::check_line("C (backscatter) ratio", "3546:1", p.ratio_label());
+      report.check("C (backscatter) ratio", "3546:1", p.ratio_label());
     }
   }
 
   const auto p100 = core::proportional_point(map, 0.3, 100.0);
-  bench::check_line("P for a 100:1 energy ratio", "on edge BC",
-                    p100.plan_summary);
-  bench::note("Multiplexing the modes reaches every ratio inside the "
+  report.check("P for a 100:1 energy ratio", "on edge BC",
+               p100.plan_summary);
+  report.note("Multiplexing the modes reaches every ratio inside the "
               "triangle; edge BC is the best-total-efficiency frontier.");
   return 0;
 }

@@ -2,12 +2,13 @@
 #include <iostream>
 
 #include "baseline/bluetooth.hpp"
-#include "bench_common.hpp"
+#include "sim/run_report.hpp"
 #include "util/table.hpp"
 
 int main() {
   using namespace braidio;
-  bench::header("Table 1", "TX/RX power ratio of Bluetooth and BLE");
+  sim::RunReport report(std::cout, "Table 1",
+                        "TX/RX power ratio of Bluetooth and BLE");
 
   util::TablePrinter table(
       {"chip", "transmit", "receive", "TX/RX ratio"});
@@ -23,20 +24,20 @@ int main() {
   }
   table.print(std::cout);
 
-  bench::check_line("CC2541 ratio", "0.82 ~ 1.0",
-                    util::format_fixed(
-                        baseline::bluetooth_chip_table()[0].ratio_low(), 2) +
-                        " ~ " +
-                        util::format_fixed(
-                            baseline::bluetooth_chip_table()[0].ratio_high(),
-                            2));
-  bench::check_line("CC2640 ratio", "1.1 ~ 1.6",
-                    util::format_fixed(
-                        baseline::bluetooth_chip_table()[1].ratio_low(), 2) +
-                        " ~ " +
-                        util::format_fixed(
-                            baseline::bluetooth_chip_table()[1].ratio_high(),
-                            2));
-  bench::note("Contrast with Braidio's 1:2546 ... 3546:1 (Figure 9).");
+  report.check("CC2541 ratio", "0.82 ~ 1.0",
+               util::format_fixed(
+                   baseline::bluetooth_chip_table()[0].ratio_low(), 2) +
+                   " ~ " +
+                   util::format_fixed(
+                       baseline::bluetooth_chip_table()[0].ratio_high(),
+                       2));
+  report.check("CC2640 ratio", "1.1 ~ 1.6",
+               util::format_fixed(
+                   baseline::bluetooth_chip_table()[1].ratio_low(), 2) +
+                   " ~ " +
+                   util::format_fixed(
+                       baseline::bluetooth_chip_table()[1].ratio_high(),
+                       2));
+  report.note("Contrast with Braidio's 1:2546 ... 3546:1 (Figure 9).");
   return 0;
 }

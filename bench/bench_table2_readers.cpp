@@ -2,12 +2,13 @@
 #include <iostream>
 
 #include "baseline/reader.hpp"
-#include "bench_common.hpp"
+#include "sim/run_report.hpp"
 #include "util/table.hpp"
 
 int main() {
   using namespace braidio;
-  bench::header("Table 2", "Commercial reader power consumption and cost");
+  sim::RunReport report(std::cout, "Table 2",
+                        "Commercial reader power consumption and cost");
 
   util::TablePrinter table(
       {"model", "total power", "TX level", "est. RX power", "cost"});
@@ -19,12 +20,12 @@ int main() {
   }
   table.print(std::cout);
 
-  bench::check_line("reader power range", "0.64 W ... 4.2 W",
-                    util::format_si_power(
-                        baseline::reader_table().front().total_power_w) +
-                        " ... " +
-                        util::format_si_power(
-                            baseline::reader_table()[4].total_power_w));
-  bench::note("Braidio's whole backscatter receive end: 129 mW (Sec. 6.1).");
+  report.check("reader power range", "0.64 W ... 4.2 W",
+               util::format_si_power(
+                   baseline::reader_table().front().total_power_w) +
+                   " ... " +
+                   util::format_si_power(
+                       baseline::reader_table()[4].total_power_w));
+  report.note("Braidio's whole backscatter receive end: 129 mW (Sec. 6.1).");
   return 0;
 }

@@ -3,7 +3,6 @@
 #include <iostream>
 
 #include "baseline/reader.hpp"
-#include "bench_common.hpp"
 #include "circuits/comparator.hpp"
 #include "circuits/inst_amp.hpp"
 #include "phy/ber.hpp"
@@ -11,12 +10,14 @@
 #include "rf/constants.hpp"
 #include "rf/phase_field.hpp"
 #include "rf/saw_filter.hpp"
+#include "sim/run_report.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
 int main() {
   using namespace braidio;
-  bench::header("Table 3", "Commercial reader vs Braidio, quantified");
+  sim::RunReport report(std::cout, "Table 3",
+                        "Commercial reader vs Braidio, quantified");
 
   util::TablePrinter table({"concern", "commercial reader", "Braidio",
                             "measured consequence"});
@@ -73,19 +74,19 @@ int main() {
   table.print(std::cout);
 
   baseline::CommercialReaderModel reader;
-  bench::check_line("net effect: reader power vs Braidio", "640 mW vs 129 mW",
-                    util::format_si_power(reader.power_watts()) +
-                        " vs 129 mW (" +
-                        util::format_fixed(reader.efficiency_ratio_vs(0.129),
-                                           1) +
-                        "x)");
-  bench::check_line("net effect: range @100 kbps", "3 m vs 1.8 m",
-                    util::format_fixed(reader.range_m(), 1) + " m vs " +
-                        util::format_fixed(
-                            phy::LinkBudget().range_m(
-                                phy::LinkMode::Backscatter,
-                                phy::Bitrate::k100),
-                            1) +
-                        " m");
+  report.check("net effect: reader power vs Braidio", "640 mW vs 129 mW",
+               util::format_si_power(reader.power_watts()) +
+                   " vs 129 mW (" +
+                   util::format_fixed(reader.efficiency_ratio_vs(0.129),
+                                      1) +
+                   "x)");
+  report.check("net effect: range @100 kbps", "3 m vs 1.8 m",
+               util::format_fixed(reader.range_m(), 1) + " m vs " +
+                   util::format_fixed(
+                       phy::LinkBudget().range_m(
+                           phy::LinkMode::Backscatter,
+                           phy::Bitrate::k100),
+                       1) +
+                   " m");
   return 0;
 }

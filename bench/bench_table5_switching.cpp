@@ -3,14 +3,14 @@
 #include <iostream>
 
 #include "backends/backends.hpp"
-#include "bench_common.hpp"
 #include "core/lifetime_sim.hpp"
+#include "sim/run_report.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
 int main() {
   using namespace braidio;
-  bench::header("Table 5", "Switching overhead per mode");
+  sim::RunReport report(std::cout, "Table 5", "Switching overhead per mode");
 
   core::PowerTable table;
   util::TablePrinter out({"mode", "TX switch-in", "RX switch-in"});
@@ -23,12 +23,12 @@ int main() {
   }
   out.print(std::cout);
 
-  bench::check_line("active TX / RX", "1.05e-9 / 1.01e-9 Wh",
-                    wh(table.switch_overhead(phy::LinkMode::Active).tx_joules) +
-                        " / " +
-                        wh(table.switch_overhead(phy::LinkMode::Active)
-                               .rx_joules));
-  bench::check_line(
+  report.check("active TX / RX", "1.05e-9 / 1.01e-9 Wh",
+               wh(table.switch_overhead(phy::LinkMode::Active).tx_joules) +
+                   " / " +
+                   wh(table.switch_overhead(phy::LinkMode::Active)
+                          .rx_joules));
+  report.check(
       "backscatter TX (worst case, 10 kbps)", "8.58e-8 Wh",
       wh(table.switch_overhead(phy::LinkMode::Backscatter).tx_joules));
 
@@ -43,8 +43,8 @@ int main() {
   const auto e2 = util::to_joules(util::WattHours(6.55));
   const double loss = 1.0 - sim.braidio(e1, e2, with).bits /
                                 sim.braidio(e1, e2, without).bits;
-  bench::check_line("lifetime impact at ~100 s dwells",
-                    "negligible in all modes",
-                    util::format_scientific(100.0 * loss, 2) + " % bits lost");
+  report.check("lifetime impact at ~100 s dwells",
+               "negligible in all modes",
+               util::format_scientific(100.0 * loss, 2) + " % bits lost");
   return 0;
 }

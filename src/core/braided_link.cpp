@@ -12,8 +12,20 @@ namespace braidio::core {
 
 namespace {
 
-/// Half-duplex turnaround between a data frame and its ack.
-constexpr double kTurnaroundS = 150e-6;
+/// Replan after this many data packets (battery drift / link dynamics).
+constexpr std::uint64_t kReplanEveryPackets = 4096;
+/// A slot delivering below this ratio is poor (the Sec. 4.2 "performing
+/// poorly" trigger).
+constexpr double kFallbackDeliveryRatio = 0.5;
+/// Fallback hysteresis: consecutive poor slots that arm the fallback to
+/// the active mode, and consecutive healthy slots that clear it, so one
+/// bad slot cannot ping-pong the plan.
+constexpr unsigned kFallbackTriggerSlots = 2;
+constexpr unsigned kFallbackRecoverySlots = 2;
+/// Backoff before retry n: ack_timeout * 2^min(n - 1, kBackoffMaxDoublings),
+/// jittered uniformly by +/- kBackoffJitter.
+constexpr unsigned kBackoffMaxDoublings = 4;
+constexpr double kBackoffJitter = 0.5;
 
 mac::Frame make_frame(mac::FrameType type, std::uint8_t src, std::uint8_t dst,
                       std::uint16_t seq, std::vector<std::uint8_t> payload) {
@@ -36,25 +48,10 @@ BraidedLink::BraidedLink(hal::IRadio& device_a, hal::IRadio& device_b,
       config_(config),
       rng_(config.seed),
       channel_(regimes.channel(),
-               {config.distance_m, config.block_fading, config.extra_loss_db,
-                config.coherence_time.value()},
+               {config.distance_m, config.block_fading, config.extra_loss_db},
                util::Rng(config.seed ^ 0xC3A5C85C97CB3127ull)) {
   if (config_.packets_per_slot == 0) {
     throw std::invalid_argument("BraidedLink: packets_per_slot must be >= 1");
-  }
-  if (config_.fallback_trigger_slots == 0 ||
-      config_.fallback_recovery_slots == 0) {
-    throw std::invalid_argument(
-        "BraidedLink: fallback hysteresis slot counts must be >= 1");
-  }
-  if (!(config_.ack_timeout.value() >= 0.0) ||
-      !(config_.backoff_base.value() >= 0.0)) {
-    throw std::invalid_argument(
-        "BraidedLink: ack_timeout / backoff_base must be >= 0");
-  }
-  if (!(config_.backoff_jitter >= 0.0) || config_.backoff_jitter >= 1.0) {
-    throw std::invalid_argument(
-        "BraidedLink: backoff_jitter must lie in [0, 1)");
   }
   channel_.set_impairments(config_.impairments);
 }
@@ -73,29 +70,23 @@ ModeCandidate BraidedLink::active_point() const {
 }
 
 util::Seconds BraidedLink::ack_timeout(const ModeCandidate& point) const {
-  if (config_.ack_timeout.value() > 0.0) return config_.ack_timeout;
-  // Auto: the sender must stay in receive for at least one ACK airtime at
-  // the operating rate plus the peer's half-duplex turnaround before it can
+  // The sender must stay in receive for at least one ACK airtime at the
+  // operating rate plus the peer's half-duplex turnaround before it can
   // declare the exchange lost.
   mac::Frame ack;
   ack.type = mac::FrameType::Ack;
   return util::Seconds(mac::PacketChannel::airtime_s(ack, point.rate) +
-                       kTurnaroundS);
+                       mac::kTurnaroundS);
 }
 
 util::Seconds BraidedLink::backoff(const ModeCandidate& point,
                                    unsigned attempt) {
-  const double base = config_.backoff_base.value() > 0.0
-                          ? config_.backoff_base.value()
-                          : ack_timeout(point).value();
+  const double base = ack_timeout(point).value();
   const unsigned doublings =
-      std::min(attempt > 0 ? attempt - 1 : 0u, config_.backoff_max_doublings);
+      std::min(attempt > 0 ? attempt - 1 : 0u, kBackoffMaxDoublings);
   const double factor = std::ldexp(1.0, static_cast<int>(doublings));
   const double jitter =
-      config_.backoff_jitter > 0.0
-          ? rng_.uniform(1.0 - config_.backoff_jitter,
-                         1.0 + config_.backoff_jitter)
-          : 1.0;
+      rng_.uniform(1.0 - kBackoffJitter, 1.0 + kBackoffJitter);
   return util::Seconds(base * factor * jitter);
 }
 
@@ -153,7 +144,7 @@ bool BraidedLink::send_control(mac::FrameType type,
     if (attempt > 0 && !spend(point, backoff(point, attempt))) return false;
     ++stats_.control_frames;
     const double air = mac::PacketChannel::airtime_s(frame, point.rate);
-    if (!spend(point, util::Seconds(air + kTurnaroundS))) return false;
+    if (!spend(point, util::Seconds(air + mac::kTurnaroundS))) return false;
     channel_.set_clock(util::Seconds(stats_.elapsed_s));
     if (channel_.transmit(frame, point.mode, point.rate)) return true;
   }
@@ -283,7 +274,7 @@ bool BraidedLink::transfer_packet(const ModeCandidate& point, bool forward,
       // first-attempt delivery cost — attribute it separately.
       BRAIDIO_ENERGY_SPAN(arq_span,
                           sender.attempts() > 0 ? "arq-retx" : nullptr);
-      if (!spend(point, util::Seconds(air + kTurnaroundS))) break;
+      if (!spend(point, util::Seconds(air + mac::kTurnaroundS))) break;
     }
     channel_.set_clock(util::Seconds(stats_.elapsed_s));
     const auto arrived = channel_.transmit(*frame, point.mode, point.rate);
@@ -293,7 +284,7 @@ bool BraidedLink::transfer_packet(const ModeCandidate& point, bool forward,
       if (result.ack) {
         const double ack_air =
             mac::PacketChannel::airtime_s(*result.ack, point.rate);
-        if (!spend(point, util::Seconds(ack_air + kTurnaroundS))) break;
+        if (!spend(point, util::Seconds(ack_air + mac::kTurnaroundS))) break;
         channel_.set_clock(util::Seconds(stats_.elapsed_s));
         const auto ack_arrived =
             channel_.transmit(*result.ack, point.mode, point.rate);
@@ -403,10 +394,10 @@ BraidedLinkStats BraidedLink::run(std::uint64_t packets) {
         slot_offered == 0 ? 1.0
                           : static_cast<double>(slot_delivered) /
                                 static_cast<double>(slot_offered);
-    if (ratio < config_.fallback_delivery_ratio) {
+    if (ratio < kFallbackDeliveryRatio) {
       ++poor_streak;
       healthy_streak = 0;
-      if (!fallback_active && poor_streak >= config_.fallback_trigger_slots) {
+      if (!fallback_active && poor_streak >= kFallbackTriggerSlots) {
         fallback_active = true;
         ++stats_.fallbacks;
         obs::count(obs::Counter::Fallbacks);
@@ -416,12 +407,11 @@ BraidedLinkStats BraidedLink::run(std::uint64_t packets) {
     } else {
       ++healthy_streak;
       poor_streak = 0;
-      if (fallback_active &&
-          healthy_streak >= config_.fallback_recovery_slots) {
+      if (fallback_active && healthy_streak >= kFallbackRecoverySlots) {
         fallback_active = false;
       }
     }
-    if (since_replan >= config_.replan_every_packets) {
+    if (since_replan >= kReplanEveryPackets) {
       replan();
       since_replan = 0;
     }

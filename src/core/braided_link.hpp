@@ -12,10 +12,12 @@
 //      switching costs charged on every transition;
 //   4. ARQ on the data plane with exponential backoff, an ACK-timeout
 //      listen window charged on every loss, and fallback to the active
-//      mode when the current mode's loss rate stays poor across
-//      `fallback_trigger_slots` consecutive slots (hysteresis: a single
-//      bad slot cannot ping-pong the plan), plus periodic replanning as
-//      battery levels drift.
+//      mode when the current mode's loss rate stays poor across two
+//      consecutive slots (hysteresis: a single bad slot cannot ping-pong
+//      the plan), plus periodic replanning as battery levels drift.
+//
+// The protocol timings are constants (braided_link.cpp, mac/arq.hpp,
+// mac/packet_channel.hpp); DESIGN.md §11 lists them.
 //
 // A deterministic fault schedule (sim/faults) can be attached: channel
 // impairments (shadowing, interference, dropout, fade bursts) are consumed
@@ -50,38 +52,11 @@ struct BraidedLinkConfig {
   std::size_t payload_bytes = 32;
   /// Packets between schedule slots (mode dwell granularity).
   unsigned packets_per_slot = 16;
-  /// Replan after this many data packets (battery drift / link dynamics).
-  std::uint64_t replan_every_packets = 4096;
-  /// Fall back to active mode when a slot's delivery ratio drops below
-  /// this (the Sec. 4.2 "performing poorly" trigger).
-  double fallback_delivery_ratio = 0.5;
-  /// Hysteresis on the fallback: consecutive poor slots required to fall
-  /// back to the active mode, and consecutive healthy slots required to
-  /// clear it again. Both >= 1; 1/1 restores the seed's edge-triggered
-  /// behavior where one bad slot ping-pongs the plan.
-  unsigned fallback_trigger_slots = 2;
-  unsigned fallback_recovery_slots = 2;
-  /// Listen window the sender is charged while waiting for an ACK
-  /// that never arrives (data frame or ACK lost). 0 = auto: one ACK
-  /// airtime at the operating rate plus the half-duplex turnaround. The
-  /// seed charged nothing here, undercharging lossy links and inflating
-  /// long-distance lifetimes.
-  util::Seconds ack_timeout{0.0};
-  /// Exponential-backoff base waited before an ARQ retransmission or
-  /// a control-plane retry: base * 2^min(attempt-1, max_doublings),
-  /// jittered uniformly by +/- backoff_jitter. 0 = auto (the ACK-timeout
-  /// window).
-  util::Seconds backoff_base{0.0};
-  unsigned backoff_max_doublings = 4;
-  double backoff_jitter = 0.5;  // in [0, 1)
   /// Extra path loss [dB] applied mid-run, for failure-injection tests.
   double extra_loss_db = 0.0;
+  /// Rayleigh block fading, coherent across a data+ACK exchange
+  /// (mac::kFadeCoherenceS).
   bool block_fading = false;
-  /// Block-fade coherence time handed to the packet channel. > 0
-  /// keeps the fade coherent across a data+ACK exchange (the physically
-  /// honest model); 0 restores the seed's independent per-transmission
-  /// redraw. Only meaningful with block_fading.
-  util::Seconds coherence_time{5e-3};
   /// Alternate transfer direction packet-by-packet with an equal data
   /// split (the Fig. 17 traffic pattern); plans come from plan_link's
   /// bidirectional Eq. 1 and each schedule slot carries a forward and a
@@ -151,7 +126,8 @@ class BraidedLink {
   ModeCandidate active_point() const;
   /// Build the slot-level schedule realizing the plan fractions.
   std::vector<SlotEntry> build_schedule() const;
-  /// The ACK-timeout listen window for `point` (config or auto-derived).
+  /// The ACK-timeout listen window for `point`: one ACK airtime at its
+  /// rate plus the peer's turnaround.
   util::Seconds ack_timeout(const ModeCandidate& point) const;
   /// Jittered exponential backoff before retry `attempt` (1-based).
   util::Seconds backoff(const ModeCandidate& point, unsigned attempt);

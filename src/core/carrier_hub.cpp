@@ -9,10 +9,6 @@
 
 namespace braidio::core {
 
-namespace {
-constexpr double kTurnaroundS = 150e-6;
-}
-
 double HubStats::delivered_total() const {
   double sum = 0.0;
   for (const auto& n : nodes) sum += static_cast<double>(n.delivered);
@@ -33,9 +29,6 @@ CarrierHub::CarrierHub(const hal::RadioBackend& backend, HubConfig config,
       node_configs_(std::move(nodes)) {
   if (node_configs_.empty()) {
     throw std::invalid_argument("CarrierHub: need at least one node");
-  }
-  if (config_.packets_per_slot == 0) {
-    throw std::invalid_argument("CarrierHub: packets_per_slot must be >= 1");
   }
 }
 
@@ -138,7 +131,7 @@ HubStats CarrierHub::run(std::uint64_t rounds) {
         const double slot_start_s = stats.elapsed_s;
         BRAIDIO_TRACE_EVENT(obs::EventType::DwellStart, nc.name.c_str(),
                             slot_start_s, static_cast<double>(round));
-        for (unsigned p = 0; p < config_.packets_per_slot; ++p) {
+        for (unsigned p = 0; p < kHubPacketsPerSlot; ++p) {
           std::vector<std::uint8_t> payload(nc.payload_bytes,
                                             static_cast<std::uint8_t>(i));
           if (!node.sender.submit(std::move(payload))) break;
@@ -149,7 +142,7 @@ HubStats CarrierHub::run(std::uint64_t rounds) {
             if (!frame) break;
             const double air =
                 mac::PacketChannel::airtime_s(*frame, node.point.rate);
-            const double slot_time = air + kTurnaroundS;
+            const double slot_time = air + mac::kTurnaroundS;
             stats.elapsed_s += slot_time;
             const bool node_ok =
                 node.radio->advance(util::Seconds(slot_time));
@@ -169,10 +162,10 @@ HubStats CarrierHub::run(std::uint64_t rounds) {
               if (result.ack) {
                 const double ack_air = mac::PacketChannel::airtime_s(
                     *result.ack, node.point.rate);
-                stats.elapsed_s += ack_air + kTurnaroundS;
+                stats.elapsed_s += ack_air + mac::kTurnaroundS;
                 if (!node.radio->advance(
-                        util::Seconds(ack_air + kTurnaroundS)) ||
-                    !hub.advance(util::Seconds(ack_air + kTurnaroundS))) {
+                        util::Seconds(ack_air + mac::kTurnaroundS)) ||
+                    !hub.advance(util::Seconds(ack_air + mac::kTurnaroundS))) {
                   node.alive = !node.radio->battery().empty();
                   done = true;
                   break;

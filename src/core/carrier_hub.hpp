@@ -38,9 +38,11 @@ struct HubNodeConfig {
   std::size_t payload_bytes = 24;
 };
 
+/// Transfers each live node gets per TDMA round (node -> hub).
+inline constexpr unsigned kHubPacketsPerSlot = 8;
+
 struct HubConfig {
   double hub_battery_wh = 99.5;
-  unsigned packets_per_slot = 8;
   /// Scripted fault schedule (not owned; must outlive the hub). Channel
   /// impairments (shadowing, interference, dropout, fade bursts) hit every
   /// node's link identically — the hub's carrier is the shared medium.
@@ -79,9 +81,9 @@ class CarrierHub {
   CarrierHub(const hal::RadioBackend& backend, HubConfig config,
              std::vector<HubNodeConfig> nodes);
 
-  /// Run `rounds` TDMA rounds (each node gets packets_per_slot transfers
-  /// per round, node -> hub). Stops early if the hub battery dies; nodes
-  /// that die drop out individually.
+  /// Run `rounds` TDMA rounds (each node gets kHubPacketsPerSlot
+  /// transfers per round, node -> hub). Stops early if the hub battery
+  /// dies; nodes that die drop out individually.
   HubStats run(std::uint64_t rounds);
 
   /// The per-node plans chosen at setup.

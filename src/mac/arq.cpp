@@ -5,15 +5,8 @@
 
 namespace braidio::mac {
 
-// A retry budget beyond this is a configuration typo, not a protocol.
-inline constexpr unsigned kMaxReasonableRetransmissions = 1u << 20;
-
-ArqSender::ArqSender(std::uint8_t source, std::uint8_t destination,
-                     ArqConfig config)
-    : source_(source), destination_(destination), config_(config) {
-  BRAIDIO_REQUIRE(config_.max_retransmissions <= kMaxReasonableRetransmissions,
-                  "max_retransmissions", config_.max_retransmissions);
-}
+ArqSender::ArqSender(std::uint8_t source, std::uint8_t destination)
+    : source_(source), destination_(destination) {}
 
 bool ArqSender::submit(std::vector<std::uint8_t> payload) {
   BRAIDIO_REQUIRE(payload.size() <= kMaxPayloadBytes, "payload_bytes",
@@ -49,7 +42,7 @@ bool ArqSender::on_ack(const Frame& ack) {
 
 bool ArqSender::on_timeout() {
   if (!in_flight_) return false;
-  if (attempts_ >= config_.max_retransmissions) {
+  if (attempts_ >= kMaxRetransmissions) {
     in_flight_ = false;
     ++sequence_;  // never reuse the sequence of a dropped frame
     ++dropped_;
@@ -61,8 +54,8 @@ bool ArqSender::on_timeout() {
   BRAIDIO_TRACE_EVENT(obs::EventType::ArqRetry, "stop-and-wait",
                       obs::no_sim_time(),
                       static_cast<double>(attempts_));
-  BRAIDIO_INVARIANT(attempts_ <= config_.max_retransmissions, "attempts",
-                    attempts_, "budget", config_.max_retransmissions);
+  BRAIDIO_INVARIANT(attempts_ <= kMaxRetransmissions, "attempts",
+                    attempts_, "budget", kMaxRetransmissions);
   return true;
 }
 

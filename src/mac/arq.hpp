@@ -6,6 +6,10 @@
 // bounded retransmission count. ArqSender/ArqReceiver are pure state
 // machines — the event simulator drives them with delivery outcomes, which
 // keeps them unit-testable without any channel.
+//
+// The two protocol timings every packet engine shares live here:
+// BraidedLink, CarrierHub and the network simulator's per-hop retry all
+// use kMaxRetransmissions and kTurnaroundS.
 #pragma once
 
 #include <cstdint>
@@ -16,14 +20,14 @@
 
 namespace braidio::mac {
 
-struct ArqConfig {
-  unsigned max_retransmissions = 7;  // attempts beyond the first send
-};
+/// Stop-and-wait retry budget: attempts beyond the first send.
+inline constexpr unsigned kMaxRetransmissions = 7;
+/// Half-duplex RX->TX turnaround before the ack leg [s].
+inline constexpr double kTurnaroundS = 150e-6;
 
 class ArqSender {
  public:
-  explicit ArqSender(std::uint8_t source, std::uint8_t destination,
-                     ArqConfig config = {});
+  explicit ArqSender(std::uint8_t source, std::uint8_t destination);
 
   /// Queue a payload; returns false if a transfer is already in flight.
   bool submit(std::vector<std::uint8_t> payload);
@@ -55,7 +59,6 @@ class ArqSender {
  private:
   std::uint8_t source_;
   std::uint8_t destination_;
-  ArqConfig config_;
   bool in_flight_ = false;
   std::uint16_t sequence_ = 0;
   unsigned attempts_ = 0;

@@ -15,14 +15,9 @@ PacketChannel::PacketChannel(const hal::ChannelModel& channel,
   if (config_.distance_m < 0.0) {
     throw std::invalid_argument("PacketChannel: negative distance");
   }
-  if (config_.coherence_time_s < 0.0) {
-    throw std::invalid_argument("PacketChannel: negative coherence time");
-  }
   BRAIDIO_REQUIRE(
       std::isfinite(config_.distance_m) && std::isfinite(config_.extra_loss_db),
       "distance_m", config_.distance_m, "extra_loss_db", config_.extra_loss_db);
-  BRAIDIO_REQUIRE(std::isfinite(config_.coherence_time_s),
-                  "coherence_time_s", config_.coherence_time_s);
 }
 
 double PacketChannel::current_ber(hal::LinkMode mode,
@@ -57,13 +52,8 @@ void PacketChannel::set_clock(util::Seconds sim_time) {
 }
 
 double PacketChannel::fade_power_gain() {
-  if (config_.coherence_time_s <= 0.0) {
-    // Seed behavior: every transmission draws an unrelated channel — even
-    // an ACK 150 us after its data frame.
-    return rf::rayleigh_power_gain(rng_);
-  }
   if (!fade_) {
-    fade_.emplace(config_.coherence_time_s, config_.coherence_time_s,
+    fade_.emplace(kFadeCoherenceS, kFadeCoherenceS,
                   std::complex<double>(0.0, 0.0), 1.0, rng_.fork());
     fade_->reset_stationary();
   } else {

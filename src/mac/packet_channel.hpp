@@ -3,10 +3,9 @@
 // Uses the backend's hal::ChannelModel to derive the bit error rate for the
 // current (mode, bitrate, distance), flips bits independently, and lets the
 // frame CRC do its job at the receiver. Supports Rayleigh block fading to
-// stress the fallback logic — either redrawn independently per packet
-// (coherence_time_s == 0, the seed behavior) or held coherent across
-// nearby transmissions via a Gauss-Markov process (coherence_time_s > 0),
-// so a data frame and the ACK 150 us behind it see the same fade.
+// stress the fallback logic, held coherent across nearby transmissions by
+// a Gauss-Markov process over the simulated clock (kFadeCoherenceS), so a
+// data frame and the ACK 150 us behind it see the same fade.
 //
 // A deterministic fault schedule (sim/faults) can be attached: the channel
 // reads the impairment state at its simulated clock before every
@@ -30,14 +29,14 @@
 
 namespace braidio::mac {
 
+/// Block-fade coherence time [s]: the fade decorrelates to ~1/e over
+/// this much simulated time, far longer than a data+ACK exchange.
+inline constexpr double kFadeCoherenceS = 5e-3;
+
 struct PacketChannelConfig {
   double distance_m = 0.5;
   bool block_fading = false;      // Rayleigh power scaling on each packet
   double extra_loss_db = 0.0;     // shadowing / antenna misalignment knob
-  /// Block-fade coherence time [s]. 0 = an independent fade per
-  /// transmission (each ACK sees a channel unrelated to its data frame);
-  /// > 0 = first-order Gauss-Markov evolution over the simulated clock.
-  double coherence_time_s = 0.0;
 };
 
 class PacketChannel {
@@ -74,8 +73,8 @@ class PacketChannel {
   }
 
  private:
-  /// Rayleigh block-fade power gain: coherent (Gauss-Markov over the sim
-  /// clock) when configured, independent per call otherwise.
+  /// Rayleigh block-fade power gain, coherent (Gauss-Markov over the sim
+  /// clock).
   double fade_power_gain();
   /// Power gain of an active fault fade burst (depth-scaled, coherent).
   double fault_fade_power_gain(const sim::faults::ImpairmentState& state);

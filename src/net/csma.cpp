@@ -1,43 +1,24 @@
 #include "net/csma.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <stdexcept>
 
 namespace braidio::net {
 
-CsmaCa::CsmaCa(CsmaConfig config) : config_(config), be_(config.min_be) {
-  if (config_.min_be > config_.max_be || config_.max_be > 16) {
-    throw std::invalid_argument(
-        "net::CsmaCa: need min_be <= max_be <= 16");
-  }
-  if (!(config_.unit_backoff_s > 0.0) ||
-      !std::isfinite(config_.unit_backoff_s)) {
-    throw std::invalid_argument(
-        "net::CsmaCa: unit_backoff_s must be finite and > 0");
-  }
-  if (!(config_.cca_window_s > 0.0) ||
-      !std::isfinite(config_.cca_window_s)) {
-    throw std::invalid_argument(
-        "net::CsmaCa: cca_window_s must be finite and > 0");
-  }
-}
-
 void CsmaCa::begin() {
-  be_ = config_.min_be;
+  be_ = kMinBe;
   backoffs_ = 0;
 }
 
 double CsmaCa::backoff_s(util::Rng& rng) {
   const std::uint64_t slots =
       rng.uniform_int(0, (std::uint64_t{1} << be_) - 1);
-  return static_cast<double>(slots) * config_.unit_backoff_s;
+  return static_cast<double>(slots) * kUnitBackoffS;
 }
 
 bool CsmaCa::busy() {
   ++backoffs_;
-  be_ = std::min(be_ + 1, config_.max_be);
-  return backoffs_ <= config_.max_backoffs;
+  be_ = std::min(be_ + 1, kMaxBe);
+  return backoffs_ <= kMaxBackoffs;
 }
 
 }  // namespace braidio::net

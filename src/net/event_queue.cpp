@@ -2,13 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "util/contract.hpp"
 
 namespace braidio::net {
 
 namespace {
+/// Initial calendar: day length [s] and bucket count.
+constexpr double kInitialWidthS = 250e-6;
+constexpr std::size_t kInitialBuckets = 64;
+
 /// Largest time/width ratio the integer day counter can represent; far
 /// beyond any simulated horizon, but a contract beats silent overflow.
 constexpr double kMaxDays = 9.0e18;
@@ -21,17 +24,8 @@ constexpr std::uint64_t kMaxMeanScan = 8;
 constexpr double kWidthFloorDays = 1.0e15;
 }  // namespace
 
-EventQueue::EventQueue(double bucket_width_s, std::size_t buckets)
-    : width_(bucket_width_s) {
-  if (!(bucket_width_s > 0.0) || !std::isfinite(bucket_width_s)) {
-    throw std::invalid_argument(
-        "net::EventQueue: bucket width must be finite and > 0");
-  }
-  if (buckets == 0) {
-    throw std::invalid_argument("net::EventQueue: need at least one bucket");
-  }
-  heads_.assign(buckets, kNoEvent);
-}
+EventQueue::EventQueue()
+    : width_(kInitialWidthS), heads_(kInitialBuckets, kNoEvent) {}
 
 EventId EventQueue::acquire() {
   if (free_head_ != kNoEvent) {

@@ -47,18 +47,15 @@ struct Event {
 
 class EventQueue {
  public:
-  /// `bucket_width_s` is the calendar's initial day length — tune it
-  /// near the median inter-event gap. `buckets` is the initial calendar
-  /// size (grows automatically when occupancy exceeds ~2 events/bucket).
-  /// When sorted inserts start scanning long chains (events clustering
-  /// into far fewer days than there are buckets), the calendar re-tunes
-  /// its width to the live events' mean gap and re-buckets — see
-  /// bucket_width_s() for the current value. The re-tune trigger is a
-  /// pure function of the schedule/pop call sequence, so pop order and
-  /// determinism are unaffected.
-  /// Throws std::invalid_argument on a non-positive width or zero size.
-  explicit EventQueue(double bucket_width_s = 250e-6,
-                      std::size_t buckets = 64);
+  /// Starts as a 64-bucket calendar of 250 us days, near a frame's
+  /// airtime. It grows automatically when occupancy exceeds ~2
+  /// events/bucket. When sorted inserts start scanning long chains
+  /// (events clustering into far fewer days than there are buckets), the
+  /// calendar re-tunes its width to the live events' mean gap and
+  /// re-buckets — see bucket_width_s() for the current value. The
+  /// re-tune trigger is a pure function of the schedule/pop call
+  /// sequence, so pop order and determinism are unaffected.
+  EventQueue();
 
   /// Schedule an event at `time_s` (>= now_s(); the virtual clock never
   /// runs backwards).
@@ -81,8 +78,8 @@ class EventQueue {
   /// Pool slots ever allocated (pinned by the pool-reuse test).
   std::size_t pool_slots() const { return pool_.size(); }
 
-  /// Current day length; starts at the constructor value and shrinks
-  /// when the calendar re-tunes to a clustered workload.
+  /// Current day length; starts at 250 us and shrinks when the calendar
+  /// re-tunes to a clustered workload.
   double bucket_width_s() const { return width_; }
 
   // --- introspection (NetStats::sched_*) ------------------------------

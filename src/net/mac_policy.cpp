@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "mac/arq.hpp"
 #include "net/tdma.hpp"
 #include "util/contract.hpp"
 
@@ -54,16 +55,14 @@ void CsmaCaMac::on_tx_done(MacContext& ctx, std::uint32_t node,
   Node& n = ctx.mac_node(node);
   n.csma().begin();
   ++n.stats().backoff_draws;
-  ctx.schedule_attempt(done_s + ctx.turnaround_s() +
+  ctx.schedule_attempt(done_s + mac::kTurnaroundS +
                            n.csma().backoff_s(n.rng()),
                        node);
 }
 
-std::unique_ptr<MacPolicy> make_mac_policy(MacKind kind,
-                                           const TdmaConfig& tdma,
-                                           std::size_t nodes) {
+std::unique_ptr<MacPolicy> make_mac_policy(MacKind kind, std::size_t nodes) {
   if (kind == MacKind::Tdma) {
-    return std::make_unique<ScheduledSlotMac>(tdma, nodes);
+    return std::make_unique<ScheduledSlotMac>(nodes);
   }
   return std::make_unique<CsmaCaMac>();
 }

@@ -11,8 +11,9 @@
 // (on_node_changed) when a relay enqueue or a death may give a node work.
 //
 // Policies talk back through MacContext, a narrow view of the simulator:
-// node state, link usability, airtime/turnaround arithmetic, a *charged*
+// node state, link usability, airtime arithmetic, a *charged*
 // carrier-sense sample, a registration exchange, and event scheduling.
+// The turnaround is the shared protocol constant mac::kTurnaroundS.
 // The context never exposes the medium or the queue directly, so a
 // policy cannot bypass the physics, and the analyzer's layering rule
 // keeps net/ policies from reaching into core/ (the CarrierHub slot
@@ -32,8 +33,6 @@
 #include "net/node.hpp"
 
 namespace braidio::net {
-
-struct TdmaConfig;
 
 /// Which channel-access policy drives the population.
 enum class MacKind : std::uint8_t { Csma, Tdma };
@@ -66,7 +65,6 @@ class MacContext {
   virtual Node& mac_node(std::uint32_t i) = 0;
   /// True when node i's uplink hop has a usable operating point.
   virtual bool uplink_usable(std::uint32_t i) const = 0;
-  virtual double turnaround_s() const = 0;
   /// Airtime of one payload-sized data frame at node i's planned rate.
   virtual double data_airtime_s(std::uint32_t i) const = 0;
   /// Airtime of one bare control frame (ack/registration) at i's rate.
@@ -135,8 +133,6 @@ class CsmaCaMac final : public MacPolicy {
 };
 
 /// Factory; `nodes` sizes per-node policy state.
-std::unique_ptr<MacPolicy> make_mac_policy(MacKind kind,
-                                           const TdmaConfig& tdma,
-                                           std::size_t nodes);
+std::unique_ptr<MacPolicy> make_mac_policy(MacKind kind, std::size_t nodes);
 
 }  // namespace braidio::net

@@ -9,6 +9,7 @@
 #include <string>
 #include <utility>
 
+#include "mac/arq.hpp"
 #include "mac/packet_channel.hpp"
 #include "obs/obs.hpp"
 #include "util/contract.hpp"
@@ -22,6 +23,10 @@ constexpr std::uint32_t kKick = 0;     // pop the relay queue, ask the MAC
 constexpr std::uint32_t kAttempt = 1;  // attempt fires: MAC rules, then tx
 constexpr std::uint32_t kTxEnd = 2;    // airtime over: resolve delivery
 constexpr std::uint32_t kPolicy = 3;   // MAC-planted (TDMA rounds, reg)
+
+/// Backscatter reflections radiate this much below the medium's active
+/// tx power when they interfere with other links [dB].
+constexpr double kBackscatterLossDb = 30.0;
 
 /// Packet-lifecycle stage into the trace rings. The packet id rides
 /// Event::value and becomes the Chrome flow "id", so begin -> step ->
@@ -55,9 +60,6 @@ NetworkSimulator::NetworkSimulator(NetConfig config)
   if (config_.payload_bytes > mac::kMaxPayloadBytes) {
     throw std::invalid_argument("net::NetworkSimulator: payload too large");
   }
-  BRAIDIO_REQUIRE(config_.turnaround_s >= 0.0 &&
-                      std::isfinite(config_.turnaround_s),
-                  "turnaround_s", config_.turnaround_s);
   BRAIDIO_REQUIRE(config_.kick_spread_s >= 0.0 &&
                       std::isfinite(config_.kick_spread_s),
                   "kick_spread_s", config_.kick_spread_s);
@@ -82,11 +84,11 @@ NetworkSimulator::NetworkSimulator(NetConfig config)
         util::WattHours(hub ? config_.hub_battery_wh
                             : config_.tag_battery_wh));
     nodes_.emplace_back(static_cast<std::uint32_t>(i), std::move(radio),
-                        util::Rng::stream(config_.seed, i), config_.csma);
+                        util::Rng::stream(config_.seed, i));
   }
   busy_until_s_.assign(total, 0.0);
-  medium_.emplace(config_.medium, topo_.positions);
-  policy_ = make_mac_policy(config_.mac, config_.tdma, total);
+  medium_.emplace(MediumConfig{}, topo_.positions);
+  policy_ = make_mac_policy(config_.mac, total);
   plan_links();
 
   if (config_.flight_recorder) {
@@ -131,10 +133,9 @@ void NetworkSimulator::plan_links() {
       plan.ack_airtime_s =
           mac::PacketChannel::airtime_s(ack_bits, plan.point.rate);
       plan.interferer_dbm =
-          config_.medium.tx_power_dbm -
-          (rule.mode == hal::LinkMode::Backscatter
-               ? config_.backscatter_loss_db
-               : 0.0);
+          medium_->config().tx_power_dbm -
+          (rule.mode == hal::LinkMode::Backscatter ? kBackscatterLossDb
+                                                   : 0.0);
       break;
     }
   }
@@ -193,7 +194,7 @@ bool NetworkSimulator::sense_clear(std::uint32_t i) {
   // Sampled before the (charged) listen so the verdict reflects the
   // medium at the attempt instant, as before the listen was billed.
   const double ambient = medium_->ambient_dbm(i, i);
-  if (!node.radio().sense(util::Seconds(config_.csma.cca_window_s))) {
+  if (!node.radio().sense(util::Seconds(kCcaWindowS))) {
     mark_dead(node);
     return false;
   }
@@ -212,7 +213,7 @@ bool NetworkSimulator::register_exchange(std::uint32_t i) {
   Node& dest = nodes_[topo_.next_hop[i]];
   const double now = queue_.now_s();
   const double air = control_airtime_s(i);
-  const double span = 2.0 * air + config_.turnaround_s;
+  const double span = 2.0 * air + mac::kTurnaroundS;
   if (!node.radio().switch_to(plan.point, hal::Role::DataTransmitter)) {
     mark_dead(node);
     return false;
@@ -318,7 +319,7 @@ void NetworkSimulator::handle_attempt(const Event& ev) {
       trace_flow(obs::EventType::PacketFlowEnd, "drop:access", ev.node,
                  now, t.packet_id);
       t.active = false;
-      queue_.schedule(now + config_.turnaround_s, ev.node, kKick);
+      queue_.schedule(now + mac::kTurnaroundS, ev.node, kKick);
       return;
     case AttemptDecision::Transmit:
       break;
@@ -390,9 +391,9 @@ void NetworkSimulator::handle_tx_end(const Event& ev) {
     if (data_ok) {
       // Ack leg: turnaround then a bare Ack frame at the same operating
       // point, roles held at both ends (the CarrierHub convention).
-      done = now + config_.turnaround_s + plan.ack_airtime_s;
+      done = now + mac::kTurnaroundS + plan.ack_airtime_s;
       if (!node.radio().advance(
-              util::Seconds(config_.turnaround_s + plan.ack_airtime_s))) {
+              util::Seconds(mac::kTurnaroundS + plan.ack_airtime_s))) {
         mark_dead(node);
       }
       charge_window(dest, now, done);
@@ -425,7 +426,7 @@ void NetworkSimulator::handle_tx_end(const Event& ev) {
   } else if (penalty > 0.0) {
     ++counts.collisions;
   }
-  if (t.attempts > config_.max_retransmissions) {
+  if (t.attempts > mac::kMaxRetransmissions) {
     ++counts.arq_drops;
     obs::count(obs::Counter::ArqDrops);
     trace_flow(obs::EventType::PacketFlowEnd, "drop:arq", ev.node, now,
@@ -443,7 +444,7 @@ void NetworkSimulator::finish_transfer(Node& node, bool acked,
                                        double done_s) {
   Node::Transfer& t = node.transfer();
   t.active = false;
-  const double next = done_s + config_.turnaround_s;
+  const double next = done_s + mac::kTurnaroundS;
   if (acked) {
     if (t.dest == 0) {
       // Delivery is attributed to the ORIGIN node and closes the

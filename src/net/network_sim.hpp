@@ -6,7 +6,10 @@
 // interference-aware delivery. The per-link physics come from the
 // backend's hal::ChannelModel; the network-level physics (ambient power
 // for CCA, the I/N penalty concurrent transmissions inflict on a
-// receiver) come from SharedMedium.
+// receiver) come from SharedMedium at its default MediumConfig. The
+// protocol timings are shared constants: mac::kTurnaroundS and
+// mac::kMaxRetransmissions (the per-hop retry budget), plus the CSMA and
+// TDMA ones in net/csma.hpp and net/tdma.cpp.
 //
 // Protocol, per frame and hop:
 //   kick    — the node pops its relay queue and hands the frame to the
@@ -73,7 +76,6 @@
 #include "net/mac_policy.hpp"
 #include "net/medium.hpp"
 #include "net/node.hpp"
-#include "net/tdma.hpp"
 #include "net/topology.hpp"
 #include "sim/faults/impairment.hpp"
 
@@ -83,27 +85,17 @@ struct NetConfig {
   /// Required: every node's radio + channel physics come from here.
   const hal::RadioBackend* backend = nullptr;
   TopologyConfig topology;
-  MediumConfig medium;
-  /// Channel-access policy and its knobs (net/mac_policy.hpp).
+  /// Channel-access policy (net/mac_policy.hpp).
   MacKind mac = MacKind::Csma;
-  CsmaConfig csma;
-  TdmaConfig tdma;
   std::uint64_t seed = 1;
   /// Frames each reachable tag originates toward the hub.
   std::uint32_t packets_per_node = 4;
   std::size_t payload_bytes = 24;
   double tag_battery_wh = 0.5;
   double hub_battery_wh = 99.5;
-  /// Per-hop stop-and-wait retry budget (attempts beyond the first).
-  unsigned max_retransmissions = 7;
-  /// RX->TX turnaround before the ack leg [s] (the braid's 150 us).
-  double turnaround_s = 150e-6;
   /// First kicks are spread uniformly over this window so a dense
   /// deployment does not put every tag on the air in the same slot [s].
   double kick_spread_s = 1.0;
-  /// Backscatter reflections radiate this much below the medium's active
-  /// tx power when they interfere with other links [dB].
-  double backscatter_loss_db = 30.0;
   /// Scripted faults (not owned; must outlive the run). Node-targeted
   /// events (`@<id>`) hit only that node's links.
   const sim::faults::ImpairmentSchedule* impairments = nullptr;
@@ -177,7 +169,6 @@ class NetworkSimulator final : public MacContext {
   double now_s() const override { return queue_.now_s(); }
   Node& mac_node(std::uint32_t i) override;
   bool uplink_usable(std::uint32_t i) const override;
-  double turnaround_s() const override { return config_.turnaround_s; }
   double data_airtime_s(std::uint32_t i) const override;
   double control_airtime_s(std::uint32_t i) const override;
   bool sense_clear(std::uint32_t i) override;

@@ -7,11 +7,8 @@
 namespace braidio::net {
 
 Node::Node(std::uint32_t index, std::unique_ptr<hal::IRadio> radio,
-           util::Rng rng, CsmaConfig csma)
-    : index_(index),
-      radio_(std::move(radio)),
-      rng_(rng),
-      csma_(csma) {
+           util::Rng rng)
+    : index_(index), radio_(std::move(radio)), rng_(rng) {
   BRAIDIO_REQUIRE(radio_ != nullptr, "index", index);
 }
 

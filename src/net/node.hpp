@@ -50,7 +50,7 @@ class Node {
 
   /// Takes ownership of `radio` (must be non-null).
   Node(std::uint32_t index, std::unique_ptr<hal::IRadio> radio,
-       util::Rng rng, CsmaConfig csma);
+       util::Rng rng);
 
   std::uint32_t index() const { return index_; }
   hal::IRadio& radio() { return *radio_; }

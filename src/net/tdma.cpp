@@ -2,36 +2,38 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <limits>
-#include <stdexcept>
 
+#include "mac/arq.hpp"
 #include "util/contract.hpp"
 
 namespace braidio::net {
 
 namespace {
+/// Guard closing each data slot [s].
+constexpr double kSlotGuardS = 200e-6;
+/// A finished member's next kick fires one turnaround after its ack leg,
+/// so it lands before the next round is planned.
+static_assert(kSlotGuardS >= mac::kTurnaroundS);
+/// Guard after each registration mini-slot [s].
+constexpr double kRegGuardS = 100e-6;
+/// Wait between one node's registration attempts [s] (rides out
+/// transient dropout faults without spinning mini-slots).
+constexpr double kRegRetryS = 50e-3;
+/// Registration attempts before a node is abandoned (bounds the run when
+/// a targeted fault never lifts).
+constexpr unsigned kMaxRegistrationAttempts = 16;
+
 std::uint64_t ready_bit(std::uint32_t i) {
   return std::uint64_t{1} << (i % 64);
 }
 }  // namespace
 
-ScheduledSlotMac::ScheduledSlotMac(TdmaConfig config, std::size_t nodes)
-    : config_(config),
-      ready_((nodes + 63) / 64, 0),
+ScheduledSlotMac::ScheduledSlotMac(std::size_t nodes)
+    : ready_((nodes + 63) / 64, 0),
       registered_(nodes, 0),
       reg_attempts_(nodes, 0),
       next_reg_s_(nodes, 0.0) {
-  const auto bad = [](double v) { return !(v > 0.0) || !std::isfinite(v); };
-  if (bad(config_.guard_s) || bad(config_.reg_guard_s) ||
-      bad(config_.reg_retry_s)) {
-    throw std::invalid_argument(
-        "net::ScheduledSlotMac: guard/retry times must be finite and > 0");
-  }
-  if (config_.max_registration_attempts == 0) {
-    throw std::invalid_argument(
-        "net::ScheduledSlotMac: need max_registration_attempts > 0");
-  }
   for (std::uint32_t i = 1; i < nodes; ++i) ready_[i / 64] |= ready_bit(i);
 }
 
@@ -61,8 +63,7 @@ bool ScheduledSlotMac::wants_service(MacContext& ctx,
 }
 
 bool ScheduledSlotMac::given_up(std::uint32_t i) const {
-  return registered_[i] == 0 &&
-         reg_attempts_[i] >= config_.max_registration_attempts;
+  return registered_[i] == 0 && reg_attempts_[i] >= kMaxRegistrationAttempts;
 }
 
 void ScheduledSlotMac::on_kick(MacContext& ctx, std::uint32_t node) {
@@ -103,7 +104,7 @@ void ScheduledSlotMac::on_policy_event(MacContext& ctx, const Event& ev) {
         registered_[i] = 1;
         ++ctx.mac_node(i).stats().slot_registrations;
       } else if (!given_up(i)) {
-        next_reg_s_[i] = ctx.now_s() + config_.reg_retry_s;
+        next_reg_s_[i] = ctx.now_s() + kRegRetryS;
       } else if (ctx.mac_node(i).transfer().active) {
         // Budget spent with a frame in flight: drop it now. A frame
         // still queued is dropped when its kick fires (on_kick).
@@ -135,8 +136,7 @@ void ScheduledSlotMac::plan_round(MacContext& ctx) {
       return;
     }
     ctx.schedule_policy(t, i, kRegister);
-    t += 2.0 * ctx.control_airtime_s(i) + ctx.turnaround_s() +
-         config_.reg_guard_s;
+    t += 2.0 * ctx.control_airtime_s(i) + mac::kTurnaroundS + kRegGuardS;
     any = true;
   });
 
@@ -155,8 +155,8 @@ void ScheduledSlotMac::plan_round(MacContext& ctx) {
       return;
     }
     ctx.schedule_attempt(t, i);
-    t += ctx.data_airtime_s(i) + ctx.turnaround_s() +
-         ctx.control_airtime_s(i) + config_.guard_s;
+    t += ctx.data_airtime_s(i) + mac::kTurnaroundS +
+         ctx.control_airtime_s(i) + kSlotGuardS;
     any = true;
   });
 

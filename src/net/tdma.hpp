@@ -9,16 +9,16 @@
 //   registration — each round opens with mini-slots in which nodes that
 //       have traffic but no slot yet exchange one bare control frame
 //       with their uplink neighbor (hub in a star). A targeted dropout
-//       swallows the exchange; the node retries after reg_retry_s, up
-//       to max_registration_attempts before it is given up on (bounded,
-//       so a permanently faulted node cannot keep rounds alive forever).
+//       swallows the exchange; the node retries 50 ms later, up to 16
+//       attempts before it is given up on (bounded, so a permanently
+//       faulted node cannot keep rounds alive forever).
 //       A given-up member never gets a slot: its frames, the one in
 //       flight and every later one, end as channel-access drops, as a
 //       CSMA frame does when its busy budget runs out;
 //   data slots — registered members with pending traffic get one slot
 //       each, in index order, sized from the member's own planned
-//       operating point: data airtime + turnaround + ack airtime +
-//       guard_s. One transmission is ever on the air, so CCA-deaf
+//       operating point: data airtime + turnaround + ack airtime + a
+//       200 us guard. One transmission is ever on the air, so CCA-deaf
 //       passive backends are served exactly as well as active ones;
 //   re-assignment — dead members are dropped (their slots reclaimed),
 //       drained members are skipped until they queue again, newly
@@ -35,7 +35,8 @@
 //       death. A kick does not: the enqueue before it already did.
 //
 // No randomness: the schedule is a pure function of the event order, so
-// serial and parallel sweeps stay byte-identical trivially.
+// serial and parallel sweeps stay byte-identical trivially. The guards,
+// the retry wait and the attempt budget are constants in tdma.cpp.
 #pragma once
 
 #include <cstdint>
@@ -45,25 +46,9 @@
 
 namespace braidio::net {
 
-struct TdmaConfig {
-  /// Per-slot guard time [s]. Keep >= the simulator's turnaround so a
-  /// finished member's next kick lands before the next round is planned.
-  double guard_s = 200e-6;
-  /// Guard after each registration mini-slot [s].
-  double reg_guard_s = 100e-6;
-  /// Wait between one node's registration attempts [s] (rides out
-  /// transient dropout faults without spinning mini-slots).
-  double reg_retry_s = 50e-3;
-  /// Registration attempts before a node is abandoned (bounds the run
-  /// when a targeted fault never lifts).
-  unsigned max_registration_attempts = 16;
-};
-
 class ScheduledSlotMac final : public MacPolicy {
  public:
-  /// Throws std::invalid_argument on non-positive/non-finite times or a
-  /// zero attempt budget.
-  ScheduledSlotMac(TdmaConfig config, std::size_t nodes);
+  explicit ScheduledSlotMac(std::size_t nodes);
 
   const char* name() const override { return "tdma"; }
   void on_kick(MacContext& ctx, std::uint32_t node) override;
@@ -94,10 +79,9 @@ class ScheduledSlotMac final : public MacPolicy {
   void for_each_ready(Visit visit);
   void clear_ready(std::uint32_t i);
 
-  TdmaConfig config_;
   std::vector<std::uint64_t> ready_;  // the ready set, 64 nodes per word
   std::vector<std::uint8_t> registered_;
-  std::vector<unsigned> reg_attempts_;  // as wide as the budget
+  std::vector<unsigned> reg_attempts_;
   std::vector<double> next_reg_s_;
   bool armed_ = false;
   std::uint64_t rounds_ = 0;

@@ -2,24 +2,29 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
+#include "rf/interference.hpp"
 #include "util/contract.hpp"
 
 namespace braidio::sim::faults {
 
-ImpairmentSchedule::ImpairmentSchedule(FaultTimeline timeline,
-                                       ImpairmentConfig config)
-    : timeline_(std::move(timeline)), config_(config) {
-  BRAIDIO_REQUIRE(std::isfinite(config_.noise_floor_dbm), "noise_floor_dbm",
-                  config_.noise_floor_dbm);
-}
+namespace {
+/// Noise floor the interferer penalty is computed against [dBm].
+constexpr double kNoiseFloorDbm = -90.0;
+/// Envelope-detector band that filters the interferer beat.
+constexpr rf::EnvelopeInterferenceModel kDetector{};
+}  // namespace
+
+ImpairmentSchedule::ImpairmentSchedule(FaultTimeline timeline)
+    : timeline_(std::move(timeline)) {}
 
 double ImpairmentSchedule::interferer_penalty_db(
     const FaultEvent& event) const {
   rf::InterfererSpec spec;
   spec.power_dbm = event.magnitude;
   spec.offset_hz = event.param;
-  return config_.detector.snr_penalty_db(config_.noise_floor_dbm, spec);
+  return kDetector.snr_penalty_db(kNoiseFloorDbm, spec);
 }
 
 ImpairmentState ImpairmentSchedule::state_at(double sim_s) const {

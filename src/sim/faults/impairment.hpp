@@ -9,14 +9,14 @@
 //   * one-shot accounting: brownout joules and activation edges crossed
 //     when a consumer's clock advances from t0 to t1.
 // Interferer bursts are converted to an SNR penalty with the calibrated
-// envelope-detector model from rf/interference.hpp — Table 3's "may be
-// interfered by in-band signal" cost made quantitative.
+// envelope-detector model from rf/interference.hpp (its default band,
+// over a -90 dBm noise floor) — Table 3's "may be interfered by in-band
+// signal" cost made quantitative.
 #pragma once
 
 #include <optional>
 #include <vector>
 
-#include "rf/interference.hpp"
 #include "sim/faults/fault_timeline.hpp"
 
 namespace braidio::sim::faults {
@@ -39,19 +39,10 @@ struct ImpairmentState {
   }
 };
 
-struct ImpairmentConfig {
-  /// Noise floor the interferer penalty is computed against.
-  double noise_floor_dbm = -90.0;
-  /// Envelope-detector band (high-pass / low-pass corners) that filters
-  /// the interferer beat.
-  rf::EnvelopeInterferenceModel detector{};
-};
-
 class ImpairmentSchedule {
  public:
   ImpairmentSchedule() = default;
-  explicit ImpairmentSchedule(FaultTimeline timeline,
-                              ImpairmentConfig config = {});
+  explicit ImpairmentSchedule(FaultTimeline timeline);
 
   const FaultTimeline& timeline() const { return timeline_; }
   bool empty() const { return timeline_.empty(); }
@@ -82,7 +73,6 @@ class ImpairmentSchedule {
 
  private:
   FaultTimeline timeline_;
-  ImpairmentConfig config_;
 };
 
 }  // namespace braidio::sim::faults

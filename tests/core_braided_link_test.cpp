@@ -3,10 +3,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "backends/backends.hpp"
+#include "hal/backend.hpp"
 #include "hal/radio.hpp"
+#include "mac/arq.hpp"
+#include "obs/span.hpp"
 #include "sim/faults/fault_timeline.hpp"
 #include "sim/faults/impairment.hpp"
 
@@ -252,77 +261,66 @@ TEST(BraidedLink, RetransmissionCountExactlyMatchesRetryBudget) {
   const auto stats = link.run(12);
   EXPECT_EQ(stats.data_packets_delivered, 0u);
   EXPECT_EQ(stats.data_packets_dropped, 12u);
-  EXPECT_EQ(stats.retransmissions, 12u * 7u);
+  EXPECT_EQ(stats.retransmissions, 12u * mac::kMaxRetransmissions);
 }
+
+#if BRAIDIO_OBS_COMPILED
 
 TEST(BraidedLink, AckTimeoutListenWindowIsCharged) {
   // Energy-ledger regression: the seed charged nothing for the listen
-  // window after a lost exchange, so a dead link cost the same energy and
-  // time as the airtime alone. A longer configured timeout must now cost
-  // strictly more time and strictly more battery on the identical run.
+  // window after a lost exchange, so a dead link cost only its airtime.
+  // Under a total dropout every attempt of every packet times out, and
+  // each timeout charges both radios under the "arq-timeout" span.
   const sim::faults::ImpairmentSchedule schedule{sim::faults::FaultTimeline{
       {{sim::faults::FaultKind::CarrierDropout, 0.0, 1e9, 0.0, 0.0,
         sim::faults::kTargetBoth}}}};
-  const auto run_with_timeout = [&](double timeout_s) {
-    Rig rig;
-    BraidedLinkConfig cfg;
-    cfg.distance_m = 0.4;
-    cfg.seed = 3;
-    cfg.impairments = &schedule;
-    cfg.ack_timeout = util::Seconds(timeout_s);
-    // Fixed backoff base so only the timeout term differs between runs.
-    cfg.backoff_base = util::Seconds(1e-4);
-    BraidedLink link(rig.a, rig.b, rig.regimes, cfg);
-    const auto stats = link.run(8);
-    const double drained = rig.a.battery().capacity_joules() -
-                           rig.a.battery().remaining_joules();
-    return std::pair<double, double>{stats.elapsed_s, drained};
-  };
-  const auto [short_elapsed, short_drained] = run_with_timeout(1e-3);
-  const auto [long_elapsed, long_drained] = run_with_timeout(10e-3);
-  // 8 packets x 8 attempts x 9 ms of extra listening = 576 ms minimum gap.
-  EXPECT_GT(long_elapsed, short_elapsed + 0.5);
-  EXPECT_GT(long_drained, short_drained);
+  Rig rig;
+  BraidedLinkConfig cfg;
+  cfg.distance_m = 0.4;
+  cfg.seed = 3;
+  cfg.impairments = &schedule;
+  BraidedLink link(rig.a, rig.b, rig.regimes, cfg);
+  obs::EnergyProfile profile;
+  obs::set_attribution_enabled(true);
+  {
+    obs::ScopedEnergyProfile scoped(&profile);
+    link.run(8);
+  }
+  obs::set_attribution_enabled(false);
+  std::uint64_t posts = 0;
+  double joules = 0.0;
+  for (const auto& [path, slot] : profile.entries()) {
+    if (path.find("/arq-timeout/") == std::string::npos) continue;
+    posts += slot.posts;
+    joules += slot.joules;
+  }
+  // 8 packets x (1 + kMaxRetransmissions) timeouts x 2 radios.
+  EXPECT_EQ(posts, 8u * (1u + mac::kMaxRetransmissions) * 2u)
+      << profile.tree_report();
+  EXPECT_GT(joules, 0.0);
 }
+
+#endif  // BRAIDIO_OBS_COMPILED
 
 TEST(BraidedLink, FallbackHysteresisIgnoresASingleLossySlot) {
   // One sustained outage burst long enough to ruin a single schedule slot
-  // but not two consecutive ones. The seed's edge-triggered rule
-  // (trigger = 1) falls back and replans; the default hysteresis
-  // (trigger = 2) must ride it out without thrashing the plan.
-  const auto run_with_trigger = [](unsigned trigger_slots) {
-    Rig rig;
-    const sim::faults::ImpairmentSchedule schedule{
-        sim::faults::FaultTimeline{
-            {{sim::faults::FaultKind::CarrierDropout, 0.05, 0.2, 0.0, 0.0,
-              sim::faults::kTargetBoth}}}};
-    BraidedLinkConfig cfg;
-    cfg.distance_m = 0.4;
-    cfg.packets_per_slot = 8;
-    cfg.seed = 5;
-    cfg.impairments = &schedule;
-    cfg.fallback_trigger_slots = trigger_slots;
-    BraidedLink link(rig.a, rig.b, rig.regimes, cfg);
-    return link.run(512);
-  };
-  const auto edge = run_with_trigger(1);
-  const auto hysteresis = run_with_trigger(2);
-  EXPECT_GE(edge.fallbacks, 1u);
-  EXPECT_EQ(hysteresis.fallbacks, 0u);
-  // Both variants recover: the outage costs packets, not the session.
-  EXPECT_GT(hysteresis.delivery_ratio(), 0.8);
-}
-
-TEST(BraidedLink, HysteresisConfigValidation) {
+  // but not two consecutive ones: the fallback hysteresis (two poor slots
+  // in a row) must ride it out without thrashing the plan.
   Rig rig;
+  const sim::faults::ImpairmentSchedule schedule{sim::faults::FaultTimeline{
+      {{sim::faults::FaultKind::CarrierDropout, 0.05, 0.2, 0.0, 0.0,
+        sim::faults::kTargetBoth}}}};
   BraidedLinkConfig cfg;
-  cfg.fallback_trigger_slots = 0;
-  EXPECT_THROW(BraidedLink(rig.a, rig.b, rig.regimes, cfg),
-               std::invalid_argument);
-  BraidedLinkConfig jitter_cfg;
-  jitter_cfg.backoff_jitter = 1.0;
-  EXPECT_THROW(BraidedLink(rig.a, rig.b, rig.regimes, jitter_cfg),
-               std::invalid_argument);
+  cfg.distance_m = 0.4;
+  cfg.packets_per_slot = 8;
+  cfg.seed = 5;
+  cfg.impairments = &schedule;
+  BraidedLink link(rig.a, rig.b, rig.regimes, cfg);
+  const auto stats = link.run(512);
+  EXPECT_EQ(stats.fallbacks, 0u);
+  // The outage costs packets, not the session.
+  EXPECT_GT(stats.data_packets_dropped, 0u);
+  EXPECT_GT(stats.delivery_ratio(), 0.8);
 }
 
 TEST(BraidedLink, DistanceJumpFaultDegradesTheLink) {
@@ -340,6 +338,118 @@ TEST(BraidedLink, DistanceJumpFaultDegradesTheLink) {
   EXPECT_EQ(stats.fault_activations, 1u);
   EXPECT_GT(stats.data_packets_delivered, 0u);
   EXPECT_GT(stats.data_packets_dropped, 0u);
+}
+
+/// FNV-1a over bytes: folds a run's stats, both ledgers and both switch
+/// counts into one number.
+struct Digest {
+  std::uint64_t value = 0xcbf29ce484222325ull;
+  void byte(std::uint8_t b) {
+    value ^= b;
+    value *= 0x100000001b3ull;
+  }
+  void word(std::uint64_t w) {
+    for (int b = 0; b < 8; ++b) byte(static_cast<std::uint8_t>(w >> (8 * b)));
+  }
+  void real(double x) { word(std::bit_cast<std::uint64_t>(x)); }
+  void text(const std::string& s) {
+    word(s.size());
+    for (const char c : s) byte(static_cast<std::uint8_t>(c));
+  }
+};
+
+/// Folds every BraidedLinkStats field, then each radio's ledger total and
+/// mode-switch count.
+void fold_run(Digest& d, const BraidedLinkStats& s, const hal::IRadio& a,
+              const hal::IRadio& b) {
+  for (const std::uint64_t w :
+       {s.data_packets_offered, s.data_packets_delivered,
+        s.data_packets_dropped, s.retransmissions, s.control_frames,
+        s.fallbacks, s.replans, s.fault_activations}) {
+    d.word(w);
+  }
+  for (const double x : {s.payload_bits_delivered,
+                         s.payload_bits_delivered_reverse, s.elapsed_s}) {
+    d.real(x);
+  }
+  d.word(s.mode_airtime_s.size());
+  for (const auto& [label, air_s] : s.mode_airtime_s) {
+    d.text(label);
+    d.real(air_s);
+  }
+  d.text(s.last_plan);
+  for (const hal::IRadio* radio : {&a, &b}) {
+    d.real(radio->ledger().total_joules());
+    d.word(radio->mode_switches());
+  }
+}
+
+/// One (backend, traffic) cell of the run pin and the digest its 12 runs
+/// folded to when it was recorded.
+struct LinkCell {
+  const char* backend;
+  bool bidirectional;
+  std::uint64_t digest;
+};
+
+// Recorded while the protocol timings were still config fields; each
+// became a constant at its old default, so every cell must still match.
+constexpr LinkCell kRecordedLinks[] = {
+    {"braidio", false, 0xd676c273734fa43a},
+    {"braidio", true, 0xa514c24a7700d558},
+    {"ble-active", false, 0x2b15003ad2f8342d},
+    {"ble-active", true, 0x30655b8c0a681e5e},
+    {"reader-passive", false, 0xab7862d7c13c26e8},
+    {"reader-passive", true, 0xd5ec47147a7020f9},
+    {"blisp-hybrid", false, 0x586b696e86b7d134},
+    {"blisp-hybrid", true, 0x7e8d54c92908ca37},
+};
+
+TEST(BraidedLink, RunsMatchRecordedDigests) {
+  // 96 runs of 4,200 packets, enough to cross the periodic replan. Each
+  // cell folds 12: a clean channel, block fading, or a fault file (an
+  // outage long enough to trip the fallback, shadowing, a distance jump
+  // and a brownout at the small end); 0.4 m or 2.0 m; seeds 1 and 7.
+  std::istringstream script(
+      "shadowing 0.2 0.6 12\n"
+      "dropout 0.5 0.3\n"
+      "distance 1.5 0.9\n"
+      "brownout 1.0 5 b\n");
+  std::string error;
+  const auto timeline = sim::faults::FaultTimeline::parse(script, &error);
+  ASSERT_TRUE(timeline.has_value()) << error;
+  const sim::faults::ImpairmentSchedule faulted(*timeline);
+  backends::register_all();
+
+  for (const LinkCell& cell : kRecordedLinks) {
+    const hal::RadioBackend& backend =
+        hal::BackendRegistry::instance().get(cell.backend);
+    const RegimeMap regimes(backend);
+    Digest digest;
+    for (const int channel : {0, 1, 2}) {
+      for (const double distance_m : {0.4, 2.0}) {
+        for (const std::uint64_t seed : {1, 7}) {
+          const auto a = backend.create_radio("phone", 1,
+                                              util::WattHours(6.55));
+          const auto b = backend.create_radio("watch", 2,
+                                              util::WattHours(0.78));
+          BraidedLinkConfig cfg;
+          cfg.distance_m = distance_m;
+          cfg.bidirectional = cell.bidirectional;
+          cfg.block_fading = channel == 1;
+          cfg.impairments = channel == 2 ? &faulted : nullptr;
+          cfg.seed = seed;
+          BraidedLink link(*a, *b, regimes, cfg);
+          fold_run(digest, link.run(4200), *a, *b);
+        }
+      }
+    }
+    char recorded[96];
+    std::snprintf(recorded, sizeof recorded, "{\"%s\", %s, 0x%016llx}",
+                  cell.backend, cell.bidirectional ? "true" : "false",
+                  static_cast<unsigned long long>(digest.value));
+    EXPECT_EQ(digest.value, cell.digest) << "runs changed: " << recorded;
+  }
 }
 
 }  // namespace

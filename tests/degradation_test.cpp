@@ -11,6 +11,7 @@
 #include "backends/backends.hpp"
 #include "core/braided_link.hpp"
 #include "hal/radio.hpp"
+#include "mac/arq.hpp"
 #include "sim/faults/fault_timeline.hpp"
 #include "sim/faults/impairment.hpp"
 #include "sim/scenario.hpp"
@@ -128,9 +129,9 @@ TEST(Degradation, NoLivelockAtTotalOutage) {
   EXPECT_EQ(stats.data_packets_delivered, 0u);
   EXPECT_EQ(stats.data_packets_offered + 0u, packets);
   EXPECT_EQ(stats.data_packets_dropped, packets);
-  // Stop-and-wait budget: exactly max_retransmissions (7) per packet, and
+  // Stop-and-wait budget: exactly kMaxRetransmissions (7) per packet, and
   // the refused final attempt must NOT be counted (the old off-by-one).
-  EXPECT_EQ(stats.retransmissions, packets * 7u);
+  EXPECT_EQ(stats.retransmissions, packets * mac::kMaxRetransmissions);
   EXPECT_GT(stats.elapsed_s, 0.0);
 }
 

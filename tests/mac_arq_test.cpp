@@ -37,9 +37,9 @@ TEST(ArqSender, RejectsSubmitWhileInFlight) {
 }
 
 TEST(ArqSender, RetransmitsUntilBudgetExhausted) {
-  ArqSender sender(1, 2, {.max_retransmissions = 3});
+  ArqSender sender(1, 2);
   ASSERT_TRUE(sender.submit({1}));
-  for (int i = 0; i < 3; ++i) {
+  for (unsigned i = 0; i < kMaxRetransmissions; ++i) {
     EXPECT_TRUE(sender.on_timeout()) << "retry " << i;
     EXPECT_TRUE(sender.frame_to_send().has_value());
   }
@@ -123,7 +123,7 @@ TEST(ArqReceiver, IgnoresFramesForOthers) {
 TEST(Arq, LossyRoundTripEventuallyDelivers) {
   // Deterministic loss pattern: every other data frame is lost; every
   // third ack is lost. Stop-and-wait must still deliver everything once.
-  ArqSender sender(1, 2, {.max_retransmissions = 10});
+  ArqSender sender(1, 2);
   ArqReceiver receiver(2);
   int data_counter = 0, ack_counter = 0;
   int fresh = 0;
@@ -242,12 +242,13 @@ TEST(Arq, WraparoundSurvivesDataLossAndDuplicateAcks) {
 TEST(Arq, WraparoundDropAdvancesSequenceToZero) {
   // Exhausting the retry budget at sequence 65535 must wrap the sequence
   // to 0 for the next transfer, exactly like a delivery would.
-  ArqSender sender(1, 2, {.max_retransmissions = 2});
+  ArqSender sender(1, 2);
   ArqReceiver receiver(2);
   advance_sequence_to(sender, receiver, 65535);
   ASSERT_TRUE(sender.submit({0xDD}));
-  EXPECT_TRUE(sender.on_timeout());
-  EXPECT_TRUE(sender.on_timeout());
+  for (unsigned i = 0; i < kMaxRetransmissions; ++i) {
+    EXPECT_TRUE(sender.on_timeout());
+  }
   EXPECT_FALSE(sender.on_timeout());  // budget exhausted, dropped
   EXPECT_TRUE(sender.idle());
   EXPECT_EQ(sender.dropped(), 1u);

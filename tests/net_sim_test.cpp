@@ -433,11 +433,11 @@ void fold_run(Digest& d, const NetworkSimulator& sim, const NetStats& s) {
   }
 }
 
-/// One (backend, MAC setting, topology) cell of the schedule pin and the
+/// One (backend, MAC, topology) cell of the schedule pin and the
 /// digest its 12 runs folded to when it was recorded.
 struct ScheduleCell {
   const char* backend;
-  const char* mac;  // "csma", "tdma", or "tdma-g100" (guard_s = 100 us)
+  const char* mac;  // "csma" or "tdma"
   const char* topology;
   std::uint64_t digest;
 };
@@ -451,36 +451,24 @@ constexpr ScheduleCell kRecordedSchedules[] = {
     {"braidio", "tdma", "star", 0x328492061593ff0d},
     {"braidio", "tdma", "grid", 0xce5044ae0c6fbf57},
     {"braidio", "tdma", "rgg", 0xcffe057559ff1a60},
-    {"braidio", "tdma-g100", "star", 0x9af390dc983e0d89},
-    {"braidio", "tdma-g100", "grid", 0x8c7be7e0f4b3e4ae},
-    {"braidio", "tdma-g100", "rgg", 0xb2fc97c97482150b},
     {"ble-active", "csma", "star", 0xa6e8bf907c6ea6b5},
     {"ble-active", "csma", "grid", 0x165fe9dd0383899a},
     {"ble-active", "csma", "rgg", 0x367f6c87089a7e1a},
     {"ble-active", "tdma", "star", 0x6ffebd739b0a7961},
     {"ble-active", "tdma", "grid", 0xd90faaa9a182fb4e},
     {"ble-active", "tdma", "rgg", 0x0e74203652ff7a4e},
-    {"ble-active", "tdma-g100", "star", 0xa167d7d29a1117a9},
-    {"ble-active", "tdma-g100", "grid", 0xbfe7c6df0c279d2a},
-    {"ble-active", "tdma-g100", "rgg", 0xc2216e2968099193},
     {"reader-passive", "csma", "star", 0xdef8bf72ed8b9d65},
     {"reader-passive", "csma", "grid", 0x0a7ab5f468e8a22a},
     {"reader-passive", "csma", "rgg", 0x6f0a779996324df5},
     {"reader-passive", "tdma", "star", 0x0c226fe18eb26939},
     {"reader-passive", "tdma", "grid", 0xd2fa66a9c89256fd},
     {"reader-passive", "tdma", "rgg", 0xcb74f367e79ae87f},
-    {"reader-passive", "tdma-g100", "star", 0xd579c238b66e4d31},
-    {"reader-passive", "tdma-g100", "grid", 0x7b293861fbb5b0c0},
-    {"reader-passive", "tdma-g100", "rgg", 0xea47841b7099ca99},
     {"blisp-hybrid", "csma", "star", 0x327cce38aba1ce81},
     {"blisp-hybrid", "csma", "grid", 0xd97995a15ed3530d},
     {"blisp-hybrid", "csma", "rgg", 0x09a712ba413f0fc6},
     {"blisp-hybrid", "tdma", "star", 0x29d48996d8bd108d},
     {"blisp-hybrid", "tdma", "grid", 0xb481d24f60c05099},
     {"blisp-hybrid", "tdma", "rgg", 0xc3252acec4b61d9d},
-    {"blisp-hybrid", "tdma-g100", "star", 0x04f98b6dd861703d},
-    {"blisp-hybrid", "tdma-g100", "grid", 0x0ac3a566f856225d},
-    {"blisp-hybrid", "tdma-g100", "rgg", 0x04d7fa41edce6cc2},
 };
 
 sim::faults::ImpairmentSchedule parse_schedule(const char* text) {
@@ -492,11 +480,10 @@ sim::faults::ImpairmentSchedule parse_schedule(const char* text) {
 }
 
 TEST(NetworkSimulator, ScheduleMatchesRecordedDigests) {
-  // 432 runs of 60 tags x 3 frames. Each cell folds 12 of them: healthy,
+  // 288 runs of 60 tags x 3 frames. Each cell folds 12 of them: healthy,
   // tag 5 silenced for good, or a network-wide shadowing window plus a
   // dropout at tag 3; 0.5 Wh tags or 2e-7 Wh tags that die mid-run;
-  // seeds 1 and 7. TDMA runs at the default guard and at a guard below
-  // the turnaround, where a relay's backlog exists before its kick.
+  // seeds 1 and 7.
   const sim::faults::ImpairmentSchedule dropout =
       parse_schedule("dropout 0 1e6 @5\n");
   const sim::faults::ImpairmentSchedule shadowed =
@@ -505,7 +492,6 @@ TEST(NetworkSimulator, ScheduleMatchesRecordedDigests) {
                                                      &shadowed};
 
   for (const ScheduleCell& cell : kRecordedSchedules) {
-    const std::string mac = cell.mac;
     // blisp-hybrid plans braidio's backscatter point on every hop within
     // backscatter's 2.4 m reach, so its cells spread the tags until the
     // far uplinks go active (braidio's go passive there).
@@ -516,8 +502,7 @@ TEST(NetworkSimulator, ScheduleMatchesRecordedDigests) {
         for (const std::uint64_t seed : {1, 7}) {
           NetConfig config;
           config.backend = &backend(cell.backend);
-          config.mac = mac == "csma" ? MacKind::Csma : MacKind::Tdma;
-          if (mac == "tdma-g100") config.tdma.guard_s = 100e-6;
+          config.mac = parse_mac(cell.mac);
           config.topology.kind = *parse_topology(cell.topology);
           config.topology.nodes = 60;
           if (wide) {

@@ -1,5 +1,3 @@
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -62,25 +60,8 @@ TEST(Csv, EscapesSpecialCells) {
 }
 
 TEST(Csv, RendersRowsAndValidatesWidth) {
-  CsvWriter w({"d", "ber"});
-  w.add_row(std::vector<std::string>{"0.5", "1e-3"});
-  w.add_row(std::vector<double>{1.0, 0.01});
-  EXPECT_THROW(w.add_row(std::vector<double>{1.0}), std::invalid_argument);
-  const auto s = w.to_string();
-  EXPECT_EQ(s, "d,ber\n0.5,1e-3\n1,0.01\n");
-}
-
-TEST(Csv, WritesFile) {
-  CsvWriter w({"x"});
-  w.add_row(std::vector<double>{42.0});
-  const std::string path = ::testing::TempDir() + "/braidio_csv_test.csv";
-  w.write_file(path);
-  std::ifstream f(path);
-  std::string line;
-  std::getline(f, line);
-  EXPECT_EQ(line, "x");
-  std::remove(path.c_str());
-  EXPECT_THROW(w.write_file("/nonexistent-dir/x.csv"), std::runtime_error);
+  EXPECT_EQ(csv_document({"d", "ber"}, {{"0.5", "1e-3"}, {"1", "0.01"}}),
+            "d,ber\n0.5,1e-3\n1,0.01\n");
 }
 
 TEST(Json, EscapesStringsAndRendersNumbers) {

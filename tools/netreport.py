@@ -27,7 +27,7 @@ With --trace, also parses a Chrome flow-event export (--trace-out from
 the same run) and reports packet-lifecycle coverage: how many packets
 were born, delivered, dropped, and the deepest relay chains.
 
-Exit code 0 on success, 2 on malformed input.
+Exit code 0 on success, 2 on malformed input (one line on stderr).
 """
 
 from __future__ import annotations
@@ -37,16 +37,66 @@ import json
 import sys
 from collections import defaultdict
 
+SCHEMA = "braidio-netstats/v2"
+# The node_counters columns the views read.
+NODE_COLUMNS = ("tx_attempts", "cca_busy", "collisions", "delivered",
+                "relayed", "drops_access", "drops_arq", "slot_registrations",
+                "slots_reclaimed")
+
+
+class MalformedInput(Exception):
+    """An input file netreport cannot report on (exit code 2)."""
+
 
 def load(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        sys.exit(f"netreport: cannot read {path}: {e}")
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise MalformedInput(f"cannot read {path}: {e}") from e
     if not isinstance(doc, dict):
-        sys.exit(f"netreport: {path}: expected a JSON object")
+        raise MalformedInput(f"{path}: expected a JSON object")
     return doc
+
+
+def check_netstats(path: str, doc: dict) -> None:
+    """Reject a record whose columns the views would trip over."""
+    if doc.get("schema") != SCHEMA:
+        raise MalformedInput(f"{path}: unexpected schema "
+                             f"{doc.get('schema')!r}")
+    if not doc.get("enabled", False):
+        return
+    n = doc.get("nodes")
+    if not isinstance(n, int) or n < 0:
+        raise MalformedInput(f"{path}: 'nodes' must be a count")
+    counters = doc.get("node_counters")
+    links = doc.get("links", {})
+    if not isinstance(counters, dict) or not isinstance(links, dict):
+        raise MalformedInput(f"{path}: 'node_counters' and 'links' must be "
+                             f"objects")
+    for name in NODE_COLUMNS:
+        if name not in counters:
+            raise MalformedInput(f"{path}: no {name!r} column")
+    columns = list(counters.items())
+    columns += [(f"links.{name}", col) for name, col in links.items()]
+    for name, col in columns:
+        if (not isinstance(col, list) or len(col) != n or
+                not all(isinstance(v, int) for v in col)):
+            raise MalformedInput(f"{path}: column {name!r} must list {n} "
+                                 f"integers")
+
+
+def check_trace(path: str, doc: dict) -> None:
+    events = doc.get("traceEvents", [])
+    if not isinstance(events, list) or not all(
+            isinstance(e, dict) for e in events):
+        raise MalformedInput(f"{path}: 'traceEvents' must be a list of "
+                             f"objects")
+    for e in events:
+        if e.get("name") == "packet" and not isinstance(e.get("id", -1),
+                                                         int):
+            raise MalformedInput(f"{path}: packet flow event without an "
+                                 f"integer id")
 
 
 def pct(part: float, whole: float) -> str:
@@ -147,15 +197,14 @@ def report_tdma_map(rows: list[dict], width: int = 64) -> None:
         print(f"  {start:>6} {strip}")
 
 
-def report_trace(path: str) -> None:
-    doc = load(path)
+def report_trace(doc: dict) -> None:
     events = doc.get("traceEvents", [])
     chains: dict[int, dict] = defaultdict(
         lambda: {"steps": 0, "relays": 0, "end": None})
     for e in events:
         if e.get("name") != "packet":
             continue
-        c = chains[int(e.get("id", -1))]
+        c = chains[e.get("id", -1)]
         ph = e.get("ph")
         if ph == "t":
             c["steps"] += 1
@@ -192,10 +241,16 @@ def main() -> int:
                         help="children shown per tree node before summary")
     args = parser.parse_args()
 
-    doc = load(args.netstats)
-    if doc.get("schema") != "braidio-netstats/v2":
-        sys.exit(f"netreport: {args.netstats}: unexpected schema "
-                 f"{doc.get('schema')!r}")
+    try:
+        doc = load(args.netstats)
+        check_netstats(args.netstats, doc)
+        trace = None
+        if args.trace:
+            trace = load(args.trace)
+            check_trace(args.trace, trace)
+    except MalformedInput as e:
+        print(f"netreport: {e}", file=sys.stderr)
+        return 2
     if not doc.get("enabled", False):
         print("netreport: record disabled (run without flight recorder?)")
         return 0
@@ -215,9 +270,9 @@ def main() -> int:
     report_loss_tree(rows, args.max_children)
     print()
     report_tdma_map(rows)
-    if args.trace:
+    if trace is not None:
         print()
-        report_trace(args.trace)
+        report_trace(trace)
     return 0
 
 
