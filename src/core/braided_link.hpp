@@ -116,8 +116,9 @@ class BraidedLink {
   void replan();
   bool send_control(mac::FrameType type, std::vector<std::uint8_t> payload,
                     const ModeCandidate& point);
-  /// Charge both radios for `elapsed` time in `point`; `a_transmits`
-  /// selects the role split. Returns false when a battery dies.
+  /// Advance both radios by `elapsed`, each charged in the mode and role
+  /// its last switch_to set; `point` labels the airtime in the stats.
+  /// Returns false when a battery dies.
   bool spend(const ModeCandidate& point, util::Seconds elapsed);
   /// One ARQ exchange in the given direction over `point`. Returns true
   /// when the payload was delivered and acked.

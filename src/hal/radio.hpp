@@ -75,7 +75,7 @@ struct Capabilities {
   bool can_backscatter = false;
   /// Carrier sense: the radio can report whether the channel is clear.
   bool can_cca = false;
-  /// Ambient power above which cca() reports the channel busy [dBm].
+  /// Ambient power above which cca_clear() reports the channel busy [dBm].
   double cca_threshold_dbm = -60.0;
   /// Draw while the envelope detector + comparator sample the channel for
   /// one CCA window (sense()). Far below any decode-path rx power.

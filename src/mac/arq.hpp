@@ -8,8 +8,8 @@
 // keeps them unit-testable without any channel.
 //
 // The two protocol timings every packet engine shares live here:
-// BraidedLink, CarrierHub and the network simulator's per-hop retry all
-// use kMaxRetransmissions and kTurnaroundS.
+// BraidedLink and the network simulator's per-hop retry both use
+// kMaxRetransmissions and kTurnaroundS.
 #pragma once
 
 #include <cstdint>

@@ -16,8 +16,8 @@
 // The turnaround is the shared protocol constant mac::kTurnaroundS.
 // The context never exposes the medium or the queue directly, so a
 // policy cannot bypass the physics, and the analyzer's layering rule
-// keeps net/ policies from reaching into core/ (the CarrierHub slot
-// convention is *ported* here, not included).
+// keeps net/ policies from reaching into core/ (the two engines are
+// siblings; neither includes the other).
 //
 // Determinism contract: a policy may draw randomness only from the
 // handled node's own stream (node.rng()), and must iterate node sets in

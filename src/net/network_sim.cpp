@@ -390,7 +390,7 @@ void NetworkSimulator::handle_tx_end(const Event& ev) {
     data_ok = node.rng().bernoulli(odds.data);
     if (data_ok) {
       // Ack leg: turnaround then a bare Ack frame at the same operating
-      // point, roles held at both ends (the CarrierHub convention).
+      // point, roles held at both ends (one turnaround per exchange).
       done = now + mac::kTurnaroundS + plan.ack_airtime_s;
       if (!node.radio().advance(
               util::Seconds(mac::kTurnaroundS + plan.ack_airtime_s))) {

@@ -32,7 +32,7 @@
 //             losses and the interference penalty (sampled at both the
 //             start and end of the airtime; the worse sample wins). A
 //             delivered frame is acked (turnaround + ack airtime at both
-//             ends, roles held — the CarrierHub convention); an acked
+//             ends, roles held, one turnaround per exchange); an acked
 //             frame either lands at the hub or joins the next relay's
 //             queue. Failures retry through the per-hop ARQ budget.
 //

@@ -1,5 +1,5 @@
-// Hub-assigned TDMA slots for the network simulator — the CarrierHub
-// convention ported into net/ (DESIGN.md §16).
+// Hub-assigned TDMA slots for the network simulator: one hub carrier
+// shared by many tags (DESIGN.md §16; experiment E3).
 //
 // Braidio's asymmetric-energy argument puts coordination cost on the
 // energy-rich end: the hub holds the carrier, polls, and *assigns* air

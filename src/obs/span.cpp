@@ -25,8 +25,8 @@ constexpr std::size_t kMaxSeriesBuckets = std::size_t{1} << 16;
 // and through an id -> position index past it. Measured on a Xeon vCPU,
 // a scan beats the hash lookup up to about 8 paths and trails it by
 // under 2 ns at 16, so a sweep point's profile (about ten paths) never
-// builds an index; a scan-only attributed CarrierHub run of 3,000 tags
-// (9,750 paths) took 2.3x as long as the indexed run.
+// builds an index; a scan-only attributed 3,000-tag TDMA star (9,005
+// paths) took 2.4x as long as the indexed run.
 constexpr std::size_t kLinearScanPaths = 16;
 
 // Span labels may not contain the path separator ('/'), the collapsed-

@@ -3,31 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "util/contract.hpp"
-
 namespace braidio::rf {
-
-double rayleigh_power_gain(util::Rng& rng) {
-  // |h|^2 with h ~ CN(0,1) is exponential with mean 1.
-  const double gain = rng.exponential(1.0);
-  BRAIDIO_ENSURE(std::isfinite(gain) && gain >= 0.0, "gain", gain);
-  return gain;
-}
-
-double rician_power_gain(util::Rng& rng, double k_factor) {
-  if (k_factor < 0.0) {
-    throw std::domain_error("rician_power_gain: K must be >= 0");
-  }
-  BRAIDIO_REQUIRE(std::isfinite(k_factor), "k_factor", k_factor);
-  // h = sqrt(K/(K+1)) + CN(0, 1/(K+1)); E|h|^2 = 1.
-  const double los = std::sqrt(k_factor / (k_factor + 1.0));
-  const double sigma = std::sqrt(1.0 / (2.0 * (k_factor + 1.0)));
-  const double re = los + sigma * rng.gaussian();
-  const double im = sigma * rng.gaussian();
-  const double gain = re * re + im * im;
-  BRAIDIO_ENSURE(std::isfinite(gain) && gain >= 0.0, "gain", gain);
-  return gain;
-}
 
 CoherentChannelProcess::CoherentChannelProcess(double coherence_time_s,
                                                double sample_interval_s,

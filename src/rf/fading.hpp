@@ -1,12 +1,11 @@
-// Small-scale fading processes.
+// Small-scale fading: a coherent (Gauss-Markov) complex channel process.
 //
-// Two uses in Braidio:
-//  * link-level experiments draw per-packet channel gains (Rayleigh/Rician
-//    block fading) to stress the mode-fallback logic;
-//  * the self-interference channel at the backscatter receiver is modeled as
-//    a slowly varying complex gain whose coherence time (~milliseconds,
-//    Sec. 3.1 citing full-duplex measurements) determines the high-pass
-//    corner needed to reject it.
+// The packet channel's block fading evolves one such process by the
+// airtime between frames, so a data frame and its ACK see nearly the same
+// fade (mac/packet_channel.hpp). Its millisecond coherence follows
+// Sec. 3.1 (citing full-duplex measurements): the same slow drift is why
+// the backscatter receiver can high-pass its self-interference away
+// (circuits/envelope_detector.hpp).
 #pragma once
 
 #include <complex>
@@ -14,13 +13,6 @@
 #include "util/rng.hpp"
 
 namespace braidio::rf {
-
-/// Draw a Rayleigh-fading power gain with unit mean.
-double rayleigh_power_gain(util::Rng& rng);
-
-/// Draw a Rician-fading power gain with unit mean and K-factor (linear,
-/// >= 0; K = 0 reduces to Rayleigh).
-double rician_power_gain(util::Rng& rng, double k_factor);
 
 /// First-order Gauss-Markov complex channel process:
 /// h[n+1] = rho * h[n] + sqrt(1 - rho^2) * w,  w ~ CN(0, sigma^2),

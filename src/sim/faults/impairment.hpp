@@ -1,7 +1,7 @@
 // ImpairmentSchedule: the single interface consumers read faults through.
 //
-// PacketChannel, BraidedLink, and CarrierHub never interpret raw fault
-// events; they ask the schedule two questions:
+// PacketChannel, BraidedLink, and the network simulator never interpret
+// raw fault events; they ask the schedule two questions:
 //   * state_at(t): the superposed channel impairment at sim time t
 //     (extra loss dB from shadowing + interferer beat leakage, carrier
 //     dropout, an active coherent-fade burst, the current distance

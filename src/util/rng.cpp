@@ -27,13 +27,6 @@ std::uint64_t Rng::uniform_int(std::uint64_t lo, std::uint64_t hi) {
   return lo + draw;
 }
 
-double Rng::rayleigh(double sigma) {
-  if (!(sigma > 0.0)) throw std::domain_error("rayleigh: sigma must be > 0");
-  // Inverse CDF: r = sigma * sqrt(-2 ln U), U in (0,1].
-  double u = 1.0 - uniform();  // (0, 1]
-  return sigma * std::sqrt(-2.0 * std::log(u));
-}
-
 double Rng::exponential(double mean) {
   if (!(mean > 0.0)) throw std::domain_error("exponential: mean must be > 0");
   double u = 1.0 - uniform();

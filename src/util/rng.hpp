@@ -52,10 +52,6 @@ class Rng {
     return uniform() < p;
   }
 
-  /// Rayleigh-distributed amplitude with scale sigma:
-  /// pdf r/sigma^2 exp(-r^2 / (2 sigma^2)).
-  double rayleigh(double sigma);
-
   /// Exponential with given mean (> 0).
   double exponential(double mean);
 

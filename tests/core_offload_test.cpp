@@ -347,9 +347,9 @@ OffloadPlan eq1(const std::vector<ModeCandidate>& candidates, double e1,
 }
 
 TEST(PlanLink, InfiniteDwellIsEq1WhereverTheBraidWins) {
-  // The plans BraidedLink, CarrierHub and `braidio_cli plan` run: with
-  // no switch cost to amortize, plan_link hands back Eq. 1's plan field
-  // for field unless a lone mode moves more bits.
+  // The plans BraidedLink and `braidio_cli plan` run: with no switch
+  // cost to amortize, plan_link hands back Eq. 1's plan field for field
+  // unless a lone mode moves more bits.
   const RegimeMap map(backends::braidio_backend());
   int braid_wins = 0;
   for (bool bidirectional : {false, true}) {

@@ -236,36 +236,41 @@ TEST(MacPolicy, CsmaListeningCostsMoreThanTdmaCoordination) {
 }
 
 TEST(NetworkSimulator, DeadDestinationAccruesNoCharge) {
-  // The hub dies early on a starvation battery. Tags must keep paying
-  // for their own (futile) transmissions while the dead hub's ledger
-  // stays pinned at exactly its capacity — no post-death spend hiding in
-  // the drained battery's clamp — and the run still terminates.
-  NetConfig config;
-  config.backend = &backend(backends::kBraidio);
-  config.topology.nodes = 8;
-  config.topology.extent_m = 0.4;
-  config.packets_per_node = 4;
-  config.hub_battery_wh = 1e-7;  // dies inside the first receive windows
-  NetworkSimulator sim(config);
-  const NetStats stats = sim.run();
-  EXPECT_GT(stats.battery_deaths, 0u);
-  EXPECT_FALSE(sim.node(0).alive());
-  EXPECT_LT(stats.delivered, stats.generated);
-  EXPECT_GT(stats.tx_attempts, stats.delivered);  // tags kept trying
+  // The hub dies early on a starvation battery, under either MAC. Tags
+  // must keep paying for their own (futile) transmissions while the dead
+  // hub's ledger stays pinned at exactly its capacity — no post-death
+  // spend hiding in the drained battery's clamp — and the run still
+  // terminates.
+  for (const MacKind mac : {MacKind::Csma, MacKind::Tdma}) {
+    SCOPED_TRACE(to_string(mac));
+    NetConfig config;
+    config.backend = &backend(backends::kBraidio);
+    config.mac = mac;
+    config.topology.nodes = 8;
+    config.topology.extent_m = 0.4;
+    config.packets_per_node = 4;
+    config.hub_battery_wh = 1e-7;  // dies inside the first receive windows
+    NetworkSimulator sim(config);
+    const NetStats stats = sim.run();
+    EXPECT_GT(stats.battery_deaths, 0u);
+    EXPECT_FALSE(sim.node(0).alive());
+    EXPECT_LT(stats.delivered, stats.generated);
+    EXPECT_GT(stats.tx_attempts, stats.delivered);  // tags kept trying
 
-  const hal::IRadio& hub = sim.node(0).radio();
-  EXPECT_EQ(hub.battery().remaining_joules(), 0.0);
-  // Ledger == capacity exactly: everything the battery held was posted,
-  // and nothing was posted after death.
-  EXPECT_NEAR(hub.ledger().total_joules(), hub.battery().capacity_joules(),
-              1e-12 * hub.battery().capacity_joules());
-  // The tags' own ledgers still conserve exactly.
-  for (std::uint32_t i = 1; i < sim.node_count(); ++i) {
-    const hal::IRadio& radio = sim.node(i).radio();
-    const double drained = radio.battery().capacity_joules() -
-                           radio.battery().remaining_joules();
-    EXPECT_NEAR(radio.ledger().total_joules(), drained,
-                1e-9 * radio.battery().capacity_joules());
+    const hal::IRadio& hub = sim.node(0).radio();
+    EXPECT_EQ(hub.battery().remaining_joules(), 0.0);
+    // Ledger == capacity exactly: everything the battery held was posted,
+    // and nothing was posted after death.
+    EXPECT_NEAR(hub.ledger().total_joules(), hub.battery().capacity_joules(),
+                1e-12 * hub.battery().capacity_joules());
+    // The tags' own ledgers still conserve exactly.
+    for (std::uint32_t i = 1; i < sim.node_count(); ++i) {
+      const hal::IRadio& radio = sim.node(i).radio();
+      const double drained = radio.battery().capacity_joules() -
+                             radio.battery().remaining_joules();
+      EXPECT_NEAR(radio.ledger().total_joules(), drained,
+                  1e-9 * radio.battery().capacity_joules());
+    }
   }
 }
 

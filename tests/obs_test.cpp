@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -14,12 +15,12 @@
 #include "gtest/gtest.h"
 #include "backends/backends.hpp"
 #include "core/braided_link.hpp"
-#include "core/carrier_hub.hpp"
 #include "core/lifetime_sim.hpp"
 #include "core/mobility_sim.hpp"
 #include "energy/device_catalog.hpp"
 #include "energy/ledger.hpp"
 #include "hal/radio.hpp"
+#include "net/network_sim.hpp"
 #include "obs/event.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
@@ -1066,16 +1067,26 @@ TEST(EnergyAttribution, ExportsMatchRecordedDigests) {
     sim.run(trace, core::MobilitySimConfig{});
   }
 
-  // 4. A carrier hub: one span per tag.
-  obs::EnergyProfile hub;
+  // 4. A network hub: four tags on a TDMA star, tag 2 under a targeted
+  // shadowing step (per-node radio spans below the "net" root).
+  obs::EnergyProfile star;
   {
-    core::CarrierHub carrier(backend, {},
-                             {{"door", 0.5, 0.6, 0.0, 24},
-                              {"window", 0.5, 1.2, 0.0, 24},
-                              {"motion", 0.5, 2.0, 0.0, 24},
-                              {"gate.far", 0.5, 4.5, 0.0, 24}});
-    obs::ScopedEnergyProfile scoped(&hub);
-    carrier.run(12);
+    std::istringstream script("shadowing 0 1e6 14 @2\n");
+    std::string error;
+    const auto timeline = sim::faults::FaultTimeline::parse(script, &error);
+    ASSERT_TRUE(timeline.has_value()) << error;
+    const sim::faults::ImpairmentSchedule schedule(*timeline);
+    net::NetConfig config;
+    config.backend = &backend;
+    config.mac = net::MacKind::Tdma;
+    config.topology.nodes = 4;
+    config.topology.extent_m = 0.8;
+    config.packets_per_node = 16;
+    config.kick_spread_s = 0.0;
+    config.impairments = &schedule;
+    net::NetworkSimulator network(config);
+    obs::ScopedEnergyProfile scoped(&star);
+    network.run();
   }
   obs::set_attribution_enabled(false);
 
@@ -1089,13 +1100,13 @@ TEST(EnergyAttribution, ExportsMatchRecordedDigests) {
   const std::vector<std::uint64_t> recorded_walk{
       18001981544205009763ull, 11699925277941656785ull,
       14860067532380731964ull, 1281087403663004770ull};
-  const std::vector<std::uint64_t> recorded_hub{
-      13401405157969889805ull, 5531674049099648571ull,
-      11486944419840699349ull, 2347643707590874786ull};
+  const std::vector<std::uint64_t> recorded_star{
+      10910128051568947794ull, 4455586872607695704ull,
+      420518483436019768ull, 3356475094522215837ull};
   EXPECT_EQ(sweep, recorded_sweep);
   EXPECT_EQ(export_digests(braid), recorded_braid);
   EXPECT_EQ(export_digests(walk), recorded_walk);
-  EXPECT_EQ(export_digests(hub), recorded_hub);
+  EXPECT_EQ(export_digests(star), recorded_star);
 }
 
 #endif  // BRAIDIO_OBS_COMPILED

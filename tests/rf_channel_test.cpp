@@ -42,35 +42,6 @@ TEST(Antenna, DiversityPairSpacing) {
   EXPECT_THROW(make_diversity_pair({0, 0}, 0.0), std::invalid_argument);
 }
 
-TEST(Fading, RayleighPowerGainUnitMean) {
-  util::Rng rng(5);
-  double sum = 0.0;
-  const int n = 200'000;
-  for (int i = 0; i < n; ++i) sum += rayleigh_power_gain(rng);
-  EXPECT_NEAR(sum / n, 1.0, 0.02);
-}
-
-TEST(Fading, RicianUnitMeanAndKBehaviour) {
-  util::Rng rng(7);
-  const int n = 200'000;
-  for (double k : {0.0, 1.0, 10.0}) {
-    double sum = 0.0, sq = 0.0;
-    for (int i = 0; i < n; ++i) {
-      const double g = rician_power_gain(rng, k);
-      sum += g;
-      sq += g * g;
-    }
-    const double mean = sum / n;
-    EXPECT_NEAR(mean, 1.0, 0.03) << "K=" << k;
-    // Larger K concentrates the distribution.
-    if (k == 10.0) {
-      const double var = sq / n - mean * mean;
-      EXPECT_LT(var, 0.25);
-    }
-  }
-  EXPECT_THROW(rician_power_gain(rng, -1.0), std::domain_error);
-}
-
 TEST(Fading, CoherentProcessCorrelationDecay) {
   // With sample interval equal to the coherence time, rho = e^-1.
   CoherentChannelProcess p(1e-3, 1e-3, {1.0, 0.0}, 0.1, util::Rng(11));

@@ -81,17 +81,6 @@ TEST(Rng, BernoulliFrequency) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 
-TEST(Rng, RayleighMeanMatchesTheory) {
-  Rng rng(19);
-  const double sigma = 2.0;
-  double sum = 0.0;
-  const int n = 200'000;
-  for (int i = 0; i < n; ++i) sum += rng.rayleigh(sigma);
-  // E[R] = sigma * sqrt(pi/2).
-  EXPECT_NEAR(sum / n, sigma * std::sqrt(std::numbers::pi / 2.0), 0.02);
-  EXPECT_THROW(rng.rayleigh(0.0), std::domain_error);
-}
-
 TEST(Rng, ExponentialMeanMatchesTheory) {
   Rng rng(23);
   double sum = 0.0;

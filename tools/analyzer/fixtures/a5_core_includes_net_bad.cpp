@@ -1,6 +1,6 @@
 // analyzer-path: src/core/fixture_hub_includes_net.cpp
 // Known-bad fixture: a core/ engine depending on the many-node network
-// simulator. CarrierHub runs its TDMA rounds as a plain loop; chaining
+// simulator. BraidedLink runs its exchanges as a plain loop; chaining
 // them through net/'s calendar queue would make the two-endpoint
 // engines link the network simulator.
 

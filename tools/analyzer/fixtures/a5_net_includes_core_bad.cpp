@@ -1,11 +1,11 @@
 // analyzer-path: src/net/fixture_policy_includes_core.cpp
 // Known-bad fixture: a net/ MAC policy depending on core/. The
-// scheduled-slot policy *ports* the CarrierHub slot convention into
-// net/tdma; pulling core/ headers in directly would couple the
-// many-node simulator to the two-endpoint session layer.
+// network simulator runs its own per-hop exchange and slot schedule;
+// pulling core/ headers in directly would couple the many-node
+// simulator to the two-endpoint session layer.
 
 // expect: A5-layering
-#include "core/carrier_hub.hpp"
+#include "core/braided_link.hpp"
 
 // No finding when the dependency is explicitly justified:
 // analyzer: layering(fixture demonstrates a documented waiver)

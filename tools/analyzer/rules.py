@@ -57,9 +57,9 @@ _REQUIRE_RE = re.compile(r"\bBRAIDIO_(?:REQUIRE|ENSURE)\b")
 # --- A5: layering ----------------------------------------------------
 
 # Directory -> (banned-layer regex, why). mac/ sits below the radio HAL;
-# net/ MAC policies *port* core/ conventions (CarrierHub slots) but must
-# not include them — both talk to drivers only through hal/. core/ and
-# net/ are sibling engines, so neither includes the other.
+# net/ MAC policies talk to drivers only through hal/, like core/'s
+# engines. core/ and net/ are sibling engines, so neither includes the
+# other.
 _A5_LAYERS = {
     "src/mac/": (
         re.compile(r'^\s*#\s*include\s*"((phy|core)/[^"]*)"'),
@@ -68,8 +68,8 @@ _A5_LAYERS = {
     ),
     "src/net/": (
         re.compile(r'^\s*#\s*include\s*"((core)/[^"]*)"'),
-        "net/ MAC policies port the {layer}/ conventions (CarrierHub "
-        "slots) rather than include them; depend on hal/ and mac/ only",
+        "net/ is a sibling engine of {layer}/ and must not include it; "
+        "depend on hal/ and mac/ only",
     ),
     "src/core/": (
         re.compile(r'^\s*#\s*include\s*"((net)/[^"]*)"'),
