@@ -9,10 +9,12 @@
 //
 // `--mac=` selects the channel-access policy and with it the story:
 //   csma (default) — uncoordinated CSMA-CA. The delivery ratio is
-//       intentionally terrible: carrier sensing cannot hear -76 dBm
-//       backscatter reflections, so the dense deployment collapses (see
-//       DESIGN.md §15) — maximal contention, maximal event churn, a good
-//       scheduler stress test. Telemetry: BENCH_net_dense.json.
+//       intentionally terrible: ~20 backscatter reflections on the air
+//       at once sum above the -60 dBm CCA threshold, so nearly every CCA
+//       sample reads busy and nearly every frame is dropped for channel
+//       access (see DESIGN.md §15) — maximal contention, maximal event
+//       churn, a good scheduler stress test. Telemetry:
+//       BENCH_net_dense.json.
 //   tdma — the hub assigns slots (DESIGN.md §16): one transmission on
 //       the air at a time, so the same 10k tags deliver instead of
 //       colliding. Telemetry: BENCH_net_tdma.json.
@@ -149,7 +151,7 @@ int main(int argc, char** argv) {
     report.check("dense goodput", "no collapse",
                  util::format_engineering(bits_per_joule, 4) + "bits/J");
   } else {
-    report.check("dense goodput", "collapse (CCA deaf to backscatter)",
+    report.check("dense goodput", "collapse (CCA busy, access drops)",
                  util::format_engineering(bits_per_joule, 4) + "bits/J");
   }
   report.note("events/sec = sum(net_events) / sweep wall time; the "

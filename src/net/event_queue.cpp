@@ -22,6 +22,8 @@ constexpr std::uint64_t kProbeInserts = 64;
 constexpr std::uint64_t kMaxMeanScan = 8;
 /// Day-counter headroom kept when shrinking the width (days < 1e15).
 constexpr double kWidthFloorDays = 1.0e15;
+/// Burst guard: a re-tune never goes below the live-span width / 64.
+constexpr double kBurstGuard = 64.0;
 }  // namespace
 
 EventQueue::EventQueue()
@@ -71,20 +73,29 @@ void EventQueue::maybe_grow() {
     if (probe_scan_steps_ > kMaxMeanScan * probe_inserts_ && size_ > 1) {
       // Long scans mean the live events cluster into far fewer days than
       // there are buckets. Re-tune the day length to twice the mean gap
-      // (the classic calendar-queue rule). The live span is bounded
-      // O(1): every live time is in [now_s_, max_sched_s_] because pops
-      // run in time order. Floored so the integer day counter keeps
-      // ~1e15 days of headroom, and only ever shrinking (a sparse
-      // calendar already pops via the day cursor / sparse jump), with a
-      // 2x hysteresis so a borderline probe does not thrash rebuilds.
+      // (the classic calendar-queue rule), measured where the queue is
+      // working: between this window's clock-advancing pops. A window
+      // without one falls back to the live span's mean gap, bounded
+      // O(1) because every live time is in [now_s_, max_sched_s_]. The
+      // pop gap never goes below 1/64 of that span gap, so a burst of
+      // simultaneous or nearly simultaneous events cannot collapse the
+      // day in front of a sparse tail. Floored so the integer day
+      // counter keeps ~1e15 days of headroom, and only ever shrinking (a
+      // sparse calendar already pops via the day cursor / sparse jump),
+      // with a 2x hysteresis so a borderline probe does not thrash
+      // rebuilds.
       const double span = max_sched_s_ - now_s_;
       double cand = 2.0 * span / static_cast<double>(size_);
+      if (probe_advances_ > 0) {
+        const double gap = (now_s_ - probe_start_s_) /
+                           static_cast<double>(probe_advances_);
+        cand = std::max(2.0 * gap, cand / kBurstGuard);
+      }
       cand = std::max(cand, max_sched_s_ / kWidthFloorDays);
       if (cand > 0.0 && cand < 0.5 * width_) new_width = cand;
     }
     scan_total_ += probe_scan_steps_;
-    probe_inserts_ = 0;
-    probe_scan_steps_ = 0;
+    reset_probe();
   }
   const bool retune = new_width != width_;
   if (!crowded && !retune) return;
@@ -112,8 +123,14 @@ void EventQueue::maybe_grow() {
   // The rebuild's own inserts must not count toward the next probe
   // (they do count toward the cumulative scan-cost telemetry).
   scan_total_ += probe_scan_steps_;
+  reset_probe();
+}
+
+void EventQueue::reset_probe() {
   probe_inserts_ = 0;
   probe_scan_steps_ = 0;
+  probe_start_s_ = now_s_;
+  probe_advances_ = 0;
 }
 
 void EventQueue::schedule(double time_s, std::uint32_t node,
@@ -172,6 +189,7 @@ bool EventQueue::pop(Event& out) {
   heads_[static_cast<std::size_t>(day_ % buckets)] = pool_[hit].next;
   out = pool_[hit];
   out.next = kNoEvent;
+  if (out.time_s > now_s_) ++probe_advances_;
   now_s_ = out.time_s;
   release(hit);
   --size_;

@@ -51,10 +51,12 @@ class EventQueue {
   /// airtime. It grows automatically when occupancy exceeds ~2
   /// events/bucket. When sorted inserts start scanning long chains
   /// (events clustering into far fewer days than there are buckets), the
-  /// calendar re-tunes its width to the live events' mean gap and
-  /// re-buckets — see bucket_width_s() for the current value. The
-  /// re-tune trigger is a pure function of the schedule/pop call
-  /// sequence, so pop order and determinism are unaffected.
+  /// calendar re-tunes its width to twice the mean gap between recent
+  /// clock-advancing pops, never below 1/64 of the live events' mean gap
+  /// (a burst guard), and re-buckets — see bucket_width_s() for the
+  /// current value. The re-tune trigger is a pure function of the
+  /// schedule/pop call sequence, so pop order and determinism are
+  /// unaffected.
   EventQueue();
 
   /// Schedule an event at `time_s` (>= now_s(); the virtual clock never
@@ -106,6 +108,8 @@ class EventQueue {
   /// Double the calendar when occupancy gets dense, and re-tune the day
   /// width when sorted inserts degrade; re-buckets in place either way.
   void maybe_grow();
+  /// Opens a new probe window at the current clock.
+  void reset_probe();
 
   double width_;
   std::vector<EventId> heads_;  // bucket heads, sorted by (time, seq)
@@ -116,9 +120,13 @@ class EventQueue {
   double now_s_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
-  // Insert-scan probe driving the width re-tune (reset every rebuild).
+  // Insert-scan probe driving the width re-tune (reset every rebuild):
+  // its inserts and scan steps, the clock when it opened, and the pops
+  // since then that moved the clock forward.
   std::uint64_t probe_inserts_ = 0;
   std::uint64_t probe_scan_steps_ = 0;
+  double probe_start_s_ = 0.0;
+  std::uint64_t probe_advances_ = 0;
   // Introspection counters (see the accessors above).
   std::uint64_t retunes_ = 0;
   std::uint64_t grows_ = 0;

@@ -1,6 +1,7 @@
 #include "net/medium.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -13,6 +14,14 @@ namespace {
 /// Distances below this are clamped before the log — the log-distance
 /// model diverges at 0 and colocated nodes are a topology artifact.
 constexpr double kMinDistanceM = 0.01;
+constexpr double kMinD2 = kMinDistanceM * kMinDistanceM;
+
+/// Relative margin between a bound and the threshold before the bound
+/// decides the verdict. The exact ambient power differs from a bound's
+/// sum only by the bucket's gain spread and by rounding (~1e-15 for a
+/// few hundred terms, pow and log10 at 1 ulp), so 1e-9 keeps every
+/// bracketed verdict equal to the exact compare.
+constexpr double kVerdictMargin = 1e-9;
 }  // namespace
 
 SharedMedium::SharedMedium(MediumConfig config,
@@ -33,12 +42,12 @@ SharedMedium::SharedMedium(MediumConfig config,
 }
 
 void SharedMedium::begin(std::uint32_t tx, std::uint32_t rx,
-                         double until_s, double power_dbm) {
+                         double /*until_s*/, double power_dbm) {
   BRAIDIO_REQUIRE(tx < positions_.size() && rx < positions_.size(), "tx",
                   tx, "rx", rx, "nodes", positions_.size());
   BRAIDIO_REQUIRE(std::isfinite(power_dbm), "power_dbm", power_dbm);
-  active_.push_back({tx, rx, until_s, power_dbm,
-                     util::dbm_to_watts(power_dbm)});
+  active_.push_back(
+      {tx, positions_[tx], util::dbm_to_watts(power_dbm) * ref_gain_});
 }
 
 void SharedMedium::end(std::uint32_t tx) {
@@ -59,22 +68,21 @@ double SharedMedium::interference_watts(std::uint32_t node,
                                         std::uint32_t exclude_tx) const {
   BRAIDIO_REQUIRE(node < positions_.size(), "node", node, "nodes",
                   positions_.size());
-  // Hot path (sampled per CCA and twice per transmission in a dense
-  // deployment): the log-distance loss is applied in linear form,
-  //   rx_w = tx_w * 10^(-ref/10) * d^(-n) = tx_w * ref_gain_ * (d^2)^(-n/2),
+  // The exact sum (twice per transmission, and for the CCA verdicts the
+  // gain table cannot settle): the log-distance loss is applied in
+  // linear form,
+  //   rx_w = tx_w * 10^(-ref/10) * d^(-n) = gain_w * (d^2)^(-n/2),
   // so each interferer costs one pow on the squared distance — no sqrt,
   // no log10, no second pow through dBm and back.
-  constexpr double kMinD2 = kMinDistanceM * kMinDistanceM;
   const Vec2& at = positions_[node];
   const double half_exponent = -0.5 * config_.path_loss_exponent;
   double total_w = 0.0;
   for (const ActiveTx& a : active_) {
     if (a.tx == exclude_tx || a.tx == node) continue;
-    const Vec2& from = positions_[a.tx];
-    const double dx = from.x_m - at.x_m;
-    const double dy = from.y_m - at.y_m;
+    const double dx = a.at.x_m - at.x_m;
+    const double dy = a.at.y_m - at.y_m;
     const double d2 = std::max(dx * dx + dy * dy, kMinD2);
-    total_w += a.power_w * ref_gain_ * std::pow(d2, half_exponent);
+    total_w += a.gain_w * std::pow(d2, half_exponent);
   }
   return total_w;
 }
@@ -84,6 +92,52 @@ double SharedMedium::ambient_dbm(std::uint32_t node,
   const double total_w =
       noise_floor_w_ + interference_watts(node, exclude_tx);
   return util::watts_to_dbm(total_w);
+}
+
+bool SharedMedium::ambient_below(std::uint32_t node,
+                                 std::uint32_t exclude_tx,
+                                 double threshold_dbm) {
+  BRAIDIO_REQUIRE(node < positions_.size(), "node", node, "nodes",
+                  positions_.size());
+  if (!edge_gain_ready_) {
+    edge_gain_ready_ = true;
+    const double half_exponent = -0.5 * config_.path_loss_exponent;
+    for (std::uint64_t k = 0; k <= kBuckets; ++k) {
+      const double edge =
+          std::bit_cast<double>((kFirstBucket + k) << kBucketShift);
+      edge_gain_[k] = std::pow(edge, half_exponent);
+    }
+  }
+  if (threshold_dbm != threshold_dbm_) {
+    threshold_dbm_ = threshold_dbm;
+    const double threshold_w = util::dbm_to_watts(threshold_dbm);
+    busy_w_ = threshold_w * (1.0 + kVerdictMargin);
+    clear_w_ = threshold_w * (1.0 - kVerdictMargin);
+  }
+  // Every term is >= 0, so the running lower bound only grows: the
+  // channel is busy as soon as it reaches the threshold. Clear needs the
+  // whole upper bound. A squared distance past the table, or bounds that
+  // straddle the threshold, fall back to the exact compare.
+  const Vec2& at = positions_[node];
+  double lower_w = noise_floor_w_;
+  double upper_w = noise_floor_w_;
+  for (const ActiveTx& a : active_) {
+    if (a.tx == exclude_tx || a.tx == node) continue;
+    const double dx = a.at.x_m - at.x_m;
+    const double dy = a.at.y_m - at.y_m;
+    const double d2 = std::max(dx * dx + dy * dy, kMinD2);
+    const std::uint64_t k =
+        (std::bit_cast<std::uint64_t>(d2) >> kBucketShift) - kFirstBucket;
+    if (k >= kBuckets) {
+      return ambient_dbm(node, exclude_tx) < threshold_dbm;
+    }
+    // (d^2)^(-n/2) falls with d^2: the far edge bounds it from below.
+    lower_w += a.gain_w * edge_gain_[k + 1];
+    if (lower_w >= busy_w_) return false;
+    upper_w += a.gain_w * edge_gain_[k];
+  }
+  if (upper_w < clear_w_) return true;
+  return ambient_dbm(node, exclude_tx) < threshold_dbm;
 }
 
 double SharedMedium::interference_penalty_db(

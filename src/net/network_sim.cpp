@@ -192,13 +192,16 @@ double NetworkSimulator::control_airtime_s(std::uint32_t i) const {
 bool NetworkSimulator::sense_clear(std::uint32_t i) {
   Node& node = nodes_[i];
   // Sampled before the (charged) listen so the verdict reflects the
-  // medium at the attempt instant, as before the listen was billed.
-  const double ambient = medium_->ambient_dbm(i, i);
+  // medium at the attempt instant, as before the listen was billed. The
+  // medium applies IRadio::cca_clear's rule, ambient < threshold,
+  // without converting the ambient power to dBm.
+  const bool clear =
+      medium_->ambient_below(i, i, node.radio().caps().cca_threshold_dbm);
   if (!node.radio().sense(util::Seconds(kCcaWindowS))) {
     mark_dead(node);
     return false;
   }
-  return node.radio().cca_clear(util::Dbm(ambient));
+  return clear;
 }
 
 bool NetworkSimulator::register_exchange(std::uint32_t i) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -12,6 +13,58 @@
 
 namespace braidio::net {
 namespace {
+
+/// Pops every event, handing each to `on_pop` (which may schedule more),
+/// and fails unless the pops come out in strictly increasing (time, seq)
+/// order. Returns the number popped.
+template <typename OnPop>
+std::uint64_t pop_all_in_order(EventQueue& queue, OnPop on_pop) {
+  Event ev;
+  std::uint64_t pops = 0;
+  double last_time = 0.0;
+  std::uint64_t last_seq = 0;
+  while (queue.pop(ev)) {
+    if (pops > 0 && !(ev.time_s > last_time ||
+                      (ev.time_s == last_time && ev.seq > last_seq))) {
+      ADD_FAILURE() << "pop " << pops << " out of (time, seq) order";
+      break;
+    }
+    last_time = ev.time_s;
+    last_seq = ev.seq;
+    ++pops;
+    on_pop(ev);
+  }
+  return pops;
+}
+
+/// 20,000 events spread over [1, 100] s wait behind a burst of 3,000
+/// events from 0.5 s on, `step_s` apart and kept 1,000 deep: each burst
+/// pop schedules the next burst event until all 3,000 are out. Every
+/// burst insert scans its whole bucket, so the width re-tune fires
+/// throughout the burst. Checks the pop order and count, and returns the
+/// narrowest day the calendar used.
+double burst_then_sparse_tail(double step_s) {
+  EventQueue queue;
+  util::Rng rng(13);
+  for (std::uint32_t i = 0; i < 20000; ++i) {
+    queue.schedule(rng.uniform(1.0, 100.0), i, 0);
+  }
+  double t = 0.5;
+  std::uint32_t burst = 0;
+  const auto schedule_burst = [&] {
+    queue.schedule(t, burst++, 1);
+    t += step_s;
+  };
+  while (burst < 1000) schedule_burst();
+  double narrowest = queue.bucket_width_s();
+  const std::uint64_t pops = pop_all_in_order(queue, [&](const Event& ev) {
+    narrowest = std::min(narrowest, queue.bucket_width_s());
+    if (ev.kind == 1 && burst < 3000) schedule_burst();
+  });
+  EXPECT_EQ(pops, 23000u);
+  EXPECT_TRUE(queue.empty());
+  return narrowest;
+}
 
 TEST(EventQueue, PopsInTimeOrder) {
   EventQueue queue;
@@ -131,6 +184,45 @@ TEST(EventQueue, RetunesWidthForClusteredWorkloads) {
     last_seq = ev.seq;
   }
   EXPECT_TRUE(queue.empty());
+}
+
+TEST(EventQueue, StarScheduleKeepsInsertScansShort) {
+  // The dense CSMA star's shape: 10,000 first events spread over 1 s
+  // set the live span, while the work clusters in chains of 20
+  // follow-ups under a millisecond apart (backoffs and airtimes). A day
+  // tuned to the live span's mean gap (~200 us) holds ~20 chain events
+  // and costs ~10 scan steps an insert; tuned to the recent pop gap it
+  // holds about one.
+  EventQueue queue;
+  util::Rng rng(11);
+  for (std::uint32_t i = 0; i < 10000; ++i) {
+    queue.schedule(rng.uniform(0.0, 1.0), i, 0);
+  }
+  std::uint64_t inserts = 10000;
+  const std::uint64_t pops = pop_all_in_order(queue, [&](const Event& ev) {
+    if (ev.a == 20) return;
+    queue.schedule(queue.now_s() + rng.uniform(0.0, 1e-3), ev.node, 0,
+                   ev.a + 1);
+    ++inserts;
+  });
+  EXPECT_EQ(inserts, 210000u);
+  EXPECT_EQ(pops, inserts);
+  EXPECT_LE(queue.scan_steps(), 2 * inserts);
+}
+
+TEST(EventQueue, SimultaneousBurstCannotCollapseTheDay) {
+  // The burst's pops leave the clock where it is, so they say nothing
+  // about the gap between events. Counted as zero gaps, they would
+  // shrink the day to the 1e15-day floor (~1e-13 s), and each tail pop
+  // would then walk the whole calendar.
+  EXPECT_GE(burst_then_sparse_tail(0.0), 1e-5);
+}
+
+TEST(EventQueue, PicosecondBurstCannotCollapseTheDay) {
+  // Here every burst pop advances the clock, by 1 ps. The re-tune never
+  // goes below 1/64 of the live span's mean gap (here ~1.5e-4 s), so
+  // the day stays wide enough for the sparse tail behind the burst.
+  EXPECT_GE(burst_then_sparse_tail(1e-12), 1e-5);
 }
 
 TEST(CsmaCa, BeResetSemanticsMatchTheSubMacLifecycle) {

@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -142,6 +144,85 @@ TEST(SharedMedium, TracksAmbientAndPenalty) {
   medium.end(2);
   EXPECT_EQ(medium.active_count(), 0u);
   EXPECT_NEAR(medium.ambient_dbm(1, 1), config.noise_floor_dbm, 1e-9);
+}
+
+TEST(SharedMedium, CcaVerdictEqualsTheExactAmbientCompare) {
+  // ambient_below() decides from bounds on each interferer's path gain;
+  // every verdict must equal ambient_dbm(...) < threshold. Random
+  // positions in a 4 m box and random active sets (active and -30 dB
+  // backscatter powers) at the two backends' thresholds, plus thresholds
+  // at the exact ambient and its neighbouring doubles, which the bounds
+  // cannot decide. Node 200 sits 5 km out, past the gain table; it
+  // senses first in every trial and transmits in some.
+  util::Rng rng(2027);
+  std::vector<Vec2> positions;
+  constexpr std::uint32_t kNear = 200;
+  for (std::uint32_t i = 0; i < kNear; ++i) {
+    positions.push_back({rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)});
+  }
+  const std::uint32_t far = kNear;
+  positions.push_back({5000.0, 0.0});
+  MediumConfig config;
+  SharedMedium medium(config, positions);
+
+  std::uint64_t busy = 0;
+  std::uint64_t clear = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<std::uint32_t> on_air;
+    const std::uint64_t active = rng.uniform_int(0, 40);
+    for (std::uint64_t k = 0; k < active; ++k) {
+      const auto tx = static_cast<std::uint32_t>(rng.uniform_int(0, kNear));
+      if (std::find(on_air.begin(), on_air.end(), tx) != on_air.end()) {
+        continue;
+      }
+      on_air.push_back(tx);
+      medium.begin(tx, 0, 1.0, rng.bernoulli(0.5) ? config.tx_power_dbm
+                                                  : config.tx_power_dbm - 30.0);
+    }
+    for (int q = 0; q < 20; ++q) {
+      const auto node = static_cast<std::uint32_t>(
+          q == 0 ? far : rng.uniform_int(0, kNear));
+      // The simulator excludes the sensing node itself; also exclude a
+      // transmitter on the air now and then, as the penalty does.
+      const std::uint32_t exclude =
+          (!on_air.empty() && rng.bernoulli(0.25))
+              ? on_air[rng.uniform_int(0, on_air.size() - 1)]
+              : node;
+      const double ambient = medium.ambient_dbm(node, exclude);
+      const double inf = std::numeric_limits<double>::infinity();
+      for (const double threshold :
+           {-60.0, -70.0, ambient, std::nextafter(ambient, -inf),
+            std::nextafter(ambient, inf)}) {
+        const bool want = ambient < threshold;
+        ASSERT_EQ(medium.ambient_below(node, exclude, threshold), want)
+            << "node " << node << " exclude " << exclude << " threshold "
+            << threshold << " ambient " << ambient;
+        if (threshold == -60.0 || threshold == -70.0) {
+          ++(want ? clear : busy);
+        }
+      }
+    }
+    for (const std::uint32_t tx : on_air) medium.end(tx);
+  }
+  // Both verdicts really occur at the backends' thresholds.
+  EXPECT_GT(busy, 1000u);
+  EXPECT_GT(clear, 1000u);
+}
+
+TEST(SharedMedium, CcaVerdictFallsBackPastTheGainTable) {
+  // Two transmitters 5 km from the sensing node, where the gain table
+  // ends: the verdict comes from the exact sum, on both sides of it.
+  const std::vector<Vec2> positions{{0.0, 0.0}, {5000.0, 0.0}, {0.0, 5000.0}};
+  SharedMedium medium(MediumConfig{}, positions);
+  medium.begin(1, 0, 1.0, 0.0);
+  medium.begin(2, 0, 1.0, 0.0);
+  const double ambient = medium.ambient_dbm(0, 0);
+  EXPECT_GT(ambient, MediumConfig{}.noise_floor_dbm);
+  EXPECT_TRUE(medium.ambient_below(0, 0, -60.0));
+  EXPECT_FALSE(medium.ambient_below(0, 0, ambient));
+  EXPECT_TRUE(medium.ambient_below(
+      0, 0, std::nextafter(ambient, std::numeric_limits<double>::infinity())));
+  EXPECT_FALSE(medium.ambient_below(0, 0, -95.0));
 }
 
 TEST(SharedMedium, PathLossFollowsTheLogDistanceModel) {
@@ -471,6 +552,17 @@ constexpr ScheduleCell kRecordedSchedules[] = {
     {"blisp-hybrid", "tdma", "rgg", 0xc3252acec4b61d9d},
 };
 
+// Dense contention, where CCA decides most attempts: 2,000-tag stars at
+// the default 2 m extent, 4 frames a tag. The braidio star hears ~20
+// overlapping -30 dB reflections against a -60 dBm threshold; the
+// ble-active star hears active transmitters against -70 dBm. Recorded
+// before the CCA verdict moved to bracketed path gains and the calendar
+// re-tune moved to recent pop gaps; both are pure speedups.
+constexpr ScheduleCell kRecordedDenseSchedules[] = {
+    {"braidio", "csma", "star", 0x8f04afe2ef61d0c2},
+    {"ble-active", "csma", "star", 0x54e985bc51ceb1f4},
+};
+
 sim::faults::ImpairmentSchedule parse_schedule(const char* text) {
   std::istringstream script(text);
   std::string error;
@@ -479,11 +571,22 @@ sim::faults::ImpairmentSchedule parse_schedule(const char* text) {
   return sim::faults::ImpairmentSchedule(*timeline);
 }
 
+/// Checks a cell's digest; a mismatch prints the cell's table line.
+void expect_recorded(const ScheduleCell& cell, const Digest& digest) {
+  char recorded[160];
+  std::snprintf(recorded, sizeof recorded,
+                "{\"%s\", \"%s\", \"%s\", 0x%016llx}", cell.backend,
+                cell.mac, cell.topology,
+                static_cast<unsigned long long>(digest.value));
+  EXPECT_EQ(digest.value, cell.digest) << "schedule changed: " << recorded;
+}
+
 TEST(NetworkSimulator, ScheduleMatchesRecordedDigests) {
   // 288 runs of 60 tags x 3 frames. Each cell folds 12 of them: healthy,
   // tag 5 silenced for good, or a network-wide shadowing window plus a
   // dropout at tag 3; 0.5 Wh tags or 2e-7 Wh tags that die mid-run;
-  // seeds 1 and 7.
+  // seeds 1 and 7. Then 4 dense runs: each dense cell folds one healthy
+  // 2,000-tag star per seed.
   const sim::faults::ImpairmentSchedule dropout =
       parse_schedule("dropout 0 1e6 @5\n");
   const sim::faults::ImpairmentSchedule shadowed =
@@ -519,12 +622,24 @@ TEST(NetworkSimulator, ScheduleMatchesRecordedDigests) {
         }
       }
     }
-    char recorded[160];
-    std::snprintf(recorded, sizeof recorded,
-                  "{\"%s\", \"%s\", \"%s\", 0x%016llx}", cell.backend,
-                  cell.mac, cell.topology,
-                  static_cast<unsigned long long>(digest.value));
-    EXPECT_EQ(digest.value, cell.digest) << "schedule changed: " << recorded;
+    expect_recorded(cell, digest);
+  }
+
+  for (const ScheduleCell& cell : kRecordedDenseSchedules) {
+    Digest digest;
+    for (const std::uint64_t seed : {1, 7}) {
+      NetConfig config;
+      config.backend = &backend(cell.backend);
+      config.mac = parse_mac(cell.mac);
+      config.topology.kind = *parse_topology(cell.topology);
+      config.topology.nodes = 2000;
+      config.packets_per_node = 4;
+      config.seed = seed;
+      NetworkSimulator sim(config);
+      const NetStats stats = sim.run();
+      fold_run(digest, sim, stats);
+    }
+    expect_recorded(cell, digest);
   }
 }
 
