@@ -1,5 +1,6 @@
 #include "net/topology.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -27,28 +28,123 @@ void check(const TopologyConfig& config) {
   }
 }
 
-/// BFS from the hub over the undirected range graph; neighbors are
-/// discovered in node-index order so route ties resolve to the lowest
-/// index. O(n^2) distance checks — fine for the grid/random builders'
-/// intended scales (the dense 10k-tag bench uses the star, which routes
-/// in closed form).
+/// Positions bucketed into a dense grid of square cells whose side is
+/// at least the link range, so every in-range neighbour of a node sits
+/// in its own cell or one of the eight around it. Each cell lists its
+/// nodes in index order (a counting sort).
+class CellGrid {
+ public:
+  CellGrid(const std::vector<Vec2>& positions, double link_range_m) {
+    const std::size_t n = positions.size();
+    min_x_ = positions[0].x_m;
+    min_y_ = positions[0].y_m;
+    double max_x = min_x_, max_y = min_y_;
+    for (const Vec2& p : positions) {
+      min_x_ = std::min(min_x_, p.x_m);
+      max_x = std::max(max_x, p.x_m);
+      min_y_ = std::min(min_y_, p.y_m);
+      max_y = std::max(max_y, p.y_m);
+    }
+    // A hair over the range, so a pair exactly link_range_m apart cannot
+    // round into cells two apart. Doubling keeps the array near 4n cells
+    // when the range is short against the box.
+    side_ = link_range_m * (1.0 + 1e-6);
+    const double max_cells = 4.0 * static_cast<double>(n) + 16.0;
+    while (span(max_x - min_x_) * span(max_y - min_y_) > max_cells) {
+      side_ *= 2.0;
+    }
+    cols_ = static_cast<std::size_t>(span(max_x - min_x_));
+    rows_ = static_cast<std::size_t>(span(max_y - min_y_));
+    cell_of_.resize(n);
+    start_.assign(cols_ * rows_ + 1, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      cell_of_[i] = col(positions[i].x_m) + cols_ * row(positions[i].y_m);
+      ++start_[cell_of_[i] + 1];
+    }
+    for (std::size_t c = 0; c < cols_ * rows_; ++c) {
+      start_[c + 1] += start_[c];
+    }
+    end_.assign(start_.begin(), start_.end() - 1);
+    members_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      members_[end_[cell_of_[i]]++] = static_cast<std::uint32_t>(i);
+    }
+  }
+
+  /// Calls `visit(j)` for every node listed in the 3x3 cells around
+  /// node `at`, after dropping from those cells each node `keep(j)`
+  /// rejects (so a routed node is scanned at most once more).
+  template <typename Keep, typename Visit>
+  void for_each_near(std::uint32_t at, Keep keep, Visit visit) {
+    const std::size_t cx = cell_of_[at] % cols_;
+    const std::size_t cy = cell_of_[at] / cols_;
+    for (std::size_t y = cy == 0 ? 0 : cy - 1; y <= cy + 1 && y < rows_;
+         ++y) {
+      for (std::size_t x = cx == 0 ? 0 : cx - 1; x <= cx + 1 && x < cols_;
+           ++x) {
+        const std::size_t c = x + cols_ * y;
+        std::size_t kept = start_[c];
+        for (std::size_t k = start_[c]; k < end_[c]; ++k) {
+          const std::uint32_t j = members_[k];
+          if (!keep(j)) continue;
+          members_[kept++] = j;
+          visit(j);
+        }
+        end_[c] = kept;
+      }
+    }
+  }
+
+ private:
+  /// Cells needed to cover `extent` metres along one axis.
+  double span(double extent) const { return std::floor(extent / side_) + 1; }
+  std::size_t col(double x) const {
+    return std::min(static_cast<std::size_t>((x - min_x_) / side_),
+                    cols_ - 1);
+  }
+  std::size_t row(double y) const {
+    return std::min(static_cast<std::size_t>((y - min_y_) / side_),
+                    rows_ - 1);
+  }
+
+  double min_x_ = 0.0, min_y_ = 0.0;
+  double side_ = 0.0;
+  std::size_t cols_ = 1, rows_ = 1;
+  std::vector<std::size_t> cell_of_;
+  std::vector<std::size_t> start_, end_;  // cell c lists [start_, end_)
+  std::vector<std::uint32_t> members_;
+};
+
+/// BFS from the hub over the undirected range graph. Each frontier node
+/// takes its unrouted in-range neighbours in index order, so route ties
+/// resolve to the lowest-index parent. The cell grid keeps the candidate
+/// scan to the 3x3 cells around a node: O(n) for a bounded density.
 void bfs_routes(Topology& topo, double link_range_m) {
   const std::size_t n = topo.positions.size();
   topo.next_hop.assign(n, kNoRoute);
   topo.hops.assign(n, kNoRoute);
   topo.next_hop[0] = 0;
   topo.hops[0] = 0;
+  CellGrid cells(topo.positions, link_range_m);
   std::vector<std::uint32_t> frontier{0};
   std::vector<std::uint32_t> next;
+  std::vector<std::uint32_t> found;
+  const auto unrouted = [&](std::uint32_t j) {
+    return topo.hops[j] == kNoRoute;
+  };
   while (!frontier.empty()) {
     next.clear();
     for (const std::uint32_t at : frontier) {
-      for (std::uint32_t j = 0; j < n; ++j) {
-        if (topo.hops[j] != kNoRoute) continue;
+      found.clear();
+      cells.for_each_near(at, unrouted, [&](std::uint32_t j) {
         if (distance_m(topo.positions[at], topo.positions[j]) >
             link_range_m) {
-          continue;
+          return;
         }
+        found.push_back(j);
+      });
+      std::sort(found.begin(), found.end());
+      for (const std::uint32_t j : found) {
         topo.hops[j] = topo.hops[at] + 1;
         topo.next_hop[j] = at;
         next.push_back(j);

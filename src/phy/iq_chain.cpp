@@ -24,10 +24,12 @@ IqChain::IqChain(IqChainConfig config) : config_(config) {
 std::vector<std::complex<double>> IqChain::modulate(
     const std::vector<std::uint8_t>& bits) const {
   const unsigned n = config_.samples_per_symbol;
+  const bool bpsk = config_.modulation == IqChainConfig::Modulation::Bpsk;
   std::vector<std::complex<double>> out;
-  out.reserve(bits.size() * n);
+  out.reserve((bits.size() + (bpsk ? kPilotSymbols : 0)) * n);
+  if (bpsk) out.assign(kPilotSymbols * n, {1.0, 0.0});  // pilot: all ones
   for (auto bit : bits) {
-    if (config_.modulation == IqChainConfig::Modulation::Bpsk) {
+    if (bpsk) {
       const double s = bit ? 1.0 : -1.0;
       for (unsigned k = 0; k < n; ++k) out.emplace_back(s, 0.0);
     } else {
@@ -52,6 +54,9 @@ std::vector<std::uint8_t> IqChain::demodulate(
   bits.reserve(symbols);
 
   if (config_.modulation == IqChainConfig::Modulation::Bpsk) {
+    if (symbols < kPilotSymbols) {
+      throw std::invalid_argument("IqChain: BPSK frame shorter than pilot");
+    }
     // Matched filter per symbol (rectangular pulse = mean).
     std::vector<std::complex<double>> y(symbols);
     for (std::size_t s = 0; s < symbols; ++s) {
@@ -61,12 +66,11 @@ std::vector<std::uint8_t> IqChain::demodulate(
     }
     // Pilot-aided phase estimate over the all-ones prefix.
     std::complex<double> pilot{0.0, 0.0};
-    const std::size_t pilots = std::min<std::size_t>(kPilotSymbols, symbols);
-    for (std::size_t s = 0; s < pilots; ++s) pilot += y[s];
+    for (std::size_t s = 0; s < kPilotSymbols; ++s) pilot += y[s];
     const double theta = std::arg(pilot);
     if (estimated_phase_rad) *estimated_phase_rad = theta;
     const std::complex<double> derotate = std::polar(1.0, -theta);
-    for (std::size_t s = 0; s < symbols; ++s) {
+    for (std::size_t s = kPilotSymbols; s < symbols; ++s) {
       bits.push_back((y[s] * derotate).real() > 0.0 ? 1 : 0);
     }
   } else {
@@ -95,14 +99,8 @@ IqChainResult IqChain::simulate(double snr_per_bit, std::size_t bits,
   util::Rng rng(seed ^ 0x2545F4914F6CDD1Dull);
 
   const bool bpsk = config_.modulation == IqChainConfig::Modulation::Bpsk;
-  std::vector<std::uint8_t> tx;
-  tx.reserve(bits + kPilotSymbols);
-  if (bpsk) {
-    tx.assign(kPilotSymbols, 1);  // pilot prefix
-  }
-  for (std::size_t i = 0; i < bits; ++i) {
-    tx.push_back(rng.bernoulli(0.5) ? 1 : 0);
-  }
+  std::vector<std::uint8_t> tx(bits);
+  for (auto& bit : tx) bit = rng.bernoulli(0.5) ? 1 : 0;
 
   auto wave = modulate(tx);
   const unsigned n = config_.samples_per_symbol;
@@ -120,10 +118,9 @@ IqChainResult IqChain::simulate(double snr_per_bit, std::size_t bits,
 
   IqChainResult result;
   const auto rx = demodulate(wave, &result.estimated_phase_rad);
-  const std::size_t skip = bpsk ? kPilotSymbols : 0;
   result.bits = bits;
-  for (std::size_t i = 0; i < bits && skip + i < rx.size(); ++i) {
-    if ((rx[skip + i] != 0) != (tx[skip + i] != 0)) ++result.errors;
+  for (std::size_t i = 0; i < bits; ++i) {
+    if ((rx[i] != 0) != (tx[i] != 0)) ++result.errors;
   }
   result.measured_ber =
       static_cast<double>(result.errors) / static_cast<double>(bits);

@@ -6,9 +6,10 @@
 // downconversion against a local carrier, and low-pass filtering. This
 // module simulates that chain at complex baseband:
 //
-//   bits -> BPSK/BFSK symbols -> pulse shaping -> (channel: gain, phase
-//   offset, CFO, AWGN) -> quadrature downconversion -> matched filter ->
-//   carrier-phase estimation -> decision
+//   bits -> [BPSK: pilot prefix] -> BPSK/BFSK symbols -> pulse shaping
+//   -> (channel: gain, phase offset, CFO, AWGN) -> quadrature
+//   downconversion -> matched filter -> carrier-phase estimation from the
+//   pilot -> decision
 //
 // It validates the analytic active-mode BER models at waveform level and
 // quantifies what coherent detection buys over the envelope chain — the
@@ -50,13 +51,16 @@ class IqChain {
   explicit IqChain(IqChainConfig config = {});
 
   /// Modulate bits to complex baseband samples (unit symbol energy per
-  /// sample before scaling).
+  /// sample before scaling). A BPSK frame starts with a 32-symbol
+  /// all-ones pilot ahead of the bits; BFSK needs none.
   std::vector<std::complex<double>> modulate(
       const std::vector<std::uint8_t>& bits) const;
 
-  /// Demodulate received samples: matched filtering per symbol, blind
-  /// phase estimation for BPSK (squaring estimator), energy comparison
-  /// for BFSK.
+  /// Demodulate samples modulate() produced (after the channel), back to
+  /// the bits: matched filtering per symbol, then for BPSK a carrier
+  /// phase estimate from the pilot prefix, which is stripped, and for
+  /// BFSK a non-coherent tone-energy comparison. Throws
+  /// std::invalid_argument when a BPSK frame is shorter than its pilot.
   std::vector<std::uint8_t> demodulate(
       const std::vector<std::complex<double>>& samples,
       double* estimated_phase_rad = nullptr) const;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <utility>
 
 #include "backends/backends.hpp"
@@ -118,21 +119,29 @@ TEST_F(MobilityTest, EnergyConservationAndMonotonicity) {
 }
 
 TEST_F(MobilityTest, AsymmetricPairKeepsWinningWhileMoving) {
-  // Watch -> phone on a random walk within ~4 m: Braidio must beat
+  // Watch -> phone on random walks within ~4 m: Braidio must beat
   // Bluetooth over the whole trace even though modes come and go.
-  const auto trace =
-      MobilityTrace::random_walk(0.3, 4.0, 1.4, util::Seconds(120.0), 11);
-  MobilitySimConfig cfg;
-  cfg.e1 = util::WattHours(0.78);
-  cfg.e2 = util::WattHours(6.55);
-  const auto outcome = sim_.run(trace, cfg);
-  // Braidio trades some throughput at distance for watch lifetime. The
-  // walk spends much of its time beyond the backscatter limit (watch is
-  // the transmitter, so only Regime A helps it), diluting the gain — but
-  // it must remain a clear win.
-  EXPECT_GT(outcome.lifetime_gain_vs_bluetooth(), 1.3);
-  EXPECT_LE(outcome.throughput_ratio_vs_bluetooth(), 1.001);
-  EXPECT_GT(outcome.replans, 50u);
+  // Braidio trades some throughput at distance for watch lifetime. A walk
+  // spends much of its time beyond the backscatter limit (watch is the
+  // transmitter, so only Regime A helps it), diluting the gain — how much
+  // depends on the walk (1.09-1.41 over walks 1-64), but every walk must
+  // remain a win and the typical one a clear win.
+  constexpr int kWalks = 32;
+  double gain_sum = 0.0;
+  for (std::uint64_t walk = 1; walk <= kWalks; ++walk) {
+    SCOPED_TRACE(walk);
+    const auto trace =
+        MobilityTrace::random_walk(0.3, 4.0, 1.4, util::Seconds(120.0), walk);
+    MobilitySimConfig cfg;
+    cfg.e1 = util::WattHours(0.78);
+    cfg.e2 = util::WattHours(6.55);
+    const auto outcome = sim_.run(trace, cfg);
+    EXPECT_GT(outcome.lifetime_gain_vs_bluetooth(), 1.05);
+    EXPECT_LE(outcome.throughput_ratio_vs_bluetooth(), 1.001);
+    EXPECT_GT(outcome.replans, 50u);
+    gain_sum += outcome.lifetime_gain_vs_bluetooth();
+  }
+  EXPECT_GT(gain_sum / kWalks, 1.2);
 }
 
 TEST_F(MobilityTest, BidirectionalTrafficSupported) {

@@ -1,7 +1,9 @@
-// Many-node network simulator: topology builders, the shared medium,
-// node bookkeeping, energy conservation at 1k nodes, sweep determinism,
-// per-node fault targeting, the schedule pinned to recorded digests, and
-// the static-link BER reuse (DESIGN.md §15).
+// Many-node network simulator: topology builders (routes against the
+// quadratic BFS), the shared medium, node bookkeeping, energy
+// conservation at 1k nodes, sweep determinism, per-node fault targeting,
+// the schedule pinned to recorded digests, outcome distributions pinned
+// across a generator change, and the static-link BER reuse (DESIGN.md
+// §15).
 #include "net/network_sim.hpp"
 
 #include <gtest/gtest.h>
@@ -21,6 +23,8 @@
 #include <vector>
 
 #include "backends/backends.hpp"
+#include "core/braided_link.hpp"
+#include "core/regimes.hpp"
 #include "hal/backend.hpp"
 #include "net/medium.hpp"
 #include "net/node.hpp"
@@ -109,6 +113,78 @@ TEST(Topology, RandomGeometricIsDeterministicPerSeed) {
     EXPECT_LE(distance_m(a.positions[i], a.positions[a.next_hop[i]]),
               config.link_range_m + 1e-9);
   }
+}
+
+/// The route BFS as it was before cell bucketing: every frontier node
+/// checks every node, in index order. O(n^2); the reference for the
+/// builders' routes.
+void quadratic_bfs(const std::vector<Vec2>& positions, double range_m,
+                   std::vector<std::uint32_t>& next_hop,
+                   std::vector<std::uint32_t>& hops) {
+  const std::size_t n = positions.size();
+  next_hop.assign(n, kNoRoute);
+  hops.assign(n, kNoRoute);
+  next_hop[0] = 0;
+  hops[0] = 0;
+  std::vector<std::uint32_t> frontier{0};
+  std::vector<std::uint32_t> next;
+  while (!frontier.empty()) {
+    next.clear();
+    for (const std::uint32_t at : frontier) {
+      for (std::uint32_t j = 0; j < n; ++j) {
+        if (hops[j] != kNoRoute) continue;
+        if (distance_m(positions[at], positions[j]) > range_m) continue;
+        hops[j] = hops[at] + 1;
+        next_hop[j] = at;
+        next.push_back(j);
+      }
+    }
+    frontier.swap(next);
+  }
+}
+
+TEST(Topology, RoutesMatchTheQuadraticBfs) {
+  // Random-geometric boxes from sparse (most tags stranded) to one hop,
+  // and grids whose routes tie between lattice neighbours everywhere.
+  std::vector<std::uint32_t> next_hop, hops;
+  std::size_t cases = 0;
+  for (const std::size_t nodes : {1, 7, 60, 400, 2000}) {
+    for (const double range_m : {0.05, 0.3, 1.0, 5.0}) {
+      for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE(testing::Message() << nodes << " tags, " << range_m
+                                        << " m, seed " << seed);
+        TopologyConfig config;
+        config.kind = TopologyKind::RandomGeometric;
+        config.nodes = nodes;
+        config.link_range_m = range_m;
+        util::Rng rng(seed);
+        const Topology topo = build_topology(config, rng);
+        quadratic_bfs(topo.positions, range_m, next_hop, hops);
+        EXPECT_EQ(topo.next_hop, next_hop);
+        EXPECT_EQ(topo.hops, hops);
+        ++cases;
+      }
+    }
+  }
+  for (const std::size_t nodes : {3, 99, 2499}) {
+    SCOPED_TRACE(testing::Message() << nodes << "-tag grid");
+    TopologyConfig config;
+    config.kind = TopologyKind::Grid;
+    config.nodes = nodes;
+    config.extent_m = 10.0;
+    util::Rng rng(1);
+    const Topology topo = build_topology(config, rng);
+    // The grid builder stretches the range to 1.05 lattice pitches.
+    const double side = std::ceil(std::sqrt(static_cast<double>(nodes + 1)));
+    const double pitch = config.extent_m / (side - 1.0);
+    quadratic_bfs(topo.positions, std::max(config.link_range_m, pitch * 1.05),
+                  next_hop, hops);
+    EXPECT_EQ(topo.next_hop, next_hop);
+    EXPECT_EQ(topo.hops, hops);
+    EXPECT_EQ(topo.reachable(), nodes + 1);
+    ++cases;
+  }
+  EXPECT_EQ(cases, 163u);
 }
 
 TEST(Topology, RejectsBadConfig) {
@@ -298,8 +374,9 @@ TEST(NetworkSimulator, ReaderPassiveBackendRunsWithoutCca) {
 }
 
 TEST(NetworkSimulator, EnergyConservesExactlyAcrossAThousandNodes) {
-  // Several seeds: seeds 5-7 each leave a few radios' sleep fill one ULP
-  // short of the final time, which the clock pin below must allow.
+  // Several seeds: seeds 1, 2, 4, 5 and 8 each leave a few radios' sleep
+  // fill one ULP short of the final time, which the clock pin below must
+  // allow.
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     SCOPED_TRACE(seed);
     NetConfig config;
@@ -523,44 +600,45 @@ struct ScheduleCell {
   std::uint64_t digest;
 };
 
-// Recorded before the TDMA ready set and the per-link airtime/odds cache
-// landed; both are pure speedups, so every cell must still match.
+// Re-recorded when util::Rng moved from mt19937_64 to xoshiro256**,
+// which redraws every stream (RunsMatchRecordedDistribution below checks
+// that the outcomes kept their distribution); the O(n) route BFS landed
+// after and left every cell unchanged.
 constexpr ScheduleCell kRecordedSchedules[] = {
-    {"braidio", "csma", "star", 0xff7e15bffb20f495},
-    {"braidio", "csma", "grid", 0xf0976b5bb33e8c39},
-    {"braidio", "csma", "rgg", 0x4893aed3da319a1d},
-    {"braidio", "tdma", "star", 0x328492061593ff0d},
-    {"braidio", "tdma", "grid", 0xce5044ae0c6fbf57},
-    {"braidio", "tdma", "rgg", 0xcffe057559ff1a60},
-    {"ble-active", "csma", "star", 0xa6e8bf907c6ea6b5},
-    {"ble-active", "csma", "grid", 0x165fe9dd0383899a},
-    {"ble-active", "csma", "rgg", 0x367f6c87089a7e1a},
-    {"ble-active", "tdma", "star", 0x6ffebd739b0a7961},
-    {"ble-active", "tdma", "grid", 0xd90faaa9a182fb4e},
-    {"ble-active", "tdma", "rgg", 0x0e74203652ff7a4e},
-    {"reader-passive", "csma", "star", 0xdef8bf72ed8b9d65},
-    {"reader-passive", "csma", "grid", 0x0a7ab5f468e8a22a},
-    {"reader-passive", "csma", "rgg", 0x6f0a779996324df5},
-    {"reader-passive", "tdma", "star", 0x0c226fe18eb26939},
-    {"reader-passive", "tdma", "grid", 0xd2fa66a9c89256fd},
-    {"reader-passive", "tdma", "rgg", 0xcb74f367e79ae87f},
-    {"blisp-hybrid", "csma", "star", 0x327cce38aba1ce81},
-    {"blisp-hybrid", "csma", "grid", 0xd97995a15ed3530d},
-    {"blisp-hybrid", "csma", "rgg", 0x09a712ba413f0fc6},
-    {"blisp-hybrid", "tdma", "star", 0x29d48996d8bd108d},
-    {"blisp-hybrid", "tdma", "grid", 0xb481d24f60c05099},
-    {"blisp-hybrid", "tdma", "rgg", 0xc3252acec4b61d9d},
+    {"braidio", "csma", "star", 0x56e2582a5052c0a9},
+    {"braidio", "csma", "grid", 0x3e7196641670f3f0},
+    {"braidio", "csma", "rgg", 0xafa5516c5576a48b},
+    {"braidio", "tdma", "star", 0x30f2a0dfebab7669},
+    {"braidio", "tdma", "grid", 0xc9196bc7e1ef0868},
+    {"braidio", "tdma", "rgg", 0x384404e263bbb1b3},
+    {"ble-active", "csma", "star", 0xfdabb2935493b15e},
+    {"ble-active", "csma", "grid", 0x3dc92b58241c5851},
+    {"ble-active", "csma", "rgg", 0xa8706ff6f855f17b},
+    {"ble-active", "tdma", "star", 0x1833c8ca04376951},
+    {"ble-active", "tdma", "grid", 0x29486b32dd86e09e},
+    {"ble-active", "tdma", "rgg", 0x9a51603758160818},
+    {"reader-passive", "csma", "star", 0x5bc61c41f7b870fd},
+    {"reader-passive", "csma", "grid", 0x2a7d6387ca513001},
+    {"reader-passive", "csma", "rgg", 0x866befb9529eaf4c},
+    {"reader-passive", "tdma", "star", 0x48ab469030fb7bc9},
+    {"reader-passive", "tdma", "grid", 0x5610a18a5790586a},
+    {"reader-passive", "tdma", "rgg", 0xafbe79c847d7ff6b},
+    {"blisp-hybrid", "csma", "star", 0x375787746e24f761},
+    {"blisp-hybrid", "csma", "grid", 0xaea11483bee4ac06},
+    {"blisp-hybrid", "csma", "rgg", 0x294df669f9974bdc},
+    {"blisp-hybrid", "tdma", "star", 0x48dda83c28fce1e1},
+    {"blisp-hybrid", "tdma", "grid", 0x937e82635f196c75},
+    {"blisp-hybrid", "tdma", "rgg", 0x2af3542abacab954},
 };
 
 // Dense contention, where CCA decides most attempts: 2,000-tag stars at
 // the default 2 m extent, 4 frames a tag. The braidio star hears ~20
 // overlapping -30 dB reflections against a -60 dBm threshold; the
-// ble-active star hears active transmitters against -70 dBm. Recorded
-// before the CCA verdict moved to bracketed path gains and the calendar
-// re-tune moved to recent pop gaps; both are pure speedups.
+// ble-active star hears active transmitters against -70 dBm.
+// Re-recorded with the generator change, like the cells above.
 constexpr ScheduleCell kRecordedDenseSchedules[] = {
-    {"braidio", "csma", "star", 0x8f04afe2ef61d0c2},
-    {"ble-active", "csma", "star", 0x54e985bc51ceb1f4},
+    {"braidio", "csma", "star", 0x8112c4daeae3f744},
+    {"ble-active", "csma", "star", 0x7cce8f3e30b2ad9e},
 };
 
 sim::faults::ImpairmentSchedule parse_schedule(const char* text) {
@@ -641,6 +719,137 @@ TEST(NetworkSimulator, ScheduleMatchesRecordedDigests) {
     }
     expect_recorded(cell, digest);
   }
+}
+
+/// One statistic's mean and standard error of the mean over seeds 1-16.
+struct RecordedMoment {
+  const char* name;
+  double mean;
+  double se;
+};
+
+/// Per-seed samples of each statistic, in RecordedMoment order.
+using SeedSamples = std::vector<std::vector<double>>;
+
+/// Each statistic's mean over the seeds must lie within 3 combined
+/// standard errors of its recorded mean. A statistic that no seed moves
+/// has SE 0 on both sides and must match exactly. A mismatch prints the
+/// current moments in table form.
+void expect_recorded_distribution(const char* config,
+                                  const RecordedMoment* recorded,
+                                  const SeedSamples& samples) {
+  for (std::size_t k = 0; k < samples.size(); ++k) {
+    const std::vector<double>& xs = samples[k];
+    const double n = static_cast<double>(xs.size());
+    double mean = 0.0;
+    for (const double x : xs) mean += x;
+    mean /= n;
+    double ss = 0.0;
+    for (const double x : xs) ss += (x - mean) * (x - mean);
+    const double se = std::sqrt(ss / (n - 1.0) / n);
+    const RecordedMoment& want = recorded[k];
+    const double tolerance = 3.0 * std::hypot(want.se, se);
+    char now[96];
+    std::snprintf(now, sizeof now, "{\"%s\", %.10g, %.6g}", want.name, mean,
+                  se);
+    EXPECT_LE(std::fabs(mean - want.mean), tolerance)
+        << config << " moved: now " << now;
+  }
+}
+
+// Recorded over seeds 1-16 while util::Rng still drew from
+// std::mt19937_64, before it moved to xoshiro256**; the generator
+// change redraws every stream but must not move these distributions.
+// (a) 1,000-tag braidio CSMA star, 2 m extent, 4 frames a tag.
+constexpr RecordedMoment kRecordedStar[] = {
+    {"delivered", 27.1875, 0.3788},
+    {"csma_failures", 3589.6875, 4.12383},
+    {"arq_drops", 383.125, 4.11185},
+    {"tx_attempts", 6272.8125, 23.8614},
+    {"total_joules", 0.4593554541, 0.00277281},
+};
+// (b) 200-tag braidio random-geometric TDMA network, 20 dB shadowing on
+// four nodes for the whole run.
+constexpr RecordedMoment kRecordedRgg[] = {
+    {"delivered", 711.3125, 19.5373},
+    {"csma_failures", 0, 0},
+    {"arq_drops", 88.6875, 19.5373},
+    {"tx_attempts", 2262.5625, 116.787},
+    {"total_joules", 0.307311584, 0.00483064},
+};
+// (c) a block-faded BraidedLink, phone -> watch at 3 m, 600 packets:
+// delivered packets, ARQ drops, data attempts (offered + retransmissions)
+// and both ledgers' joules. It has no CSMA, so no CCA failures.
+constexpr RecordedMoment kRecordedFadedLink[] = {
+    {"delivered", 587.1875, 0.852539},
+    {"arq_drops", 12.8125, 0.852539},
+    {"tx_attempts", 1076.375, 11.3904},
+    {"total_joules", 0.1769896315, 0.00320435},
+};
+
+TEST(NetworkSimulator, RunsMatchRecordedDistribution) {
+  constexpr std::uint64_t kSeeds = 16;
+  const auto net_samples = [](const NetConfig& base) {
+    SeedSamples samples(5);
+    for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+      NetConfig config = base;
+      config.seed = seed;
+      const NetStats s = NetworkSimulator(config).run();
+      const double row[] = {static_cast<double>(s.delivered),
+                            static_cast<double>(s.csma_failures),
+                            static_cast<double>(s.arq_drops),
+                            static_cast<double>(s.tx_attempts),
+                            s.total_joules};
+      for (std::size_t k = 0; k < samples.size(); ++k) {
+        samples[k].push_back(row[k]);
+      }
+    }
+    return samples;
+  };
+
+  NetConfig star;
+  star.backend = &backend(backends::kBraidio);
+  star.topology.nodes = 1000;
+  star.topology.extent_m = 2.0;
+  star.packets_per_node = 4;
+  expect_recorded_distribution("star", kRecordedStar, net_samples(star));
+
+  const sim::faults::ImpairmentSchedule shadowed = parse_schedule(
+      "shadowing 0 1e6 20 @3\nshadowing 0 1e6 20 @17\n"
+      "shadowing 0 1e6 20 @42\nshadowing 0 1e6 20 @101\n");
+  NetConfig rgg;
+  rgg.backend = &backend(backends::kBraidio);
+  rgg.mac = MacKind::Tdma;
+  rgg.topology.kind = TopologyKind::RandomGeometric;
+  rgg.topology.nodes = 200;
+  rgg.topology.extent_m = 1.5;
+  rgg.topology.link_range_m = 0.8;
+  rgg.packets_per_node = 4;
+  rgg.impairments = &shadowed;
+  expect_recorded_distribution("rgg", kRecordedRgg, net_samples(rgg));
+
+  const hal::RadioBackend& braidio = backend(backends::kBraidio);
+  const core::RegimeMap regimes(braidio);
+  SeedSamples link(4);
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    const auto phone =
+        braidio.create_radio("phone", 1, util::WattHours(6.55));
+    const auto watch =
+        braidio.create_radio("watch", 2, util::WattHours(0.78));
+    core::BraidedLinkConfig config;
+    config.distance_m = 3.0;
+    config.block_fading = true;
+    config.seed = seed;
+    const core::BraidedLinkStats s =
+        core::BraidedLink(*phone, *watch, regimes, config).run(600);
+    const double row[] = {
+        static_cast<double>(s.data_packets_delivered),
+        static_cast<double>(s.data_packets_dropped),
+        static_cast<double>(s.data_packets_offered + s.retransmissions),
+        phone->ledger().total_joules() + watch->ledger().total_joules()};
+    for (std::size_t k = 0; k < link.size(); ++k) link[k].push_back(row[k]);
+  }
+  expect_recorded_distribution("faded link", kRecordedFadedLink, link);
 }
 
 /// Pass-through backend whose channel counts BER evaluations.

@@ -1,7 +1,11 @@
 #include "phy/iq_chain.hpp"
 
 #include <cmath>
+#include <complex>
+#include <cstdint>
 #include <numbers>
+#include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -10,19 +14,31 @@
 namespace braidio::phy {
 namespace {
 
+// modulate() and demodulate() are a pair: whatever the bits, a noiseless
+// frame comes back intact. BPSK needs the pilot modulate() emits; phase
+// estimated from the payload itself inverts every bit of a frame whose
+// first symbols hold more zeros than ones.
 TEST(IqChain, NoiselessBpskRoundTrip) {
   IqChain chain;
-  const auto bits = random_bits(500, 1);
-  const auto rx = chain.demodulate(chain.modulate(bits));
-  EXPECT_EQ(rx, bits);
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    const auto bits = random_bits(500, seed);
+    EXPECT_EQ(chain.demodulate(chain.modulate(bits)), bits) << seed;
+  }
+  const unsigned n = chain.config().samples_per_symbol;
+  EXPECT_EQ(chain.modulate({}).size(), 32u * n);  // the pilot alone
+  EXPECT_TRUE(chain.demodulate(chain.modulate({})).empty());
+  EXPECT_THROW(chain.demodulate(std::vector<std::complex<double>>(8)),
+               std::invalid_argument);
 }
 
 TEST(IqChain, NoiselessBfskRoundTrip) {
   IqChainConfig cfg;
   cfg.modulation = IqChainConfig::Modulation::Bfsk;
   IqChain chain(cfg);
-  const auto bits = random_bits(500, 2);
-  EXPECT_EQ(chain.demodulate(chain.modulate(bits)), bits);
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    const auto bits = random_bits(500, seed);
+    EXPECT_EQ(chain.demodulate(chain.modulate(bits)), bits) << seed;
+  }
 }
 
 TEST(IqChain, BpskMatchesAnalyticQ) {
@@ -50,17 +66,35 @@ TEST(IqChain, BfskMatchesNoncoherentExponential) {
 TEST(IqChain, PhaseOffsetIsEstimatedAndRemoved) {
   // The whole point of a coherent receiver: an arbitrary channel phase
   // must not cost BER once the pilot estimator locks.
+  const double snr = std::pow(10.0, 0.6);  // ~6 dB
+  // The 32-symbol pilot sums to 32 N A against noise of variance 32 N
+  // per dimension, so the estimate's error has sigma 1/sqrt(64 gamma)
+  // (0.063 rad here). Check its RMS and bias over 64 noise draws per
+  // phase: a single draw exceeds 0.1 rad one time in nine.
+  const double sigma = 1.0 / std::sqrt(64.0 * snr);
   for (double phase : {0.4, 1.2, 2.5, -1.8}) {
     IqChainConfig cfg;
     cfg.channel_phase_rad = phase;
     IqChain chain(cfg);
+    double sum = 0.0, sum_sq = 0.0;
+    constexpr int kSeeds = 64;
+    for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+      // The estimate reads only the pilot, so a short frame will do.
+      const auto r = chain.simulate(snr, 256, seed);
+      // Estimated phase matches the channel (mod 2 pi).
+      const double diff = std::remainder(r.estimated_phase_rad - phase,
+                                         2.0 * std::numbers::pi);
+      sum += diff;
+      sum_sq += diff * diff;
+    }
+    const double rms = std::sqrt(sum_sq / kSeeds);
+    EXPECT_GT(rms, 0.75 * sigma) << phase;
+    EXPECT_LT(rms, 1.3 * sigma) << phase;
+    EXPECT_LT(std::fabs(sum / kSeeds), 3.0 * sigma / 8.0) << phase;
+
     // ~6 dB: analytic BER ~2.3e-3, so 100k bits give ~230 errors —
     // enough statistics for a tight ratio check.
-    const auto r = chain.simulate(std::pow(10.0, 0.6), 100'000, 7);
-    // Estimated phase matches the channel (mod 2 pi).
-    const double diff =
-        std::remainder(r.estimated_phase_rad - phase, 2.0 * std::numbers::pi);
-    EXPECT_LT(std::fabs(diff), 0.1) << phase;
+    const auto r = chain.simulate(snr, 100'000, 7);
     EXPECT_NEAR(r.measured_ber / r.analytic_ber, 1.0, 0.3) << phase;
   }
 }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numbers>
 
 #include <gtest/gtest.h>
@@ -99,16 +100,17 @@ TEST(Rng, PhaseWithinCircle) {
   }
 }
 
-// Pins the exact output stream of uniform_int. The implementation uses
-// bitmask rejection sampling on the raw engine (not the stdlib's
-// implementation-defined std::uniform_int_distribution), so these values
-// must reproduce bit-for-bit on every platform and stdlib. If this test
+// Pins the exact output stream: xoshiro256** seeded by four SplitMix64
+// steps, uniform_int's bitmask rejection, uniform()'s top 53 bits and the
+// polar gaussian(). The values were computed by an independent reference
+// implementation and must reproduce bit-for-bit on every platform and
+// standard library (gaussian() to a few ulps of libm's log). If this test
 // fails, the change silently re-randomised every seeded experiment.
 TEST(Rng, UniformIntStreamPinnedBitForBit) {
   Rng rng(2016);
   const std::uint64_t expected[] = {
-      494592u,  43785u,  54216u,  351193u,
-      332690u, 77789u, 313035u, 391672u,
+      829344u, 879074u, 435035u, 439793u,
+      826300u, 328402u, 174538u, 221462u,
   };
   for (std::uint64_t want : expected) {
     EXPECT_EQ(rng.uniform_int(0, 999'999), want);
@@ -117,19 +119,57 @@ TEST(Rng, UniformIntStreamPinnedBitForBit) {
   // A span whose mask spans well past 32 bits, exercising the wide path.
   Rng wide(7);
   const std::uint64_t expected_wide[] = {
-      6'711'960'922'535u,
-      6'227'518'977'998u,
-      5'418'883'779'830u,
-      7'399'534'684'524u,
+      4'261'205'149'274u,
+      7'143'133'363'410u,
+      4'614'570'215'830u,
+      1'494'432'973'376u,
   };
   for (std::uint64_t want : expected_wide) {
     EXPECT_EQ(wide.uniform_int(1'000'000'000'000u, 9'000'000'000'000u), want);
+  }
+
+  // The full span returns the raw draws.
+  constexpr std::uint64_t kFull = std::numeric_limits<std::uint64_t>::max();
+  Rng raw(2016);
+  const std::uint64_t expected_raw[] = {
+      0x2783899f312ca7a0u, 0x0624859da8fd69e2u,
+      0xb6d231296dd6a35bu, 0xd160cd437036b5f1u,
+  };
+  for (std::uint64_t want : expected_raw) {
+    EXPECT_EQ(raw.uniform_int(0, kFull), want);
+  }
+
+  // uniform() is the top 53 bits of the same draws, scaled by 2^-53.
+  Rng unit(2016);
+  const double expected_unit[] = {
+      0x1.3c1c4cf989650p-3, 0x1.8921676a3f5a0p-6,
+      0x1.6da46252dbad4p-1, 0x1.a2c19a86e06d6p-1,
+  };
+  for (double want : expected_unit) EXPECT_EQ(unit.uniform(), want);
+
+  // gaussian(): the polar pair (y, x) from each accepted point.
+  Rng normal(2016);
+  const double expected_normal[] = {
+      0.855215559966531, 0.5761231500259973,
+      1.3129623392744039, 0.6901228081128474,
+  };
+  for (double want : expected_normal) {
+    EXPECT_DOUBLE_EQ(normal.gaussian(), want);
   }
 
   // Degenerate span: lo == hi must not consume entropy-independent paths
   // differently across platforms — it is a single deterministic value.
   Rng fixed(3);
   EXPECT_EQ(fixed.uniform_int(42, 42), 42u);
+}
+
+// Sweep points and net nodes are keyed by stream_seed; the generator
+// behind Rng may change, this derivation may not.
+TEST(Rng, StreamSeedDerivationPinned) {
+  EXPECT_EQ(Rng::stream_seed(1, 0), 0x5e41ab087439611eu);
+  EXPECT_EQ(Rng::stream_seed(1, 1), 0xf18d6ce93d6cf1eeu);
+  EXPECT_EQ(Rng::stream_seed(1, 10'000), 0x0b7271f2bfb4ad21u);
+  EXPECT_EQ(Rng::stream_seed(4242, 0), 0x3912f31db371db88u);
 }
 
 TEST(Rng, ForkProducesIndependentStream) {

@@ -2,6 +2,7 @@
 // Known-bad fixture: a raw engine, a spawned thread and an overlong line
 // in one file. selftest.py also hands it to the CLI as an explicit path,
 // which must exit 1 with A9, A12 and A13 and skip the whole-tree A11.
+// expect: A9-no-global-rng
 #include <random>
 #include <thread>
 

@@ -3,6 +3,7 @@
 // blanker opened a literal at 1'000 it would erase the engine after it,
 // and by eating the newline it would shift every later line up by one,
 // so the waiver below would no longer sit on its finding's line.
+// expect: A9-no-global-rng
 #include <random>
 
 // expect: A9-no-global-rng

@@ -3,6 +3,7 @@
 // A run that draws from rand() or a raw engine cannot be replayed from
 // its seed; util::Rng is the only generator.
 #include <cstdlib>
+// expect: A9-no-global-rng
 #include <random>
 
 #include "util/rng.hpp"

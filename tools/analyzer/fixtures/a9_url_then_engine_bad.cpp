@@ -2,6 +2,7 @@
 // Known-bad fixture: code after a URL string. A checker that drops
 // everything from "//" to the end of the line never sees the engine;
 // the blanker erases only the string's contents.
+// expect: A9-no-global-rng
 #include <random>
 
 namespace braidio {

@@ -58,9 +58,10 @@ RULES: tuple[Rule, ...] = (
          "core::plan_link"),
     Rule("A9-no-global-rng", "no-global-rng",
          "stochastic code takes an explicit util::Rng so runs replay bit "
-         "for bit: no rand()/random()/drand48(), std::random_device, "
-         "std::default_random_engine or raw std::mt19937 outside "
-         "src/util/rng"),
+         "for bit on every standard library: no rand()/random()/"
+         "drand48(), no #include <random>, no std:: engine (mt19937, "
+         "random_device, ...) or std::*_distribution anywhere, "
+         "src/util/rng included"),
     Rule("A10-no-naked-stdout", "no-naked-stdout",
          "library code in src/ never prints: printf/puts/std::cout and "
          "friends only in util/log.cpp and util/contract.cpp"),

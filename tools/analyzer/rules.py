@@ -328,17 +328,29 @@ def check_one_planner(model: SourceModel) -> list[Finding]:
 _TREE_DIRS = ("src/", "tests/", "bench/", "examples/")
 _MAX_COLUMNS = 80
 
+# util::Rng writes its generator and every distribution itself, so
+# nothing in the tree needs <random>: its engines and distributions are
+# banned everywhere, util/rng included. The standard leaves the
+# distributions' algorithms to each library, so a stream drawn through
+# them differs between libstdc++, libc++ and MSVC.
+_STD_ENGINES = (
+    r"minstd_rand0?|ranlux(?:24|48)(?:_base)?|knuth_b"
+    r"|(?:mersenne_twister|linear_congruential|subtract_with_carry"
+    r"|discard_block|independent_bits|shuffle_order)_engine"
+    r"|seed_seq|generate_canonical")
 _GLOBAL_RNG_PATTERNS = [
     (re.compile(r"\b(?:std::)?s?rand\s*\("), "rand()/srand()"),
     (re.compile(r"\brandom\s*\(\s*\)"), "random()"),
     (re.compile(r"\bdrand48\s*\("), "drand48()"),
+    (re.compile(r"#\s*include\s*<random>"), "#include <random>"),
     (re.compile(r"\bstd::random_device\b"), "std::random_device"),
     (re.compile(r"\bstd::default_random_engine\b"),
      "std::default_random_engine"),
     (re.compile(r"\bstd::mt19937(?:_64)?\b"), "raw std::mt19937"),
+    (re.compile(r"\bstd::(?:" + _STD_ENGINES + r")\b"),
+     "a std:: engine, adaptor or seeding helper"),
+    (re.compile(r"\bstd::\w+_distribution\b"), "a std::*_distribution"),
 ]
-# util/rng wraps the engine; everything else must go through it.
-_RNG_HOME = ("src/util/rng.hpp", "src/util/rng.cpp")
 
 _STDOUT_PATTERNS = [
     (re.compile(r"\b(?:std::)?f?printf\s*\("), "printf/fprintf"),
@@ -370,7 +382,7 @@ _INFO_LOG_PATTERNS = [
 # literals never trip them.
 _TOKEN_BANS = {
     "A9-no-global-rng": (
-        lambda rel: rel.startswith(_TREE_DIRS) and rel not in _RNG_HOME,
+        lambda rel: rel.startswith(_TREE_DIRS),
         _GLOBAL_RNG_PATTERNS, "use braidio::util::Rng"),
     "A10-no-naked-stdout": (
         lambda rel: rel.startswith("src/") and rel not in _STDOUT_HOMES,
