@@ -11,7 +11,8 @@ namespace braidio::phy {
 
 namespace {
 // Guard band [dB] around each mode's threshold SNR inside which available()
-// evaluates the BER (link_budget.hpp says why the shortcut is exact).
+// evaluates the BER (link_budget.hpp says why the shortcut is exact). A
+// distance bracket's edges must clear twice the band.
 constexpr double kThresholdGuardDb = 1e-6;
 }  // namespace
 
@@ -26,14 +27,25 @@ LinkBudget::LinkBudget(LinkBudgetConfig config) : config_(config) {
   util::contract::check_power_dbm_range(config_.carrier_tx_dbm,
                                         "LinkBudget::carrier_tx_dbm");
   // Calibrate: the effective noise floor is whatever makes the BER threshold
-  // land on the anchored operating range.
+  // land on the anchored operating range. Then bracket the anchor for
+  // available(), if the SNR margin clears the guard band at both edges.
   for (LinkMode mode : kAllLinkModes) {
     const double need_db =
         required_snr_db(ber_model(mode), config_.ber_threshold);
     threshold_snr_db_[static_cast<std::size_t>(mode)] = need_db;
     for (Bitrate rate : kAllBitrates) {
-      const double pr = received_power_dbm(mode, anchor_range(mode, rate));
-      floors_dbm_[index(mode, rate)] = pr - need_db;
+      const std::size_t i = index(mode, rate);
+      const double anchor = anchor_range(mode, rate);
+      floors_dbm_[i] = received_power_dbm(mode, anchor) - need_db;
+      const auto margin_db = [&](double d) {
+        return received_power_dbm(mode, d) - floors_dbm_[i] - need_db;
+      };
+      const Bracket bracket{anchor * (1.0 - kAnchorBracket),
+                            anchor * (1.0 + kAnchorBracket)};
+      if (margin_db(bracket.inner_m) > 2.0 * kThresholdGuardDb &&
+          margin_db(bracket.outer_m) < -2.0 * kThresholdGuardDb) {
+        brackets_[i] = bracket;
+      }
     }
   }
 }
@@ -145,6 +157,9 @@ double LinkBudget::range_m(LinkMode mode, Bitrate rate) const {
 
 bool LinkBudget::available(LinkMode mode, Bitrate rate,
                            double distance_m) const {
+  const Bracket& bracket = brackets_[index(mode, rate)];
+  if (0.0 <= distance_m && distance_m < bracket.inner_m) return true;
+  if (distance_m > bracket.outer_m) return false;
   const double margin_db =
       snr_db(mode, rate, distance_m) -
       threshold_snr_db_[static_cast<std::size_t>(mode)];

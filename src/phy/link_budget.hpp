@@ -20,6 +20,7 @@
 // paper uses in Sec. 6.
 #pragma once
 
+#include <limits>
 #include <optional>
 
 #include "hal/channel_model.hpp"
@@ -64,6 +65,10 @@ class LinkBudget : public hal::ChannelModel {
  public:
   explicit LinkBudget(LinkBudgetConfig config = {});
 
+  /// Relative half-width of available()'s distance bracket around each
+  /// calibration anchor.
+  static constexpr double kAnchorBracket = 1e-5;
+
   /// Demodulator statistics used for a mode.
   static BerModel ber_model(LinkMode mode);
 
@@ -87,14 +92,25 @@ class LinkBudget : public hal::ChannelModel {
   /// Operating range [m]: distance where BER hits the configured threshold.
   double range_m(LinkMode mode, Bitrate rate) const override;
 
-  /// True when (mode, bitrate) meets the BER threshold at distance d.
-  /// Exactly `ber(mode, rate, d) <= config().ber_threshold`, though the BER
-  /// is evaluated only near the threshold: BER falls with SNR, so an SNR
-  /// more than a 1e-6 dB guard band above (below) the mode's threshold SNR,
-  /// solved once by the constructor, answers true (false). Across the band
-  /// the BER moves ~1e-6 (relative), over six orders of magnitude more than
-  /// its rounding and series-truncation error, so the two tests cannot
-  /// disagree outside it. Every calibration anchor lies inside the band.
+  /// True when (mode, bitrate) meets the BER threshold at distance d:
+  /// exactly `ber(mode, rate, d) <= config().ber_threshold`, cheapest
+  /// test first (DESIGN.md §14 has the argument).
+  ///  * 0 <= d below the anchor's inner bracket edge, a(1 - kAnchorBracket),
+  ///    answers true and d past its outer edge, a(1 + kAnchorBracket),
+  ///    false. The constructor keeps a bracket only if the SNR margin is
+  ///    above twice the guard band at the inner edge and below minus twice
+  ///    it at the outer one; received power never rises with distance, so
+  ///    every d beyond an edge is on that edge's side of the band. An
+  ///    anchor inside the 0.05 m distance clamp keeps no bracket. NaN and
+  ///    negative distances go on and throw as before; infinity answers
+  ///    false at a kept bracket.
+  ///  * An SNR more than a 1e-6 dB guard band above (below) the mode's
+  ///    threshold SNR, solved once by the constructor, answers true
+  ///    (false): BER falls with SNR, and across the band it moves ~1e-6
+  ///    (relative), six orders of magnitude more than its rounding and
+  ///    series-truncation error.
+  ///  * Inside the band, where every calibration anchor lies, the BER
+  ///    itself decides.
   bool available(LinkMode mode, Bitrate rate,
                  double distance_m) const override;
 
@@ -108,9 +124,18 @@ class LinkBudget : public hal::ChannelModel {
   static std::size_t index(LinkMode mode, Bitrate rate);
   double anchor_range(LinkMode mode, Bitrate rate) const;
 
+  /// available()'s shortcut distances [m] for one (mode, bitrate): true
+  /// for 0 <= d < inner_m, false for d > outer_m. The default never
+  /// answers, for a bracket whose margins failed the constructor's check.
+  struct Bracket {
+    double inner_m = 0.0;
+    double outer_m = std::numeric_limits<double>::infinity();
+  };
+
   LinkBudgetConfig config_;
   double floors_dbm_[9] = {};  // calibrated per (mode, bitrate)
   double threshold_snr_db_[3] = {};  // SNR at ber_threshold, per mode
+  Bracket brackets_[9] = {};  // per (mode, bitrate)
 };
 
 }  // namespace braidio::phy

@@ -1,9 +1,11 @@
 #include "sim/result_table.hpp"
 
 #include <sstream>
+#include <string_view>
 
 #include "obs/obs.hpp"
 #include "util/contract.hpp"
+#include "util/csv.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
 
@@ -20,17 +22,20 @@ const RunRecord& ResultTable::record(std::size_t row) const {
   return records_[row];
 }
 
-const std::string& ResultTable::axis_label(std::size_t row,
-                                           std::size_t axis) const {
-  BRAIDIO_REQUIRE(axis < axes_.size(), "axis", axis);
-  // Recover the coordinate along `axis` from the row-major flat index.
+std::size_t ResultTable::stride(std::size_t axis) const {
   std::size_t stride = 1;
   for (std::size_t a = axes_.size(); a-- > axis + 1;) {
     stride *= axes_[a].size();
   }
+  return stride;
+}
+
+const std::string& ResultTable::axis_label(std::size_t row,
+                                           std::size_t axis) const {
+  BRAIDIO_REQUIRE(axis < axes_.size(), "axis", axis);
   BRAIDIO_REQUIRE(row < records_.size(), "row", row);
-  const std::size_t coord = (row / stride) % axes_[axis].size();
-  return axes_[axis].labels[coord];
+  // Recover the coordinate along `axis` from the row-major flat index.
+  return axes_[axis].labels[(row / stride(axis)) % axes_[axis].size()];
 }
 
 util::TablePrinter ResultTable::to_printer() const {
@@ -50,33 +55,80 @@ util::TablePrinter ResultTable::to_printer() const {
   return table;
 }
 
-std::string ResultTable::to_csv() const { return to_printer().to_csv(); }
+std::string ResultTable::to_csv() const {
+  std::string out;
+  for (std::size_t a = 0; a < axes_.size(); ++a) {
+    if (a) out += ',';
+    util::append_csv_cell(out, axes_[a].name);
+  }
+  for (const auto& col : columns_) {
+    out += ',';
+    util::append_csv_cell(out, col);
+  }
+  out += '\n';
+  std::vector<std::size_t> strides(axes_.size());
+  for (std::size_t a = 0; a < axes_.size(); ++a) strides[a] = stride(a);
+  for (std::size_t r = 0; r < records_.size(); ++r) {
+    const std::size_t row_start = out.size();
+    for (std::size_t a = 0; a < axes_.size(); ++a) {
+      if (a) out += ',';
+      const Axis& axis = axes_[a];
+      util::append_csv_cell(out, axis.labels[(r / strides[a]) % axis.size()]);
+    }
+    for (const auto& cell : records_[r].cells) {
+      out += ',';
+      util::append_csv_cell(out, cell);
+    }
+    out += '\n';
+    if (r == 0) {
+      out.reserve(out.size() +
+                  (out.size() - row_start) * (records_.size() - 1));
+    }
+  }
+  return out;
+}
 
 std::string ResultTable::to_json() const {
-  std::ostringstream os;
-  os << "{\n  \"scenario\": \"" << util::json_escape(name_) << "\",\n"
-     << "  \"seed\": " << seed_ << ",\n  \"axes\": [";
+  std::string out = "{\n  \"scenario\": \"";
+  util::append_json_escaped(out, name_);
+  out += "\",\n  \"seed\": ";
+  out += std::to_string(seed_);
+  out += ",\n  \"axes\": [";
   for (std::size_t a = 0; a < axes_.size(); ++a) {
-    os << (a ? ", " : "") << '"' << util::json_escape(axes_[a].name) << '"';
+    out += a ? ", \"" : "\"";
+    util::append_json_escaped(out, axes_[a].name);
+    out += '"';
   }
-  os << "],\n  \"rows\": [\n";
+  out += "],\n  \"rows\": [\n";
+  // One `"key": "value"` member; `first` leads the row without a comma.
+  const auto member = [&out](std::string_view key, std::string_view value,
+                             bool first) {
+    out += first ? "\"" : ", \"";
+    util::append_json_escaped(out, key);
+    out += "\": \"";
+    util::append_json_escaped(out, value);
+    out += '"';
+  };
+  std::vector<std::size_t> strides(axes_.size());
+  for (std::size_t a = 0; a < axes_.size(); ++a) strides[a] = stride(a);
   for (std::size_t r = 0; r < records_.size(); ++r) {
-    os << "    {";
-    bool first = true;
+    const std::size_t row_start = out.size();
+    out += "    {";
     for (std::size_t a = 0; a < axes_.size(); ++a) {
-      os << (first ? "" : ", ") << '"' << util::json_escape(axes_[a].name)
-         << "\": \"" << util::json_escape(axis_label(r, a)) << '"';
-      first = false;
+      const Axis& axis = axes_[a];
+      member(axis.name, axis.labels[(r / strides[a]) % axis.size()], a == 0);
     }
     for (std::size_t c = 0; c < columns_.size(); ++c) {
-      os << (first ? "" : ", ") << '"' << util::json_escape(columns_[c])
-         << "\": \"" << util::json_escape(records_[r].cells[c]) << '"';
-      first = false;
+      member(columns_[c], records_[r].cells[c], false);
     }
-    os << '}' << (r + 1 < records_.size() ? "," : "") << '\n';
+    out += r + 1 < records_.size() ? "},\n" : "}\n";
+    if (r == 0) {
+      out.reserve(out.size() +
+                  (out.size() - row_start) * (records_.size() - 1));
+    }
   }
-  os << "  ]\n}\n";
-  return os.str();
+  out += "  ]\n}\n";
+  return out;
 }
 
 std::string ResultTable::to_json_with_meta() const {
@@ -130,16 +182,8 @@ util::TablePrinter ResultTable::pivot(std::size_t row_axis,
   for (const auto& label : cols.labels) headers.push_back(label);
   util::TablePrinter table(std::move(headers));
 
-  // Strides of the two varying axes in the row-major flat index.
-  auto stride_of = [&](std::size_t axis) {
-    std::size_t stride = 1;
-    for (std::size_t a = axes_.size(); a-- > axis + 1;) {
-      stride *= axes_[a].size();
-    }
-    return stride;
-  };
-  const std::size_t row_stride = stride_of(row_axis);
-  const std::size_t col_stride = stride_of(col_axis);
+  const std::size_t row_stride = stride(row_axis);
+  const std::size_t col_stride = stride(col_axis);
 
   for (std::size_t r = 0; r < rows.size(); ++r) {
     std::vector<std::string> out{rows.labels[r]};

@@ -87,6 +87,9 @@ class ResultTable {
  private:
   friend class SweepRunner;
 
+  /// Flat-index step between neighbours along `axis` (row-major).
+  std::size_t stride(std::size_t axis) const;
+
   std::string name_;
   std::uint64_t seed_;
   std::vector<Axis> axes_;

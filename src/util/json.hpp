@@ -9,12 +9,11 @@
 
 namespace braidio::util {
 
-/// Escape `s` for the inside of a JSON string: quote and backslash are
-/// backslash-escaped, newline and tab become \n and \t, and every other
-/// control character becomes \u00XX.
-inline std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
+/// Append `s` to `out`, escaped for the inside of a JSON string: quote
+/// and backslash are backslash-escaped, newline and tab become \n and \t,
+/// and every other control character becomes \u00XX. The one escape rule
+/// of every exporter; a long document appends into one string with it.
+inline void append_json_escaped(std::string& out, std::string_view s) {
   for (const char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -31,6 +30,12 @@ inline std::string json_escape(std::string_view s) {
         }
     }
   }
+}
+
+/// `s` escaped for the inside of a JSON string (append_json_escaped).
+inline std::string json_escape(std::string_view s) {
+  std::string out;
+  append_json_escaped(out, s);
   return out;
 }
 

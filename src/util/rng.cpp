@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <numbers>
 #include <stdexcept>
 
 namespace braidio::util {
@@ -50,8 +49,6 @@ double Rng::exponential(double mean) {
   double u = 1.0 - uniform();
   return -mean * std::log(u);
 }
-
-double Rng::phase() { return uniform(0.0, 2.0 * std::numbers::pi); }
 
 std::uint64_t Rng::stream_seed(std::uint64_t seed, std::uint64_t index) {
   // Two finalizer rounds over (seed, index): the standard way to key

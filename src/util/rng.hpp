@@ -66,9 +66,6 @@ class Rng {
   /// Exponential with given mean (> 0).
   double exponential(double mean);
 
-  /// Random phase in [0, 2*pi).
-  double phase();
-
   /// Derive an independent child stream (for parallel components).
   Rng fork();
 

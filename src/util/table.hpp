@@ -35,7 +35,11 @@ class TablePrinter {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// Format helpers used across bench binaries.
+/// Number formatters used across benches and exporters, each printf's
+/// conversion in the "C" locale (std::to_chars with a precision):
+/// format_engineering is %.*g of `significant`, format_fixed %.*f of
+/// `decimals`, format_scientific %.*e of `significant - 1`, and
+/// format_si_power %.4g of the scaled value plus its unit.
 std::string format_si_power(double watts);     // "129 mW", "36.4 uW"
 std::string format_engineering(double value, int significant = 3);
 std::string format_fixed(double value, int decimals);

@@ -171,8 +171,22 @@ double anchor_of(const LinkBudgetConfig& c, LinkMode mode, Bitrate rate) {
   return 0.0;
 }
 
+/// `center` and its 64 ULP neighbours on each side.
+void push_ulp_neighbourhood(std::vector<double>& d, double center) {
+  double up = center;
+  double down = center;
+  d.push_back(center);
+  for (int ulp = 1; ulp <= 64; ++ulp) {
+    up = std::nextafter(up, std::numeric_limits<double>::infinity());
+    down = std::nextafter(down, 0.0);
+    d.push_back(up);
+    d.push_back(down);
+  }
+}
+
 /// 1e5 log-spaced distances over 0.01-30 m, the 0.1 m figure grid out to
-/// 30 m (built as i / 10 and as i * 0.1), and every anchor +/- 1..64 ULPs.
+/// 30 m (built as i / 10 and as i * 0.1), and every anchor and both edges
+/// of its distance bracket +/- 1..64 ULPs.
 std::vector<double> availability_probe_distances(const LinkBudgetConfig& c) {
   constexpr int kGrid = 100'000;
   std::vector<double> d;
@@ -185,24 +199,20 @@ std::vector<double> availability_probe_distances(const LinkBudgetConfig& c) {
   }
   for (LinkMode mode : kAllLinkModes) {
     for (Bitrate rate : kAllBitrates) {
-      double up = anchor_of(c, mode, rate);
-      double down = up;
-      d.push_back(up);
-      for (int ulp = 1; ulp <= 64; ++ulp) {
-        up = std::nextafter(up, std::numeric_limits<double>::infinity());
-        down = std::nextafter(down, 0.0);
-        d.push_back(up);
-        d.push_back(down);
-      }
+      const double anchor = anchor_of(c, mode, rate);
+      push_ulp_neighbourhood(d, anchor);
+      push_ulp_neighbourhood(d, anchor * (1.0 - LinkBudget::kAnchorBracket));
+      push_ulp_neighbourhood(d, anchor * (1.0 + LinkBudget::kAnchorBracket));
     }
   }
   return d;
 }
 
 TEST(LinkBudgetAvailability, AgreesWithTheBerComparisonOnEveryBackend) {
-  // available() answers from the SNR outside a 1e-6 dB guard band around
-  // the threshold SNR. It must never disagree with the BER comparison it
-  // stands for, on the channel of any backend.
+  // available() answers from a distance bracket around each anchor, then
+  // from the SNR outside a 1e-6 dB guard band around the threshold SNR. It
+  // must never disagree with the BER comparison it stands for, on the
+  // channel of any backend.
   backends::register_all();
   for (const char* name : {backends::kBraidio, backends::kBleActive,
                            backends::kReaderPassive, backends::kBlispHybrid}) {
@@ -244,6 +254,36 @@ TEST(LinkBudgetAvailability, AgreesWithTheBerComparisonOnEveryBackend) {
             << name << " " << to_string(mode) << "@" << to_string(rate)
             << " first at d=" << first;
       }
+    }
+  }
+}
+
+TEST(LinkBudgetAvailability, AnchorInsideTheDistanceClampKeepsNoBracket) {
+  // A backscatter 1M anchor at 0.04 m sits inside friis_gain's 0.05 m
+  // clamp: both bracket edges see the clamped power, so their SNR margins
+  // are equal and cannot straddle the guard band. available() must answer
+  // through the SNR and BER tests alone and still agree with the BER
+  // comparison at every probe distance, for every (mode, rate).
+  LinkBudgetConfig c;
+  c.backscatter_range_1m_bps = 0.04;
+  const LinkBudget budget(c);
+  const double inner = 0.04 * (1.0 - LinkBudget::kAnchorBracket);
+  const double outer = 0.04 * (1.0 + LinkBudget::kAnchorBracket);
+  EXPECT_EQ(budget.snr_db(LinkMode::Backscatter, Bitrate::M1, inner),
+            budget.snr_db(LinkMode::Backscatter, Bitrate::M1, outer));
+  const std::vector<double> distances = availability_probe_distances(c);
+  for (LinkMode mode : kAllLinkModes) {
+    for (Bitrate rate : kAllBitrates) {
+      std::size_t mismatches = 0;
+      double first = 0.0;
+      for (const double d : distances) {
+        const bool want = budget.ber(mode, rate, d) <= c.ber_threshold;
+        if (budget.available(mode, rate, d) != want && mismatches++ == 0) {
+          first = d;
+        }
+      }
+      EXPECT_EQ(mismatches, 0u) << to_string(mode) << "@" << to_string(rate)
+          << " first at d=" << first;
     }
   }
 }

@@ -237,6 +237,59 @@ TEST(RunReport, RendersHeaderChecksAndTables) {
   EXPECT_NE(out.find("[sweep]"), std::string::npos);
 }
 
+TEST(ResultTable, ExportsMatchRecordedBytes) {
+  // Every byte class the exporters treat differently: quote, backslash,
+  // comma, newline, tab, a control character, a label past the 15-char
+  // small-string buffer and an empty cell, in the scenario name, the axis
+  // names, the labels, the column names and the cells. The two literals
+  // were recorded from the ostringstream exporters.
+  const sim::Scenario scenario(
+      "esc\"aped\\",
+      {{"a,\"x\"", {"p\\q", "a label of 24 characters"}},
+       {"b\tc", {"tab\there", "x\ny", "\x01" "z"}}},
+      {"v,1", "w\"2"},
+      [](sim::SweepPoint& p) {
+        static const char* const kCells[] = {
+            "", "q\"uote", "back\\slash", "\x01", "comma,here", "new\nline"};
+        sim::RunRecord record;
+        record.cells = {std::to_string(p.flat_index()),
+                        kCells[p.flat_index()]};
+        return record;
+      });
+  sim::SweepOptions opts;
+  opts.threads = 2;  // the default master seed, a 20-digit integer
+  const auto table = sim::SweepRunner(opts).run(scenario);
+  EXPECT_EQ(table.to_csv(),
+            "\"a,\"\"x\"\"\",b\tc,\"v,1\",\"w\"\"2\"\n"
+            "p\\q,tab\there,0,\n"
+            "p\\q,\"x\ny\",1,\"q\"\"uote\"\n"
+            "p\\q,\x01" "z,2,back\\slash\n"
+            "a label of 24 characters,tab\there,3,\x01\n"
+            "a label of 24 characters,\"x\ny\",4,\"comma,here\"\n"
+            "a label of 24 characters,\x01" "z,5,\"new\nline\"\n");
+  EXPECT_EQ(
+      table.to_json(),
+      "{\n"
+      "  \"scenario\": \"esc\\\"aped\\\\\",\n"
+      "  \"seed\": 11400714819323198485,\n"
+      "  \"axes\": [\"a,\\\"x\\\"\", \"b\\tc\"],\n"
+      "  \"rows\": [\n"
+      "    {\"a,\\\"x\\\"\": \"p\\\\q\", \"b\\tc\": \"tab\\there\", "
+      "\"v,1\": \"0\", \"w\\\"2\": \"\"},\n"
+      "    {\"a,\\\"x\\\"\": \"p\\\\q\", \"b\\tc\": \"x\\ny\", "
+      "\"v,1\": \"1\", \"w\\\"2\": \"q\\\"uote\"},\n"
+      "    {\"a,\\\"x\\\"\": \"p\\\\q\", \"b\\tc\": \"\\u0001z\", "
+      "\"v,1\": \"2\", \"w\\\"2\": \"back\\\\slash\"},\n"
+      "    {\"a,\\\"x\\\"\": \"a label of 24 characters\", \"b\\tc\": "
+      "\"tab\\there\", \"v,1\": \"3\", \"w\\\"2\": \"\\u0001\"},\n"
+      "    {\"a,\\\"x\\\"\": \"a label of 24 characters\", \"b\\tc\": "
+      "\"x\\ny\", \"v,1\": \"4\", \"w\\\"2\": \"comma,here\"},\n"
+      "    {\"a,\\\"x\\\"\": \"a label of 24 characters\", \"b\\tc\": "
+      "\"\\u0001z\", \"v,1\": \"5\", \"w\\\"2\": \"new\\nline\"}\n"
+      "  ]\n"
+      "}\n");
+}
+
 TEST(ChildStreams, StreamSeedIsStableAndDecorrelated) {
   // Pin the derivation rule: changing it silently would re-randomize every
   // recorded experiment.

@@ -15,7 +15,8 @@ a subprocess, asserting:
   base's quartiles lie further apart than the bound, unless every head
   run beats every base run,
 * a run that reports "correct": false exits 1,
-* a run that prints no result exits 2.
+* a run that prints no result exits 2,
+* two workload names after one --workload both run.
 
 Exit status: 0 pass, 1 mismatch.
 """
@@ -71,13 +72,14 @@ def checkout(root: Path, name: str, runs: list) -> str:
     return str(path)
 
 
-def ab(base_runs: list, head_runs: list,
-       pairs: int = 4) -> subprocess.CompletedProcess:
+def ab(base_runs: list, head_runs: list, pairs: int = 4,
+       extra: tuple = ()) -> subprocess.CompletedProcess:
     with tempfile.TemporaryDirectory() as scratch:
         root = Path(scratch)
         return subprocess.run(
             [sys.executable, str(AB), checkout(root, "base", base_runs),
-             checkout(root, "head", head_runs), "--pairs", str(pairs)],
+             checkout(root, "head", head_runs), "--pairs", str(pairs),
+             *extra],
             capture_output=True, text=True, check=False)
 
 
@@ -137,6 +139,12 @@ def main() -> int:
 
     silent = ab([result(1.0)], [None])
     expect(silent.returncode == 2, "a run without a result exits 2", silent)
+
+    two = ab([result(1.0)], [result(1.0)], pairs=1,
+             extra=("--workload", "first_workload", "second_workload"))
+    expect(two.returncode == 0 and "\nfirst_workload: 1 pairs" in two.stdout
+           and "\nsecond_workload: 1 pairs" in two.stdout,
+           "two names after one --workload both run", two)
 
     if failures:
         print(f"\nbench_ab selftest: {len(failures)} failure(s)",

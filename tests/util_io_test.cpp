@@ -1,10 +1,19 @@
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "util/csv.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
+#include "util/rng.hpp"
 #include "util/table.hpp"
 
 namespace braidio::util {
@@ -53,10 +62,76 @@ TEST(Format, FixedAndScientific) {
   EXPECT_NE(s.find("e"), std::string::npos);
 }
 
+/// printf's rendering of `value` under `spec` ("%.*g", "%.*e" or "%.*f")
+/// at a precision of at most 20. DBL_MAX in fixed notation with 20
+/// decimals is 330 characters.
+std::string printf_rendering(const char* spec, int precision, double value) {
+  char buf[512];
+  const int size = std::snprintf(buf, sizeof buf, spec, precision, value);
+  EXPECT_TRUE(size > 0 && size < static_cast<int>(sizeof buf)) << size;
+  return std::string(buf, static_cast<std::size_t>(size));
+}
+
+TEST(Format, NumbersMatchPrintfAtEveryPrecision) {
+  // format_engineering is %.*g, format_scientific(v, p + 1) is %.*e and
+  // format_fixed is %.*f, byte for byte, for the special values, the
+  // rounding ties, the decade edges and 100k finite random bit patterns.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                kInf,
+                                -kInf,
+                                kNan,
+                                std::copysign(kNan, -1.0),
+                                4.9e-324,
+                                2.2250738585072014e-308,
+                                DBL_MAX,
+                                1.0 / 3.0,
+                                0.5,
+                                1.5,
+                                2.5,
+                                9.9999999999999995e-5,
+                                1e15,
+                                1e16,
+                                1e17,
+                                1e21};
+  const std::size_t special = values.size();
+  Rng rng(2016);
+  while (values.size() < special + 100'000) {
+    const double v = std::bit_cast<double>(
+        rng.uniform_int(0, std::numeric_limits<std::uint64_t>::max()));
+    if (std::isfinite(v)) values.push_back(v);
+  }
+  std::size_t mismatches = 0;
+  std::string first;
+  auto expect_same = [&](const std::string& ours, const char* spec, int p,
+                         double v) {
+    const std::string want = printf_rendering(spec, p, v);
+    if (ours != want && mismatches++ == 0) {
+      first = std::string(spec) + " p=" + std::to_string(p) + ": " + ours +
+              " vs " + want;
+    }
+  };
+  for (const double v : values) {
+    for (int p = -1; p <= 20; ++p) {
+      expect_same(format_engineering(v, p), "%.*g", p, v);
+      expect_same(format_scientific(v, p + 1), "%.*e", p, v);
+      if (p >= 0) expect_same(format_fixed(v, p), "%.*f", p, v);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << first;
+}
+
 TEST(Csv, EscapesSpecialCells) {
-  EXPECT_EQ(csv_escape("plain"), "plain");
-  EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
+  // Cells append after what the string holds; a comma, quote or newline
+  // quotes the cell and doubles its quotes.
+  std::string out = "x|";
+  for (const char* cell : {"plain", "a,b", "say \"hi\"", "two\nlines"}) {
+    append_csv_cell(out, cell);
+    out += '|';
+  }
+  EXPECT_EQ(out, "x|plain|\"a,b\"|\"say \"\"hi\"\"\"|\"two\nlines\"|");
 }
 
 TEST(Csv, RendersRowsAndValidatesWidth) {

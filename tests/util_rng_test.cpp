@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <numbers>
 
 #include <gtest/gtest.h>
 
@@ -89,15 +88,6 @@ TEST(Rng, ExponentialMeanMatchesTheory) {
   for (int i = 0; i < n; ++i) sum += rng.exponential(4.0);
   EXPECT_NEAR(sum / n, 4.0, 0.1);
   EXPECT_THROW(rng.exponential(-1.0), std::domain_error);
-}
-
-TEST(Rng, PhaseWithinCircle) {
-  Rng rng(29);
-  for (int i = 0; i < 10'000; ++i) {
-    const double p = rng.phase();
-    EXPECT_GE(p, 0.0);
-    EXPECT_LT(p, 2.0 * std::numbers::pi);
-  }
 }
 
 // Pins the exact output stream: xoshiro256** seeded by four SplitMix64

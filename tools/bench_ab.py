@@ -4,7 +4,7 @@
 Usage:
 
     python3 tools/bench_ab.py BASE_DIR HEAD_DIR [--pairs 10] [--seed 1]
-        [--workload NAME ...]
+        [--workload NAME [NAME ...]]
 
 BASE_DIR and HEAD_DIR are two checkouts of this repository, for example
 a `git worktree` of the merge base and the working tree. For each
@@ -14,7 +14,8 @@ both checkouts --pairs times, alternating which side goes first so that
 drift on a shared machine hits both alike. Each checkout builds its own
 perfbench program on its first run. --seed picks the workload seed (a
 held-out seed checks that a gain is not tuned to seed 1); --workload
-reruns just the named workloads.
+reruns just the named workloads (several names may follow one
+--workload, and the flag may repeat).
 
 For every end-to-end metric of BENCHMARK.json it prints each side's
 median and quartiles, the head/base ratio of the medians, the pairs the
@@ -130,7 +131,8 @@ def main() -> int:
     parser.add_argument("head_dir")
     parser.add_argument("--pairs", type=int, default=GAIN_MIN_PAIRS)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workload", action="append", default=None)
+    parser.add_argument("--workload", action="extend", nargs="+",
+                        default=None)
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
