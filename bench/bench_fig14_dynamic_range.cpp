@@ -2,6 +2,7 @@
 // distances and bitrates — the shrinking achievable region.
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "backends/backends.hpp"
@@ -59,20 +60,18 @@ int main(int argc, char** argv) {
   report.check("full-rate corners at 0.3 m", "1:2546 and 3546:1", [&] {
     std::string s;
     for (const auto& p : close.points) {
-      if (p.candidate.label() == "passive@1M") s += p.ratio_label();
-      if (p.candidate.label() == "backscatter@1M") {
-        s += " and " + p.ratio_label();
-      }
+      const std::string_view label = p.candidate.label();
+      if (label == "passive@1M") s += p.ratio_label();
+      if (label == "backscatter@1M") s += " and " + p.ratio_label();
     }
     return s;
   }());
   report.check("low-rate extremes", "1:5600 and 7800:1", [&] {
     std::string s;
     for (const auto& p : close.points) {
-      if (p.candidate.label() == "passive@10k") s += p.ratio_label();
-      if (p.candidate.label() == "backscatter@10k") {
-        s += " and " + p.ratio_label();
-      }
+      const std::string_view label = p.candidate.label();
+      if (label == "passive@10k") s += p.ratio_label();
+      if (label == "backscatter@10k") s += " and " + p.ratio_label();
     }
     return s;
   }());

@@ -2,6 +2,7 @@
 // the three modes, the achievable (shaded) region, and the proportional
 // point P for a 100:1 energy ratio.
 #include <iostream>
+#include <string_view>
 
 #include "backends/backends.hpp"
 #include "core/efficiency.hpp"
@@ -31,10 +32,10 @@ int main() {
                region.points[2].ratio_label());
   const auto passive_1m = efficiency_region(map, 0.3);
   for (const auto& p : passive_1m.points) {
-    if (p.candidate.label() == "passive@1M") {
+    if (std::string_view(p.candidate.label()) == "passive@1M") {
       report.check("B (passive) ratio", "1:2546", p.ratio_label());
     }
-    if (p.candidate.label() == "backscatter@1M") {
+    if (std::string_view(p.candidate.label()) == "backscatter@1M") {
       report.check("C (backscatter) ratio", "3546:1", p.ratio_label());
     }
   }

@@ -6,6 +6,7 @@
 // single Braidio mode, and the braided plan — and show what happens as the
 // wearer walks away from the laptop.
 #include <iostream>
+#include <string>
 
 #include "backends/backends.hpp"
 #include "core/lifetime_sim.hpp"
@@ -42,7 +43,7 @@ int main() {
   };
   row("Bluetooth", bt);
   for (const auto& c : regimes.available_best_rate(cfg.distance_m)) {
-    row("Braidio, " + c.label() + " only",
+    row(std::string("Braidio, ") + c.label() + " only",
         core::single_mode_bits(c, e_cam.value(), e_lap.value(), false));
   }
   const auto braid = sim.braidio(e_cam, e_lap, cfg);

@@ -248,12 +248,12 @@ bool BraidedLink::transfer_packet(const ModeCandidate& point, bool forward,
     return false;
   }
   const double dwell_start_s = stats_.elapsed_s;
-  BRAIDIO_TRACE_EVENT(obs::EventType::DwellStart, point.label().c_str(),
+  BRAIDIO_TRACE_EVENT(obs::EventType::DwellStart, point.label(),
                       dwell_start_s, 0.0);
   const auto end_dwell = [&] {
     const double dwell_s = stats_.elapsed_s - dwell_start_s;
     obs::observe(obs::Histogram::DwellSeconds, dwell_s);
-    BRAIDIO_TRACE_EVENT(obs::EventType::DwellEnd, point.label().c_str(),
+    BRAIDIO_TRACE_EVENT(obs::EventType::DwellEnd, point.label(),
                         stats_.elapsed_s, dwell_s);
   };
   std::vector<std::uint8_t> payload(config_.payload_bytes,

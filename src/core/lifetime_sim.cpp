@@ -27,7 +27,7 @@ void post_lifetime_attribution(const LifetimeOutcome& outcome) {
     const double entry_bits = outcome.bits * e.fraction;
     const double fwd_bits = e.reverse ? 0.5 * entry_bits : entry_bits;
     {
-      obs::EnergySpan mode(e.candidate.label().c_str());
+      obs::EnergySpan mode(e.candidate.label());
       const double j1 = fwd_bits * e.candidate.tx_joules_per_bit();
       const double j2 = fwd_bits * e.candidate.rx_joules_per_bit();
       obs::post_energy(
@@ -42,7 +42,7 @@ void post_lifetime_attribution(const LifetimeOutcome& outcome) {
       d2 += j2;
     }
     if (e.reverse) {
-      obs::EnergySpan mode(e.reverse->label().c_str());
+      obs::EnergySpan mode(e.reverse->label());
       // Role swap: device 1 receives in the reverse leg.
       const double j1 = 0.5 * entry_bits * e.reverse->rx_joules_per_bit();
       const double j2 = 0.5 * entry_bits * e.reverse->tx_joules_per_bit();

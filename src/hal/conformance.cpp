@@ -30,7 +30,7 @@ void check_capabilities(const RadioBackend& backend,
   }
   std::set<std::pair<int, int>> seen;
   for (const OperatingPoint& p : caps.lattice) {
-    const std::string tag = "lattice point " + p.label();
+    const std::string tag = std::string("lattice point ") + p.label();
     switch (p.mode) {
       case LinkMode::Active:
         if (!caps.can_active) {
@@ -74,7 +74,7 @@ void check_channel(const RadioBackend& backend,
                    std::vector<std::string>& out) {
   const ChannelModel& channel = backend.channel();
   for (const OperatingPoint& p : backend.caps().lattice) {
-    const std::string tag = "channel at " + p.label();
+    const std::string tag = std::string("channel at ") + p.label();
     const double range = channel.range_m(p.mode, p.rate);
     if (!(range > 0.0) || !std::isfinite(range)) {
       out.push_back(tag + ": range_m is non-finite or non-positive");

@@ -20,7 +20,7 @@ const char* to_string(LinkMode mode) {
   return "?";
 }
 
-std::string to_string(Bitrate rate) {
+const char* to_string(Bitrate rate) {
   switch (rate) {
     case Bitrate::k10: return "10k";
     case Bitrate::k100: return "100k";

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <array>
-#include <string>
 
 namespace braidio::hal {
 
@@ -30,6 +29,6 @@ inline constexpr std::array<Bitrate, 3> kAllBitrates = {
 double bitrate_bps(Bitrate rate);
 
 const char* to_string(LinkMode mode);
-std::string to_string(Bitrate rate);
+const char* to_string(Bitrate rate);
 
 }  // namespace braidio::hal

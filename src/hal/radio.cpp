@@ -40,8 +40,30 @@ energy::EnergyCategory category_for(LinkMode mode, Role role) {
   return EnergyCategory::Idle;
 }
 
-std::string OperatingPoint::label() const {
-  return std::string(to_string(mode)) + "@" + to_string(rate);
+namespace {
+
+// Span labels, indexed [mode][rate] and [mode][rate][role] in enum
+// order: a warm attribution span reads its label here instead of
+// building a string.
+constexpr const char* kPointLabels[3][3] = {
+    {"active@10k", "active@100k", "active@1M"},
+    {"passive@10k", "passive@100k", "passive@1M"},
+    {"backscatter@10k", "backscatter@100k", "backscatter@1M"}};
+constexpr const char* kStateLabels[3][3][2] = {
+    {{"active@10k:tx", "active@10k:rx"},
+     {"active@100k:tx", "active@100k:rx"},
+     {"active@1M:tx", "active@1M:rx"}},
+    {{"passive@10k:tx", "passive@10k:rx"},
+     {"passive@100k:tx", "passive@100k:rx"},
+     {"passive@1M:tx", "passive@1M:rx"}},
+    {{"backscatter@10k:tx", "backscatter@10k:rx"},
+     {"backscatter@100k:tx", "backscatter@100k:rx"},
+     {"backscatter@1M:tx", "backscatter@1M:rx"}}};
+
+}  // namespace
+
+const char* OperatingPoint::label() const {
+  return kPointLabels[static_cast<int>(mode)][static_cast<int>(rate)];
 }
 
 bool Capabilities::supports(LinkMode mode) const {
@@ -105,9 +127,11 @@ energy::EnergyCategory StandardRadio::active_category() const {
   return category_for(point_->mode, *role_);
 }
 
-std::string StandardRadio::state_label() const {
+const char* StandardRadio::state_label() const {
   if (!point_ || !role_) return "idle";
-  return point_->label() + ':' + to_string(*role_);
+  return kStateLabels[static_cast<int>(point_->mode)]
+                     [static_cast<int>(point_->rate)]
+                     [static_cast<int>(*role_)];
 }
 
 bool StandardRadio::switch_to(const OperatingPoint& point, Role role) {
@@ -183,7 +207,7 @@ bool StandardRadio::advance(util::Seconds elapsed) {
   clock_s_ += seconds;
   {
     BRAIDIO_ENERGY_SPAN(device_span, name_.c_str());
-    BRAIDIO_ENERGY_SPAN(state_span, state_label().c_str());
+    BRAIDIO_ENERGY_SPAN(state_span, state_label());
     ledger_.charge(active_category(), util::Joules(taken),
                    util::Seconds(clock_s_));
   }

@@ -50,7 +50,8 @@ struct OperatingPoint {
   /// returns 1/2546): (bits/J at TX) / (bits/J at RX) = rx_power / tx_power.
   double efficiency_ratio() const { return rx_power_w / tx_power_w; }
 
-  std::string label() const;
+  /// "<mode>@<rate>" (e.g. "passive@1M"), from a static table.
+  const char* label() const;
 
   bool operator==(const OperatingPoint&) const = default;
 };
@@ -203,9 +204,10 @@ class StandardRadio : public IRadio {
 
  private:
   energy::EnergyCategory active_category() const;
-  /// Attribution span label for the current state, "<mode>:<role>"
-  /// (e.g. "active@1M:tx") or "idle".
-  std::string state_label() const;
+  /// Attribution span label for the current state,
+  /// "<mode>@<rate>:<role>" (e.g. "active@1M:tx") or "idle", from a
+  /// static table.
+  const char* state_label() const;
 
   std::string name_;
   std::uint8_t address_;

@@ -8,9 +8,11 @@
 namespace braidio::net {
 
 namespace {
-/// Initial calendar: day length [s] and bucket count.
+/// Initial calendar: day length [s] and bucket count. The count only
+/// ever doubles, so it stays a power of two (bucket_of() masks by it).
 constexpr double kInitialWidthS = 250e-6;
 constexpr std::size_t kInitialBuckets = 64;
+static_assert((kInitialBuckets & (kInitialBuckets - 1)) == 0);
 
 /// Largest time/width ratio the integer day counter can represent; far
 /// beyond any simulated horizon, but a contract beats silent overflow.
@@ -48,11 +50,9 @@ std::uint64_t EventQueue::day_of(double time_s) const {
   return static_cast<std::uint64_t>(time_s / width_);
 }
 
-void EventQueue::insert(EventId id) {
+void EventQueue::insert(EventId id, std::uint64_t day) {
   const Event& ev = pool_[id];
-  const std::size_t b =
-      static_cast<std::size_t>(day_of(ev.time_s) % heads_.size());
-  EventId* link = &heads_[b];
+  EventId* link = &heads_[bucket_of(day)];
   while (*link != kNoEvent) {
     const Event& at = pool_[*link];
     if (ev.time_s < at.time_s ||
@@ -119,7 +119,7 @@ void EventQueue::maybe_grow() {
     width_ = new_width;
     day_ = day_of(now_s_);  // same clock, new day units
   }
-  for (const EventId id : live) insert(id);
+  for (const EventId id : live) insert(id, day_of(pool_[id].time_s));
   // The rebuild's own inserts must not count toward the next probe
   // (they do count toward the cumulative scan-cost telemetry).
   scan_total_ += probe_scan_steps_;
@@ -138,8 +138,8 @@ void EventQueue::schedule(double time_s, std::uint32_t node,
                           std::uint64_t b) {
   BRAIDIO_REQUIRE(std::isfinite(time_s) && time_s >= now_s_, "time_s",
                   time_s, "now_s", now_s_);
-  BRAIDIO_REQUIRE(time_s / width_ < kMaxDays, "time_s", time_s, "width_s",
-                  width_);
+  const double days = time_s / width_;
+  BRAIDIO_REQUIRE(days < kMaxDays, "time_s", time_s, "width_s", width_);
   const EventId id = acquire();
   Event& ev = pool_[id];
   ev.time_s = time_s;
@@ -151,7 +151,7 @@ void EventQueue::schedule(double time_s, std::uint32_t node,
   ev.next = kNoEvent;
   max_sched_s_ = std::max(max_sched_s_, time_s);
   ++probe_inserts_;
-  insert(id);
+  insert(id, static_cast<std::uint64_t>(days));
   ++size_;
   peak_size_ = std::max<std::uint64_t>(peak_size_, size_);
   maybe_grow();
@@ -165,7 +165,7 @@ bool EventQueue::pop(Event& out) {
   const std::size_t buckets = heads_.size();
   EventId hit = kNoEvent;
   for (std::size_t step = 0; step < buckets; ++step) {
-    const EventId head = heads_[static_cast<std::size_t>(day_ % buckets)];
+    const EventId head = heads_[bucket_of(day_)];
     if (head != kNoEvent && day_of(pool_[head].time_s) <= day_) {
       hit = head;
       break;
@@ -186,7 +186,7 @@ bool EventQueue::pop(Event& out) {
     }
     day_ = day_of(pool_[hit].time_s);
   }
-  heads_[static_cast<std::size_t>(day_ % buckets)] = pool_[hit].next;
+  heads_[bucket_of(day_)] = pool_[hit].next;
   out = pool_[hit];
   out.next = kNoEvent;
   if (out.time_s > now_s_) ++probe_advances_;

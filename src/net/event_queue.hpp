@@ -44,6 +44,7 @@ struct Event {
   std::uint64_t b = 0;    // payload word 2
   EventId next = kNoEvent;  // intrusive bucket / free-list link
 };
+static_assert(sizeof(Event) == 48, "an event is 48 B of pool storage");
 
 class EventQueue {
  public:
@@ -103,8 +104,14 @@ class EventQueue {
   void release(EventId id);
   /// Calendar day (bucket-window ordinal) a time belongs to.
   std::uint64_t day_of(double time_s) const;
-  /// Sorted insert into the bucket owning `pool_[id].time_s`.
-  void insert(EventId id);
+  /// Bucket of a day: the bucket count starts at a power of two and only
+  /// doubles, so a mask picks it without a division.
+  std::size_t bucket_of(std::uint64_t day) const {
+    return static_cast<std::size_t>(day) & (heads_.size() - 1);
+  }
+  /// Sorted insert into the bucket of `day`, the day of
+  /// `pool_[id].time_s`.
+  void insert(EventId id, std::uint64_t day);
   /// Double the calendar when occupancy gets dense, and re-tune the day
   /// width when sorted inserts degrade; re-buckets in place either way.
   void maybe_grow();

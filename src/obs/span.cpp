@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <deque>
 #include <limits>
 #include <mutex>
@@ -130,28 +131,81 @@ PathTable& path_table() {
   return table;
 }
 
-/// The current thread's memo of (parent id, raw label) -> child path.
-/// The key is the parent id's bytes followed by the label; `probe` is
-/// reused so a warm lookup allocates nothing.
-struct ChildMemo {
-  std::unordered_map<std::string, Interned> children;
-  std::string probe;
+/// A thread's memo of (parent id, raw label bytes) -> child path: an
+/// open-addressed table with linear probing, doubled at half load. Each
+/// slot keeps its own copy of the label's bytes and never keys on the
+/// label's address, so one buffer rewritten with different labels still
+/// finds each label's own child. A warm lookup hashes the label once
+/// (FNV-1a), then compares the parent, the length and the bytes; it
+/// builds no string and takes no lock.
+class ChildMemo {
+ public:
+  ChildMemo() : slots_(kFirstSlots) {}
+
+  Interned child_of(PathId parent, const char* label) {
+    std::uint64_t h = 0xcbf29ce484222325;  // FNV-1a offset basis
+    const char* end = label;
+    for (; *end != '\0'; ++end) {
+      h = (h ^ static_cast<unsigned char>(*end)) * kFnvPrime;
+    }
+    h = (h ^ parent) * kFnvPrime;
+    const auto hash = static_cast<std::uint32_t>(h ^ (h >> 32));
+    const auto length = static_cast<std::size_t>(end - label);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+      const Slot& slot = slots_[i];
+      if (slot.child.id == 0) break;
+      if (slot.hash == hash && slot.parent == parent &&
+          slot.length == length &&
+          std::memcmp(bytes_.data() + slot.offset, label, length) == 0) {
+        return slot.child;
+      }
+    }
+    const Interned child = path_table().intern_child(parent, label);
+    // Id 0 marks an empty slot. Only the root has it (an empty label
+    // under the root), and that lookup is not memoized.
+    if (child.id != 0) {
+      if (2 * (used_ + 1) > slots_.size()) grow();
+      place(Slot{bytes_.size(), length, hash, parent, child});
+      bytes_.append(label, length);
+      ++used_;
+    }
+    return child;
+  }
+
+ private:
+  static constexpr std::uint64_t kFnvPrime = 0x100000001b3;
+  static constexpr std::size_t kFirstSlots = 64;
+
+  struct Slot {
+    std::size_t offset = 0;  // the label's bytes in bytes_
+    std::size_t length = 0;
+    std::uint32_t hash = 0;
+    PathId parent = 0;
+    Interned child;  // id 0: empty
+  };
+
+  void place(const Slot& slot) {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = slot.hash & mask;
+    while (slots_[i].child.id != 0) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
+
+  void grow() {
+    const std::vector<Slot> old =
+        std::exchange(slots_, std::vector<Slot>(2 * slots_.size()));
+    for (const Slot& slot : old) {
+      if (slot.child.id != 0) place(slot);
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::string bytes_;
+  std::size_t used_ = 0;
 };
 
 thread_local ChildMemo t_memo;
-
-Interned child_of(PathId parent, const char* label) {
-  ChildMemo& memo = t_memo;
-  memo.probe.assign(reinterpret_cast<const char*>(&parent), sizeof parent);
-  memo.probe += label;
-  if (const auto it = memo.children.find(memo.probe);
-      it != memo.children.end()) {
-    return it->second;
-  }
-  const Interned child = path_table().intern_child(parent, label);
-  memo.children.emplace(memo.probe, child);
-  return child;
-}
 
 /// The item with path id `id` in a profile's flat storage, appended
 /// (zero-valued) when absent.
@@ -340,8 +394,11 @@ std::string EnergyProfile::to_collapsed_stack() const {
     out += ' ';
     // Flame-graph counts are integers; nanojoules keep sub-microjoule
     // attributions visible without losing conservation past ~0.5 nJ
-    // per path.
-    out += std::to_string(std::llround(leaves_[i].slot.joules * 1e9));
+    // per path. llround overflows from 2^63 nJ (9.2e9 J); a double that
+    // large is already an integer, so it prints whole instead.
+    const double nanojoules = leaves_[i].slot.joules * 1e9;
+    out += nanojoules < 0x1p63 ? std::to_string(std::llround(nanojoules))
+                               : util::format_fixed(nanojoules, 0);
     out += '\n';
   }
   return out;
@@ -458,7 +515,7 @@ void reset_global_energy_profile() {
 namespace detail {
 
 void push_span(const char* label) {
-  t_spans.push_back(child_of(top_span(), label).id);
+  t_spans.push_back(t_memo.child_of(top_span(), label).id);
 }
 
 void pop_span() {
@@ -468,7 +525,7 @@ void pop_span() {
 
 void post_energy_slow(const char* category, double joules,
                       double sim_time_s) {
-  const Interned leaf = child_of(top_span(), category);
+  const Interned leaf = t_memo.child_of(top_span(), category);
   if (EnergyProfile* p = t_profile) {
     p->post_interned(leaf.id, leaf.key, joules, sim_time_s);
     return;

@@ -22,12 +22,14 @@
 //
 // Paths are interned: a process-wide, append-only table gives every
 // sanitized path an id, and a thread-local memo maps (parent id, raw
-// label) to the child's id, so a label is sanitized only when a thread
-// first meets it under that parent, and a warm push or post takes no
-// lock and builds no string. A profile
-// stores its slots and series tracks by id, in flat storage sized by the
-// paths it has posted; exporters resolve ids and sort by path at export
-// time, so no export depends on the order paths were first seen.
+// label bytes) to the child's id, so a label is sanitized only when a
+// thread first meets it under that parent. The memo is an open-addressed
+// table keyed on the label's bytes, never its address: a warm push or
+// post hashes the label once, takes no lock and builds no string. A
+// profile stores its slots and series tracks by id, in flat storage
+// sized by the paths it has posted; exporters resolve ids and sort by
+// path at export time, so no export depends on the order paths were
+// first seen.
 //
 // Determinism follows the metrics discipline exactly: a profile is a
 // plain value owned by one thread; SweepRunner installs a per-point
@@ -36,7 +38,12 @@
 // posts land in a mutex-guarded process-global profile.
 //
 // Costs: attribution is OFF by default (set_attribution_enabled). When
-// on, a post is a memo lookup plus a slot update. Disabled cost is one
+// on, a push is a memo lookup and a post a memo lookup plus a slot
+// update. A Fig. 15-18 fluid point (about 13.5 lookups) spends 0.58-0.67
+// us on attribution, down from 1.38-1.66 us when the memo hashed a
+// copied string into an unordered_map and mode labels were concatenated
+// per span (attribution on minus off, serial, best of 15 passes over the
+// 12,000 points, one core of a shared Xeon VM). Disabled cost is one
 // relaxed atomic load per charge; with BRAIDIO_OBS=0 the macro and the
 // hook compile to nothing.
 #pragma once
@@ -233,7 +240,7 @@ inline void post_energy(const char* category, double joules,
 
 // Open an attribution scope named by `label_expr` (a const char*). The
 // label expression is NOT evaluated unless attribution is enabled, so
-// call sites may pass freshly-built strings (`point.label().c_str()`)
+// call sites may pass freshly-built strings (`(prefix + name).c_str()`)
 // without paying for them in the common disabled case; EnergySpan copies
 // the label before any temporary dies.
 #if BRAIDIO_OBS_COMPILED

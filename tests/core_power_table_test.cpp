@@ -99,10 +99,10 @@ TEST_F(PowerTableTest, Table5SwitchOverheads) {
 }
 
 TEST_F(PowerTableTest, LabelsAreHumanReadable) {
-  EXPECT_EQ(
+  EXPECT_STREQ(
       table_.candidate(phy::LinkMode::Backscatter, phy::Bitrate::M1).label(),
       "backscatter@1M");
-  EXPECT_EQ(
+  EXPECT_STREQ(
       table_.candidate(phy::LinkMode::Active, phy::Bitrate::k10).label(),
       "active@10k");
 }

@@ -7,12 +7,15 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "backends/backends.hpp"
 #include "hal/backend.hpp"
 #include "hal/conformance.hpp"
 #include "hal/link_mode.hpp"
 #include "hal/radio.hpp"
+#include "obs/span.hpp"
 #include "util/units.hpp"
 
 namespace braidio::hal {
@@ -24,8 +27,8 @@ TEST(HalLinkMode, BitrateValuesAndNames) {
   EXPECT_DOUBLE_EQ(bitrate_bps(Bitrate::k10), 1e4);
   EXPECT_DOUBLE_EQ(bitrate_bps(Bitrate::k100), 1e5);
   EXPECT_DOUBLE_EQ(bitrate_bps(Bitrate::M1), 1e6);
-  EXPECT_EQ(to_string(Bitrate::k10), "10k");
-  EXPECT_EQ(to_string(Bitrate::M1), "1M");
+  EXPECT_STREQ(to_string(Bitrate::k10), "10k");
+  EXPECT_STREQ(to_string(Bitrate::M1), "1M");
   EXPECT_STREQ(to_string(LinkMode::Backscatter), "backscatter");
 }
 
@@ -47,6 +50,20 @@ TEST(HalCapabilities, SupportsAndFind) {
   EXPECT_DOUBLE_EQ(point->tx_power_w, 0.1);
   EXPECT_EQ(caps.find(LinkMode::Active, Bitrate::k10), nullptr);
   EXPECT_EQ(caps.find(LinkMode::PassiveRx, Bitrate::M1), nullptr);
+}
+
+/// "<mode>@<rate>", composed from the vocabulary's names.
+std::string composed_label(LinkMode mode, Bitrate rate) {
+  return std::string(to_string(mode)) + "@" + to_string(rate);
+}
+
+TEST(HalOperatingPoint, LabelsMatchTheComposedNames) {
+  for (const LinkMode mode : kAllLinkModes) {
+    for (const Bitrate rate : kAllBitrates) {
+      const OperatingPoint point{mode, rate, 0.1, 0.05};
+      EXPECT_STREQ(point.label(), composed_label(mode, rate).c_str());
+    }
+  }
 }
 
 TEST(HalOperatingPoint, PerBitEnergiesFollowTheLattice) {
@@ -99,6 +116,39 @@ TEST(HalStandardRadio, DrainMatchesLedger) {
   EXPECT_NEAR(drained, radio.ledger().total_joules(), 1e-12 * start);
   EXPECT_GT(drained, 0.0);
 }
+
+#if BRAIDIO_OBS_COMPILED
+// advance() charges under "<device>/<state label>/<category>", the state
+// label being "<mode>@<rate>:<role>" for every (mode, rate) and role, or
+// "idle" when idle.
+TEST(HalStandardRadio, StateLabelsMatchTheComposedNames) {
+  std::vector<std::string> expected{"dev/idle/idle"};
+  obs::EnergyProfile profile;
+  obs::set_attribution_enabled(true);
+  {
+    obs::ScopedEnergyProfile scoped(&profile);
+    StandardRadio radio("dev", 1, util::WattHours(1.0), tiny_caps());
+    ASSERT_TRUE(radio.advance(util::Seconds(1.0)));
+    for (const LinkMode mode : kAllLinkModes) {
+      for (const Bitrate rate : kAllBitrates) {
+        for (const Role role : {Role::DataTransmitter, Role::DataReceiver}) {
+          const OperatingPoint point{mode, rate, 1e-3, 1e-3};
+          ASSERT_TRUE(radio.switch_to(point, role));
+          ASSERT_TRUE(radio.advance(util::Seconds(1.0)));
+          expected.push_back("dev/" + composed_label(mode, rate) + ":" +
+                             to_string(role) + "/" +
+                             energy::to_string(category_for(mode, role)));
+        }
+      }
+    }
+  }
+  obs::set_attribution_enabled(false);
+  const auto entries = profile.entries();
+  for (const std::string& path : expected) {
+    EXPECT_EQ(entries.count(path), 1u) << path << "\n" << profile.to_json();
+  }
+}
+#endif  // BRAIDIO_OBS_COMPILED
 
 // ---------- registry + shipped backends ----------
 

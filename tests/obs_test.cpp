@@ -2,14 +2,17 @@
 // wraparound + drop accounting, Chrome trace JSON parse-back, the runtime
 // sampling gate, and the serial-vs-parallel determinism of the merged
 // sweep metrics.
+#include <atomic>
 #include <cctype>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -30,6 +33,7 @@
 #include "util/units.hpp"
 #include "sim/faults/fault_timeline.hpp"
 #include "sim/faults/impairment.hpp"
+#include "sim/parallel_for.hpp"
 #include "sim/result_table.hpp"
 #include "sim/scenario.hpp"
 #include "sim/sweep_runner.hpp"
@@ -775,7 +779,129 @@ TEST(EnergyProfile, TenThousandPathsMergeAndExportExactly) {
   }
 }
 
+// A flame-graph count is an integer number of nanojoules; past 2^63 nJ
+// (9.2e9 J) it no longer fits a long long, and the path must still print
+// its whole count rather than a wrapped one.
+TEST(EnergyProfile, CollapsedStackPrintsCountsPastTheLongLongRange) {
+  obs::EnergyProfile p;
+  p.post("overflow_probe/big/carrier", 1e10, obs::no_sim_time());
+  p.post("overflow_probe/edge/carrier", 9.2e9, obs::no_sim_time());
+  p.post("overflow_probe/small/carrier", 1.25, obs::no_sim_time());
+  EXPECT_EQ(p.to_collapsed_stack(),
+            "overflow_probe;big;carrier 10000000000000000000\n"
+            "overflow_probe;edge;carrier 9200000000000000000\n"
+            "overflow_probe;small;carrier 1250000000\n");
+}
+
 #if BRAIDIO_OBS_COMPILED
+
+/// Post `joules` under <root>/<label> for every label, each label copied
+/// into one reused buffer first, into `profile`.
+void post_labels_from_one_buffer(obs::EnergyProfile& profile,
+                                 const char* root,
+                                 const std::vector<std::string>& labels,
+                                 double joules) {
+  obs::ScopedEnergyProfile scoped(&profile);
+  obs::EnergySpan span(root);
+  char buffer[32];
+  for (const std::string& label : labels) {
+    ASSERT_LT(label.size(), sizeof buffer);
+    std::snprintf(buffer, sizeof buffer, "%s", label.c_str());
+    obs::post_energy(buffer, joules, obs::no_sim_time());
+  }
+}
+
+// The span path memo keys on a label's bytes, never on its address: one
+// buffer rewritten with different labels (same length or not) under one
+// parent lands each post on its own label's path, as a span and as a
+// category.
+TEST(EnergySpan, RewrittenLabelBufferLandsOnEachLabelsPath) {
+  obs::set_attribution_enabled(true);
+  obs::EnergyProfile profile;
+  {
+    obs::ScopedEnergyProfile scoped(&profile);
+    obs::EnergySpan root("memo_buffer");
+    char label[16];
+    for (const char* name : {"tx", "rx", "tx", "tx-retry", "rx"}) {
+      std::snprintf(label, sizeof label, "%s", name);
+      obs::EnergySpan span(label);
+      obs::post_energy(label, 1.0, obs::no_sim_time());
+    }
+  }
+  obs::set_attribution_enabled(false);
+  const auto entries = profile.entries();
+  ASSERT_EQ(entries.size(), 3u) << profile.to_json();
+  EXPECT_EQ(entries.at("memo_buffer/tx/tx").posts, 2u);
+  EXPECT_EQ(entries.at("memo_buffer/rx/rx").posts, 2u);
+  EXPECT_EQ(entries.at("memo_buffer/tx-retry/tx-retry").posts, 1u);
+}
+
+// Labels that differ only in characters the sanitizer replaces are
+// different memo keys but one path.
+TEST(EnergySpan, LabelsThatSanitizeAlikeShareOnePath) {
+  obs::set_attribution_enabled(true);
+  obs::EnergyProfile profile;
+  post_labels_from_one_buffer(profile, "memo_sanitize",
+                              {"a/b", "a_b", "a;b", "a b", "a/b"}, 1.0);
+  obs::set_attribution_enabled(false);
+  const auto entries = profile.entries();
+  ASSERT_EQ(entries.size(), 1u) << profile.to_json();
+  EXPECT_EQ(entries.at("memo_sanitize/a_b").posts, 5u);
+  EXPECT_EQ(entries.at("memo_sanitize/a_b").joules, 5.0);
+}
+
+// Thousands of distinct labels under one parent grow the memo several
+// times; a second, warm pass finds every label's own path again.
+TEST(EnergySpan, ThousandsOfLabelsKeepTheirOwnPaths) {
+  constexpr std::size_t kLabels = 5000;
+  std::vector<std::string> labels;
+  for (std::size_t i = 0; i < kLabels; ++i) {
+    labels.push_back("tag" + std::to_string(i));
+  }
+  obs::set_attribution_enabled(true);
+  obs::EnergyProfile profile;
+  post_labels_from_one_buffer(profile, "memo_grow", labels, 1.0);
+  post_labels_from_one_buffer(profile, "memo_grow", labels, 2.0);
+  obs::set_attribution_enabled(false);
+  const auto entries = profile.entries();
+  ASSERT_EQ(entries.size(), kLabels);
+  for (const std::string& label : labels) {
+    const auto& slot = entries.at("memo_grow/" + label);
+    EXPECT_EQ(slot.posts, 2u) << label;
+    EXPECT_EQ(slot.joules, 3.0) << label;
+  }
+}
+
+// Two threads, each with its own memo, posting the same fresh labels at
+// once (so both intern them concurrently) produce the bytes of the same
+// posts made on one thread.
+TEST(EnergySpan, TwoThreadsPostingTheSameLabelsMatchTheSerialProfile) {
+  std::vector<std::string> labels;
+  for (std::size_t i = 0; i < 200; ++i) {
+    labels.push_back("lane" + std::to_string(i % 50) + "-" +
+                     std::to_string(i));
+  }
+  obs::set_attribution_enabled(true);
+  obs::EnergyProfile first, second;
+  // Neither iteration starts posting before both have arrived, so the
+  // two run on the loop's two threads at once.
+  std::atomic<int> arrived{0};
+  sim::parallel_for(2, 2, [&](std::size_t i) {
+    arrived.fetch_add(1);
+    while (arrived.load() < 2) std::this_thread::yield();
+    post_labels_from_one_buffer(i == 0 ? first : second, "memo_threads",
+                                labels, i == 0 ? 0.5 : 0.25);
+  });
+  obs::EnergyProfile serial_first, serial_second;
+  post_labels_from_one_buffer(serial_first, "memo_threads", labels, 0.5);
+  post_labels_from_one_buffer(serial_second, "memo_threads", labels, 0.25);
+  obs::set_attribution_enabled(false);
+  first.merge(second);
+  serial_first.merge(serial_second);
+  EXPECT_EQ(first.entries().size(), labels.size());
+  EXPECT_EQ(first.to_json(), serial_first.to_json());
+  EXPECT_EQ(first.to_collapsed_stack(), serial_first.to_collapsed_stack());
+}
 
 TEST(EnergySpan, DisabledMacroSkipsLabelAndGateStopsPosting) {
   obs::set_attribution_enabled(false);

@@ -11,8 +11,8 @@ TEST(LinkMode, NamesAndRates) {
   EXPECT_STREQ(to_string(LinkMode::Active), "active");
   EXPECT_STREQ(to_string(LinkMode::PassiveRx), "passive");
   EXPECT_STREQ(to_string(LinkMode::Backscatter), "backscatter");
-  EXPECT_EQ(to_string(Bitrate::k10), "10k");
-  EXPECT_EQ(to_string(Bitrate::M1), "1M");
+  EXPECT_STREQ(to_string(Bitrate::k10), "10k");
+  EXPECT_STREQ(to_string(Bitrate::M1), "1M");
   EXPECT_DOUBLE_EQ(bitrate_bps(Bitrate::k10), 10e3);
   EXPECT_DOUBLE_EQ(bitrate_bps(Bitrate::k100), 100e3);
   EXPECT_DOUBLE_EQ(bitrate_bps(Bitrate::M1), 1e6);

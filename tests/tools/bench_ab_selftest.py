@@ -16,7 +16,9 @@ a subprocess, asserting:
   run beats every base run,
 * a run that reports "correct": false exits 1,
 * a run that prints no result exits 2,
-* two workload names after one --workload both run.
+* two workload names after one --workload both run,
+* equal fingerprints print "identical", different ones "DIFFERENT"
+  (exit status unchanged), and a run without one prints "-".
 
 Exit status: 0 pass, 1 mismatch.
 """
@@ -51,16 +53,23 @@ result = runs[n % len(runs)]
 print("# canned perfbench result")
 if result is None:
     sys.exit(1)
+if "fingerprint" in result:
+    print("# operations: 1 warm-up + 1 untraced + 0 traced; 1 points per "
+          "operation; fingerprint " + result.pop("fingerprint"))
 print(json.dumps(result))
 sys.exit(0 if result["correct"] else 1)
 '''
 
 
-def result(wall_s: float, correct: bool = True) -> dict:
-    return {"metrics": {"wall_s": {"value": wall_s, "unit": "s"},
-                        "throughput_per_s": {"value": 1.0 / wall_s,
-                                             "unit": "1/s"}},
-            "correct": correct}
+def result(wall_s: float, correct: bool = True,
+           fingerprint: str | None = None) -> dict:
+    canned = {"metrics": {"wall_s": {"value": wall_s, "unit": "s"},
+                          "throughput_per_s": {"value": 1.0 / wall_s,
+                                               "unit": "1/s"}},
+              "correct": correct}
+    if fingerprint is not None:
+        canned["fingerprint"] = fingerprint
+    return canned
 
 
 def checkout(root: Path, name: str, runs: list) -> str:
@@ -145,6 +154,28 @@ def main() -> int:
     expect(two.returncode == 0 and "\nfirst_workload: 1 pairs" in two.stdout
            and "\nsecond_workload: 1 pairs" in two.stdout,
            "two names after one --workload both run", two)
+
+    def fingerprint_line(run: subprocess.CompletedProcess) -> str:
+        lines = [line.strip() for line in run.stdout.splitlines()
+                 if line.strip().startswith("fingerprint: ")]
+        return lines[0] if len(lines) == 1 else ""
+
+    matched = ab([result(1.0, fingerprint="f69b31a346fcb311")],
+                 [result(1.0, fingerprint="f69b31a346fcb311")])
+    expect(matched.returncode == 0 and fingerprint_line(matched) ==
+           "fingerprint: base f69b31a346fcb311  head f69b31a346fcb311  "
+           "identical",
+           "equal fingerprints print identical", matched)
+
+    moved = ab([result(1.0, fingerprint="f69b31a346fcb311")],
+               [result(1.0, fingerprint="82938a1748b81656")])
+    expect(moved.returncode == 0 and fingerprint_line(moved) ==
+           "fingerprint: base f69b31a346fcb311  head 82938a1748b81656  "
+           "DIFFERENT",
+           "different fingerprints print DIFFERENT and still exit 0", moved)
+
+    expect(fingerprint_line(same) == "fingerprint: base -  head -  -",
+           "runs without a fingerprint print -", same)
 
     if failures:
         print(f"\nbench_ab selftest: {len(failures)} failure(s)",

@@ -17,6 +17,12 @@ held-out seed checks that a gain is not tuned to seed 1); --workload
 reruns just the named workloads (several names may follow one
 --workload, and the flag may repeat).
 
+For every workload it also prints each side's output fingerprint (read
+from perfbench's "# operations: ... fingerprint F" line; "-" for a run
+that prints none, and several joined by "/" when one side's runs
+disagree) and whether the two sides' are identical or DIFFERENT. This
+line is informational: it never changes the exit status.
+
 For every end-to-end metric of BENCHMARK.json it prints each side's
 median and quartiles, the head/base ratio of the medians, the pairs the
 head won (ties count for neither) and a verdict:
@@ -43,11 +49,16 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
 # Fewer interleaved pairs than this never support a claimed gain.
 GAIN_MIN_PAIRS = 10
+
+# perfbench's "# operations: ..." line ends in the first operation's
+# output fingerprint.
+FINGERPRINT = re.compile(r"^#.*\bfingerprint ([0-9a-f]+)\s*$")
 
 
 def load_spec(checkout: str) -> dict:
@@ -60,8 +71,9 @@ def load_spec(checkout: str) -> dict:
 
 
 def run_once(checkout: str, workload: str, seed: int,
-             seconds: float) -> dict:
-    """One perfbench run; exits 2 when it prints no JSON result."""
+             seconds: float) -> tuple[dict, str]:
+    """One perfbench run: its JSON result and its output fingerprint ("-"
+    when it prints none); exits 2 when it prints no JSON result."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds),
                "--trace", "0"]
@@ -77,7 +89,19 @@ def run_once(checkout: str, workload: str, seed: int,
         print(f"bench_ab: {checkout}: {workload} exited {run.returncode} "
               f"without a result", file=sys.stderr)
         sys.exit(2)
-    return result
+    found = [m.group(1) for m in map(FINGERPRINT.match, lines) if m]
+    return result, found[-1] if found else "-"
+
+
+def fingerprints(base: list[str], head: list[str]) -> str:
+    """Both sides' fingerprints (each side's distinct values in the order
+    first seen) and whether they match."""
+    sides = ["/".join(dict.fromkeys(runs)) for runs in (base, head)]
+    if sides[0] != sides[1]:
+        verdict = "DIFFERENT"
+    else:
+        verdict = "-" if "-" in sides[0].split("/") else "identical"
+    return f"base {sides[0]}  head {sides[1]}  {verdict}"
 
 
 def quantile(values: list[float], q: float) -> float:
@@ -146,21 +170,25 @@ def main() -> int:
     regressions = unresolved = 0
     for workload in workloads:
         runs = {"base": [], "head": []}
+        prints = {"base": [], "head": []}
         for pair in range(args.pairs):
             order = ("base", "head") if pair % 2 == 0 else ("head", "base")
             for side in order:
                 checkout = args.base_dir if side == "base" else args.head_dir
-                result = run_once(checkout, workload, args.seed, seconds)
+                result, fingerprint = run_once(checkout, workload, args.seed,
+                                               seconds)
                 if result.get("correct") is not True:
                     print(f"bench_ab: {side} run of {workload} (pair "
                           f"{pair + 1}) reported \"correct\": false")
                     return 1
                 runs[side].append(result["metrics"])
+                prints[side].append(fingerprint)
 
         print(f"\n{workload}: {args.pairs} pairs of {seconds:g} s runs, "
               f"seed {args.seed}")
         if args.pairs < GAIN_MIN_PAIRS:
             print(f"  (fewer than {GAIN_MIN_PAIRS} pairs: no gain verdicts)")
+        print("  fingerprint: " + fingerprints(prints["base"], prints["head"]))
         header = ("metric", "base median [q1 .. q3]",
                   "head median [q1 .. q3]", "head/base", "won", "verdict")
         rows = [header]
