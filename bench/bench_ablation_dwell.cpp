@@ -7,6 +7,7 @@
 #include "backends/backends.hpp"
 #include "bench_common.hpp"
 #include "core/lifetime_sim.hpp"
+#include "plan/offload.hpp"
 #include "sim/run_report.hpp"
 #include "sim/scenario.hpp"
 #include "sim/sweep_runner.hpp"
@@ -26,7 +27,7 @@ int main(int argc, char** argv) {
 
   core::LifetimeConfig base;
   base.distance_m = 0.5;
-  base.bits_per_dwell = core::kInfiniteDwell;
+  base.bits_per_dwell = plan::kInfiniteDwell;
   const double ideal = sim.braidio(e1, e2, base).bits;
 
   const std::vector<double> dwells{1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9};

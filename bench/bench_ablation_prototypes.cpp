@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/offload.hpp"
 #include "core/prototypes.hpp"
+#include "plan/offload.hpp"
 #include "sim/run_report.hpp"
 #include "sim/scenario.hpp"
 #include "sim/sweep_runner.hpp"
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
           peak = std::max({peak, c.tx_power_w, c.rx_power_w});
           if (c.rate == phy::Bitrate::M1) fast.push_back(c);
         }
-        const auto plan = core::OffloadPlanner::plan(fast, 1.0, 1.0);
+        const auto plan = plan::OffloadPlanner::plan(fast, 1.0, 1.0);
         sim::RunRecord record;
         record.cells = {
             util::format_si_power(proto.backscatter_rx_power_w),

@@ -6,23 +6,22 @@
 // cheapest braid toward the fastest one.
 #include <iostream>
 
-#include "core/offload.hpp"
-#include "core/regimes.hpp"
+#include "plan/offload.hpp"
 #include "sim/run_report.hpp"
 #include "util/table.hpp"
 
 int main() {
   using namespace braidio;
-  using namespace braidio::core;
+  using namespace braidio::plan;
   sim::RunReport report(std::cout, "Extension",
                         "Deadline-aware offload: the price of speed");
 
   // The demonstration set from the test suite: a cheap crawling braid
   // (Y+Z) vs an expensive fast symmetric mode (X), equal batteries.
   std::vector<ModeCandidate> candidates = {
-      {phy::LinkMode::Active, phy::Bitrate::M1, 0.1, 0.1},
-      {phy::LinkMode::Backscatter, phy::Bitrate::k10, 5e-5, 2e-4},
-      {phy::LinkMode::PassiveRx, phy::Bitrate::M1, 0.2, 0.05},
+      {hal::LinkMode::Active, hal::Bitrate::M1, 0.1, 0.1},
+      {hal::LinkMode::Backscatter, hal::Bitrate::k10, 5e-5, 2e-4},
+      {hal::LinkMode::PassiveRx, hal::Bitrate::M1, 0.2, 0.05},
   };
 
   util::TablePrinter out({"throughput floor", "achieved", "total nJ/bit",

@@ -6,7 +6,6 @@
 
 #include "backends/backends.hpp"
 #include "core/lifetime_sim.hpp"
-#include "core/offload.hpp"
 #include "circuits/charge_pump.hpp"
 #include "mac/crc.hpp"
 #include "net/network_sim.hpp"
@@ -14,6 +13,7 @@
 #include "phy/ber.hpp"
 #include "phy/link_budget.hpp"
 #include "phy/waveform.hpp"
+#include "plan/offload.hpp"
 
 namespace {
 
@@ -25,7 +25,7 @@ void BM_OffloadPlan(benchmark::State& state) {
   const double ratio = static_cast<double>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        core::OffloadPlanner::plan(candidates, ratio, 1.0));
+        plan::OffloadPlanner::plan(candidates, ratio, 1.0));
   }
 }
 BENCHMARK(BM_OffloadPlan)->Arg(1)->Arg(100)->Arg(2546);
@@ -35,7 +35,7 @@ void BM_OffloadPlanBidirectional(benchmark::State& state) {
   const auto candidates = table.candidates();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        core::OffloadPlanner::plan_bidirectional(candidates, 17.0, 1.0));
+        plan::OffloadPlanner::plan_bidirectional(candidates, 17.0, 1.0));
   }
 }
 BENCHMARK(BM_OffloadPlanBidirectional);

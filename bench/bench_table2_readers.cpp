@@ -1,5 +1,6 @@
 // Table 2: power consumption and cost of commercial RFID readers.
 #include <iostream>
+#include <string>
 
 #include "baseline/reader.hpp"
 #include "sim/run_report.hpp"
@@ -16,7 +17,9 @@ int main() {
     table.add_row({r.name, util::format_si_power(r.total_power_w),
                    util::format_fixed(r.tx_power_dbm, 0) + " dBm",
                    util::format_si_power(r.rx_power_w),
-                   "$" + util::format_fixed(r.cost_usd, 0)});
+                   // Not "$" + ...: GCC 12's -Wrestrict misfires on it.
+                   std::string(1, '$').append(
+                       util::format_fixed(r.cost_usd, 0))});
   }
   table.print(std::cout);
 

@@ -4,6 +4,7 @@
 
 #include "backends/backends.hpp"
 #include "core/lifetime_sim.hpp"
+#include "plan/offload.hpp"
 #include "sim/run_report.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
@@ -38,7 +39,7 @@ int main() {
   core::LifetimeConfig with;
   with.distance_m = 0.5;
   core::LifetimeConfig without = with;
-  without.bits_per_dwell = core::kInfiniteDwell;
+  without.bits_per_dwell = plan::kInfiniteDwell;
   const auto e1 = util::to_joules(util::WattHours(0.78));
   const auto e2 = util::to_joules(util::WattHours(6.55));
   const double loss = 1.0 - sim.braidio(e1, e2, with).bits /

@@ -48,6 +48,7 @@
 #include "core/lifetime_sim.hpp"
 #include "net/network_sim.hpp"
 #include "obs/obs.hpp"
+#include "plan/offload.hpp"
 #include "sim/faults/fault_timeline.hpp"
 #include "sim/faults/impairment.hpp"
 #include "sim/run_report.hpp"
@@ -215,8 +216,8 @@ int cmd_plan(const hal::RadioBackend& backend,
     std::cout << "no link at " << d << " m\n";
     return 1;
   }
-  const auto plan = core::plan_link(regimes, candidates, e1, e2, bidir,
-                                    core::kInfiniteDwell);
+  const auto plan = plan::plan_link(regimes.caps(), candidates, e1, e2,
+                                    bidir, plan::kInfiniteDwell);
   std::cout << "regime " << to_string(regimes.regime(d)) << " at " << d
             << " m; plan: " << plan.summary() << '\n'
             << "  device1 " << plan.tx_joules_per_bit * 1e9

@@ -12,6 +12,7 @@
 #include "core/lifetime_sim.hpp"
 #include "energy/device_catalog.hpp"
 #include "obs/obs.hpp"
+#include "plan/offload.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
@@ -44,7 +45,7 @@ int main() {
   row("Bluetooth", bt);
   for (const auto& c : regimes.available_best_rate(cfg.distance_m)) {
     row(std::string("Braidio, ") + c.label() + " only",
-        core::single_mode_bits(c, e_cam.value(), e_lap.value(), false));
+        plan::single_mode_bits(c, e_cam.value(), e_lap.value(), false));
   }
   const auto braid = sim.braidio(e_cam, e_lap, cfg);
   row("Braidio, braided (" + braid.plan.summary() + ")", braid.bits);

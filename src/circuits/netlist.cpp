@@ -29,7 +29,11 @@ std::function<double(double)> square_waveform(double low, double high,
 }
 
 NodeId Netlist::add_node(std::string label) {
-  if (label.empty()) label = "n" + std::to_string(labels_.size());
+  if (label.empty()) {
+    // push_back + append: GCC 12's -Wrestrict misfires on "n" + string.
+    label.push_back('n');
+    label += std::to_string(labels_.size());
+  }
   labels_.push_back(std::move(label));
   return labels_.size() - 1;
 }

@@ -199,9 +199,10 @@ void BraidedLink::replan() {
     dead_ = true;  // out of range entirely
     return;
   }
-  plan_ = plan_link(regimes_, candidates, a_.battery().remaining_joules(),
-                    b_.battery().remaining_joules(), config_.bidirectional,
-                    kInfiniteDwell);
+  plan_ = plan::plan_link(regimes_.caps(), candidates,
+                          a_.battery().remaining_joules(),
+                          b_.battery().remaining_joules(),
+                          config_.bidirectional, plan::kInfiniteDwell);
   stats_.last_plan = plan_.summary();
   ++stats_.replans;
   obs::count(obs::Counter::Replans);

@@ -5,7 +5,7 @@
 //   1. setup over the active link: battery status exchange + probe packets
 //      for every mode at its best sustainable bitrate;
 //   2. carrier-offload planning from the exchanged energies through
-//      core::plan_link (Eq. 1 plus the best-exclusive-mode fallback) with
+//      plan::plan_link (Eq. 1 plus the best-exclusive-mode fallback) with
 //      an infinite dwell, since step 3 charges every switch as it happens;
 //   3. a packet schedule that realizes the planned mode fractions
 //      ("Active-Active-Passive-Backscatter (repeated)") with Table 5
@@ -36,11 +36,11 @@
 #include <vector>
 #include <string>
 
-#include "core/offload.hpp"
 #include "core/regimes.hpp"
 #include "hal/radio.hpp"
 #include "mac/arq.hpp"
 #include "mac/packet_channel.hpp"
+#include "plan/offload.hpp"
 #include "sim/faults/impairment.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -104,7 +104,7 @@ class BraidedLink {
   BraidedLinkStats run(std::uint64_t packets);
 
   /// The plan currently being executed (empty before the first run).
-  const OffloadPlan& current_plan() const { return plan_; }
+  const plan::OffloadPlan& current_plan() const { return plan_; }
 
  private:
   struct SlotEntry {
@@ -142,7 +142,7 @@ class BraidedLink {
   BraidedLinkConfig config_;
   util::Rng rng_;
   mac::PacketChannel channel_;
-  OffloadPlan plan_;
+  plan::OffloadPlan plan_;
   BraidedLinkStats stats_;
   double faults_applied_to_s_ = 0.0;
   bool dead_ = false;

@@ -5,7 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/offload.hpp"
+#include "plan/offload.hpp"
 
 namespace braidio::core {
 
@@ -64,7 +64,7 @@ ProportionalPoint proportional_point(const RegimeMap& map, double distance_m,
   }
   const auto candidates = map.available(distance_m);
   // Energies only matter through their ratio here.
-  const auto plan = OffloadPlanner::plan(candidates, energy_ratio, 1.0);
+  const auto plan = plan::OffloadPlanner::plan(candidates, energy_ratio, 1.0);
   ProportionalPoint p;
   p.tx_bits_per_joule = 1.0 / plan.tx_joules_per_bit;
   p.rx_bits_per_joule = 1.0 / plan.rx_joules_per_bit;

@@ -91,11 +91,11 @@ LifetimeOutcome LifetimeSimulator::braidio(util::Joules e1, util::Joules e2,
   const double e1_joules = e1.value();
   const double e2_joules = e2.value();
   LifetimeOutcome outcome;
-  outcome.plan = plan_link(regimes_, candidates_at(config.distance_m),
-                           e1_joules, e2_joules, config.bidirectional,
-                           config.bits_per_dwell);
+  outcome.plan = plan::plan_link(
+      regimes_.caps(), candidates_at(config.distance_m), e1_joules,
+      e2_joules, config.bidirectional, config.bits_per_dwell);
   outcome.bits = outcome.plan.bits_until_depletion(e1_joules, e2_joules);
-  outcome.seconds = outcome.bits * plan_seconds_per_bit(outcome.plan);
+  outcome.seconds = outcome.bits * plan::plan_seconds_per_bit(outcome.plan);
   obs::count(obs::Counter::LifetimeRuns);
   if (obs::attribution_enabled()) post_lifetime_attribution(outcome);
   BRAIDIO_ENSURE(std::isfinite(outcome.seconds) && outcome.seconds >= 0.0,
@@ -116,8 +116,8 @@ double LifetimeSimulator::best_single_mode_bits(
   const auto candidates = candidates_at(config.distance_m);
   double best = 0.0;
   for (const auto& c : candidates) {
-    best = std::max(best, single_mode_bits(c, e1.value(), e2.value(),
-                                           config.bidirectional));
+    best = std::max(best, plan::single_mode_bits(c, e1.value(), e2.value(),
+                                                 config.bidirectional));
   }
   return best;
 }

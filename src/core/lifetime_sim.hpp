@@ -5,7 +5,7 @@
 // keeps the two drain rates locked to the energy ratio, the ratio — and
 // hence the plan — is invariant over the transfer, so lifetime reduces to
 // bits = min(E1 / d1, E2 / d2) with (d1, d2) the planned per-bit drains.
-// core::plan_link amortizes Table 5 switching overheads over a configurable
+// plan::plan_link amortizes Table 5 switching overheads over a configurable
 // mode dwell (the paper: "switching overhead is negligible in all modes" —
 // true for second-scale dwells; the ablation bench shows where that stops
 // holding) and falls back to the best exclusive mode.
@@ -15,9 +15,9 @@
 #include <vector>
 
 #include "baseline/bluetooth.hpp"
-#include "core/offload.hpp"
 #include "core/regimes.hpp"
 #include "energy/device_catalog.hpp"
+#include "plan/offload.hpp"
 #include "util/units.hpp"
 
 namespace braidio::core {
@@ -27,13 +27,13 @@ struct LifetimeConfig {
   bool bidirectional = false;
   /// plan_link's dwell [bits] for the switch-in costs; kInfiniteDwell
   /// plans without them.
-  double bits_per_dwell = kDefaultBitsPerDwell;
+  double bits_per_dwell = plan::kDefaultBitsPerDwell;
 };
 
 struct LifetimeOutcome {
   double bits = 0.0;     // payload bits moved before first battery death
   double seconds = 0.0;  // transfer duration
-  OffloadPlan plan;
+  plan::OffloadPlan plan;
 };
 
 /// Concurrency contract: every public method is const and touches only

@@ -121,8 +121,9 @@ MobilityOutcome MobilitySimulator::run(const MobilityTrace& trace,
       e1 = std::max(0.0, e1 - regimes_.sleep_power().value() * dt);
       e2 = std::max(0.0, e2 - regimes_.sleep_power().value() * dt);
     } else {
-      const auto plan = plan_link(regimes_, candidates, e1, e2,
-                                  config.bidirectional, kDefaultBitsPerDwell);
+      const auto plan =
+          plan::plan_link(regimes_.caps(), candidates, e1, e2,
+                          config.bidirectional, plan::kDefaultBitsPerDwell);
       ++outcome.replans;
       obs::count(obs::Counter::Replans);
       sample.plan = plan.summary();
@@ -133,14 +134,14 @@ MobilityOutcome MobilitySimulator::run(const MobilityTrace& trace,
                             sample.plan.c_str(), t, d);
       }
       // Throughput of the braid: seconds per bit from the mode mix.
-      double bits = dt / plan_seconds_per_bit(plan);
+      double bits = dt / plan::plan_seconds_per_bit(plan);
       // Battery-limited cap.
       bits = std::min(bits, e1 / plan.tx_joules_per_bit);
       bits = std::min(bits, e2 / plan.rx_joules_per_bit);
       outcome.total_bits += bits;
       e1 -= bits * plan.tx_joules_per_bit;
       e2 -= bits * plan.rx_joules_per_bit;
-      const PlanEntry* dominant = &plan.entries.front();
+      const plan::PlanEntry* dominant = &plan.entries.front();
       for (const auto& e : plan.entries) {
         if (e.fraction > dominant->fraction) dominant = &e;
       }

@@ -7,7 +7,7 @@
 // integrates energy and bits over the interval — the fluid-model version
 // of the Sec. 4.2 dynamics ("Braidio also periodically re-computes the
 // ratio of using different modes depending on observed dynamics").
-// Each replan is core::plan_link at the lifetime model's default dwell
+// Each replan is plan::plan_link at the lifetime model's default dwell
 // (DESIGN.md §5 compares the two); the amortized switch share is booked
 // under the interval's dominant mode.
 #pragma once

@@ -14,19 +14,9 @@ const char* to_string(Regime regime) {
   return "?";
 }
 
-RegimeMap::RegimeMap(const hal::RadioBackend& backend)
-    : lattice_(backend.caps().lattice),
-      sleep_power_(backend.caps().sleep_power),
-      channel_(&backend.channel()) {
-  for (phy::LinkMode mode : phy::kAllLinkModes) {
-    overheads_[static_cast<int>(mode)] =
-        backend.caps().switch_overhead[static_cast<int>(mode)];
-  }
-}
-
 std::vector<ModeCandidate> RegimeMap::available(double distance_m) const {
   std::vector<ModeCandidate> out;
-  for (const auto& candidate : lattice_) {
+  for (const auto& candidate : lattice()) {
     if (channel_->available(candidate.mode, candidate.rate, distance_m)) {
       out.push_back(candidate);
     }
@@ -57,7 +47,7 @@ Regime RegimeMap::regime(double distance_m) const {
 
 double RegimeMap::regime_a_limit_m() const {
   double limit = 0.0;
-  for (const auto& c : lattice_) {
+  for (const auto& c : lattice()) {
     if (c.mode != phy::LinkMode::Backscatter) continue;
     limit = std::max(limit, channel_->range_m(c.mode, c.rate));
   }
@@ -66,19 +56,11 @@ double RegimeMap::regime_a_limit_m() const {
 
 double RegimeMap::regime_b_limit_m() const {
   double limit = 0.0;
-  for (const auto& c : lattice_) {
+  for (const auto& c : lattice()) {
     if (c.mode != phy::LinkMode::PassiveRx) continue;
     limit = std::max(limit, channel_->range_m(c.mode, c.rate));
   }
   return limit;
-}
-
-const ModeCandidate* RegimeMap::find(phy::LinkMode mode,
-                                     phy::Bitrate rate) const {
-  for (const auto& c : lattice_) {
-    if (c.mode == mode && c.rate == rate) return &c;
-  }
-  return nullptr;
 }
 
 const ModeCandidate& RegimeMap::candidate(phy::LinkMode mode,
@@ -88,11 +70,6 @@ const ModeCandidate& RegimeMap::candidate(phy::LinkMode mode,
     throw std::out_of_range("RegimeMap: unsupported mode/rate");
   }
   return *point;
-}
-
-bool RegimeMap::supports(phy::LinkMode mode) const {
-  return std::any_of(lattice_.begin(), lattice_.end(),
-                     [&](const ModeCandidate& c) { return c.mode == mode; });
 }
 
 std::optional<phy::Bitrate> RegimeMap::best_rate(phy::LinkMode mode,
@@ -112,10 +89,6 @@ std::optional<phy::Bitrate> RegimeMap::lowest_rate(phy::LinkMode mode) const {
     if (find(mode, rate)) return rate;
   }
   return std::nullopt;
-}
-
-const SwitchOverhead& RegimeMap::switch_overhead(phy::LinkMode mode) const {
-  return overheads_[static_cast<int>(mode)];
 }
 
 }  // namespace braidio::core

@@ -25,9 +25,10 @@ const char* to_string(Regime regime);
 
 class RegimeMap {
  public:
-  /// Lattice/overheads copied from the declared capability set, channel
-  /// borrowed from the backend (which must outlive this map).
-  explicit RegimeMap(const hal::RadioBackend& backend);
+  /// Capability set and channel borrowed from the backend, which must
+  /// outlive this map.
+  explicit RegimeMap(const hal::RadioBackend& backend)
+      : caps_(&backend.caps()), channel_(&backend.channel()) {}
 
   /// All (mode, bitrate) candidates whose BER clears the threshold at d.
   std::vector<ModeCandidate> available(double distance_m) const;
@@ -43,17 +44,20 @@ class RegimeMap {
   double regime_a_limit_m() const;
   double regime_b_limit_m() const;
 
-  /// The capability lattice this map plans over.
-  const std::vector<ModeCandidate>& lattice() const { return lattice_; }
+  /// The declared capability set this map plans over.
+  const hal::Capabilities& caps() const { return *caps_; }
+  const std::vector<ModeCandidate>& lattice() const { return caps_->lattice; }
 
   /// Lattice lookup; nullptr when unsupported.
-  const ModeCandidate* find(phy::LinkMode mode, phy::Bitrate rate) const;
+  const ModeCandidate* find(phy::LinkMode mode, phy::Bitrate rate) const {
+    return caps_->find(mode, rate);
+  }
 
   /// Lattice lookup; throws std::out_of_range when unsupported.
   const ModeCandidate& candidate(phy::LinkMode mode, phy::Bitrate rate) const;
 
   /// True when the lattice has any point in `mode`.
-  bool supports(phy::LinkMode mode) const;
+  bool supports(phy::LinkMode mode) const { return caps_->supports(mode); }
 
   /// Best / lowest lattice bitrate for a mode at distance d (best also
   /// requires channel availability); nullopt when none qualifies.
@@ -61,19 +65,14 @@ class RegimeMap {
                                         double distance_m) const;
   std::optional<phy::Bitrate> lowest_rate(phy::LinkMode mode) const;
 
-  /// Switch-in overhead for a mode, from the declared capability set.
-  const SwitchOverhead& switch_overhead(phy::LinkMode mode) const;
-
   /// Sleep-state floor draw of the backing hardware.
-  util::Watts sleep_power() const { return sleep_power_; }
+  util::Watts sleep_power() const { return caps_->sleep_power; }
 
   /// The channel physics behind this map.
   const hal::ChannelModel& channel() const { return *channel_; }
 
  private:
-  std::vector<ModeCandidate> lattice_;
-  SwitchOverhead overheads_[3];
-  util::Watts sleep_power_;
+  const hal::Capabilities* caps_;
   const hal::ChannelModel* channel_;
 };
 

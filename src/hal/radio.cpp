@@ -71,14 +71,6 @@ bool Capabilities::supports(LinkMode mode) const {
                      [&](const OperatingPoint& p) { return p.mode == mode; });
 }
 
-const OperatingPoint* Capabilities::find(LinkMode mode, Bitrate rate) const {
-  const auto it = std::find_if(
-      lattice.begin(), lattice.end(), [&](const OperatingPoint& p) {
-        return p.mode == mode && p.rate == rate;
-      });
-  return it == lattice.end() ? nullptr : &*it;
-}
-
 RadioState IRadio::state() const {
   const auto r = role();
   if (!operating_point() || !r) return RadioState::Sleep;

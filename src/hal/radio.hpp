@@ -89,8 +89,14 @@ struct Capabilities {
   SwitchOverhead switch_overhead[3];
 
   bool supports(LinkMode mode) const;
-  /// Lattice lookup; nullptr when the point is not supported.
-  const OperatingPoint* find(LinkMode mode, Bitrate rate) const;
+  /// Lattice lookup; nullptr when the point is not supported. Defined
+  /// here so the fluid engines' per-point lookups inline.
+  const OperatingPoint* find(LinkMode mode, Bitrate rate) const {
+    for (const OperatingPoint& p : lattice) {
+      if (p.mode == mode && p.rate == rate) return &p;
+    }
+    return nullptr;
+  }
 };
 
 /// Coarse driver state for the request/confirm handshake: the MAC

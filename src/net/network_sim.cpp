@@ -12,6 +12,7 @@
 #include "mac/arq.hpp"
 #include "mac/packet_channel.hpp"
 #include "obs/obs.hpp"
+#include "plan/offload.hpp"
 #include "util/contract.hpp"
 
 namespace braidio::net {
@@ -102,30 +103,29 @@ void NetworkSimulator::plan_links() {
   const std::size_t data_bits = mac::wire_bits_for(config_.payload_bytes);
   const std::size_t ack_bits = mac::wire_bits_for(0);
   links_.assign(topo_.size(), LinkPlan{});
-  // Uplink preference order (the asymmetric-energy default): reflect if
-  // the pair can, source a carrier for a passive receiver otherwise,
-  // burn active symmetric power only as the last resort.
-  struct ModeRule {
-    hal::LinkMode mode;
-    bool ok;
-  };
-  const ModeRule rules[] = {
-      {hal::LinkMode::Backscatter,
-       caps.can_backscatter && caps.can_source_carrier},
-      {hal::LinkMode::PassiveRx, caps.can_source_carrier},
-      {hal::LinkMode::Active, caps.can_active},
-  };
+  // The planner's direction rule decides which points a hop can run.
+  // Every node carries the one backend, so one set serves every hop.
+  const std::vector<hal::OperatingPoint> candidates =
+      plan::OffloadPlanner::intersect_candidates(caps, caps);
   for (std::size_t i = 1; i < topo_.size(); ++i) {
     if (topo_.hops[i] == kNoRoute) continue;
     LinkPlan& plan = links_[i];
     plan.distance_m =
         distance_m(topo_.positions[i], topo_.positions[topo_.next_hop[i]]);
-    for (const ModeRule& rule : rules) {
-      if (!rule.ok) continue;
-      const auto rate = channel.best_bitrate(rule.mode, plan.distance_m);
+    // Uplink preference order (the asymmetric-energy default): reflect if
+    // the pair can, source a carrier for a passive receiver otherwise,
+    // burn active symmetric power only as the last resort.
+    for (const hal::LinkMode mode :
+         {hal::LinkMode::Backscatter, hal::LinkMode::PassiveRx,
+          hal::LinkMode::Active}) {
+      const auto rate = channel.best_bitrate(mode, plan.distance_m);
       if (!rate) continue;
-      const hal::OperatingPoint* point = caps.find(rule.mode, *rate);
-      if (point == nullptr) continue;
+      const auto point = std::find_if(
+          candidates.begin(), candidates.end(),
+          [&](const hal::OperatingPoint& c) {
+            return c.mode == mode && c.rate == *rate;
+          });
+      if (point == candidates.end()) continue;
       plan.point = *point;
       plan.usable = true;
       plan.data_airtime_s =
@@ -134,8 +134,7 @@ void NetworkSimulator::plan_links() {
           mac::PacketChannel::airtime_s(ack_bits, plan.point.rate);
       plan.interferer_dbm =
           medium_->config().tx_power_dbm -
-          (rule.mode == hal::LinkMode::Backscatter ? kBackscatterLossDb
-                                                   : 0.0);
+          (mode == hal::LinkMode::Backscatter ? kBackscatterLossDb : 0.0);
       break;
     }
   }

@@ -36,8 +36,11 @@
 //             frame either lands at the hub or joins the next relay's
 //             queue. Failures retry through the per-hop ARQ budget.
 //
-// Static links: every uplink is planned once (plan_links) and never
-// moves, so its plan also carries the data and ack airtimes, and, from
+// Static links: every uplink is planned once (plan_links). It takes the
+// first of Backscatter > PassiveRx > Active whose best rate at the hop's
+// distance is a candidate under the planner's direction rule
+// (plan::OffloadPlanner::intersect_candidates). A link never moves, so
+// its plan also carries the data and ack airtimes, and, from
 // the link's first tx-end that sees no fault loss and no interference
 // penalty (both exactly 0.0, so the SNR is the link's own), the two
 // legs' delivery odds. Later clean tx-ends reuse them; any loss or

@@ -17,6 +17,9 @@ double EnvelopeInterferenceModel::baseband_leakage(double offset_hz) const {
     throw std::domain_error("baseband_leakage: bad corner configuration");
   }
   const double rh = offset_hz / highpass_corner_hz;
+  // Far above both corners the band-pass tends to 0; past ~1e154 corners
+  // rh * rh overflows and the high-pass term would read inf / inf.
+  if (std::isinf(rh * rh)) return 0.0;
   const double hp = (rh * rh) / (1.0 + rh * rh);  // first-order HP power
   const double rl = offset_hz / lowpass_corner_hz;
   const double lp = 1.0 / (1.0 + rl * rl);        // first-order LP power
@@ -32,7 +35,11 @@ double EnvelopeInterferenceModel::effective_noise_watts(
   // Strong-carrier linearization: the interferer appears at baseband as a
   // beat tone at offset_hz whose power tracks the interferer's in-band
   // power, filtered by the detector's band-pass.
-  return noise_floor_w + pi_w * baseband_leakage(interferer.offset_hz);
+  const double leakage = baseband_leakage(interferer.offset_hz);
+  // A beat the band-pass removes entirely adds nothing, however strong:
+  // a power past ~3,100 dBm overflows to inf, and inf * 0 is NaN.
+  if (leakage == 0.0) return noise_floor_w;
+  return noise_floor_w + pi_w * leakage;
 }
 
 double EnvelopeInterferenceModel::snr_penalty_db(

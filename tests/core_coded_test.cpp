@@ -4,7 +4,7 @@
 
 #include "backends/backends.hpp"
 #include "baseline/reader.hpp"
-#include "core/offload.hpp"
+#include "plan/offload.hpp"
 
 namespace braidio::core {
 namespace {
@@ -69,11 +69,11 @@ TEST_F(CodedTest, CodedCandidatesExtendOffloadInTheGap) {
   const auto coded = candidates_with_coding(map_, budget_, 2.55);
   std::vector<ModeCandidate> pool;
   for (const auto& c : coded) pool.push_back(c.candidate);
-  const auto plan = OffloadPlanner::plan(pool, 1.0, 500.0);
+  const auto plan = plan::OffloadPlanner::plan(pool, 1.0, 500.0);
   EXPECT_TRUE(plan.proportional);
 
   const auto uncoded_plan =
-      OffloadPlanner::plan(map_.available_best_rate(2.55), 1.0, 500.0);
+      plan::OffloadPlanner::plan(map_.available_best_rate(2.55), 1.0, 500.0);
   EXPECT_FALSE(uncoded_plan.proportional);
   // And the poor device comes out ~3x cheaper per bit (coded backscatter
   // at 10 kbps is expensive airtime, so the braid still leans on active

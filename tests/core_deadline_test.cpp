@@ -2,8 +2,8 @@
 #include <gtest/gtest.h>
 
 #include "backends/backends.hpp"
-#include "core/offload.hpp"
 #include "core/regimes.hpp"
+#include "plan/offload.hpp"
 
 namespace braidio::core {
 namespace {
@@ -18,17 +18,17 @@ class DeadlineTest : public ::testing::Test {
 
 TEST_F(DeadlineTest, ThroughputHelperMatchesMixArithmetic) {
   const auto candidates = at(0.5);  // all at 1 Mbps
-  const auto plan = OffloadPlanner::plan(candidates, 1.0, 1.0);
-  EXPECT_NEAR(plan_throughput_bps(plan), 1e6, 1.0);
-  OffloadPlan empty;
-  EXPECT_DOUBLE_EQ(plan_throughput_bps(empty), 0.0);
+  const auto plan = plan::OffloadPlanner::plan(candidates, 1.0, 1.0);
+  EXPECT_NEAR(plan::plan_throughput_bps(plan), 1e6, 1.0);
+  plan::OffloadPlan empty;
+  EXPECT_DOUBLE_EQ(plan::plan_throughput_bps(empty), 0.0);
 }
 
 TEST_F(DeadlineTest, UnconstrainedOptimumReturnedWhenFastEnough) {
   const auto candidates = at(0.5);
-  const auto base = OffloadPlanner::plan(candidates, 3.0, 1.0);
-  const auto dl = OffloadPlanner::plan_with_min_throughput(candidates, 3.0,
-                                                           1.0, 0.5e6);
+  const auto base = plan::OffloadPlanner::plan(candidates, 3.0, 1.0);
+  const auto dl = plan::OffloadPlanner::plan_with_min_throughput(
+      candidates, 3.0, 1.0, 0.5e6);
   EXPECT_TRUE(dl.meets_throughput);
   EXPECT_NEAR(dl.total_joules_per_bit(), base.total_joules_per_bit(),
               1e-15);
@@ -50,17 +50,17 @@ std::vector<ModeCandidate> tension_candidates() {
 
 TEST_F(DeadlineTest, DeadlineBuysThroughputWithEnergy) {
   const auto candidates = tension_candidates();
-  const auto lazy = OffloadPlanner::plan(candidates, 1.0, 1.0);
+  const auto lazy = plan::OffloadPlanner::plan(candidates, 1.0, 1.0);
   // Energy-optimal: the Y+Z braid at ~45 nJ total, crawling at ~11 kbps.
   ASSERT_TRUE(lazy.proportional);
   EXPECT_NEAR(lazy.total_joules_per_bit() * 1e9, 45.5, 1.0);
-  ASSERT_LT(plan_throughput_bps(lazy), 20e3);
+  ASSERT_LT(plan::plan_throughput_bps(lazy), 20e3);
 
-  const auto fast = OffloadPlanner::plan_with_min_throughput(
+  const auto fast = plan::OffloadPlanner::plan_with_min_throughput(
       candidates, 1.0, 1.0, 100e3);
   ASSERT_TRUE(fast.meets_throughput);
   EXPECT_TRUE(fast.proportional);
-  EXPECT_GE(plan_throughput_bps(fast), 100e3 * (1.0 - 1e-6));
+  EXPECT_GE(plan::plan_throughput_bps(fast), 100e3 * (1.0 - 1e-6));
   // Still exactly power-proportional...
   EXPECT_NEAR(fast.achieved_ratio(), 1.0, 1e-6);
   // ...more expensive than the lazy optimum, but cheaper than buying the
@@ -72,7 +72,7 @@ TEST_F(DeadlineTest, DeadlineBuysThroughputWithEnergy) {
 TEST_F(DeadlineTest, TightnessIsMonotoneInTheDeadline) {
   double prev_cost = 0.0;
   for (double bps : {5e3, 50e3, 200e3, 800e3}) {
-    const auto plan = OffloadPlanner::plan_with_min_throughput(
+    const auto plan = plan::OffloadPlanner::plan_with_min_throughput(
         tension_candidates(), 1.0, 1.0, bps);
     if (!plan.meets_throughput) break;
     EXPECT_GE(plan.total_joules_per_bit(), prev_cost - 1e-18)
@@ -83,21 +83,21 @@ TEST_F(DeadlineTest, TightnessIsMonotoneInTheDeadline) {
 
 TEST_F(DeadlineTest, ImpossibleDeadlineReturnsFastestProportionalPlan) {
   const auto candidates = at(2.0);  // max rate 1 Mbps
-  const auto plan = OffloadPlanner::plan_with_min_throughput(
+  const auto plan = plan::OffloadPlanner::plan_with_min_throughput(
       candidates, 1.0, 1.0, 5e6);
   EXPECT_FALSE(plan.meets_throughput);
   EXPECT_TRUE(plan.proportional);
   // It should still be the fastest achievable proportional mix.
-  const auto lazy = OffloadPlanner::plan(candidates, 1.0, 1.0);
-  EXPECT_GE(plan_throughput_bps(plan),
-            plan_throughput_bps(lazy) * (1.0 - 1e-9));
+  const auto lazy = plan::OffloadPlanner::plan(candidates, 1.0, 1.0);
+  EXPECT_GE(plan::plan_throughput_bps(plan),
+            plan::plan_throughput_bps(lazy) * (1.0 - 1e-9));
 }
 
 TEST_F(DeadlineTest, TripleMixesAppearWhenNeeded) {
   // A tight deadline + exact proportionality generally needs all three
   // basic variables (the 3-equality LP corner).
   const auto candidates = tension_candidates();
-  const auto plan = OffloadPlanner::plan_with_min_throughput(
+  const auto plan = plan::OffloadPlanner::plan_with_min_throughput(
       candidates, 1.0, 1.0, 100e3);
   ASSERT_TRUE(plan.meets_throughput);
   EXPECT_EQ(plan.entries.size(), 3u);
@@ -114,11 +114,12 @@ TEST_F(DeadlineTest, TripleMixesAppearWhenNeeded) {
 
 TEST_F(DeadlineTest, Validation) {
   const auto candidates = at(0.5);
-  EXPECT_THROW(OffloadPlanner::plan_with_min_throughput(candidates, 1.0,
-                                                        1.0, 0.0),
+  EXPECT_THROW(plan::OffloadPlanner::plan_with_min_throughput(
+                   candidates, 1.0, 1.0, 0.0),
                std::invalid_argument);
-  EXPECT_THROW(OffloadPlanner::plan_with_min_throughput({}, 1.0, 1.0, 1e5),
-               std::invalid_argument);
+  EXPECT_THROW(
+      plan::OffloadPlanner::plan_with_min_throughput({}, 1.0, 1.0, 1e5),
+      std::invalid_argument);
 }
 
 }  // namespace

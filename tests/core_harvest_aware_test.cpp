@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "backends/backends.hpp"
-#include "core/offload.hpp"
+#include "plan/offload.hpp"
 
 namespace braidio::core {
 namespace {
@@ -58,7 +58,7 @@ TEST_F(HarvestAwareTest, CloseRangeTagIsEnergyNeutral) {
   }
   // Planner consequence: a vanishing-energy transmitter can still be
   // served power-proportionally at an extreme ratio.
-  const auto plan = OffloadPlanner::plan(adjusted, 1.0, 1e7);
+  const auto plan = plan::OffloadPlanner::plan(adjusted, 1.0, 1e7);
   EXPECT_TRUE(plan.proportional);
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "backends/backends.hpp"
+#include "plan/offload.hpp"
 #include "util/units.hpp"
 
 namespace braidio::core {
@@ -129,7 +130,7 @@ TEST_F(LifetimeTest, ProportionalPlansEqualizeDeathTimes) {
   const double e1 = util::wh_to_joules(0.48);
   const double e2 = util::wh_to_joules(13.3);
   LifetimeConfig frictionless = close_;
-  frictionless.bits_per_dwell = kInfiniteDwell;
+  frictionless.bits_per_dwell = plan::kInfiniteDwell;
   const auto outcome =
       sim_.braidio(util::Joules(e1), util::Joules(e2), frictionless);
   ASSERT_TRUE(outcome.plan.proportional);
@@ -145,7 +146,7 @@ TEST_F(LifetimeTest, SwitchOverheadIsNegligibleAtSecondScaleDwells) {
   const double e2 = util::wh_to_joules(6.55);
   LifetimeConfig with = close_;
   LifetimeConfig without = close_;
-  without.bits_per_dwell = kInfiniteDwell;
+  without.bits_per_dwell = plan::kInfiniteDwell;
   const double b_with =
       sim_.braidio(util::Joules(e1), util::Joules(e2), with).bits;
   const double b_without =
@@ -173,12 +174,12 @@ TEST_F(LifetimeTest, SingleModeBitsMatchClosedForm) {
   const auto& c = table_.candidate(phy::LinkMode::PassiveRx,
                                    phy::Bitrate::M1);
   const double e1 = 100.0, e2 = 50.0;
-  EXPECT_NEAR(single_mode_bits(c, e1, e2, false),
+  EXPECT_NEAR(plan::single_mode_bits(c, e1, e2, false),
               std::min(e1 / c.tx_joules_per_bit(),
                        e2 / c.rx_joules_per_bit()),
               1.0);
   // Bidirectional: both ends pay the average.
-  EXPECT_NEAR(single_mode_bits(c, e1, e2, true),
+  EXPECT_NEAR(plan::single_mode_bits(c, e1, e2, true),
               50.0 / (0.5 * (c.tx_joules_per_bit() +
                              c.rx_joules_per_bit())),
               1.0);

@@ -7,6 +7,7 @@
 
 #include "backends/backends.hpp"
 #include "core/lifetime_sim.hpp"
+#include "plan/offload.hpp"
 #include "util/units.hpp"
 
 namespace braidio::core {
@@ -186,7 +187,7 @@ TEST(MobilityVsLifetime, ConstantTracesPlanLikeTheLifetimeModel) {
         cfg.bidirectional = bidirectional;
         const auto life = lifetime.braidio(e1, e2, cfg);
         LifetimeConfig ideal = cfg;
-        ideal.bits_per_dwell = kInfiniteDwell;
+        ideal.bits_per_dwell = plan::kInfiniteDwell;
         const double ideal_bits = lifetime.braidio(e1, e2, ideal).bits;
 
         const double span_s = 2.0 * life.seconds;

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/offload.hpp"
+#include "plan/offload.hpp"
 
 namespace braidio::core {
 namespace {
@@ -61,7 +61,7 @@ TEST_F(PrototypesTest, DiagonalGainTracksReceiveChainPower) {
     for (const auto& c : candidates) {
       if (c.rate == phy::Bitrate::M1) fast.push_back(c);
     }
-    const auto plan = OffloadPlanner::plan(fast, 1.0, 1.0);
+    const auto plan = plan::OffloadPlanner::plan(fast, 1.0, 1.0);
     gains.push_back(bt_per_bit / plan.tx_joules_per_bit);
   }
   // With an expensive reader end the planner routes around backscatter

@@ -16,6 +16,7 @@
 #include "core/lifetime_sim.hpp"
 #include "hal/radio.hpp"
 #include "phy/waveform.hpp"
+#include "plan/offload.hpp"
 #include "rf/phase_field.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -129,12 +130,12 @@ TEST(Integration, LifetimeMatrixAgreesWithDirectPlanComputation) {
   ASSERT_TRUE(tx && rx);
   core::LifetimeConfig cfg;
   cfg.distance_m = 0.5;
-  cfg.bits_per_dwell = core::kInfiniteDwell;
+  cfg.bits_per_dwell = plan::kInfiniteDwell;
   const double gain = sim.gain_vs_bluetooth(*tx, *rx, cfg);
 
   // Independent: plan + closed forms.
   core::RegimeMap regimes(backend);
-  const auto plan = core::OffloadPlanner::plan(
+  const auto plan = plan::OffloadPlanner::plan(
       regimes.available_best_rate(0.5), util::wh_to_joules(tx->battery_wh),
       util::wh_to_joules(rx->battery_wh));
   const double braid_bits = plan.bits_until_depletion(

@@ -1,9 +1,9 @@
 // Many-node network simulator: topology builders (routes against the
 // quadratic BFS), the shared medium, node bookkeeping, energy
 // conservation at 1k nodes, sweep determinism, per-node fault targeting,
-// the schedule pinned to recorded digests, outcome distributions pinned
-// across a generator change, and the static-link BER reuse (DESIGN.md
-// §15).
+// the schedule and each backend's uplink choices pinned to recorded
+// digests, outcome distributions pinned across a generator change, and
+// the static-link BER reuse (DESIGN.md §15).
 #include "net/network_sim.hpp"
 
 #include <gtest/gtest.h>
@@ -718,6 +718,77 @@ TEST(NetworkSimulator, ScheduleMatchesRecordedDigests) {
       fold_run(digest, sim, stats);
     }
     expect_recorded(cell, digest);
+  }
+}
+
+/// One backend's uplink choices over a ladder of star extents: the
+/// distinct choices in order of rising distance, and the digest of every
+/// tag's choice when it was recorded.
+struct LinkChoiceCell {
+  const char* backend;
+  const char* ladder;
+  std::uint64_t digest;
+};
+
+// Recorded before plan_links took its candidates from the planner's
+// direction rule (OffloadPlanner::intersect_candidates).
+constexpr LinkChoiceCell kRecordedLinkChoices[] = {
+    {"braidio",
+     "backscatter@1M backscatter@100k backscatter@10k passive@1M "
+     "passive@100k passive@10k active@1M none",
+     0x1dd6554c34c07222},
+    {"ble-active", "active@1M none", 0x09243eb9da2750a5},
+    {"reader-passive", "backscatter@1M backscatter@100k backscatter@10k none",
+     0xd8bc7a345cd44f45},
+    {"blisp-hybrid",
+     "backscatter@1M backscatter@100k backscatter@10k active@1M none",
+     0x0446419a1eb3da84},
+};
+
+TEST(NetworkSimulator, LinkChoicesMatchRecordedLadders) {
+  // A star is a deterministic sunflower, so each tag's uplink point
+  // (mode@rate, or none) depends only on the backend and its distance,
+  // and plan_links fixes it in the constructor. The extents put tags on
+  // both sides of every range edge: backscatter 0.9/1.5/1.8/2.4/3/4 m,
+  // passive 3.9/4.2/5.1 m, active 25/30 m.
+  for (const LinkChoiceCell& cell : kRecordedLinkChoices) {
+    Digest digest;
+    std::vector<std::pair<double, std::string>> by_distance;
+    for (const double extent :
+         {0.5, 1.0, 2.0, 3.0, 4.5, 6.0, 12.0, 28.0, 40.0}) {
+      NetConfig config;
+      config.backend = &backend(cell.backend);
+      config.topology.nodes = 32;
+      config.topology.extent_m = extent;
+      const NetworkSimulator sim(config);
+      const Topology& topo = sim.topology();
+      for (std::uint32_t i = 1; i < sim.node_count(); ++i) {
+        const auto point = sim.link_point(i);
+        const std::string label = point ? point->label() : "none";
+        for (const char ch : label) {
+          digest.word(static_cast<unsigned char>(ch));
+        }
+        digest.word(0);
+        by_distance.emplace_back(
+            distance_m(topo.positions[i], topo.positions[0]), label);
+      }
+    }
+    std::stable_sort(
+        by_distance.begin(), by_distance.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    std::string ladder, last;
+    for (const auto& [d, label] : by_distance) {
+      if (label == last) continue;
+      if (!ladder.empty()) ladder += ' ';
+      ladder += label;
+      last = label;
+    }
+    char recorded[200];
+    std::snprintf(recorded, sizeof recorded, "{\"%s\", \"%s\", 0x%016llx}",
+                  cell.backend, ladder.c_str(),
+                  static_cast<unsigned long long>(digest.value));
+    EXPECT_EQ(ladder, cell.ladder) << "choices changed: " << recorded;
+    EXPECT_EQ(digest.value, cell.digest) << "choices changed: " << recorded;
   }
 }
 

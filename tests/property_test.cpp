@@ -7,6 +7,7 @@
 #include "backends/backends.hpp"
 #include "core/lifetime_sim.hpp"
 #include "phy/link_budget.hpp"
+#include "plan/offload.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -28,7 +29,7 @@ TEST_F(PropertyTest, BraidioNeverLosesToItsOwnModes) {
   for (int trial = 0; trial < 300; ++trial) {
     core::LifetimeConfig cfg;
     cfg.distance_m = rng.uniform(0.2, 5.0);
-    cfg.bits_per_dwell = core::kInfiniteDwell;
+    cfg.bits_per_dwell = plan::kInfiniteDwell;
     const double e1 = rng.uniform(100.0, 1e6);
     const double e2 = rng.uniform(100.0, 1e6);
     const double braid = sim_.braidio(JL(e1), JL(e2), cfg).bits;
@@ -114,7 +115,7 @@ TEST_F(PropertyTest, GainCollapsesExactlyWhereOffloadDies) {
   for (int trial = 0; trial < 100; ++trial) {
     core::LifetimeConfig cfg;
     cfg.distance_m = rng.uniform(5.2, 6.0);
-    cfg.bits_per_dwell = core::kInfiniteDwell;
+    cfg.bits_per_dwell = plan::kInfiniteDwell;
     const double e1 = rng.uniform(100.0, 1e6);
     const double e2 = rng.uniform(100.0, 1e6);
     const double braid = sim_.braidio(JL(e1), JL(e2), cfg).bits;

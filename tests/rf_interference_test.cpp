@@ -1,6 +1,7 @@
 #include "rf/interference.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -76,6 +77,26 @@ TEST(Interference, RangeImpactOnThePassiveLink) {
   const double dirty_range = with_interference.range_m(
       phy::LinkMode::PassiveRx, phy::Bitrate::k100);
   EXPECT_NEAR(dirty_range / clean_range, 0.71, 0.03);
+}
+
+TEST(Interference, FarOffsetsAndOverflowedPowersStayFinite) {
+  // Past ~1e154 corners the high-pass term's rh^2 overflows; the band-pass
+  // has long since reached its limit, 0, and must report it rather than
+  // inf / inf = NaN.
+  EnvelopeInterferenceModel model;
+  EXPECT_EQ(model.baseband_leakage(1e300), 0.0);
+  EXPECT_EQ(model.baseband_leakage(std::numeric_limits<double>::max()),
+            0.0);
+  EXPECT_EQ(model.snr_penalty_db(-90.0, {-20.0, 1e300}), 0.0);
+  // An overflowed interferer power the band-pass removes entirely adds
+  // nothing; one it passes saturates the penalty at +inf, never NaN.
+  EXPECT_EQ(model.snr_penalty_db(-90.0, {4000.0, 0.0}), 0.0);
+  EXPECT_EQ(model.snr_penalty_db(-90.0, {4000.0, 1e300}), 0.0);
+  EXPECT_EQ(model.snr_penalty_db(-90.0, {4000.0, 200e3}),
+            std::numeric_limits<double>::infinity());
+  // Just below the overflow the closed form still answers, and smoothly.
+  EXPECT_GT(model.baseband_leakage(1e150), 0.0);
+  EXPECT_LT(model.baseband_leakage(1e150), 1e-280);
 }
 
 TEST(Interference, Validation) {

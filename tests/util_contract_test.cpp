@@ -14,11 +14,11 @@
 
 #include "circuits/netlist.hpp"
 #include "circuits/transient.hpp"
-#include "core/offload.hpp"
 #include "energy/battery.hpp"
 #include "mac/arq.hpp"
 #include "mac/frame.hpp"
 #include "phy/ber.hpp"
+#include "plan/offload.hpp"
 #include "rf/pathloss.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -119,11 +119,11 @@ TEST(ModuleContractsDeathTest, CircuitsTransientRejectsInfiniteTimestep) {
 // Same split in the planner: NaN energies hit the documented throw, +inf
 // sails past `> 0` and must trip the finiteness contract.
 TEST(ModuleContractsDeathTest, CoreOffloadRejectsInfiniteEnergy) {
-  std::vector<core::ModeCandidate> candidates(1);
+  std::vector<plan::ModeCandidate> candidates(1);
   candidates[0].tx_power_w = 0.1;
   candidates[0].rx_power_w = 0.1;
-  EXPECT_DEATH(core::OffloadPlanner::plan(candidates, kInf, 1.0), kDies);
-  EXPECT_DEATH(core::OffloadPlanner::plan(candidates, 1.0, kInf), kDies);
+  EXPECT_DEATH(plan::OffloadPlanner::plan(candidates, kInf, 1.0), kDies);
+  EXPECT_DEATH(plan::OffloadPlanner::plan(candidates, 1.0, kInf), kDies);
 }
 
 #endif  // BRAIDIO_CONTRACTS_ENABLED

@@ -17,10 +17,11 @@ A4 contracts     overloads of a REQUIRE-checked function in the same
                  header/source pair must not silently skip the
                  precondition.
 A5 layering      src/mac/ includes no phy/ or core/ header; src/net/
-                 includes no core/ header.
+                 and src/core/ include no header of each other;
+                 src/plan/ includes no core/ or net/ header.
 A6 event order   no hash- or address-ordered iteration in src/net/.
 A8 one planner   OffloadPlanner::plan/plan_bidirectional only in
-                 core/offload.cpp and core/efficiency.cpp.
+                 plan/offload.cpp and core/efficiency.cpp.
 A9-A14 hygiene   seeded RNG only, no naked stdout in src/, every
                  src/*.cpp covered by a registered test, tabs/trailing
                  blanks/80 columns, threads spawned only in src/sim/,

@@ -8,7 +8,7 @@
 
 // No finding when the dependency is explicitly justified:
 // analyzer: layering(fixture demonstrates a documented waiver)
-#include "core/offload.hpp"
+#include "core/power_table.hpp"
 
 #include "util/contract.hpp"
 

@@ -3,9 +3,11 @@
 // Eq. 1. The suppressed call shows the reason-carrying escape hatch;
 // the mention in this comment, OffloadPlanner::plan(...), is not code.
 
-#include "core/offload.hpp"
+#include "plan/offload.hpp"
 
 namespace braidio::core {
+
+using plan::OffloadPlanner;
 
 inline double fixture_replan_bits(
     const std::vector<ModeCandidate>& candidates, double e1_joules,

@@ -37,7 +37,7 @@ RULES: tuple[Rule, ...] = (
          "charge amounts must originate in the units layer (computed "
          "Joules / named constants), not raw numeric literals"),
     Rule("A3-raw-unit-param", "raw-unit-param",
-         "public APIs in src/{energy,core,mac,phy} must take strong "
+         "public APIs in src/{energy,core,mac,phy,plan} must take strong "
          "unit types (util/units.hpp), not unit-suffixed doubles"),
     Rule("A4-missing-require", "missing-require",
          "an overload of a BRAIDIO_REQUIRE-checked function skips the "
@@ -45,7 +45,8 @@ RULES: tuple[Rule, ...] = (
     Rule("A5-layering", "layering",
          "src/mac/ sits below the radio HAL boundary and must not "
          "include phy/ or core/ headers — modes, bitrates, and channel "
-         "physics come from hal/"),
+         "physics come from hal/; src/core/ and src/net/ include "
+         "neither each other; src/plan/ includes neither"),
     Rule("A6-event-order", "event-order",
          "src/net/ event ordering must not depend on hash or address "
          "order: no unordered-container iteration, no pointer-keyed "
@@ -53,9 +54,9 @@ RULES: tuple[Rule, ...] = (
          "(config, seed)"),
     Rule("A8-one-planner", "one-planner",
          "in src/, OffloadPlanner::plan and plan_bidirectional are "
-         "called only from core/offload.cpp (plan_link) and "
+         "called only from plan/offload.cpp (plan_link) and "
          "core/efficiency.cpp — every engine plans through "
-         "core::plan_link"),
+         "plan::plan_link"),
     Rule("A9-no-global-rng", "no-global-rng",
          "stochastic code takes an explicit util::Rng so runs replay bit "
          "for bit on every standard library: no rand()/random()/"

@@ -48,7 +48,8 @@ _UNIT_TYPE_HINT = {
     "watts": "util::Watts", "dbm": "util::Dbm", "hertz": "util::Hertz",
     "watt_hours": "util::WattHours",
 }
-_A3_DIRS = ("src/energy/", "src/core/", "src/mac/", "src/phy/")
+_A3_DIRS = ("src/energy/", "src/core/", "src/mac/", "src/phy/",
+            "src/plan/")
 
 # --- A4: contract coverage -------------------------------------------
 
@@ -59,7 +60,8 @@ _REQUIRE_RE = re.compile(r"\bBRAIDIO_(?:REQUIRE|ENSURE)\b")
 # Directory -> (banned-layer regex, why). mac/ sits below the radio HAL;
 # net/ MAC policies talk to drivers only through hal/, like core/'s
 # engines. core/ and net/ are sibling engines, so neither includes the
-# other.
+# other; plan/ (Eq. 1 and plan_link) sits below both and includes
+# neither.
 _A5_LAYERS = {
     "src/mac/": (
         re.compile(r'^\s*#\s*include\s*"((phy|core)/[^"]*)"'),
@@ -69,12 +71,18 @@ _A5_LAYERS = {
     "src/net/": (
         re.compile(r'^\s*#\s*include\s*"((core)/[^"]*)"'),
         "net/ is a sibling engine of {layer}/ and must not include it; "
-        "depend on hal/ and mac/ only",
+        "depend on hal/, mac/ and plan/ only",
     ),
     "src/core/": (
         re.compile(r'^\s*#\s*include\s*"((net)/[^"]*)"'),
         "core/ engines run their own slot loops and must not depend on "
-        "the many-node simulator in {layer}/; share hal/ and mac/ instead",
+        "the many-node simulator in {layer}/; share hal/, mac/ and plan/ "
+        "instead",
+    ),
+    "src/plan/": (
+        re.compile(r'^\s*#\s*include\s*"((core|net)/[^"]*)"'),
+        "the planner sits below both engines and must not include "
+        "{layer}/; it reads hal/ types only",
     ),
 }
 
@@ -209,7 +217,8 @@ def check_units_discipline(model: SourceModel) -> list[Finding]:
 
 def check_layering(model: SourceModel) -> list[Finding]:
     """A5: layer boundaries — mac/ may not include phy/ or core/,
-    net/ may not include core/, and core/ may not include net/.
+    net/ may not include core/, core/ may not include net/, and plan/
+    may include neither core/ nor net/.
 
     Include paths live inside string literals, which the blanker erases,
     so the directive is matched on the raw line; the blanked line is
@@ -294,11 +303,11 @@ _A8_PLANNER_CALL_RE = re.compile(
     r"\bOffloadPlanner::(plan(?:_bidirectional)?)\s*\(")
 # offload.cpp defines Eq. 1 and plan_link; efficiency.cpp's Fig. 9
 # triangle is plain Eq. 1 by design.
-_A8_ALLOWED = ("src/core/offload.cpp", "src/core/efficiency.cpp")
+_A8_ALLOWED = ("src/plan/offload.cpp", "src/core/efficiency.cpp")
 
 
 def check_one_planner(model: SourceModel) -> list[Finding]:
-    """A8: engines plan through core::plan_link, never raw Eq. 1.
+    """A8: engines plan through plan::plan_link, never raw Eq. 1.
 
     plan_link (DESIGN.md §5) is the one planning step: Eq. 1 in either
     direction, Table 5 switch costs amortized over a dwell, and the
@@ -317,8 +326,8 @@ def check_one_planner(model: SourceModel) -> list[Finding]:
             continue
         findings.append(Finding(
             "A8-one-planner", model.rel, lineno,
-            f"OffloadPlanner::{match.group(1)}() outside core/offload.cpp "
-            "— engines plan through core::plan_link so every one gets "
+            f"OffloadPlanner::{match.group(1)}() outside plan/offload.cpp "
+            "— engines plan through plan::plan_link so every one gets "
             "the same switch amortization and single-mode fallback"))
     return findings
 
