@@ -1,12 +1,16 @@
 // Google-benchmark microbenchmarks for the library's hot paths: the
 // planner (runs on every replan), the BER evaluators (every packet), the
-// waveform Monte-Carlo, CRC, the transient circuit solver, and the
-// observability overhead contract.
+// waveform Monte-Carlo, CRC, the transient circuit solver, the energy
+// post, and the observability overhead contract.
 #include <benchmark/benchmark.h>
+
+#include <cmath>
+#include <vector>
 
 #include "backends/backends.hpp"
 #include "core/lifetime_sim.hpp"
 #include "circuits/charge_pump.hpp"
+#include "energy/ledger.hpp"
 #include "mac/crc.hpp"
 #include "net/network_sim.hpp"
 #include "obs/obs.hpp"
@@ -14,6 +18,7 @@
 #include "phy/link_budget.hpp"
 #include "phy/waveform.hpp"
 #include "plan/offload.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -141,6 +146,32 @@ void BM_Fig15SweepObs(benchmark::State& state) {
 #endif
 }
 BENCHMARK(BM_Fig15SweepObs)->Arg(0)->Arg(1)->Arg(2);
+
+// The price of one energy post with metrics compiled in: a ledger charge
+// under a sweep point's scoped registry, which counts it and files its
+// magnitude in the energy_post_joules histogram. The magnitudes jump
+// between decades (1 nJ .. 100 J) in a random order, as a network's
+// posts do, so no branch predictor learns the bucket; perfbench's ledger
+// probe posts a constant 1 nJ.
+void BM_EnergyPost(benchmark::State& state) {
+  util::Rng rng(7);
+  std::vector<double> joules(1024);
+  for (double& j : joules) j = std::pow(10.0, rng.uniform(-9.0, 2.0));
+  obs::MetricsRegistry registry;
+  const obs::ScopedMetrics scoped(&registry);
+  energy::EnergyLedger ledger;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    ledger.charge(static_cast<energy::EnergyCategory>(
+                      i % energy::kEnergyCategoryCount),
+                  util::Joules(joules[i % joules.size()]));
+    ++i;
+  }
+  benchmark::DoNotOptimize(ledger.total_joules());
+  benchmark::DoNotOptimize(registry.value(obs::Counter::EnergyPosts));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EnergyPost);
 
 // Network flight-recorder overhead contract (DESIGN.md §17): one dense
 // star run per iteration. Arg(0) runs with the recorder and tracer OFF

@@ -40,7 +40,9 @@ void EnergyLedger::charge(EnergyCategory category, util::Joules amount,
   joules_[static_cast<std::size_t>(category)] += joules;
   obs::count(obs::Counter::EnergyPosts);
   obs::observe(obs::Histogram::EnergyPostJoules, joules);
-  obs::post_energy(to_string(category), joules, sim_time_s);
+  if (obs::attribution_enabled()) {
+    obs::post_energy(to_string(category), joules, sim_time_s);
+  }
   BRAIDIO_TRACE_EVENT(obs::EventType::EnergyPost, to_string(category),
                       sim_time_s, joules);
 }

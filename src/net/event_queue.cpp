@@ -50,9 +50,9 @@ std::uint64_t EventQueue::day_of(double time_s) const {
   return static_cast<std::uint64_t>(time_s / width_);
 }
 
-void EventQueue::insert(EventId id, std::uint64_t day) {
+void EventQueue::insert(EventId id) {
   const Event& ev = pool_[id];
-  EventId* link = &heads_[bucket_of(day)];
+  EventId* link = &heads_[bucket_of(ev.day)];
   while (*link != kNoEvent) {
     const Event& at = pool_[*link];
     if (ev.time_s < at.time_s ||
@@ -119,7 +119,10 @@ void EventQueue::maybe_grow() {
     width_ = new_width;
     day_ = day_of(now_s_);  // same clock, new day units
   }
-  for (const EventId id : live) insert(id, day_of(pool_[id].time_s));
+  for (const EventId id : live) {
+    pool_[id].day = day_of(pool_[id].time_s);
+    insert(id);
+  }
   // The rebuild's own inserts must not count toward the next probe
   // (they do count toward the cumulative scan-cost telemetry).
   scan_total_ += probe_scan_steps_;
@@ -134,8 +137,7 @@ void EventQueue::reset_probe() {
 }
 
 void EventQueue::schedule(double time_s, std::uint32_t node,
-                          std::uint32_t kind, std::uint64_t a,
-                          std::uint64_t b) {
+                          std::uint32_t kind, std::uint64_t a) {
   BRAIDIO_REQUIRE(std::isfinite(time_s) && time_s >= now_s_, "time_s",
                   time_s, "now_s", now_s_);
   const double days = time_s / width_;
@@ -147,11 +149,11 @@ void EventQueue::schedule(double time_s, std::uint32_t node,
   ev.node = node;
   ev.kind = kind;
   ev.a = a;
-  ev.b = b;
+  ev.day = static_cast<std::uint64_t>(days);
   ev.next = kNoEvent;
   max_sched_s_ = std::max(max_sched_s_, time_s);
   ++probe_inserts_;
-  insert(id, static_cast<std::uint64_t>(days));
+  insert(id);
   ++size_;
   peak_size_ = std::max<std::uint64_t>(peak_size_, size_);
   maybe_grow();
@@ -166,7 +168,7 @@ bool EventQueue::pop(Event& out) {
   EventId hit = kNoEvent;
   for (std::size_t step = 0; step < buckets; ++step) {
     const EventId head = heads_[bucket_of(day_)];
-    if (head != kNoEvent && day_of(pool_[head].time_s) <= day_) {
+    if (head != kNoEvent && pool_[head].day <= day_) {
       hit = head;
       break;
     }
@@ -184,7 +186,7 @@ bool EventQueue::pop(Event& out) {
         hit = head;
       }
     }
-    day_ = day_of(pool_[hit].time_s);
+    day_ = pool_[hit].day;
   }
   heads_[bucket_of(day_)] = pool_[hit].next;
   out = pool_[hit];

@@ -34,14 +34,16 @@ using EventId = std::uint32_t;
 inline constexpr EventId kNoEvent = std::numeric_limits<EventId>::max();
 
 /// One scheduled event. POD: consumers stash their state in the
-/// node/kind discriminators and the two payload words.
+/// node/kind discriminators and the payload word.
 struct Event {
   double time_s = 0.0;    // virtual firing time
   std::uint64_t seq = 0;  // schedule-order tie-break
   std::uint32_t node = 0; // target node index
   std::uint32_t kind = 0; // consumer-defined discriminator
-  std::uint64_t a = 0;    // payload word 1
-  std::uint64_t b = 0;    // payload word 2
+  std::uint64_t a = 0;    // payload word
+  /// The queue's own: calendar day of time_s, set at schedule() and at
+  /// every re-bucket, so pop() compares integers instead of dividing.
+  std::uint64_t day = 0;
   EventId next = kNoEvent;  // intrusive bucket / free-list link
 };
 static_assert(sizeof(Event) == 48, "an event is 48 B of pool storage");
@@ -63,7 +65,7 @@ class EventQueue {
   /// Schedule an event at `time_s` (>= now_s(); the virtual clock never
   /// runs backwards).
   void schedule(double time_s, std::uint32_t node, std::uint32_t kind,
-                std::uint64_t a = 0, std::uint64_t b = 0);
+                std::uint64_t a = 0);
 
   /// Pop the earliest event by (time_s, seq) into `out`; advances the
   /// virtual clock. Returns false when the queue is empty.
@@ -109,9 +111,8 @@ class EventQueue {
   std::size_t bucket_of(std::uint64_t day) const {
     return static_cast<std::size_t>(day) & (heads_.size() - 1);
   }
-  /// Sorted insert into the bucket of `day`, the day of
-  /// `pool_[id].time_s`.
-  void insert(EventId id, std::uint64_t day);
+  /// Sorted insert into the bucket of `pool_[id].day`.
+  void insert(EventId id);
   /// Double the calendar when occupancy gets dense, and re-tune the day
   /// width when sorted inserts degrade; re-buckets in place either way.
   void maybe_grow();

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "util/contract.hpp"
 #include "util/units.hpp"
@@ -46,8 +47,16 @@ void SharedMedium::begin(std::uint32_t tx, std::uint32_t rx,
   BRAIDIO_REQUIRE(tx < positions_.size() && rx < positions_.size(), "tx",
                   tx, "rx", rx, "nodes", positions_.size());
   BRAIDIO_REQUIRE(std::isfinite(power_dbm), "power_dbm", power_dbm);
+  if (power_dbm != power_gain_[0].power_dbm) {
+    if (power_dbm == power_gain_[1].power_dbm) {
+      std::swap(power_gain_[0], power_gain_[1]);
+    } else {
+      power_gain_[1] = power_gain_[0];
+      power_gain_[0] = {power_dbm, util::dbm_to_watts(power_dbm) * ref_gain_};
+    }
+  }
   active_.push_back(
-      {tx, positions_[tx], util::dbm_to_watts(power_dbm) * ref_gain_});
+      {tx, kNoNode, positions_[tx], power_gain_[0].gain_w, 0.0});
 }
 
 void SharedMedium::end(std::uint32_t tx) {
@@ -65,7 +74,8 @@ double SharedMedium::path_loss_db(double distance_m) const {
 }
 
 double SharedMedium::interference_watts(std::uint32_t node,
-                                        std::uint32_t exclude_tx) const {
+                                        std::uint32_t exclude_tx,
+                                        bool remember) const {
   BRAIDIO_REQUIRE(node < positions_.size(), "node", node, "nodes",
                   positions_.size());
   // The exact sum (twice per transmission, and for the CCA verdicts the
@@ -73,16 +83,27 @@ double SharedMedium::interference_watts(std::uint32_t node,
   // linear form,
   //   rx_w = tx_w * 10^(-ref/10) * d^(-n) = gain_w * (d^2)^(-n/2),
   // so each interferer costs one pow on the squared distance — no sqrt,
-  // no log10, no second pow through dBm and back.
+  // no log10, no second pow through dBm and back — and none when it
+  // remembers this receiver. A remembered term is the same product, added
+  // in the same order, so the sum keeps its bits.
   const Vec2& at = positions_[node];
   const double half_exponent = -0.5 * config_.path_loss_exponent;
   double total_w = 0.0;
   for (const ActiveTx& a : active_) {
     if (a.tx == exclude_tx || a.tx == node) continue;
+    if (a.memo_node == node) {
+      total_w += a.memo_w;
+      continue;
+    }
     const double dx = a.at.x_m - at.x_m;
     const double dy = a.at.y_m - at.y_m;
     const double d2 = std::max(dx * dx + dy * dy, kMinD2);
-    total_w += a.gain_w * std::pow(d2, half_exponent);
+    const double rx_w = a.gain_w * std::pow(d2, half_exponent);
+    if (remember) {
+      a.memo_node = node;
+      a.memo_w = rx_w;
+    }
+    total_w += rx_w;
   }
   return total_w;
 }
@@ -90,7 +111,7 @@ double SharedMedium::interference_watts(std::uint32_t node,
 double SharedMedium::ambient_dbm(std::uint32_t node,
                                  std::uint32_t exclude_tx) const {
   const double total_w =
-      noise_floor_w_ + interference_watts(node, exclude_tx);
+      noise_floor_w_ + interference_watts(node, exclude_tx, false);
   return util::watts_to_dbm(total_w);
 }
 
@@ -142,7 +163,7 @@ bool SharedMedium::ambient_below(std::uint32_t node,
 
 double SharedMedium::interference_penalty_db(
     std::uint32_t rx, std::uint32_t exclude_tx) const {
-  const double i_w = interference_watts(rx, exclude_tx);
+  const double i_w = interference_watts(rx, exclude_tx, true);
   if (i_w <= 0.0) return 0.0;
   return util::linear_to_db(1.0 + i_w / noise_floor_w_);
 }

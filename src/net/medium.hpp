@@ -71,28 +71,50 @@ class SharedMedium {
                      double threshold_dbm);
 
   /// SNR penalty 10*log10(1 + I/N) [dB] at receiver `rx` from all
-  /// transmissions other than the one sourced by `exclude_tx`.
+  /// transmissions other than the one sourced by `exclude_tx`. Each
+  /// interferer remembers the power it delivers at `rx` for the next
+  /// query there.
   double interference_penalty_db(std::uint32_t rx,
                                  std::uint32_t exclude_tx) const;
 
   const MediumConfig& config() const { return config_; }
 
  private:
+  static constexpr std::uint32_t kNoNode =
+      std::numeric_limits<std::uint32_t>::max();
+
   /// What the sums read of a transmission, cached at begin().
   struct ActiveTx {
     std::uint32_t tx = 0;
+    /// The last receiver a penalty query summed this transmission at,
+    /// and the power it delivers there [W]: a receiver queried again
+    /// (the hub, in a star) reads it instead of paying a pow. A cache
+    /// that never changes an answer, hence mutable.
+    mutable std::uint32_t memo_node = kNoNode;
     Vec2 at;              // positions_[tx]
     double gain_w = 0.0;  // dbm_to_watts(power_dbm) * ref_gain_
+    mutable double memo_w = 0.0;
   };
 
   /// Sum of received interference power at `node` [W], insertion order.
-  double interference_watts(std::uint32_t node,
-                            std::uint32_t exclude_tx) const;
+  /// Every query reads the receiver memo; only `remember` (the penalty's
+  /// receiver) writes it, so CCA's ambient fallback at other nodes never
+  /// evicts the hub's terms.
+  double interference_watts(std::uint32_t node, std::uint32_t exclude_tx,
+                            bool remember) const;
 
   MediumConfig config_;
   const std::vector<Vec2>& positions_;
   double noise_floor_w_;
   double ref_gain_ = 1.0;  // 10^(-ref_loss_db/10), linear hot-path form
+  /// begin()'s gain_w for the last two power levels it saw, newest
+  /// first: a network radiates at two (active and backscatter), so a
+  /// transmission costs no pow.
+  struct PowerGain {
+    double power_dbm = std::numeric_limits<double>::quiet_NaN();
+    double gain_w = 0.0;
+  };
+  std::array<PowerGain, 2> power_gain_{};
   std::vector<ActiveTx> active_;
   // ambient_below()'s path-gain table. A squared distance's bucket is
   // its double's exponent and top 6 mantissa bits (64 buckets an

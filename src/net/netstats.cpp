@@ -67,8 +67,7 @@ void NetFlightRecord::arm(const Topology& topo) {
   enabled = true;
   nodes.assign(topo.size(), NodeStats{});
   dst = topo.next_hop;
-  latency = obs::HistogramData(
-      obs::bucket_bounds(obs::Histogram::NetLatencySeconds));
+  latency = obs::HistogramData(obs::Histogram::NetLatencySeconds);
 #else
   (void)topo;
 #endif

@@ -42,20 +42,25 @@ const char* to_string(Histogram histogram) {
   return "?";
 }
 
-const std::vector<double>& bucket_bounds(Histogram histogram) {
+namespace {
+
+/// The built-in histograms' bound lists and bucket indexes, one static
+/// each, shared by every registry.
+const std::shared_ptr<const detail::BucketIndex>& builtin_index(
+    Histogram histogram) {
   // Log-spaced decades covering the simulator's dynamic range: energy
   // posts span nJ..kJ, dwells span µs..hours.
-  static const std::vector<double> energy{1e-9, 1e-8, 1e-7, 1e-6, 1e-5,
-                                          1e-4, 1e-3, 1e-2, 1e-1, 1.0,
-                                          1e1,  1e2,  1e3};
-  static const std::vector<double> seconds{1e-6, 1e-5, 1e-4, 1e-3, 1e-2,
-                                           1e-1, 1.0,  1e1,  1e2,  1e3,
-                                           1e4};
+  static const auto energy = std::make_shared<const detail::BucketIndex>(
+      std::vector<double>{1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2,
+                          1e-1, 1.0, 1e1, 1e2, 1e3});
+  static const auto seconds = std::make_shared<const detail::BucketIndex>(
+      std::vector<double>{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e1,
+                          1e2, 1e3, 1e4});
   // Half-decade resolution where multi-hop delivery latency actually
   // lives (sub-ms airtime up to backoff-dominated tens of seconds).
-  static const std::vector<double> latency{
-      1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1,
-      3e-1, 1.0,  3.0,  1e1,  3e1,  1e2,  3e2};
+  static const auto latency = std::make_shared<const detail::BucketIndex>(
+      std::vector<double>{1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1,
+                          1.0, 3.0, 1e1, 3e1, 1e2, 3e2});
   switch (histogram) {
     case Histogram::EnergyPostJoules: return energy;
     case Histogram::DwellSeconds: return seconds;
@@ -64,28 +69,50 @@ const std::vector<double>& bucket_bounds(Histogram histogram) {
   return seconds;
 }
 
-HistogramData::HistogramData(std::vector<double> upper_bounds)
-    : bounds_(std::move(upper_bounds)), buckets_(bounds_.size() + 1, 0) {
-  BRAIDIO_REQUIRE(!bounds_.empty(), "bounds", bounds_.size());
-  for (std::size_t i = 0; i < bounds_.size(); ++i) {
-    BRAIDIO_REQUIRE(std::isfinite(bounds_[i]), "bound", bounds_[i]);
+}  // namespace
+
+const std::vector<double>& bucket_bounds(Histogram histogram) {
+  return builtin_index(histogram)->bounds;
+}
+
+detail::BucketIndex::BucketIndex(std::vector<double> upper_bounds)
+    : bounds(std::move(upper_bounds)) {
+  BRAIDIO_REQUIRE(!bounds.empty(), "bounds", bounds.size());
+  BRAIDIO_REQUIRE(bounds.size() <= std::numeric_limits<std::uint16_t>::max(),
+                  "bounds", bounds.size());
+  for (std::size_t i = 0; i < bounds.size(); ++i) {
+    BRAIDIO_REQUIRE(std::isfinite(bounds[i]), "bound", bounds[i]);
     if (i > 0) {
-      BRAIDIO_REQUIRE(bounds_[i] > bounds_[i - 1], "bound", bounds_[i],
-                      "previous", bounds_[i - 1]);
+      BRAIDIO_REQUIRE(bounds[i] > bounds[i - 1], "bound", bounds[i],
+                      "previous", bounds[i - 1]);
     }
+  }
+  edges = bounds;
+  edges.push_back(std::numeric_limits<double>::infinity());
+  // Keys rise with the bounds, so one pass counts the bounds below each
+  // binade. A -0 bound is keyed as +0 (`+ 0.0`), so it never counts as
+  // below a +0 value.
+  std::size_t below = 0;
+  for (std::size_t k = 0; k < first.size(); ++k) {
+    while (below < bounds.size() && binade(bounds[below] + 0.0) < k) {
+      ++below;
+    }
+    first[k] = static_cast<std::uint16_t>(below);
   }
 }
 
-void HistogramData::record(double value) {
-  BRAIDIO_REQUIRE(!buckets_.empty(), "buckets", buckets_.size());
-  if (std::isnan(value)) return;  // NaN carries no information
-  const auto it =
-      std::lower_bound(bounds_.begin(), bounds_.end(), value);
-  buckets_[static_cast<std::size_t>(it - bounds_.begin())] += 1;
-  ++count_;
-  sum_ += value;
-  min_ = std::min(min_, value);
-  max_ = std::max(max_, value);
+HistogramData::HistogramData(std::vector<double> upper_bounds)
+    : index_(std::make_shared<const detail::BucketIndex>(
+          std::move(upper_bounds))),
+      buckets_(index_->bounds.size() + 1, 0) {}
+
+HistogramData::HistogramData(Histogram builtin)
+    : index_(builtin_index(builtin)),
+      buckets_(index_->bounds.size() + 1, 0) {}
+
+const std::vector<double>& HistogramData::bounds() const {
+  static const std::vector<double> kNone;
+  return index_ ? index_->bounds : kNone;
 }
 
 double HistogramData::min() const { return count_ == 0 ? 0.0 : min_; }
@@ -111,9 +138,10 @@ double HistogramData::quantile(double q) const {
       seen += buckets_[b];
       continue;
     }
-    if (b == bounds_.size()) return max();  // overflow bucket
-    const double hi = bounds_[b];
-    const double lo = b == 0 ? std::min(min(), hi) : bounds_[b - 1];
+    const std::vector<double>& bounds = index_->bounds;
+    if (b == bounds.size()) return max();  // overflow bucket
+    const double hi = bounds[b];
+    const double lo = b == 0 ? std::min(min(), hi) : bounds[b - 1];
     const double within = (static_cast<double>(rank - seen)) /
                           static_cast<double>(buckets_[b]);
     // Clamp into the observed range so degenerate cases (single sample,
@@ -124,13 +152,13 @@ double HistogramData::quantile(double q) const {
 }
 
 void HistogramData::merge(const HistogramData& other) {
-  if (other.count_ == 0 && other.bounds_.empty()) return;
-  if (bounds_.empty()) {
+  if (other.count_ == 0 && !other.index_) return;
+  if (!index_) {
     *this = other;
     return;
   }
-  BRAIDIO_REQUIRE(bounds_ == other.bounds_, "bounds", bounds_.size(),
-                  "other", other.bounds_.size());
+  BRAIDIO_REQUIRE(index_ == other.index_ || bounds() == other.bounds(),
+                  "bounds", bounds().size(), "other", other.bounds().size());
   for (std::size_t b = 0; b < buckets_.size(); ++b) {
     buckets_[b] += other.buckets_[b];
   }
@@ -148,19 +176,13 @@ void HistogramData::clear() {
   max_ = -std::numeric_limits<double>::infinity();
 }
 
-void MetricsRegistry::add(Counter counter, std::uint64_t n) {
-  builtin_counters_[static_cast<std::size_t>(counter)] += n;
-}
-
 std::uint64_t MetricsRegistry::value(Counter counter) const {
   return builtin_counters_[static_cast<std::size_t>(counter)];
 }
 
-void MetricsRegistry::observe(Histogram histogram, double value) {
-  HistogramData& data =
-      builtin_histograms_[static_cast<std::size_t>(histogram)];
-  if (data.bounds().empty()) data = HistogramData(bucket_bounds(histogram));
-  data.record(value);
+void MetricsRegistry::set_up(Histogram histogram) {
+  builtin_histograms_[static_cast<std::size_t>(histogram)] =
+      HistogramData(histogram);
 }
 
 const HistogramData& MetricsRegistry::histogram(
@@ -173,7 +195,7 @@ const HistogramData& MetricsRegistry::histogram(
   static const auto kUnobserved = [] {
     std::array<HistogramData, kHistogramCount> unobserved;
     for (std::size_t i = 0; i < kHistogramCount; ++i) {
-      unobserved[i] = HistogramData(bucket_bounds(static_cast<Histogram>(i)));
+      unobserved[i] = HistogramData(static_cast<Histogram>(i));
     }
     return unobserved;
   }();
@@ -270,9 +292,11 @@ util::TablePrinter MetricsRegistry::to_table() const {
 // Hook plumbing: thread-local scoped registry + global fallback.
 // ---------------------------------------------------------------------
 
-namespace {
+namespace detail {
+constinit thread_local MetricsRegistry* t_metrics = nullptr;
+}  // namespace detail
 
-thread_local MetricsRegistry* t_current = nullptr;
+namespace {
 
 std::mutex& global_mu() {
   static std::mutex mu;
@@ -286,14 +310,12 @@ MetricsRegistry& global_registry() {
 
 }  // namespace
 
-MetricsRegistry* current_metrics() { return t_current; }
-
 ScopedMetrics::ScopedMetrics(MetricsRegistry* registry)
-    : previous_(t_current) {
-  t_current = registry;
+    : previous_(detail::t_metrics) {
+  detail::t_metrics = registry;
 }
 
-ScopedMetrics::~ScopedMetrics() { t_current = previous_; }
+ScopedMetrics::~ScopedMetrics() { detail::t_metrics = previous_; }
 
 MetricsRegistry global_metrics_snapshot() {
   std::lock_guard<std::mutex> lock(global_mu());
@@ -307,20 +329,12 @@ void reset_global_metrics() {
 
 namespace detail {
 
-void count_slow(Counter counter, std::uint64_t n) {
-  if (MetricsRegistry* r = t_current) {
-    r->add(counter, n);
-    return;
-  }
+void count_global(Counter counter, std::uint64_t n) {
   std::lock_guard<std::mutex> lock(global_mu());
   global_registry().add(counter, n);
 }
 
-void observe_slow(Histogram histogram, double value) {
-  if (MetricsRegistry* r = t_current) {
-    r->observe(histogram, value);
-    return;
-  }
+void observe_global(Histogram histogram, double value) {
   std::lock_guard<std::mutex> lock(global_mu());
   global_registry().observe(histogram, value);
 }

@@ -6,7 +6,10 @@
 // path can pay for a map lookup per post. Counters live in a fixed
 // array, and a histogram's buckets are built on its first observation,
 // so a registry that only counts (one per sweep point) allocates nothing
-// and merges in sixteen additions.
+// and merges in sixteen additions. A post costs only what it records:
+// the hooks read the thread's registry pointer and post inline, and a
+// histogram finds its bucket from the value's binade in a table each
+// built-in shares, without a search.
 //
 // Attribution and determinism: a registry is a plain value owned by ONE
 // thread at a time. The sweep engine installs a per-point registry via
@@ -18,9 +21,13 @@
 // mutex-guarded process-global registry.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -70,23 +77,69 @@ const char* to_string(Histogram histogram);
 /// The fixed bucket upper bounds used for a built-in histogram.
 const std::vector<double>& bucket_bounds(Histogram histogram);
 
+namespace detail {
+/// A bound list plus the index that finds a value's bucket without a
+/// search. A double maps to an order-preserving 64-bit key whose top 12
+/// bits (sign and exponent) name its binade; `first[k]` is the index of
+/// the first bound in binade k or above, and comparisons settle the
+/// bounds inside the value's own binade. The result is std::lower_bound's
+/// index for every non-NaN double. The built-in lists hold at most one
+/// bound per binade, so one compare settles theirs.
+struct BucketIndex {
+  explicit BucketIndex(std::vector<double> upper_bounds);
+
+  /// The top 12 bits of the value's order-preserving key: its binade.
+  static std::size_t binade(double value) {
+    const auto bits = std::bit_cast<std::uint64_t>(value);
+    // Flip every bit of a negative, only the sign bit of a positive.
+    const std::uint64_t key =
+        bits ^ (static_cast<std::uint64_t>(static_cast<std::int64_t>(bits) >>
+                                           63) |
+                (std::uint64_t{1} << 63));
+    return static_cast<std::size_t>(key >> 52);
+  }
+
+  std::size_t bucket_of(double value) const {
+    std::size_t i = first[binade(value)];
+    i += edges[i] < value;
+    while (edges[i] < value) ++i;  // lists with several bounds a binade
+    return i;
+  }
+
+  std::vector<double> bounds;  // ascending, finite
+  std::vector<double> edges;   // bounds, then +inf
+  std::array<std::uint16_t, 4096> first{};
+};
+}  // namespace detail
+
 /// Fixed-bucket histogram with quantile accessors. Buckets are defined by
 /// ascending finite upper bounds; one implicit overflow bucket catches
-/// everything beyond the last bound. Single-thread-owned (see file
-/// comment); merge requires identical bounds.
+/// everything beyond the last bound. A value lands in the first bucket
+/// whose bound is >= the value (std::lower_bound's index). Single-
+/// thread-owned (see file comment); merge requires identical bounds.
 class HistogramData {
  public:
   HistogramData() = default;
   explicit HistogramData(std::vector<double> upper_bounds);
+  /// A built-in histogram's bounds, sharing its static bucket index.
+  explicit HistogramData(Histogram builtin);
 
-  void record(double value);
+  /// Requires bounds (a default-constructed histogram has none).
+  void record(double value) {
+    if (std::isnan(value)) return;  // NaN carries no information
+    buckets_[index_->bucket_of(value)] += 1;
+    ++count_;
+    sum_ += value;
+    min_ = std::min(min_, value);
+    max_ = std::max(max_, value);
+  }
 
   std::uint64_t count() const { return count_; }
   double sum() const { return sum_; }
   double min() const;  // 0 when empty
   double max() const;  // 0 when empty
 
-  const std::vector<double>& bounds() const { return bounds_; }
+  const std::vector<double>& bounds() const;
   /// bounds().size() + 1 buckets; the last one is the overflow bucket.
   std::size_t bucket_count() const { return buckets_.size(); }
   std::uint64_t bucket(std::size_t index) const;
@@ -105,7 +158,8 @@ class HistogramData {
   void clear();
 
  private:
-  std::vector<double> bounds_;
+  /// Shared by every copy; the built-in histograms' are static.
+  std::shared_ptr<const detail::BucketIndex> index_;
   std::vector<std::uint64_t> buckets_;
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
@@ -119,9 +173,16 @@ class MetricsRegistry {
  public:
   MetricsRegistry() = default;
 
-  void add(Counter counter, std::uint64_t n = 1);
+  void add(Counter counter, std::uint64_t n = 1) {
+    builtin_counters_[static_cast<std::size_t>(counter)] += n;
+  }
   std::uint64_t value(Counter counter) const;
-  void observe(Histogram histogram, double value);
+  void observe(Histogram histogram, double value) {
+    HistogramData& data =
+        builtin_histograms_[static_cast<std::size_t>(histogram)];
+    if (data.bucket_count() == 0) [[unlikely]] set_up(histogram);
+    data.record(value);
+  }
   const HistogramData& histogram(Histogram histogram) const;
 
   /// Fold `other` in: counters and histograms add.
@@ -140,6 +201,9 @@ class MetricsRegistry {
   util::TablePrinter to_table() const;
 
  private:
+  /// Gives a histogram its built-in bounds at its first observation.
+  void set_up(Histogram histogram);
+
   std::array<std::uint64_t, kCounterCount> builtin_counters_{};
   /// Empty (no bounds) until the histogram's first observe().
   std::array<HistogramData, kHistogramCount> builtin_histograms_;
@@ -149,13 +213,18 @@ class MetricsRegistry {
 // Hook entry points for instrumented layers.
 // ---------------------------------------------------------------------
 
-/// The registry hooks currently post into: the thread's scoped registry
-/// if one is installed, else nullptr (posts then go to the process-global
-/// registry under its mutex).
-MetricsRegistry* current_metrics();
+namespace detail {
+/// This thread's scoped registry (ScopedMetrics), or nullptr.
+extern constinit thread_local MetricsRegistry* t_metrics;
+/// Posts made outside any scope: the global registry, under its mutex.
+void count_global(Counter counter, std::uint64_t n);
+void observe_global(Histogram histogram, double value);
+}  // namespace detail
 
 /// Install `registry` as this thread's post target for the scope's
 /// lifetime (used by SweepRunner around each grid-point evaluation).
+/// Outside any scope, posts go to the process-global registry under its
+/// mutex.
 class ScopedMetrics {
  public:
   explicit ScopedMetrics(MetricsRegistry* registry);
@@ -171,16 +240,15 @@ class ScopedMetrics {
 MetricsRegistry global_metrics_snapshot();
 void reset_global_metrics();
 
-namespace detail {
-void count_slow(Counter counter, std::uint64_t n);
-void observe_slow(Histogram histogram, double value);
-}  // namespace detail
-
-/// Post to a built-in counter/histogram. Compiled out entirely when
-/// BRAIDIO_OBS is off.
+/// Post to a built-in counter/histogram: straight into the thread's
+/// scoped registry. Compiled out entirely when BRAIDIO_OBS is off.
 inline void count(Counter counter, std::uint64_t n = 1) {
 #if BRAIDIO_OBS_COMPILED
-  detail::count_slow(counter, n);
+  if (MetricsRegistry* r = detail::t_metrics) {
+    r->add(counter, n);
+  } else {
+    detail::count_global(counter, n);
+  }
 #else
   (void)counter;
   (void)n;
@@ -189,7 +257,11 @@ inline void count(Counter counter, std::uint64_t n = 1) {
 
 inline void observe(Histogram histogram, double value) {
 #if BRAIDIO_OBS_COMPILED
-  detail::observe_slow(histogram, value);
+  if (MetricsRegistry* r = detail::t_metrics) {
+    r->observe(histogram, value);
+  } else {
+    detail::observe_global(histogram, value);
+  }
 #else
   (void)histogram;
   (void)value;

@@ -124,7 +124,15 @@ std::optional<FaultTimeline> FaultTimeline::parse(std::istream& in,
       ev.start_s = a;
       ev.duration_s = b;
       ev.magnitude = c;
-      if (fields >> d) {
+      // The optional field: absent (end of line or an `@<id>` scope), it
+      // takes the kind's default; present, it must parse. A read that
+      // consumed the token and failed (`1e999` overflows) fails the line.
+      fields >> std::ws;
+      const auto next = fields.peek();
+      if (next != std::char_traits<char>::eof() && next != '@') {
+        if (!(fields >> d)) {
+          return fail(kind + " optional field is not a finite number");
+        }
         ev.param = d;
       } else if (ev.kind == FaultKind::Interferer) {
         ev.param = 100e3;  // default offset: mid data band
@@ -162,9 +170,8 @@ std::optional<FaultTimeline> FaultTimeline::parse(std::istream& in,
     } else {
       return fail("unknown fault kind '" + kind + "'");
     }
-    // Optional node scope (`@<id>`), then nothing else. The optional
-    // numeric fields above may have left the stream failed on a
-    // non-numeric token — clear so that token is still read here.
+    // Optional node scope (`@<id>`), then nothing else. An optional
+    // field read at the end of the line leaves the stream failed: clear.
     fields.clear();
     std::string extra;
     if (fields >> extra) {

@@ -86,8 +86,7 @@ void RunReport::metrics(const ResultTable& results) {
   if (!results.metrics().empty()) {
     // Per-point duration spread (display only: wall times are
     // nondeterministic, so they never enter the merged registry).
-    obs::HistogramData durations(
-        obs::bucket_bounds(obs::Histogram::DwellSeconds));
+    obs::HistogramData durations(obs::Histogram::DwellSeconds);
     for (const auto& m : results.metrics()) {
       durations.record(m.wall_seconds);
     }

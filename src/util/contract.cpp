@@ -23,10 +23,9 @@ double check_probability(double p, const char* what) {
   return p;
 }
 
-double check_nonneg_energy_j(double joules, const char* what) {
-  BRAIDIO_REQUIRE(std::isfinite(joules) && joules >= 0.0, "energy_j", what,
-                  "value", joules);
-  return joules;
+void detail::fail_nonneg_energy_j(double joules, const char* what) {
+  fail("REQUIRE", "std::isfinite(joules) && joules >= 0.0", __FILE__,
+       __LINE__, detail_string("energy_j", what, "value", joules));
 }
 
 double check_power_dbm_range(double dbm, const char* what, double lo_dbm,

@@ -96,8 +96,22 @@ namespace braidio::util::contract {
 /// threaded through return statements.
 double check_probability(double p, const char* what);
 
-/// `joules` must be finite and >= 0.
-double check_nonneg_energy_j(double joules, const char* what);
+namespace detail {
+[[noreturn]] void fail_nonneg_energy_j(double joules, const char* what);
+}  // namespace detail
+
+/// `joules` must be finite and >= 0. Inline, as every battery drain
+/// checks it: the check is one compare, the report stays out of line.
+inline double check_nonneg_energy_j(double joules, const char* what) {
+#if BRAIDIO_CONTRACTS_ENABLED
+  if (!(std::isfinite(joules) && joules >= 0.0)) [[unlikely]] {
+    detail::fail_nonneg_energy_j(joules, what);
+  }
+#else
+  (void)what;
+#endif
+  return joules;
+}
 
 /// `dbm` must be finite and inside the physically plausible radio range
 /// [lo_dbm, hi_dbm] (default -250..+90 dBm: below thermal noise in 1 Hz up

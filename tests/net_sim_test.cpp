@@ -33,6 +33,7 @@
 #include "sim/scenario.hpp"
 #include "sim/sweep_runner.hpp"
 #include "util/rng.hpp"
+#include "util/units.hpp"
 
 namespace braidio::net {
 namespace {
@@ -299,6 +300,107 @@ TEST(SharedMedium, CcaVerdictFallsBackPastTheGainTable) {
   EXPECT_TRUE(medium.ambient_below(
       0, 0, std::nextafter(ambient, std::numeric_limits<double>::infinity())));
   EXPECT_FALSE(medium.ambient_below(0, 0, -95.0));
+}
+
+TEST(SharedMedium, SumsCarryTheBitsOfAMemoFreeReference) {
+  // Random begin/end sequences on a star and on a random layout, with
+  // penalty, ambient and CCA queries at the hub and at random nodes
+  // interleaved. Every answer must carry the bits of the plain
+  // insertion-order sum below, which remembers nothing between queries.
+  struct OnAir {
+    std::uint32_t tx;
+    double gain_w;
+  };
+  const MediumConfig config;
+  const double ref_gain = std::pow(10.0, -config.ref_loss_db / 10.0);
+  const double noise_w = util::dbm_to_watts(config.noise_floor_dbm);
+  const double half_exponent = -0.5 * config.path_loss_exponent;
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const bool star : {true, false}) {
+    util::Rng rng(star ? 41 : 42);
+    constexpr std::uint32_t kNodes = 300;
+    std::vector<Vec2> positions{{0.0, 0.0}};
+    for (std::uint32_t i = 1; i < kNodes; ++i) {
+      if (star) {
+        const double r = 2.0 * std::sqrt(rng.uniform());
+        const double a = rng.uniform(0.0, 6.283185307179586);
+        positions.push_back({r * std::cos(a), r * std::sin(a)});
+      } else {
+        positions.push_back({rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)});
+      }
+    }
+    SharedMedium medium(config, positions);
+    std::vector<OnAir> on_air;
+    const auto reference_w = [&](std::uint32_t node, std::uint32_t exclude) {
+      double total_w = 0.0;
+      for (const OnAir& a : on_air) {
+        if (a.tx == exclude || a.tx == node) continue;
+        const double dx = positions[a.tx].x_m - positions[node].x_m;
+        const double dy = positions[a.tx].y_m - positions[node].y_m;
+        const double d2 = std::max(dx * dx + dy * dy, 1e-4);
+        total_w += a.gain_w * std::pow(d2, half_exponent);
+      }
+      return total_w;
+    };
+    std::uint64_t queries = 0;
+    for (int step = 0; step < 20000; ++step) {
+      const double roll = rng.uniform();
+      if (roll < 0.15 && on_air.size() < 40) {
+        const auto tx =
+            static_cast<std::uint32_t>(rng.uniform_int(1, kNodes - 1));
+        if (std::any_of(on_air.begin(), on_air.end(),
+                        [tx](const OnAir& a) { return a.tx == tx; })) {
+          continue;
+        }
+        const double levels[] = {config.tx_power_dbm,
+                                 config.tx_power_dbm - 30.0, -12.5,
+                                 rng.uniform(-40.0, 10.0)};
+        const double power_dbm = levels[rng.uniform_int(0, 3)];
+        medium.begin(tx, 0, 1.0, power_dbm);
+        on_air.push_back({tx, util::dbm_to_watts(power_dbm) * ref_gain});
+        continue;
+      }
+      if (roll < 0.3 && !on_air.empty()) {
+        const std::size_t k = rng.uniform_int(0, on_air.size() - 1);
+        medium.end(on_air[k].tx);
+        on_air.erase(on_air.begin() + static_cast<std::ptrdiff_t>(k));
+        continue;
+      }
+      const auto node = static_cast<std::uint32_t>(
+          rng.bernoulli(0.6) ? 0 : rng.uniform_int(0, kNodes - 1));
+      const std::uint32_t exclude =
+          (!on_air.empty() && rng.bernoulli(0.7))
+              ? on_air[rng.uniform_int(0, on_air.size() - 1)].tx
+              : node;
+      const double i_w = reference_w(node, exclude);
+      const double ambient = util::watts_to_dbm(noise_w + i_w);
+      switch (rng.uniform_int(0, 2)) {
+        case 0: {
+          const double want =
+              i_w <= 0.0 ? 0.0 : util::linear_to_db(1.0 + i_w / noise_w);
+          ASSERT_EQ(bits(medium.interference_penalty_db(node, exclude)),
+                    bits(want))
+              << "star " << star << " step " << step << " node " << node;
+          break;
+        }
+        case 1:
+          ASSERT_EQ(bits(medium.ambient_dbm(node, exclude)), bits(ambient))
+              << "star " << star << " step " << step << " node " << node;
+          break;
+        default: {
+          const double inf = std::numeric_limits<double>::infinity();
+          for (const double threshold :
+               {-60.0, ambient, std::nextafter(ambient, inf)}) {
+            ASSERT_EQ(medium.ambient_below(node, exclude, threshold),
+                      ambient < threshold)
+                << "star " << star << " step " << step << " node " << node;
+          }
+        }
+      }
+      ++queries;
+    }
+    EXPECT_GT(queries, 10000u);
+  }
 }
 
 TEST(SharedMedium, PathLossFollowsTheLogDistanceModel) {

@@ -2,8 +2,11 @@
 // wraparound + drop accounting, Chrome trace JSON parse-back, the runtime
 // sampling gate, and the serial-vs-parallel determinism of the merged
 // sweep metrics.
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cctype>
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -37,6 +40,7 @@
 #include "sim/result_table.hpp"
 #include "sim/scenario.hpp"
 #include "sim/sweep_runner.hpp"
+#include "util/rng.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -305,6 +309,79 @@ TEST(HistogramData, MergeAddsAndRejectsMismatchedBounds) {
   obs::HistogramData other({2.0, 20.0});
   other.record(1.0);
   EXPECT_DEATH(a.merge(other), "REQUIRE");
+}
+
+TEST(HistogramData, BucketIsTheLowerBoundIndexForEveryDouble) {
+  // A value lands in the bucket std::lower_bound picks over the bounds:
+  // the first bound >= the value, the overflow bucket past the last.
+  // Probed at every bound +-0..64 ulps, at zeros, negatives, subnormals,
+  // the extremes, +-inf and 100k random finite bit patterns, for the
+  // built-in lists (directly and through a registry) and custom lists,
+  // including ones with several bounds in a binade and bounds <= 0.
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<double>> custom{
+      {1.0, 10.0, 100.0},
+      {1.0, 2.0},
+      {1.0, 10.0},
+      {2.0, 20.0},
+      {-1e300, -3.0, -2.5, -0.0, 4.9e-324, 2.2e-308, 1.0, 1.25, 1.5, 1.75,
+       2.0, 1e300}};
+  std::vector<std::vector<double>> lists = custom;
+  for (std::size_t h = 0; h < obs::kHistogramCount; ++h) {
+    lists.push_back(obs::bucket_bounds(static_cast<obs::Histogram>(h)));
+  }
+
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  std::vector<double> probes{0.0,     -0.0,    -1.0,    -1e-9, -1e300,
+                             tiny,    -tiny,   DBL_MIN, -DBL_MIN,
+                             DBL_MAX, -DBL_MAX, inf,    -inf};
+  for (const auto& bounds : lists) {
+    for (const double bound : bounds) {
+      double up = bound;
+      double down = bound;
+      for (int ulp = 0; ulp <= 64; ++ulp) {
+        probes.push_back(up);
+        probes.push_back(down);
+        up = std::nextafter(up, inf);
+        down = std::nextafter(down, -inf);
+      }
+    }
+  }
+  util::Rng rng(20261021);
+  const std::size_t fixed = probes.size();
+  while (probes.size() < fixed + 100000) {
+    const double v = std::bit_cast<double>(
+        rng.uniform_int(0, std::numeric_limits<std::uint64_t>::max()));
+    if (std::isfinite(v)) probes.push_back(v);
+  }
+
+  const auto expected_bucket = [](const std::vector<double>& bounds,
+                                  double v) {
+    return static_cast<std::size_t>(
+        std::lower_bound(bounds.begin(), bounds.end(), v) - bounds.begin());
+  };
+  for (const auto& bounds : lists) {
+    obs::HistogramData h(bounds);
+    std::vector<std::uint64_t> expected(bounds.size() + 1, 0);
+    for (const double v : probes) {
+      const std::size_t b = expected_bucket(bounds, v);
+      h.record(v);
+      ASSERT_EQ(h.bucket(b), ++expected[b])
+          << "value " << v << " bounds " << bounds.size();
+    }
+  }
+  for (std::size_t i = 0; i < obs::kHistogramCount; ++i) {
+    const auto id = static_cast<obs::Histogram>(i);
+    const std::vector<double>& bounds = obs::bucket_bounds(id);
+    obs::MetricsRegistry registry;
+    std::vector<std::uint64_t> expected(bounds.size() + 1, 0);
+    for (const double v : probes) {
+      const std::size_t b = expected_bucket(bounds, v);
+      registry.observe(id, v);
+      ASSERT_EQ(registry.histogram(id).bucket(b), ++expected[b])
+          << "value " << v << " histogram " << obs::to_string(id);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -1236,6 +1313,69 @@ TEST(EnergyAttribution, ExportsMatchRecordedDigests) {
   EXPECT_EQ(export_digests(braid), recorded_braid);
   EXPECT_EQ(export_digests(walk), recorded_walk);
   EXPECT_EQ(export_digests(star), recorded_star);
+}
+
+/// FNV-1a of the merged metrics registry of a one-point sweep whose point
+/// calls `run`.
+template <typename Run>
+std::uint64_t sweep_metrics_digest(Run run) {
+  const sim::Scenario scenario(
+      "metrics_digest", {sim::Axis::indexed("run", 1)}, {"v"},
+      [&run](sim::SweepPoint&) {
+        run();
+        sim::RunRecord record;
+        record.cells = {"0"};
+        record.numbers = {0.0};
+        return record;
+      });
+  sim::SweepOptions options;
+  options.threads = 1;
+  options.seed = 1;
+  const auto table = sim::SweepRunner(options).run(scenario);
+  return fnv1a(table.metrics_registry().to_json());
+}
+
+// Every counter and every histogram's count, sum, min, max, quantiles and
+// buckets, as the packet engines post them. Recorded before the metric
+// hooks went inline and the histograms found their bucket from the
+// value's binade: how a post is stored must not move a byte of these.
+TEST(MetricsRegistry, RunsMatchRecordedDigests) {
+  const hal::RadioBackend& backend = backends::braidio_backend();
+  const auto net_run = [&backend](net::TopologyKind kind, std::size_t nodes,
+                                  double extent_m, net::MacKind mac) {
+    return [=, &backend] {
+      net::NetConfig config;
+      config.backend = &backend;
+      config.mac = mac;
+      config.topology.kind = kind;
+      config.topology.nodes = nodes;
+      config.topology.extent_m = extent_m;
+      config.topology.link_range_m = 0.6;
+      net::NetworkSimulator(config).run();
+    };
+  };
+  // A 15 x 15 TDMA grid at 0.5 m pitch (hub at the centre) and a
+  // 2,000-tag CSMA star.
+  const std::uint64_t grid = sweep_metrics_digest(net_run(
+      net::TopologyKind::Grid, 224, 14 * 0.5, net::MacKind::Tdma));
+  const std::uint64_t star = sweep_metrics_digest(
+      net_run(net::TopologyKind::Star, 2000, 2.0, net::MacKind::Csma));
+  // A braided link under block fading.
+  const std::uint64_t braid = sweep_metrics_digest([&backend] {
+    core::RegimeMap regimes(backend);
+    hal::StandardRadio device1("device1", 1, util::WattHours(0.01),
+                               backend.caps());
+    hal::StandardRadio device2("device2", 2, util::WattHours(0.01),
+                               backend.caps());
+    core::BraidedLinkConfig cfg;
+    cfg.distance_m = 1.0;
+    cfg.block_fading = true;
+    core::BraidedLink link(device1, device2, regimes, cfg);
+    link.run(512);
+  });
+  EXPECT_EQ(grid, 12625793423530417975ull);
+  EXPECT_EQ(star, 1820538588688780505ull);
+  EXPECT_EQ(braid, 1258264820347693459ull);
 }
 
 #endif  // BRAIDIO_OBS_COMPILED

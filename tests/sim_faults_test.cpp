@@ -207,6 +207,42 @@ TEST(FaultTimeline, RejectsBadNodeScopes) {
   }
 }
 
+TEST(FaultTimeline, RejectsAnOptionalFieldThatDoesNotParse) {
+  // A token in the optional slot that the number read consumes and fails
+  // on (a double overflow) is an error, not the kind's default.
+  for (const char* text :
+       {"interferer 0 10 -20 1e999\n", "interferer 0 10 -20 -1e999\n",
+        "fade 0 1 10 1e999\n", "fade 0 1 10 -1e999 @2\n",
+        "shadowing 0 1 6 1e999\n"}) {
+    std::istringstream in(std::string("# header\n") + text);
+    std::string error;
+    EXPECT_FALSE(FaultTimeline::parse(in, &error).has_value()) << text;
+    EXPECT_EQ(error.rfind("line 2: ", 0), 0u) << text << error;
+  }
+  // In-range values still parse, with or without a scope after them, and
+  // an absent field still takes the default.
+  std::istringstream in(
+      "interferer 0 10 -20 100e3\n"
+      "interferer 1 10 -20 250e3 @2\n"
+      "fade 2 1 10 2e-3 @3\n"
+      "interferer 3 10 -20 @1\n"
+      "fade 4 1 10\n");
+  std::string error;
+  const auto timeline = FaultTimeline::parse(in, &error);
+  ASSERT_TRUE(timeline.has_value()) << error;
+  const auto& events = timeline->events();
+  ASSERT_EQ(events.size(), 5u);
+  EXPECT_EQ(events[0].param, 100e3);
+  EXPECT_EQ(events[0].node, kNodeBroadcast);
+  EXPECT_EQ(events[1].param, 250e3);
+  EXPECT_EQ(events[1].node, 2);
+  EXPECT_EQ(events[2].param, 2e-3);
+  EXPECT_EQ(events[2].node, 3);
+  EXPECT_EQ(events[3].param, 100e3);
+  EXPECT_EQ(events[3].node, 1);
+  EXPECT_EQ(events[4].param, 5e-3);
+}
+
 TEST(ImpairmentSchedule, NodeScopedQueryFiltersByTarget) {
   std::vector<FaultEvent> events;
   // Broadcast shadowing everyone sees, plus a dropout only node 2 sees.
