@@ -1,9 +1,9 @@
-// Extension: what Hamming(7,4)+interleaving buys the marginal links.
+// Extension: what Hamming(7,4) buys the marginal links.
 //
 // The paper's links are uncoded; coded backscatter is cited related work.
 // For each (mode, bitrate) we compute the uncoded operating range
 // (BER < 1e-2 raw) and the coded range (residual BER < 1e-2 after
-// Hamming(7,4)), at a 4/7 throughput cost.
+// Hamming(7,4), mac::hamming74_residual_ber), at a 4/7 throughput cost.
 #include <iostream>
 
 #include "backends/backends.hpp"

@@ -175,22 +175,9 @@ void register_all() {
   registry.register_backend(std::make_unique<BlispHybridBackend>());
 }
 
-namespace {
-const hal::RadioBackend& registered(const char* name) {
+const hal::RadioBackend& braidio_backend() {
   register_all();
-  return hal::BackendRegistry::instance().get(name);
-}
-}  // namespace
-
-const hal::RadioBackend& braidio_backend() { return registered(kBraidio); }
-const hal::RadioBackend& ble_active_backend() {
-  return registered(kBleActive);
-}
-const hal::RadioBackend& reader_passive_backend() {
-  return registered(kReaderPassive);
-}
-const hal::RadioBackend& blisp_hybrid_backend() {
-  return registered(kBlispHybrid);
+  return hal::BackendRegistry::instance().get(kBraidio);
 }
 
 }  // namespace braidio::backends

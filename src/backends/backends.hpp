@@ -28,10 +28,8 @@ inline constexpr const char* kBlispHybrid = "blisp-hybrid";
 /// call before any registry lookup.
 void register_all();
 
-/// Convenience accessors (each implies register_all()).
+/// The calibrated prototype (implies register_all()). Other backends
+/// come from hal::BackendRegistry::instance().get(name).
 const hal::RadioBackend& braidio_backend();
-const hal::RadioBackend& ble_active_backend();
-const hal::RadioBackend& reader_passive_backend();
-const hal::RadioBackend& blisp_hybrid_backend();
 
 }  // namespace braidio::backends

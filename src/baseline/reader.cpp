@@ -59,15 +59,6 @@ phy::LinkBudgetConfig reader_budget_config(
 CommercialReaderModel::CommercialReaderModel(Config config)
     : config_(config), budget_(reader_budget_config(config)) {}
 
-double CommercialReaderModel::received_power_dbm(double distance_m) const {
-  return budget_.received_power_dbm(phy::LinkMode::Backscatter, distance_m);
-}
-
-double CommercialReaderModel::snr_db(double distance_m) const {
-  return budget_.snr_db(phy::LinkMode::Backscatter, phy::Bitrate::k100,
-                        distance_m);
-}
-
 double CommercialReaderModel::ber(double distance_m) const {
   return budget_.ber(phy::LinkMode::Backscatter, phy::Bitrate::k100,
                      distance_m);

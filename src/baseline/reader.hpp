@@ -49,8 +49,6 @@ class CommercialReaderModel {
   CommercialReaderModel() : CommercialReaderModel(Config{}) {}
   explicit CommercialReaderModel(Config config);
 
-  double received_power_dbm(double distance_m) const;
-  double snr_db(double distance_m) const;
   double ber(double distance_m) const;
   double range_m() const;
   double power_watts() const { return config_.spec.total_power_w; }

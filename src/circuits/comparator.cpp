@@ -25,13 +25,6 @@ bool Comparator::step(double input_volts) {
   return state_;
 }
 
-std::vector<bool> Comparator::process(const std::vector<double>& waveform) {
-  std::vector<bool> out;
-  out.reserve(waveform.size());
-  for (double v : waveform) out.push_back(step(v));
-  return out;
-}
-
 double Comparator::power_watts() const {
   return config_.supply_current_amps * config_.supply_volts;
 }

@@ -5,8 +5,6 @@
 // receiver's sensitivity to ~-40 dBm before amplification.
 #pragma once
 
-#include <vector>
-
 namespace braidio::circuits {
 
 struct ComparatorConfig {
@@ -24,9 +22,6 @@ class Comparator {
 
   /// Evaluate one sample; returns the (possibly unchanged) output state.
   bool step(double input_volts);
-
-  /// Slice a whole waveform into booleans.
-  std::vector<bool> process(const std::vector<double>& waveform);
 
   /// Static power draw [W].
   double power_watts() const;

@@ -59,11 +59,4 @@ std::vector<double> EnvelopeDetector::process(
   return out;
 }
 
-void EnvelopeDetector::reset() {
-  lp_state_ = 0.0;
-  hp_prev_in_ = 0.0;
-  hp_state_ = 0.0;
-  hp_primed_ = false;
-}
-
 }  // namespace braidio::circuits

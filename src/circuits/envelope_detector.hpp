@@ -36,9 +36,6 @@ class EnvelopeDetector {
   /// Process a whole waveform.
   std::vector<double> process(const std::vector<double>& envelope);
 
-  /// Reset internal filter state (e.g. between packets).
-  void reset();
-
   const EnvelopeDetectorConfig& config() const { return config_; }
 
  private:

@@ -1,7 +1,5 @@
 #include "circuits/inst_amp.hpp"
 
-#include <cmath>
-#include <numbers>
 #include <stdexcept>
 
 namespace braidio::circuits {
@@ -12,42 +10,6 @@ InstAmp::InstAmp(InstAmpConfig config) : config_(config) {
       !(config_.gain_bandwidth_hz > 0.0)) {
     throw std::invalid_argument("InstAmp: bad config");
   }
-}
-
-double InstAmp::effective_gain(double source_impedance_ohms,
-                               double signal_freq_hz) const {
-  if (source_impedance_ohms < 0.0 || signal_freq_hz < 0.0) {
-    throw std::domain_error("InstAmp::effective_gain: negative argument");
-  }
-  // Resistive loading of the high-impedance source.
-  const double divider =
-      config_.input_resistance_ohms /
-      (config_.input_resistance_ohms + source_impedance_ohms);
-  // Input-capacitance pole against the source impedance.
-  const double pole_hz =
-      config_.input_capacitance_farads > 0.0
-          ? 1.0 / (2.0 * std::numbers::pi * source_impedance_ohms *
-                   config_.input_capacitance_farads)
-          : 0.0;
-  double cap_rolloff = 1.0;
-  if (pole_hz > 0.0) {
-    const double r = signal_freq_hz / pole_hz;
-    cap_rolloff = 1.0 / std::sqrt(1.0 + r * r);
-  }
-  // Closed-loop bandwidth: GBW / gain.
-  const double bw_hz = config_.gain_bandwidth_hz / config_.gain;
-  const double rb = signal_freq_hz / bw_hz;
-  const double bw_rolloff = 1.0 / std::sqrt(1.0 + rb * rb);
-  return config_.gain * divider * cap_rolloff * bw_rolloff;
-}
-
-double InstAmp::output_noise_volts(double bandwidth_hz) const {
-  if (bandwidth_hz < 0.0) {
-    throw std::domain_error("InstAmp::output_noise_volts: negative bandwidth");
-  }
-  const double input_rms =
-      config_.input_noise_nv_per_rthz * 1e-9 * std::sqrt(bandwidth_hz);
-  return input_rms * config_.gain;
 }
 
 double InstAmp::power_watts() const {

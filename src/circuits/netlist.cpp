@@ -6,25 +6,12 @@
 
 namespace braidio::circuits {
 
-std::function<double(double)> dc_waveform(double volts) {
-  return [volts](double) { return volts; };
-}
-
 std::function<double(double)> sine_waveform(double amplitude, double freq_hz,
                                             double phase_rad, double offset) {
   return [=](double t) {
     return offset +
            amplitude * std::sin(2.0 * std::numbers::pi * freq_hz * t +
                                 phase_rad);
-  };
-}
-
-std::function<double(double)> square_waveform(double low, double high,
-                                              double freq_hz, double duty) {
-  return [=](double t) {
-    const double cycle = t * freq_hz;
-    const double frac = cycle - std::floor(cycle);
-    return frac < duty ? high : low;
   };
 }
 

@@ -47,14 +47,10 @@ struct VoltageSource {
   std::function<double(double)> waveform;  // volts as a function of seconds
 };
 
-/// Waveform helpers.
-std::function<double(double)> dc_waveform(double volts);
+/// Sinusoidal source waveform: offset + amplitude sin(2 pi f t + phase).
 std::function<double(double)> sine_waveform(double amplitude, double freq_hz,
                                             double phase_rad = 0.0,
                                             double offset = 0.0);
-std::function<double(double)> square_waveform(double low, double high,
-                                              double freq_hz,
-                                              double duty = 0.5);
 
 class Netlist {
  public:

@@ -8,13 +8,6 @@
 
 namespace braidio::circuits {
 
-std::vector<double> TransientResult::node_trace(NodeId node) const {
-  std::vector<double> out;
-  out.reserve(samples.size());
-  for (const auto& s : samples) out.push_back(s.node_volts.at(node));
-  return out;
-}
-
 double TransientResult::steady_state(NodeId node, double fraction) const {
   if (samples.empty()) throw std::logic_error("steady_state: empty result");
   const auto n = samples.size();

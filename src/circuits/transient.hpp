@@ -31,9 +31,6 @@ struct TransientSample {
 struct TransientResult {
   std::vector<TransientSample> samples;
 
-  /// Voltage trace of a single node.
-  std::vector<double> node_trace(NodeId node) const;
-
   /// Mean of a node voltage over the final `fraction` of the run
   /// (steady-state estimate).
   double steady_state(NodeId node, double fraction = 0.2) const;

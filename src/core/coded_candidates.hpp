@@ -1,26 +1,18 @@
-// Coded operating points for the offload planner.
+// Coded operating range of the Braidio links.
 //
-// Hamming(7,4)+interleaving (mac/fec) converts SNR margin into range: a
-// link whose raw BER is above the 1e-2 threshold can still deliver a
-// residual BER below it after decoding, at a 4/7 throughput cost. Exposing
-// "coded backscatter@10k" etc. as additional ModeCandidates lets Eq. 1
-// braid them like any other mode — which *extends Regime A*: the carrier
-// can be offloaded to either end out to the coded backscatter limit
-// (~2.7 m instead of 2.4 m with the default calibration).
+// Hamming(7,4) (mac/fec) converts SNR margin into range: a link whose raw
+// BER is above the 1e-2 threshold can still deliver a residual BER below
+// it after decoding, at a 4/7 throughput cost. `bench_ext_fec` reports
+// that range per (mode, bitrate), and the Regime A horizon it would give:
+// with coded backscatter the carrier could be offloaded to either end out
+// to ~2.7 m instead of 2.4 m (default calibration). No engine plans over
+// coded links; Eq. 1 sees the uncoded lattice only.
 #pragma once
 
-#include <vector>
-
-#include "core/power_table.hpp"
 #include "core/regimes.hpp"
 #include "phy/link_budget.hpp"
 
 namespace braidio::core {
-
-struct CodedCandidate {
-  ModeCandidate candidate;  // per-bit powers at the *effective* bitrate
-  bool coded = false;
-};
 
 /// The coded operating range of (mode, rate): largest distance where the
 /// Hamming(7,4) residual BER stays under the budget's threshold.
@@ -31,16 +23,6 @@ double coded_range_m(const phy::LinkBudget& budget, phy::LinkMode mode,
 /// threshold).
 bool coded_available(const phy::LinkBudget& budget, phy::LinkMode mode,
                      phy::Bitrate rate, double distance_m);
-
-/// Candidate set at a distance including coded variants where (a) the
-/// map's uncoded lattice points of a mode are all dead and (b) a coded
-/// lattice point still clears the threshold. Coded variants keep each
-/// end's power but deliver code_rate * bitrate, so their per-bit costs
-/// are 7/4 of the uncoded entry. `budget` supplies the BER threshold the
-/// coded residual must clear; the map supplies the lattice and the
-/// uncoded channel answers.
-std::vector<CodedCandidate> candidates_with_coding(
-    const RegimeMap& map, const phy::LinkBudget& budget, double distance_m);
 
 /// Regime-A limit when the map's coded backscatter points count (the
 /// extended offload horizon), with the coded ranges taken against

@@ -2,17 +2,14 @@
 //
 // While the tag end backscatters (or passively receives), the peer's
 // carrier is illuminating it — and the same charge pump that demodulates
-// can bank that energy (circuits/Harvester, WISP/Moo heritage). Folding
-// the harvest credit into Eq. 1's per-bit costs changes the geometry:
-// below the break-even distance the tag end's *net* drain goes to zero
-// and the achievable TX:RX drain ratio becomes unbounded — a device can
-// transmit (or listen) indefinitely on the peer's energy.
+// can bank that energy (circuits/Harvester, WISP/Moo heritage). Below
+// the break-even distance the harvest covers the tag end's own draw: its
+// *net* drain goes to zero, and it could transmit (or listen)
+// indefinitely on the peer's energy. `bench_ext_harvest_fsk` reports the
+// credit and the break-even distance; Eq. 1 plans on uncredited costs.
 #pragma once
 
-#include <vector>
-
 #include "circuits/harvester.hpp"
-#include "core/power_table.hpp"
 #include "core/regimes.hpp"
 
 namespace braidio::core {
@@ -29,13 +26,6 @@ struct HarvestAwareConfig {
 
 /// Power harvested by the non-carrier end at `distance_m` [W].
 double harvested_power_w(const HarvestAwareConfig& config, double distance_m);
-
-/// Candidates with the harvest credit applied to the non-carrier end's
-/// power (clamped at zero: surplus cannot be exported through Eq. 1).
-/// Active-mode entries are untouched (no remote carrier to harvest).
-std::vector<ModeCandidate> harvest_adjusted_candidates(
-    const RegimeMap& map, double distance_m,
-    const HarvestAwareConfig& config = {});
 
 /// Largest distance at which the backscatter tag end is energy-neutral
 /// (harvest covers the tag's own draw at the given bitrate); 0 if nowhere.

@@ -75,20 +75,4 @@ const SwitchOverhead& PowerTable::switch_overhead(phy::LinkMode mode) const {
   return overheads_[static_cast<int>(mode)];
 }
 
-double PowerTable::min_power_w() const {
-  double v = entries_.front().tx_power_w;
-  for (const auto& e : entries_) {
-    v = std::min({v, e.tx_power_w, e.rx_power_w});
-  }
-  return v;
-}
-
-double PowerTable::max_power_w() const {
-  double v = entries_.front().tx_power_w;
-  for (const auto& e : entries_) {
-    v = std::max({v, e.tx_power_w, e.rx_power_w});
-  }
-  return v;
-}
-
 }  // namespace braidio::core

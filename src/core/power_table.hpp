@@ -37,10 +37,6 @@ class PowerTable {
   /// Table 5 switching overhead for a mode.
   const SwitchOverhead& switch_overhead(phy::LinkMode mode) const;
 
-  /// Paper headline: min/max power over every mode/end (16 uW - 129 mW).
-  double min_power_w() const;
-  double max_power_w() const;
-
  private:
   std::vector<ModeCandidate> entries_;
   SwitchOverhead overheads_[3];

@@ -1,7 +1,5 @@
 #include "core/prototypes.hpp"
 
-#include <algorithm>
-
 namespace braidio::core {
 
 const std::vector<PrototypeSpec>& prototype_table() {
@@ -33,18 +31,6 @@ std::vector<ModeCandidate> prototype_candidates(
     out.push_back(candidate);
   }
   return out;
-}
-
-std::pair<double, double> prototype_ratio_span(
-    const PrototypeSpec& proto, const PowerTable& v3_table) {
-  double lo = 1e300, hi = -1e300;
-  for (const auto& c : prototype_candidates(proto, v3_table)) {
-    if (c.rate != phy::Bitrate::M1) continue;  // full-rate triangle
-    const double ratio = c.tx_joules_per_bit() / c.rx_joules_per_bit();
-    lo = std::min(lo, ratio);
-    hi = std::max(hi, ratio);
-  }
-  return {lo, hi};
 }
 
 }  // namespace braidio::core

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/power_table.hpp"
@@ -38,11 +37,6 @@ const std::vector<PrototypeSpec>& prototype_table();
 /// The mode power table a given prototype would induce: identical to the
 /// calibrated v3 table except for the carrier-holder's receive-side power.
 std::vector<ModeCandidate> prototype_candidates(
-    const PrototypeSpec& proto, const PowerTable& v3_table);
-
-/// Best achievable TX:RX drain-ratio span (min, max) with that prototype's
-/// full-rate modes — the "dynamic range" each iteration could have offered.
-std::pair<double, double> prototype_ratio_span(
     const PrototypeSpec& proto, const PowerTable& v3_table);
 
 }  // namespace braidio::core

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "util/contract.hpp"
@@ -26,17 +25,6 @@ Battery::Battery(util::WattHours capacity)
     : capacity_j_(checked_capacity_j(capacity.value())),
       remaining_j_(capacity_j_) {}
 
-double Battery::capacity_wh() const { return util::joules_to_wh(capacity_j_); }
-
-double Battery::remaining_wh() const {
-  return util::joules_to_wh(remaining_j_);
-}
-
-double Battery::fraction_remaining() const {
-  return util::contract::check_probability(remaining_j_ / capacity_j_,
-                                           "Battery::fraction_remaining");
-}
-
 util::Joules Battery::drain(util::Joules request) {
   const double joules = request.value();
   if (joules < 0.0) throw std::invalid_argument("Battery::drain: negative");
@@ -48,16 +36,5 @@ util::Joules Battery::drain(util::Joules request) {
                     "remaining_j", remaining_j_, "capacity_j", capacity_j_);
   return util::Joules(taken);
 }
-
-util::Seconds Battery::seconds_at(util::Watts draw) const {
-  const double watts = draw.value();
-  if (watts < 0.0) throw std::invalid_argument("Battery::seconds_at: negative");
-  if (watts == 0.0) {
-    return util::Seconds(std::numeric_limits<double>::infinity());
-  }
-  return util::Seconds(remaining_j_ / watts);
-}
-
-void Battery::recharge() { remaining_j_ = capacity_j_; }
 
 }  // namespace braidio::energy

@@ -15,29 +15,17 @@ class Battery {
   /// Construct a full battery with the given capacity (> 0 Wh).
   explicit Battery(util::WattHours capacity);
 
-  /// Capacity in joules / watt-hours.
+  /// Capacity in joules.
   double capacity_joules() const { return capacity_j_; }
-  double capacity_wh() const;
 
   /// Remaining energy in joules (never negative).
   double remaining_joules() const { return remaining_j_; }
-  double remaining_wh() const;
-
-  /// Remaining fraction in [0, 1].
-  double fraction_remaining() const;
 
   bool empty() const { return remaining_j_ <= 0.0; }
 
   /// Drain `request` (>= 0). Returns the energy actually drained, which
   /// is less than requested only when the battery empties.
   util::Joules drain(util::Joules request);
-
-  /// Time this battery can sustain a constant power draw; +inf for zero
-  /// draw.
-  util::Seconds seconds_at(util::Watts draw) const;
-
-  /// Refill to capacity.
-  void recharge();
 
  private:
   double capacity_j_;

@@ -19,20 +19,7 @@ constexpr std::array<std::uint16_t, 256> make_crc16_table() {
   return table;
 }
 
-constexpr std::array<std::uint32_t, 256> make_crc32_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t n = 0; n < 256; ++n) {
-    std::uint32_t c = n;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    table[n] = c;
-  }
-  return table;
-}
-
 constexpr auto kCrc16Table = make_crc16_table();
-constexpr auto kCrc32Table = make_crc32_table();
 
 }  // namespace
 
@@ -47,18 +34,6 @@ std::uint16_t crc16_update(std::uint16_t state,
 
 std::uint16_t crc16(std::span<const std::uint8_t> data) {
   return crc16_update(0xFFFF, data);
-}
-
-std::uint32_t crc32_update(std::uint32_t state,
-                           std::span<const std::uint8_t> data) {
-  for (std::uint8_t byte : data) {
-    state = kCrc32Table[(state ^ byte) & 0xFF] ^ (state >> 8);
-  }
-  return state;
-}
-
-std::uint32_t crc32(std::span<const std::uint8_t> data) {
-  return crc32_update(0xFFFFFFFFu, data) ^ 0xFFFFFFFFu;
 }
 
 }  // namespace braidio::mac

@@ -1,7 +1,5 @@
-// CRC-16/CCITT-FALSE and CRC-32 (IEEE 802.3), table-driven.
-//
-// Frames carry CRC-16 (short links, low overhead); CRC-32 is provided for
-// bulk-transfer integrity checks in the examples.
+// CRC-16/CCITT-FALSE, table-driven: the frame check sequence every
+// Braidio frame carries (short links, low overhead).
 #pragma once
 
 #include <cstdint>
@@ -14,12 +12,6 @@ std::uint16_t crc16(std::span<const std::uint8_t> data);
 
 /// Incremental form: continue from a previous CRC state.
 std::uint16_t crc16_update(std::uint16_t state,
-                           std::span<const std::uint8_t> data);
-
-/// CRC-32 (IEEE): poly 0x04C11DB7 reflected, init/xorout 0xFFFFFFFF.
-std::uint32_t crc32(std::span<const std::uint8_t> data);
-
-std::uint32_t crc32_update(std::uint32_t state,
                            std::span<const std::uint8_t> data);
 
 }  // namespace braidio::mac

@@ -16,35 +16,6 @@ std::uint8_t parity(std::uint8_t a, std::uint8_t b, std::uint8_t c) {
 
 }  // namespace
 
-std::vector<std::uint8_t> bytes_to_bits(std::span<const std::uint8_t> bytes) {
-  std::vector<std::uint8_t> bits;
-  bits.reserve(bytes.size() * 8);
-  for (auto byte : bytes) {
-    for (int i = 7; i >= 0; --i) {
-      bits.push_back(static_cast<std::uint8_t>((byte >> i) & 1u));
-    }
-  }
-  return bits;
-}
-
-std::vector<std::uint8_t> bits_to_bytes(std::span<const std::uint8_t> bits) {
-  if (bits.size() % 8 != 0) {
-    throw std::invalid_argument("bits_to_bytes: length not a byte multiple");
-  }
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(bits.size() / 8);
-  for (std::size_t i = 0; i < bits.size(); i += 8) {
-    std::uint8_t byte = 0;
-    for (int b = 0; b < 8; ++b) {
-      byte = static_cast<std::uint8_t>((byte << 1) |
-                                       (bits[i + static_cast<std::size_t>(b)]
-                                        & 1u));
-    }
-    bytes.push_back(byte);
-  }
-  return bytes;
-}
-
 std::vector<std::uint8_t> Hamming74::encode(
     std::span<const std::uint8_t> data_bits) {
   std::vector<std::uint8_t> padded(data_bits.begin(), data_bits.end());
@@ -89,87 +60,6 @@ std::optional<Hamming74::DecodeResult> Hamming74::decode(
     result.bits.push_back(w[6]);
     result.bits.push_back(w[7]);
   }
-  return result;
-}
-
-BlockInterleaver::BlockInterleaver(std::size_t rows, std::size_t columns)
-    : rows_(rows), columns_(columns) {
-  if (rows == 0 || columns == 0) {
-    throw std::invalid_argument("BlockInterleaver: zero dimension");
-  }
-}
-
-std::vector<std::uint8_t> BlockInterleaver::interleave(
-    std::span<const std::uint8_t> symbols) const {
-  if (symbols.size() != block_size()) {
-    throw std::invalid_argument("BlockInterleaver: wrong block size");
-  }
-  std::vector<std::uint8_t> out(symbols.size());
-  std::size_t idx = 0;
-  for (std::size_t c = 0; c < columns_; ++c) {
-    for (std::size_t r = 0; r < rows_; ++r) {
-      out[idx++] = symbols[r * columns_ + c];
-    }
-  }
-  return out;
-}
-
-std::vector<std::uint8_t> BlockInterleaver::deinterleave(
-    std::span<const std::uint8_t> symbols) const {
-  if (symbols.size() != block_size()) {
-    throw std::invalid_argument("BlockInterleaver: wrong block size");
-  }
-  std::vector<std::uint8_t> out(symbols.size());
-  std::size_t idx = 0;
-  for (std::size_t c = 0; c < columns_; ++c) {
-    for (std::size_t r = 0; r < rows_; ++r) {
-      out[r * columns_ + c] = symbols[idx++];
-    }
-  }
-  return out;
-}
-
-CodedPayload fec_encode(std::span<const std::uint8_t> payload,
-                        std::size_t interleaver_rows) {
-  CodedPayload out;
-  out.data_bytes = payload.size();
-  if (payload.empty()) return out;  // nothing to protect
-  auto coded = Hamming74::encode(bytes_to_bits(payload));
-  // Pad to a full interleaver block (codeword-aligned: rows divide 7-bit
-  // words cleanly when rows == 7).
-  const std::size_t rows = interleaver_rows;
-  const std::size_t columns = (coded.size() + rows - 1) / rows;
-  coded.resize(rows * columns, 0);
-  out.coded_bits = BlockInterleaver(rows, columns).interleave(coded);
-  return out;
-}
-
-std::optional<FecDecodeResult> fec_decode(const CodedPayload& coded,
-                                          std::size_t interleaver_rows) {
-  if (coded.data_bytes == 0 && coded.coded_bits.empty()) {
-    return FecDecodeResult{};
-  }
-  const std::size_t rows = interleaver_rows;
-  if (rows == 0 || coded.coded_bits.empty() ||
-      coded.coded_bits.size() % rows != 0) {
-    return std::nullopt;
-  }
-  const std::size_t columns = coded.coded_bits.size() / rows;
-  auto linear =
-      BlockInterleaver(rows, columns).deinterleave(coded.coded_bits);
-  // Strip block padding down to whole codewords that carry data.
-  const std::size_t data_bits = coded.data_bytes * 8;
-  const std::size_t codewords = (data_bits + 3) / 4;
-  if (linear.size() < codewords * 7) return std::nullopt;
-  linear.resize(codewords * 7);
-  const auto decoded = Hamming74::decode(linear);
-  if (!decoded) return std::nullopt;
-  auto bits = decoded->bits;
-  if (bits.size() < data_bits) return std::nullopt;
-  bits.resize(data_bits);
-  FecDecodeResult result;
-  result.payload = bits_to_bytes(bits);
-  result.corrected_bits = decoded->corrected;
   return result;
 }
 

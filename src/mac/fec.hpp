@@ -1,12 +1,10 @@
-// Forward error correction for marginal Braidio links.
+// Hamming(7,4) coding for marginal Braidio links.
 //
 // The paper's links are uncoded; it cites coding improvements for
-// backscatter (Turbocharging ambient backscatter) as related work. This
-// module provides the classic building blocks — Hamming(7,4) with
-// single-error correction, an optional extended parity bit for
-// double-error detection, and a block interleaver to break up bursts —
-// plus byte-level helpers so coded frames can ride the packet channel.
-// `bench_ablation_fec` quantifies the range the code buys at each bitrate.
+// backscatter (Turbocharging ambient backscatter) as related work. The
+// coded-range extension (`core::coded_range_m`, `bench_ext_fec`) runs on
+// the closed-form residual BER below; the Hamming74 codec is the
+// bit-level reference the tests check that formula against.
 #pragma once
 
 #include <cstdint>
@@ -15,11 +13,6 @@
 #include <vector>
 
 namespace braidio::mac {
-
-/// Expand bytes into bits (MSB first) and back.
-std::vector<std::uint8_t> bytes_to_bits(std::span<const std::uint8_t> bytes);
-/// Bit count must be a multiple of 8.
-std::vector<std::uint8_t> bits_to_bytes(std::span<const std::uint8_t> bits);
 
 /// Hamming(7,4): encode 4 data bits into 7, correcting any single bit
 /// error per codeword.
@@ -39,46 +32,6 @@ class Hamming74 {
 
   static constexpr double code_rate() { return 4.0 / 7.0; }
 };
-
-/// Rectangular block interleaver: writes row-major, reads column-major.
-/// Spreads an error burst of length <= rows across distinct codewords.
-class BlockInterleaver {
- public:
-  BlockInterleaver(std::size_t rows, std::size_t columns);
-
-  /// Interleave; input must be exactly rows*columns symbols.
-  std::vector<std::uint8_t> interleave(
-      std::span<const std::uint8_t> symbols) const;
-  std::vector<std::uint8_t> deinterleave(
-      std::span<const std::uint8_t> symbols) const;
-
-  std::size_t block_size() const { return rows_ * columns_; }
-  std::size_t rows() const { return rows_; }
-  std::size_t columns() const { return columns_; }
-
- private:
-  std::size_t rows_;
-  std::size_t columns_;
-};
-
-/// Convenience pipeline: Hamming-encode a byte payload and interleave it
-/// with a burst-tolerant geometry; decode reverses both. The coded size is
-/// deterministic: ceil(bits*7/4) rounded up to the interleaver block.
-struct CodedPayload {
-  std::vector<std::uint8_t> coded_bits;
-  std::size_t data_bytes = 0;  // original length (needed to strip padding)
-};
-
-CodedPayload fec_encode(std::span<const std::uint8_t> payload,
-                        std::size_t interleaver_rows = 7);
-
-struct FecDecodeResult {
-  std::vector<std::uint8_t> payload;
-  std::size_t corrected_bits = 0;
-};
-
-std::optional<FecDecodeResult> fec_decode(const CodedPayload& coded,
-                                          std::size_t interleaver_rows = 7);
 
 /// Residual bit error rate of Hamming(7,4) on a BSC with crossover `ber`:
 /// a codeword with >= 2 errors decodes wrongly; approximate post-decode

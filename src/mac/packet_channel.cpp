@@ -20,14 +20,6 @@ PacketChannel::PacketChannel(const hal::ChannelModel& channel,
       "distance_m", config_.distance_m, "extra_loss_db", config_.extra_loss_db);
 }
 
-double PacketChannel::current_ber(hal::LinkMode mode,
-                                  hal::Bitrate rate) const {
-  const double snr_db = channel_.snr_db(mode, rate, config_.distance_m) -
-                        config_.extra_loss_db;
-  return util::contract::check_probability(
-      channel_.ber_from_snr_db(mode, snr_db), "PacketChannel::current_ber");
-}
-
 double PacketChannel::airtime_s(const Frame& frame, hal::Bitrate rate) {
   return airtime_s(frame.wire_bits(), rate);
 }

@@ -50,9 +50,6 @@ class PacketChannel {
   std::optional<Frame> transmit(const Frame& frame, hal::LinkMode mode,
                                 hal::Bitrate rate);
 
-  /// The BER the next packet would see (before fading and faults).
-  double current_ber(hal::LinkMode mode, hal::Bitrate rate) const;
-
   /// Airtime of a frame at `rate` [s].
   static double airtime_s(const Frame& frame, hal::Bitrate rate);
   /// Airtime of `wire_bits` serialized bits at `rate` [s].

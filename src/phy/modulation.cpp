@@ -22,20 +22,6 @@ std::vector<std::uint8_t> manchester_encode(
   return out;
 }
 
-std::optional<std::vector<std::uint8_t>> manchester_decode(
-    const std::vector<std::uint8_t>& half_bits) {
-  if (half_bits.size() % 2 != 0) return std::nullopt;
-  std::vector<std::uint8_t> out;
-  out.reserve(half_bits.size() / 2);
-  for (std::size_t i = 0; i < half_bits.size(); i += 2) {
-    const auto a = half_bits[i];
-    const auto b = half_bits[i + 1];
-    if (a == b) return std::nullopt;  // 00 / 11 are invalid Manchester pairs
-    out.push_back(b);
-  }
-  return out;
-}
-
 std::vector<double> ook_modulate(const std::vector<std::uint8_t>& bits,
                                  const OokModulatorConfig& config) {
   if (config.samples_per_bit == 0) {
@@ -71,18 +57,6 @@ std::vector<std::uint8_t> random_bits(std::size_t count, std::uint64_t seed) {
   std::vector<std::uint8_t> bits(count);
   for (auto& b : bits) b = rng.bernoulli(0.5) ? 1 : 0;
   return bits;
-}
-
-std::size_t bit_errors(const std::vector<std::uint8_t>& a,
-                       const std::vector<std::uint8_t>& b) {
-  if (a.size() != b.size()) {
-    throw std::invalid_argument("bit_errors: length mismatch");
-  }
-  std::size_t errors = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if ((a[i] != 0) != (b[i] != 0)) ++errors;
-  }
-  return errors;
 }
 
 }  // namespace braidio::phy

@@ -9,8 +9,8 @@
 // through the circuit models.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 namespace braidio::phy {
@@ -18,11 +18,6 @@ namespace braidio::phy {
 /// Manchester (IEEE convention): 0 -> {1,0}, 1 -> {0,1} half-bits.
 std::vector<std::uint8_t> manchester_encode(
     const std::vector<std::uint8_t>& bits);
-
-/// Decode; returns nullopt if the stream length is odd or any pair is
-/// invalid (00 or 11).
-std::optional<std::vector<std::uint8_t>> manchester_decode(
-    const std::vector<std::uint8_t>& half_bits);
 
 struct OokModulatorConfig {
   double on_amplitude = 1.0;
@@ -42,9 +37,5 @@ std::vector<std::uint8_t> ook_demodulate_midpoint(
 
 /// Random test payload.
 std::vector<std::uint8_t> random_bits(std::size_t count, std::uint64_t seed);
-
-/// Hamming distance between two equal-length bit vectors.
-std::size_t bit_errors(const std::vector<std::uint8_t>& a,
-                       const std::vector<std::uint8_t>& b);
 
 }  // namespace braidio::phy

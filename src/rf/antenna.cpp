@@ -1,15 +1,8 @@
 #include "rf/antenna.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
-#include "util/units.hpp"
-
 namespace braidio::rf {
-
-double Antenna::amplitude_gain() const {
-  return std::sqrt(util::db_to_linear(gain_dbi));
-}
 
 std::vector<Antenna> make_diversity_pair(const Vec2& center, double spacing_m,
                                          double gain_dbi, DiversityAxis axis) {

@@ -10,9 +10,6 @@ namespace braidio::rf {
 struct Antenna {
   Vec2 position;          // meters
   double gain_dbi = 0.0;  // boresight gain; chip antennas are near-isotropic
-
-  /// Linear field amplitude gain (sqrt of the power gain).
-  double amplitude_gain() const;
 };
 
 enum class DiversityAxis { X, Y };

@@ -36,11 +36,6 @@ std::complex<double> gauss_markov_step(std::complex<double> scatter,
 
 }  // namespace
 
-std::complex<double> CoherentChannelProcess::step() {
-  scatter_ = gauss_markov_step(scatter_, rho_, stddev_, rng_);
-  return current();
-}
-
 std::complex<double> CoherentChannelProcess::advance(double dt_s) {
   if (!(dt_s >= 0.0) || !std::isfinite(dt_s)) {
     throw std::domain_error("CoherentChannelProcess: dt must be >= 0");

@@ -22,13 +22,11 @@ namespace braidio::rf {
 class CoherentChannelProcess {
  public:
   /// coherence_time_s: time over which the channel decorrelates to ~1/e.
-  /// sample_interval_s: simulation step. mean: static (LoS) component.
+  /// sample_interval_s: the step rho() is quoted for. mean: static (LoS)
+  /// component.
   CoherentChannelProcess(double coherence_time_s, double sample_interval_s,
                          std::complex<double> mean, double scatter_stddev,
                          util::Rng rng);
-
-  /// Advance one sample interval and return the new channel gain.
-  std::complex<double> step();
 
   /// Advance by an arbitrary (possibly zero) elapsed time, with the
   /// correlation computed as exp(-dt/tau) for this step. Lets event-driven

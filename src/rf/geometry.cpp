@@ -1,16 +1,7 @@
 #include "rf/geometry.hpp"
 
-#include <stdexcept>
-
 namespace braidio::rf {
 
 double distance(const Vec2& a, const Vec2& b) { return (b - a).norm(); }
-
-Vec2 direction(const Vec2& a, const Vec2& b) {
-  const Vec2 d = b - a;
-  const double n = d.norm();
-  if (n == 0.0) throw std::invalid_argument("direction: coincident points");
-  return {d.x / n, d.y / n};
-}
 
 }  // namespace braidio::rf

@@ -20,7 +20,4 @@ struct Vec2 {
 /// Euclidean distance between two points.
 double distance(const Vec2& a, const Vec2& b);
 
-/// Unit vector from a to b; requires a != b.
-Vec2 direction(const Vec2& a, const Vec2& b);
-
 }  // namespace braidio::rf

@@ -39,12 +39,6 @@ double friis_gain(double distance_m, double freq_hz, double tx_gain_dbi,
   return check_gain(std::min(1.0, gain * geom * geom));
 }
 
-double friis_pathloss_db(double distance_m, double freq_hz) {
-  const double loss_db = -util::linear_to_db(friis_gain(distance_m, freq_hz));
-  BRAIDIO_ENSURE(loss_db >= 0.0, "loss_db", loss_db);
-  return loss_db;
-}
-
 double backscatter_gain(double distance_m, double freq_hz,
                         double reader_gain_dbi, double tag_gain_dbi,
                         double modulation_loss_db, double min_distance_m) {
@@ -58,18 +52,6 @@ double backscatter_gain(double distance_m, double freq_hz,
       2.0 * reader_gain_dbi + 2.0 * tag_gain_dbi - modulation_loss_db;
   const double g4 = geom * geom * geom * geom;
   return check_gain(std::min(1.0, util::db_to_linear(gain_db) * g4));
-}
-
-double log_distance_gain(double distance_m, double freq_hz, double exponent,
-                         double ref_distance_m) {
-  check_args(distance_m, freq_hz);
-  if (!(exponent > 0.0) || !(ref_distance_m > 0.0)) {
-    throw std::domain_error("log_distance_gain: bad exponent/reference");
-  }
-  const double ref = friis_gain(ref_distance_m, freq_hz);
-  const double d = std::max(distance_m, 1e-3);
-  if (d <= ref_distance_m) return friis_gain(d, freq_hz);
-  return check_gain(ref * std::pow(ref_distance_m / d, exponent));
 }
 
 }  // namespace braidio::rf

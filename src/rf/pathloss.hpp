@@ -5,8 +5,6 @@
 //  * backscatter: the carrier travels receiver->tag and the reflection
 //    travels tag->receiver, so the end-to-end loss follows the radar
 //    equation, ~d^-4, with an additional backscatter (modulation) loss.
-// A log-distance variant with an environment exponent supports indoor
-// scenarios beyond the paper's cleared 6 m x 6 m room.
 #pragma once
 
 namespace braidio::rf {
@@ -17,9 +15,6 @@ namespace braidio::rf {
 double friis_gain(double distance_m, double freq_hz, double tx_gain_dbi = 0.0,
                   double rx_gain_dbi = 0.0, double min_distance_m = 0.05);
 
-/// Friis loss in dB (positive number).
-double friis_pathloss_db(double distance_m, double freq_hz);
-
 /// Radar-equation round-trip gain for a modulated backscatter link where the
 /// carrier source and the backscatter receiver are co-located at distance d
 /// from the tag: Pr/Pt = Gr^2 * Gtag^2 * lambda^4 / ((4 pi)^4 d^4) * M,
@@ -29,10 +24,5 @@ double backscatter_gain(double distance_m, double freq_hz,
                         double tag_gain_dbi = 0.0,
                         double modulation_loss_db = 6.0,
                         double min_distance_m = 0.05);
-
-/// Log-distance path loss gain with exponent `n` referenced to Friis at
-/// `ref_distance_m` (n = 2 reduces to Friis beyond the reference point).
-double log_distance_gain(double distance_m, double freq_hz, double exponent,
-                         double ref_distance_m = 1.0);
 
 }  // namespace braidio::rf

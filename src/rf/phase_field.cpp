@@ -66,18 +66,6 @@ double PhaseField::snr_db_diversity(
   return best;
 }
 
-double PhaseField::cancellation_angle(const Vec2& tag, const Vec2& rx) const {
-  const std::complex<double> bg = background(rx);
-  const std::complex<double> vt = tag_vector(tag, rx);
-  const double denom = std::abs(bg) * std::abs(vt);
-  if (denom == 0.0) return 0.0;
-  const double c = std::clamp(
-      (bg.real() * vt.real() + bg.imag() * vt.imag()) / denom, -1.0, 1.0);
-  // The tag flips sign between states, so theta and pi-theta are equivalent;
-  // fold into [0, pi/2] then report in [0, pi] convention of Fig. 4(a).
-  return std::acos(std::fabs(c));
-}
-
 std::vector<PhaseField::GridSample> PhaseField::sample_grid(
     double x_lo, double x_hi, double y_lo, double y_hi, std::size_t nx,
     std::size_t ny) const {

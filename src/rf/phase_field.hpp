@@ -69,10 +69,6 @@ class PhaseField {
   double snr_db_diversity(const Vec2& tag,
                           const std::vector<Antenna>& antennas) const;
 
-  /// The angle theta between the differential tag vector and the background
-  /// vector at `rx` [radians, in [0, pi]]; theta ~ pi/2 marks a null.
-  double cancellation_angle(const Vec2& tag, const Vec2& rx) const;
-
   const PhaseFieldConfig& config() const { return config_; }
 
   /// Fig. 4(b): sample envelope signal level [dB] over an x-y grid.

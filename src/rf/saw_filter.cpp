@@ -1,10 +1,7 @@
 #include "rf/saw_filter.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
-
-#include "util/units.hpp"
 
 namespace braidio::rf {
 
@@ -38,10 +35,6 @@ double SawFilter::attenuation_db(double freq_hz) const {
                           : freq_hz - spec_.passband_high_hz;
   const double t = std::min(1.0, dist / spec_.transition_width_hz);
   return spec_.insertion_loss_db + t * (stop - spec_.insertion_loss_db);
-}
-
-double SawFilter::power_gain(double freq_hz) const {
-  return util::db_to_linear(-attenuation_db(freq_hz));
 }
 
 }  // namespace braidio::rf

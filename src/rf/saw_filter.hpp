@@ -27,9 +27,6 @@ class SawFilter {
   /// skirts across the transition regions.
   double attenuation_db(double freq_hz) const;
 
-  /// Linear power gain (<= 1) at `freq_hz`.
-  double power_gain(double freq_hz) const;
-
   bool in_band(double freq_hz) const;
 
   const SawFilterSpec& spec() const { return spec_; }

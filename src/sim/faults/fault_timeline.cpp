@@ -124,19 +124,23 @@ std::optional<FaultTimeline> FaultTimeline::parse(std::istream& in,
       ev.start_s = a;
       ev.duration_s = b;
       ev.magnitude = c;
-      // The optional field: absent (end of line or an `@<id>` scope), it
-      // takes the kind's default; present, it must parse. A read that
-      // consumed the token and failed (`1e999` overflows) fails the line.
+      // The optional field (interferer and fade; shadowing has none, so a
+      // fourth token fails below as trailing): absent (end of line or an
+      // `@<id>` scope), it takes the kind's default; present, it must
+      // parse. A read that consumed the token and failed (`1e999`
+      // overflows) fails the line.
       fields >> std::ws;
       const auto next = fields.peek();
-      if (next != std::char_traits<char>::eof() && next != '@') {
+      if (ev.kind == FaultKind::Shadowing) {
+        // no optional field
+      } else if (next != std::char_traits<char>::eof() && next != '@') {
         if (!(fields >> d)) {
           return fail(kind + " optional field is not a finite number");
         }
         ev.param = d;
       } else if (ev.kind == FaultKind::Interferer) {
         ev.param = 100e3;  // default offset: mid data band
-      } else if (ev.kind == FaultKind::FadeBurst) {
+      } else {
         ev.param = 5e-3;  // default coherence: milliseconds (Sec. 3.1)
       }
     } else if (kind == "dropout") {
@@ -211,27 +215,6 @@ std::optional<FaultTimeline> FaultTimeline::parse_file(
   auto timeline = parse(in, error);
   if (!timeline && error) *error = path + ": " + *error;
   return timeline;
-}
-
-FaultTimeline FaultTimeline::periodic_bursts(FaultKind kind, unsigned count,
-                                             double first_start_s,
-                                             double period_s,
-                                             double duration_s,
-                                             double magnitude, double param) {
-  BRAIDIO_REQUIRE(period_s > 0.0 || count <= 1, "period_s", period_s,
-                  "count", count);
-  std::vector<FaultEvent> events;
-  events.reserve(count);
-  for (unsigned i = 0; i < count; ++i) {
-    FaultEvent ev;
-    ev.kind = kind;
-    ev.start_s = first_start_s + static_cast<double>(i) * period_s;
-    ev.duration_s = is_instant(kind) ? 0.0 : duration_s;
-    ev.magnitude = magnitude;
-    ev.param = param;
-    events.push_back(ev);
-  }
-  return FaultTimeline(std::move(events));
 }
 
 }  // namespace braidio::sim::faults

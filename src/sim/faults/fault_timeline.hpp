@@ -7,8 +7,8 @@
 // run, which is what makes degradation experiments sweepable axes with
 // byte-identical serial/parallel results (the PR 2 guarantee extends to
 // faulted runs). Consumers query it through ImpairmentSchedule
-// (impairment.hpp); this header owns the event vocabulary, validation, the
-// `--faults=FILE` text format, and deterministic burst generators.
+// (impairment.hpp); this header owns the event vocabulary, validation and
+// the `--faults=FILE` text format.
 #pragma once
 
 #include <cstdint>
@@ -101,16 +101,6 @@ class FaultTimeline {
                                             std::string* error);
   static std::optional<FaultTimeline> parse_file(const std::string& path,
                                                  std::string* error);
-
-  /// Deterministic burst train: `count` windows of `kind`, the first
-  /// starting at `first_start_s`, one every `period_s`, each `duration_s`
-  /// long with the given magnitude/param. No RNG: fault *rate* sweeps stay
-  /// strictly ordered, which the degradation suite's monotonicity
-  /// invariants rely on.
-  static FaultTimeline periodic_bursts(FaultKind kind, unsigned count,
-                                       double first_start_s, double period_s,
-                                       double duration_s, double magnitude,
-                                       double param = 0.0);
 
  private:
   std::vector<FaultEvent> events_;

@@ -129,11 +129,6 @@ bool RunReport::export_trace(const std::string& name) {
   return json_ok && csv_ok;
 }
 
-void RunReport::profile(const obs::EnergyProfile& profile) {
-  if (profile.empty()) return;
-  *os_ << profile.tree_report();
-}
-
 bool RunReport::export_profile(const std::string& name,
                                const obs::EnergyProfile& profile) {
   if (profile.empty()) return true;

@@ -79,9 +79,6 @@ class RunReport {
   /// recorded.
   bool export_trace(const std::string& name);
 
-  /// Print an energy profile's attribution tree (no-op when empty).
-  void profile(const obs::EnergyProfile& profile);
-
   /// Export an energy profile as <name>.energy.json (attribution +
   /// series), <name>.folded (collapsed-stack flame graph), and
   /// <name>.power.json (Chrome counter tracks) under BRAIDIO_CSV_DIR.

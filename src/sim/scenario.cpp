@@ -28,21 +28,16 @@ Axis Axis::indexed(std::string name, std::size_t count) {
   return axis;
 }
 
-SweepPoint::SweepPoint(const Scenario& scenario, std::size_t flat_index,
+SweepPoint::SweepPoint(std::size_t flat_index,
                        std::vector<std::size_t> coords,
                        std::uint64_t master_seed)
-    : scenario_(&scenario),
-      flat_index_(flat_index),
+    : flat_index_(flat_index),
       coords_(std::move(coords)),
       seed_(util::Rng::stream_seed(master_seed, flat_index)) {}
 
 std::size_t SweepPoint::axis_index(std::size_t axis) const {
   BRAIDIO_REQUIRE(axis < coords_.size(), "axis", axis);
   return coords_[axis];
-}
-
-const std::string& SweepPoint::axis_label(std::size_t axis) const {
-  return scenario_->axes()[axis].labels[axis_index(axis)];
 }
 
 Scenario::Scenario(std::string name, std::vector<Axis> axes,

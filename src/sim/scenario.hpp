@@ -50,22 +50,17 @@ struct RunRecord {
   std::vector<double> numbers;
 };
 
-class Scenario;
-
 /// One point of the sweep grid, handed to the evaluation functor. Carries
 /// the point's coordinates and the seed of its private RNG stream.
 class SweepPoint {
  public:
-  SweepPoint(const Scenario& scenario, std::size_t flat_index,
-             std::vector<std::size_t> coords, std::uint64_t master_seed);
+  SweepPoint(std::size_t flat_index, std::vector<std::size_t> coords,
+             std::uint64_t master_seed);
 
   std::size_t flat_index() const { return flat_index_; }
 
   /// Coordinate (value index) along axis `axis`.
   std::size_t axis_index(std::size_t axis) const;
-
-  /// Display label of this point's value along axis `axis`.
-  const std::string& axis_label(std::size_t axis) const;
 
   /// Deterministic per-point seed (Rng::stream_seed of the sweep master
   /// seed and this point's flat index). A point that draws random numbers
@@ -73,7 +68,6 @@ class SweepPoint {
   std::uint64_t seed() const { return seed_; }
 
  private:
-  const Scenario* scenario_;
   std::size_t flat_index_;
   std::vector<std::size_t> coords_;
   std::uint64_t seed_;

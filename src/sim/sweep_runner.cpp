@@ -58,7 +58,7 @@ ResultTable SweepRunner::run(const Scenario& scenario) const {
 
   const auto run_start = clock::now();
   parallel_for(table.threads_used_, n, [&](std::size_t i) {
-    SweepPoint point(scenario, i, scenario.coords_of(i), options_.seed);
+    SweepPoint point(i, scenario.coords_of(i), options_.seed);
     BRAIDIO_TRACE_EVENT(obs::EventType::SweepPointStart,
                         table.scenario_name().c_str(), obs::no_sim_time(),
                         static_cast<double>(i));

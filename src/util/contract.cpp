@@ -35,9 +35,4 @@ double check_power_dbm_range(double dbm, const char* what, double lo_dbm,
   return dbm;
 }
 
-double check_finite(double x, const char* what) {
-  BRAIDIO_REQUIRE(std::isfinite(x), "finite", what, "value", x);
-  return x;
-}
-
 }  // namespace braidio::util::contract

@@ -119,7 +119,4 @@ inline double check_nonneg_energy_j(double joules, const char* what) {
 double check_power_dbm_range(double dbm, const char* what,
                              double lo_dbm = -250.0, double hi_dbm = 90.0);
 
-/// `x` must be finite (no NaN / infinity).
-double check_finite(double x, const char* what);
-
 }  // namespace braidio::util::contract

@@ -24,51 +24,10 @@ std::vector<double> linspace(double lo, double hi, std::size_t n) {
   return out;
 }
 
-std::vector<double> logspace(double lo, double hi, std::size_t n) {
-  if (!(lo > 0.0) || !(hi > 0.0)) {
-    throw std::domain_error("logspace: endpoints must be > 0");
-  }
-  auto exps = linspace(std::log10(lo), std::log10(hi), n);
-  for (auto& e : exps) e = std::pow(10.0, e);
-  exps.back() = hi;
-  return exps;
-}
-
-double interp1(const std::vector<double>& xs, const std::vector<double>& ys,
-               double x) {
-  if (xs.size() != ys.size() || xs.size() < 2) {
-    throw std::invalid_argument("interp1: need equal-length vectors, size>=2");
-  }
-  if (x <= xs.front()) return ys.front();
-  if (x >= xs.back()) return ys.back();
-  const auto it = std::upper_bound(xs.begin(), xs.end(), x);
-  const auto hi = static_cast<std::size_t>(it - xs.begin());
-  const auto lo = hi - 1;
-  const double t = (x - xs[lo]) / (xs[hi] - xs[lo]);
-  return ys[lo] + t * (ys[hi] - ys[lo]);
-}
-
 double q_function(double x) {
   BRAIDIO_REQUIRE(!std::isnan(x), "x", x);
   return contract::check_probability(0.5 * std::erfc(x / std::sqrt(2.0)),
                                      "q_function");
-}
-
-double q_function_inv(double p) {
-  if (!(p > 0.0) || !(p < 1.0)) {
-    throw std::domain_error("q_function_inv: p must be in (0,1)");
-  }
-  // Bisection on a generous bracket; Q is strictly decreasing.
-  double lo = -40.0, hi = 40.0;
-  for (int i = 0; i < 200; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    if (q_function(mid) > p) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return 0.5 * (lo + hi);
 }
 
 double bessel_i0(double x) {
@@ -128,16 +87,6 @@ double marcum_q1(double a, double b) {
     if (1.0 - cumulative_poisson < 1e-15 && poisson < 1e-15) break;
   }
   return std::min(1.0, sum);
-}
-
-double clamp(double v, double lo, double hi) {
-  if (lo > hi) std::swap(lo, hi);
-  return std::min(hi, std::max(lo, v));
-}
-
-bool approx_equal(double a, double b, double tol) {
-  const double scale = std::max({1.0, std::fabs(a), std::fabs(b)});
-  return std::fabs(a - b) <= tol * scale;
 }
 
 }  // namespace braidio::util

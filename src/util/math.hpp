@@ -1,5 +1,6 @@
-// Numeric helpers: sequences, interpolation, special functions used by the
-// analytic BER models (Q-function, Marcum Q, modified Bessel I0).
+// Numeric helpers: evenly spaced sweeps and the special functions the
+// analytic BER models use (Q-function, Marcum Q). Bessel I0 is the
+// reference the tests check Marcum Q against.
 #pragma once
 
 #include <cstddef>
@@ -11,21 +12,8 @@ namespace braidio::util {
 /// returning {lo}.
 std::vector<double> linspace(double lo, double hi, std::size_t n);
 
-/// `n` logarithmically spaced points from `lo` to `hi` inclusive
-/// (lo, hi > 0).
-std::vector<double> logspace(double lo, double hi, std::size_t n);
-
-/// Piecewise-linear interpolation of (xs, ys) at `x`. xs must be strictly
-/// increasing and the two vectors equal length (>= 2). Values outside the
-/// range are clamped to the end values.
-double interp1(const std::vector<double>& xs, const std::vector<double>& ys,
-               double x);
-
 /// Gaussian tail probability Q(x) = P(N(0,1) > x).
 double q_function(double x);
-
-/// Inverse of the Q-function (Newton on erfc); valid for p in (0, 1).
-double q_function_inv(double p);
 
 /// Modified Bessel function of the first kind, order zero.
 double bessel_i0(double x);
@@ -34,11 +22,5 @@ double bessel_i0(double x);
 /// envelope with parameter a exceeds threshold b. Computed by series with
 /// protection against overflow for large arguments.
 double marcum_q1(double a, double b);
-
-/// Clamp helper mirroring std::clamp but tolerant of lo > hi (swaps).
-double clamp(double v, double lo, double hi);
-
-/// True if |a - b| <= tol * max(1, |a|, |b|).
-bool approx_equal(double a, double b, double tol = 1e-9);
 
 }  // namespace braidio::util

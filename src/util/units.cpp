@@ -52,12 +52,4 @@ Joules to_joules(WattHours energy) {
   return Joules(wh_to_joules(energy.value()));
 }
 
-WattHours to_watt_hours(Joules energy) {
-  return WattHours(joules_to_wh(energy.value()));
-}
-
-Watts to_watts(Dbm level) { return Watts(dbm_to_watts(level.value())); }
-
-Dbm to_dbm(Watts power) { return Dbm(watts_to_dbm(power.value())); }
-
 }  // namespace braidio::util

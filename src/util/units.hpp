@@ -40,18 +40,6 @@ double wh_to_joules(double wh);
 /// Convert energy in joules to watt-hours.
 double joules_to_wh(double joules);
 
-/// Convert milliwatts to watts.
-constexpr double mw_to_watts(double mw) { return mw * 1e-3; }
-
-/// Convert microwatts to watts.
-constexpr double uw_to_watts(double uw) { return uw * 1e-6; }
-
-/// Convert watts to milliwatts.
-constexpr double watts_to_mw(double w) { return w * 1e3; }
-
-/// Convert watts to microwatts.
-constexpr double watts_to_uw(double w) { return w * 1e6; }
-
 /// Free-space wavelength [m] for a carrier frequency [Hz]. Requires > 0.
 double wavelength_m(double freq_hz);
 
@@ -166,15 +154,11 @@ constexpr Seconds operator/(Joules energy, Watts power) {
   return Seconds(energy.value() / power.value());
 }
 
-// Checked conversions between quoted and SI forms. Bit-identical to the
-// raw double helpers above (they are implemented on top of them), so
+// Checked conversion from the quoted to the SI form. Bit-identical to
+// the raw double helper above (it is implemented on top of it), so
 // migrating a call site from wh_to_joules(x) to
 // to_joules(WattHours(x)).value() cannot shift any result.
 Joules to_joules(WattHours energy);
-WattHours to_watt_hours(Joules energy);
-Watts to_watts(Dbm level);
-/// Requires a strictly positive power (throws std::domain_error).
-Dbm to_dbm(Watts power);
 
 inline namespace unit_literals {
 constexpr Joules operator""_J(long double v) {

@@ -1,13 +1,11 @@
-#include <cmath>
-#include <numbers>
+#include <algorithm>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "circuits/antenna_switch.hpp"
 #include "circuits/comparator.hpp"
 #include "circuits/envelope_detector.hpp"
 #include "circuits/inst_amp.hpp"
-#include "util/units.hpp"
 
 namespace braidio::circuits {
 namespace {
@@ -78,15 +76,6 @@ TEST(EnvelopeDetector, DiodeDropCreatesDeadZone) {
   EXPECT_DOUBLE_EQ(out, 0.0);
 }
 
-TEST(EnvelopeDetector, ResetClearsState) {
-  EnvelopeDetector det;
-  for (int i = 0; i < 100; ++i) det.step(1.0);
-  det.reset();
-  // After reset the first sample behaves like a fresh start (HP primed).
-  const double first = det.step(0.0);
-  EXPECT_DOUBLE_EQ(first, 0.0);
-}
-
 TEST(EnvelopeDetector, ProcessMatchesStepLoop) {
   EnvelopeDetector a, b;
   std::vector<double> wave;
@@ -132,10 +121,8 @@ TEST(Comparator, NanopowerBudget) {
 
 TEST(Comparator, ProcessAndReset) {
   Comparator cmp;
-  const auto out = cmp.process({1.0, -1.0, 1.0});
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_TRUE(out[0]);
-  EXPECT_FALSE(out[1]);
+  EXPECT_TRUE(cmp.step(1.0));
+  EXPECT_FALSE(cmp.step(-1.0));
   cmp.reset(true);
   EXPECT_TRUE(cmp.output());
   ComparatorConfig bad;
@@ -145,39 +132,6 @@ TEST(Comparator, ProcessAndReset) {
 
 // ---------- InstAmp ----------
 
-TEST(InstAmp, LowSourceImpedanceGivesNominalGain) {
-  InstAmp amp;
-  EXPECT_NEAR(amp.effective_gain(50.0, 1e3), amp.config().gain, 1.0);
-}
-
-TEST(InstAmp, HighSourceImpedanceRollsOff) {
-  // The Dickson pump presents ~10 kohm, where the 1.8 pF input-capacitance
-  // pole sits at ~8.8 MHz and costs nothing; from a 10 Mohm source the
-  // pole lands at 8.8 kHz and a 100 kHz signal collapses by >10x on top of
-  // the bandwidth limit. This is the "tuned carefully" sensitivity issue
-  // of Sec. 3.2.
-  InstAmp amp;
-  const double g_pump = amp.effective_gain(10e3, 100e3);
-  const double g_bad = amp.effective_gain(10e6, 100e3);
-  EXPECT_GT(g_pump, 8.0 * g_bad);
-  EXPECT_LT(g_bad, 0.05 * amp.config().gain);
-}
-
-TEST(InstAmp, BandwidthLimitAppliesAtHighFrequency) {
-  InstAmp amp;  // GBW 2 MHz, gain 100 -> closed-loop corner 20 kHz
-  const double g_low = amp.effective_gain(50.0, 1e3);
-  const double g_corner = amp.effective_gain(50.0, 20e3);
-  EXPECT_NEAR(g_corner / g_low, 1.0 / std::sqrt(2.0), 0.02);
-}
-
-TEST(InstAmp, NoiseGrowsWithBandwidth) {
-  InstAmp amp;
-  const double n1 = amp.output_noise_volts(10e3);
-  const double n2 = amp.output_noise_volts(40e3);
-  EXPECT_NEAR(n2 / n1, 2.0, 1e-9);
-  EXPECT_THROW(amp.output_noise_volts(-1.0), std::domain_error);
-}
-
 TEST(InstAmp, PowerBudgetIsMilliwattClass) {
   InstAmp amp;
   EXPECT_GT(amp.power_watts(), 1e-4);
@@ -185,38 +139,6 @@ TEST(InstAmp, PowerBudgetIsMilliwattClass) {
   InstAmpConfig bad;
   bad.gain = 0.0;
   EXPECT_THROW(InstAmp{bad}, std::invalid_argument);
-  EXPECT_THROW(amp.effective_gain(-1.0, 1e3), std::domain_error);
-}
-
-// ---------- AntennaSwitch ----------
-
-TEST(AntennaSwitch, TogglesAndCounts) {
-  AntennaSwitch sw;
-  EXPECT_EQ(sw.selected(), 0);
-  sw.select(1);
-  sw.select(1);  // no-op
-  sw.select(0);
-  EXPECT_EQ(sw.toggle_count(), 2u);
-  EXPECT_THROW(sw.select(2), std::invalid_argument);
-}
-
-TEST(AntennaSwitch, LossAndIsolation) {
-  AntennaSwitch sw;
-  EXPECT_NEAR(sw.through_gain(), util::db_to_linear(-0.35), 1e-12);
-  EXPECT_NEAR(sw.isolation_gain(), util::db_to_linear(-25.0), 1e-12);
-  EXPECT_GT(sw.through_gain(), sw.isolation_gain());
-}
-
-TEST(AntennaSwitch, ToggleEnergyIsTiny) {
-  // Table 4: "less than 10uW" control power; per-toggle energy is then
-  // sub-picojoule — backscatter modulation is effectively free, which is
-  // the whole point of the tag-side transmitter.
-  AntennaSwitch sw;
-  const double j = sw.toggle_energy_joules(1'000'000);  // 1 Mb of OOK
-  EXPECT_LT(j, 1e-6);
-  AntennaSwitchConfig bad;
-  bad.insertion_loss_db = -1.0;
-  EXPECT_THROW(AntennaSwitch{bad}, std::invalid_argument);
 }
 
 }  // namespace

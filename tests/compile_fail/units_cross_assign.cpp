@@ -1,5 +1,5 @@
 // Must NOT compile: WattHours and Joules are distinct types; crossing
-// them requires the checked to_joules()/to_watt_hours() conversions.
+// them requires the checked to_joules() conversion.
 #include "util/units.hpp"
 
 namespace braidio {

@@ -16,6 +16,7 @@
 #include "sim/faults/impairment.hpp"
 #include "sim/scenario.hpp"
 #include "sim/sweep_runner.hpp"
+#include "support/fault_bursts.hpp"
 #include "util/units.hpp"
 
 namespace braidio {
@@ -72,7 +73,7 @@ TEST(Degradation, DeliveredBitsNonIncreasingInDropoutBurstCount) {
     sim::faults::FaultTimeline timeline;
     if (count > 0) {
       // Evenly spaced total outages, each 50 ms, starting early.
-      timeline = sim::faults::FaultTimeline::periodic_bursts(
+      timeline = sim::faults::periodic_bursts(
           sim::faults::FaultKind::CarrierDropout, count, 0.01, 0.1, 0.05,
           0.0);
     }
@@ -136,7 +137,7 @@ TEST(Degradation, NoLivelockAtTotalOutage) {
 }
 
 TEST(Degradation, FaultActivationsAreCountedOnce) {
-  const auto timeline = sim::faults::FaultTimeline::periodic_bursts(
+  const auto timeline = sim::faults::periodic_bursts(
       sim::faults::FaultKind::Shadowing, 5, 1e-3, 2e-3, 1e-3, 30.0);
   const sim::faults::ImpairmentSchedule schedule{timeline};
   const auto stats = run_faulted(schedule, 512);
@@ -156,7 +157,7 @@ TEST(Degradation, FaultSweepSerialAndParallelAreByteIdentical) {
         const double db = shadow_db[point.axis_index(0)];
         sim::faults::FaultTimeline timeline;
         if (db > 0.0) {
-          timeline = sim::faults::FaultTimeline::periodic_bursts(
+          timeline = sim::faults::periodic_bursts(
               sim::faults::FaultKind::Shadowing, 3, 0.01, 0.05, 0.03, db);
         }
         const sim::faults::ImpairmentSchedule schedule{timeline};

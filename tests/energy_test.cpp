@@ -15,9 +15,7 @@ namespace {
 TEST(Battery, StartsFullAndConverts) {
   Battery b(util::WattHours(1.0));
   EXPECT_DOUBLE_EQ(b.capacity_joules(), 3600.0);
-  EXPECT_DOUBLE_EQ(b.capacity_wh(), 1.0);
   EXPECT_DOUBLE_EQ(b.remaining_joules(), 3600.0);
-  EXPECT_DOUBLE_EQ(b.fraction_remaining(), 1.0);
   EXPECT_FALSE(b.empty());
 }
 
@@ -35,22 +33,6 @@ TEST(Battery, DrainClampsAtEmpty) {
   EXPECT_TRUE(b.empty());
   EXPECT_DOUBLE_EQ(b.drain(util::Joules(1.0)).value(), 0.0);
   EXPECT_THROW(b.drain(util::Joules(-1.0)), std::invalid_argument);
-}
-
-TEST(Battery, SecondsAtPower) {
-  Battery b(util::WattHours(1.0));  // 3600 J
-  EXPECT_DOUBLE_EQ(b.seconds_at(util::Watts(1.0)).value(), 3600.0);
-  EXPECT_DOUBLE_EQ(b.seconds_at(util::Watts(0.129)).value(),
-                   3600.0 / 0.129);
-  EXPECT_TRUE(std::isinf(b.seconds_at(util::Watts(0.0)).value()));
-  EXPECT_THROW(b.seconds_at(util::Watts(-0.1)), std::invalid_argument);
-}
-
-TEST(Battery, RechargeRestoresCapacity) {
-  Battery b(util::WattHours(0.5));
-  b.drain(util::Joules(1000.0));
-  b.recharge();
-  EXPECT_DOUBLE_EQ(b.fraction_remaining(), 1.0);
 }
 
 TEST(DeviceCatalog, HasTheTenFigure1Devices) {
@@ -88,7 +70,8 @@ TEST(DeviceCatalog, MakesFullBattery) {
   const auto spec = find_device("Apple Watch");
   ASSERT_TRUE(spec.has_value());
   Battery b = spec->make_battery();
-  EXPECT_DOUBLE_EQ(b.capacity_wh(), spec->battery_wh);
+  EXPECT_DOUBLE_EQ(b.capacity_joules(), util::wh_to_joules(spec->battery_wh));
+  EXPECT_DOUBLE_EQ(b.remaining_joules(), b.capacity_joules());
 }
 
 TEST(Ledger, AccumulatesByCategory) {

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "mac/fec.hpp"
 #include "mac/frame.hpp"
 #include "mac/probe.hpp"
 #include "plan/offload.hpp"
@@ -82,23 +81,6 @@ TEST(ControlPayloadFuzz, ParsersRejectGarbageGracefully) {
     (void)mac::parse_mode_switch(bytes);
   }
   SUCCEED();
-}
-
-TEST(FecFuzz, DecoderHandlesArbitraryCodedStreams) {
-  util::Rng rng(0xD1CE);
-  for (int trial = 0; trial < 5'000; ++trial) {
-    mac::CodedPayload coded;
-    coded.data_bytes = static_cast<std::size_t>(rng.uniform_int(0, 64));
-    const auto len = static_cast<std::size_t>(rng.uniform_int(0, 700));
-    coded.coded_bits.resize(len);
-    for (auto& b : coded.coded_bits) {
-      b = static_cast<std::uint8_t>(rng.uniform_int(0, 1));
-    }
-    const auto decoded = mac::fec_decode(coded);
-    if (decoded) {
-      EXPECT_EQ(decoded->payload.size(), coded.data_bytes);
-    }
-  }
 }
 
 TEST(PlannerFuzz, RandomCandidateSetsKeepInvariants) {

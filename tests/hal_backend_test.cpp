@@ -12,10 +12,10 @@
 
 #include "backends/backends.hpp"
 #include "hal/backend.hpp"
-#include "hal/conformance.hpp"
 #include "hal/link_mode.hpp"
 #include "hal/radio.hpp"
 #include "obs/span.hpp"
+#include "support/conformance.hpp"
 #include "util/units.hpp"
 
 namespace braidio::hal {
@@ -177,17 +177,19 @@ TEST(HalBackends, DeclaredCapabilitiesMatchTheHardwareStory) {
   EXPECT_TRUE(braidio.can_backscatter);
   EXPECT_EQ(braidio.lattice.size(), 9u);  // 3 modes x 3 bitrates
 
-  const Capabilities& ble = backends::ble_active_backend().caps();
+  const auto& registry = BackendRegistry::instance();
+  const Capabilities& ble = registry.get(backends::kBleActive).caps();
   EXPECT_TRUE(ble.can_active);
   EXPECT_FALSE(ble.can_backscatter);
   EXPECT_FALSE(ble.can_source_carrier);
 
-  const Capabilities& reader = backends::reader_passive_backend().caps();
+  const Capabilities& reader =
+      registry.get(backends::kReaderPassive).caps();
   EXPECT_FALSE(reader.can_active);
   EXPECT_TRUE(reader.can_source_carrier);
   EXPECT_TRUE(reader.can_backscatter);
 
-  const Capabilities& blisp = backends::blisp_hybrid_backend().caps();
+  const Capabilities& blisp = registry.get(backends::kBlispHybrid).caps();
   EXPECT_TRUE(blisp.can_active);
   EXPECT_TRUE(blisp.can_backscatter);
 }
@@ -205,7 +207,7 @@ TEST(HalBackends, EveryShippedBackendConforms) {
 
 TEST(HalBackends, CreateRadioHonorsBatteryAndCaps) {
   backends::register_all();
-  const auto& backend = backends::ble_active_backend();
+  const auto& backend = BackendRegistry::instance().get(backends::kBleActive);
   const auto radio = backend.create_radio("node", 7, util::WattHours(0.5));
   EXPECT_EQ(radio->name(), "node");
   EXPECT_EQ(radio->address(), 7);

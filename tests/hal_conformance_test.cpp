@@ -3,9 +3,9 @@
 // deliberately dishonest fixture driver (--broken-fixture) the suite must
 // reject — proving the checks have teeth, not just that good drivers pass.
 //
-// Plain main (not gtest): conformance is a library function returning a
-// violation list, and ctest names with '-' in them don't fit gtest's
-// parameterized-name rules.
+// Plain main (not gtest): conformance is a function returning a violation
+// list (tests/support/conformance.hpp), and ctest names with '-' in them
+// don't fit gtest's parameterized-name rules.
 #include <cstdint>
 #include <iostream>
 #include <memory>
@@ -13,8 +13,8 @@
 
 #include "backends/backends.hpp"
 #include "hal/backend.hpp"
-#include "hal/conformance.hpp"
 #include "hal/radio.hpp"
+#include "support/conformance.hpp"
 
 namespace {
 

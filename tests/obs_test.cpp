@@ -40,6 +40,7 @@
 #include "sim/result_table.hpp"
 #include "sim/scenario.hpp"
 #include "sim/sweep_runner.hpp"
+#include "support/fault_bursts.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -1056,7 +1057,7 @@ TEST(EnergyAttribution, FaultedBraidConservesDeviceLedgers) {
                              backend.caps());
   hal::StandardRadio device2("device2", 2, util::WattHours(0.01),
                              backend.caps());
-  const auto timeline = sim::faults::FaultTimeline::periodic_bursts(
+  const auto timeline = sim::faults::periodic_bursts(
       sim::faults::FaultKind::FadeBurst, /*count=*/3,
       /*first_start_s=*/0.02, /*period_s=*/0.2, /*duration_s=*/0.05,
       /*magnitude=*/14.0);
@@ -1252,7 +1253,7 @@ TEST(EnergyAttribution, ExportsMatchRecordedDigests) {
                                backend.caps());
     hal::StandardRadio device2("device2", 2, util::WattHours(0.01),
                                backend.caps());
-    const auto timeline = sim::faults::FaultTimeline::periodic_bursts(
+    const auto timeline = sim::faults::periodic_bursts(
         sim::faults::FaultKind::FadeBurst, 3, 0.02, 0.2, 0.05, 14.0);
     const sim::faults::ImpairmentSchedule schedule(timeline);
     core::BraidedLinkConfig cfg;

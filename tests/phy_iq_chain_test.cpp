@@ -1,5 +1,3 @@
-#include "phy/iq_chain.hpp"
-
 #include <cmath>
 #include <complex>
 #include <cstdint>
@@ -10,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "phy/modulation.hpp"
+#include "support/iq_chain.hpp"
 
 namespace braidio::phy {
 namespace {

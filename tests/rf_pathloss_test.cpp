@@ -15,7 +15,8 @@ TEST(Friis, MatchesClosedFormAt915MHz) {
   const double d = 2.0;
   const double expected_db = 20.0 * std::log10(d) +
                              20.0 * std::log10(kCarrierFrequencyHz) - 147.55;
-  EXPECT_NEAR(friis_pathloss_db(d, kCarrierFrequencyHz), expected_db, 0.01);
+  EXPECT_NEAR(-util::linear_to_db(friis_gain(d, kCarrierFrequencyHz)),
+              expected_db, 0.01);
 }
 
 TEST(Friis, InverseSquareScaling) {
@@ -75,25 +76,6 @@ TEST(Backscatter, IsRoundTripOfFriis) {
   const double round_trip =
       backscatter_gain(d, kCarrierFrequencyHz, 0.0, 0.0, 0.0);
   EXPECT_NEAR(round_trip, one_way * one_way, 1e-12);
-}
-
-TEST(LogDistance, ReducesToFriisWithExponentTwo) {
-  for (double d : {1.5, 3.0, 6.0}) {
-    EXPECT_NEAR(log_distance_gain(d, kCarrierFrequencyHz, 2.0),
-                friis_gain(d, kCarrierFrequencyHz), 1e-12)
-        << "at d=" << d;
-  }
-}
-
-TEST(LogDistance, SteeperExponentDecaysFaster) {
-  const double g2 = log_distance_gain(4.0, kCarrierFrequencyHz, 2.0);
-  const double g3 = log_distance_gain(4.0, kCarrierFrequencyHz, 3.0);
-  EXPECT_GT(g2, g3);
-  // Inside the reference distance both follow Friis.
-  EXPECT_DOUBLE_EQ(log_distance_gain(0.5, kCarrierFrequencyHz, 3.5),
-                   friis_gain(0.5, kCarrierFrequencyHz));
-  EXPECT_THROW(log_distance_gain(1.0, kCarrierFrequencyHz, 0.0),
-               std::domain_error);
 }
 
 class PathlossMonotonic : public ::testing::TestWithParam<double> {};

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "sim/faults/fault_timeline.hpp"
+#include "support/fault_bursts.hpp"
 
 namespace braidio::sim::faults {
 namespace {
@@ -45,7 +46,7 @@ TEST(FaultTimeline, RejectsBadEvents) {
 }
 
 TEST(FaultTimeline, StartingInUsesHalfOpenInterval) {
-  const auto timeline = FaultTimeline::periodic_bursts(
+  const auto timeline = periodic_bursts(
       FaultKind::CarrierDropout, 3, 1.0, 1.0, 0.25, 0.0);
   // (t0, t1]: the edge at t = 1 belongs to the interval ending at 1.
   EXPECT_EQ(timeline.starting_in(0.0, 1.0).size(), 1u);
@@ -83,10 +84,10 @@ TEST(FaultTimeline, ParseReportsLineNumbersOnErrors) {
 }
 
 TEST(FaultTimeline, PeriodicBurstsAreDeterministicAndOrdered) {
-  const auto a = FaultTimeline::periodic_bursts(FaultKind::Shadowing, 4,
-                                                0.5, 2.0, 0.1, 20.0);
-  const auto b = FaultTimeline::periodic_bursts(FaultKind::Shadowing, 4,
-                                                0.5, 2.0, 0.1, 20.0);
+  const auto a = periodic_bursts(FaultKind::Shadowing, 4, 0.5, 2.0, 0.1,
+                                 20.0);
+  const auto b = periodic_bursts(FaultKind::Shadowing, 4, 0.5, 2.0, 0.1,
+                                 20.0);
   ASSERT_EQ(a.size(), 4u);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.events()[i].start_s, b.events()[i].start_s);
@@ -241,6 +242,32 @@ TEST(FaultTimeline, RejectsAnOptionalFieldThatDoesNotParse) {
   EXPECT_EQ(events[3].param, 100e3);
   EXPECT_EQ(events[3].node, 1);
   EXPECT_EQ(events[4].param, 5e-3);
+}
+
+TEST(FaultTimeline, ShadowingTakesNoOptionalField) {
+  // Only interferer and fade read a fourth field; after shadowing's loss
+  // any token but an `@<id>` scope is trailing.
+  for (const char* text :
+       {"shadowing 0.2 0.6 12 42\n", "shadowing 0.2 0.6 12 42 @3\n"}) {
+    std::istringstream in(std::string("# header\n") + text);
+    std::string error;
+    EXPECT_FALSE(FaultTimeline::parse(in, &error).has_value()) << text;
+    EXPECT_EQ(error, "line 2: trailing tokens after shadowing") << text;
+  }
+  std::istringstream in(
+      "shadowing 0.2 0.6 12 @3\n"
+      "interferer 0 10 -20 100e3\n");
+  std::string error;
+  const auto timeline = FaultTimeline::parse(in, &error);
+  ASSERT_TRUE(timeline.has_value()) << error;
+  const auto& events = timeline->events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].kind, FaultKind::Interferer);
+  EXPECT_EQ(events[0].param, 100e3);
+  EXPECT_EQ(events[1].kind, FaultKind::Shadowing);
+  EXPECT_EQ(events[1].magnitude, 12.0);
+  EXPECT_EQ(events[1].param, 0.0);
+  EXPECT_EQ(events[1].node, 3);
 }
 
 TEST(ImpairmentSchedule, NodeScopedQueryFiltersByTarget) {

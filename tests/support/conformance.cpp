@@ -1,4 +1,4 @@
-#include "hal/conformance.hpp"
+#include "support/conformance.hpp"
 
 #include <cmath>
 #include <set>

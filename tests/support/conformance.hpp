@@ -7,8 +7,9 @@
 // (battery drain == ledger postings), the request/confirm state machine
 // must enforce legality, and identical op sequences must replay
 // bit-identically. The suite is a plain function returning violation
-// strings so it can run inside ctest (tests/hal_conformance_test.cpp),
-// from tools, or ad hoc.
+// strings; tests/hal_conformance_test.cpp runs it once per registered
+// backend, and hal_backend_test on the shipped backends. It is test
+// support (braidio_test_support), not part of the library.
 #pragma once
 
 #include <string>

@@ -1,4 +1,4 @@
-#include "phy/iq_chain.hpp"
+#include "support/iq_chain.hpp"
 
 #include <cmath>
 #include <numbers>

@@ -11,9 +11,10 @@
 //   downconversion -> matched filter -> carrier-phase estimation from the
 //   pilot -> decision
 //
-// It validates the analytic active-mode BER models at waveform level and
-// quantifies what coherent detection buys over the envelope chain — the
-// sensitivity column of Table 3.
+// It is the waveform-level oracle for the analytic active-mode BER models
+// (phy_iq_chain_test, extension E6) and quantifies what coherent detection
+// buys over the envelope chain — the sensitivity column of Table 3. It is
+// test support (braidio_test_support), not part of the library.
 #pragma once
 
 #include <complex>

@@ -56,12 +56,6 @@ TEST(ContractCheckersDeathTest, PowerDbmRejectsOutsideRange) {
                kDies);
 }
 
-TEST(ContractCheckersDeathTest, FiniteRejectsNanAndInf) {
-  EXPECT_DEATH(util::contract::check_finite(kNan, "x"), kDies);
-  EXPECT_DEATH(util::contract::check_finite(kInf, "x"), kDies);
-  EXPECT_DEATH(util::contract::check_finite(-kInf, "x"), kDies);
-}
-
 TEST(ContractCheckersDeathTest, MacrosReportAllThreeKinds) {
   EXPECT_DEATH(BRAIDIO_REQUIRE(1 == 2, "lhs", 1, "rhs", 2), "REQUIRE");
   EXPECT_DEATH(BRAIDIO_ENSURE(false), "ENSURE");
@@ -88,7 +82,6 @@ TEST(ModuleContractsDeathTest, PhyBerRejectsNanSnr) {
 
 TEST(ModuleContractsDeathTest, RfPathlossRejectsNanDistance) {
   EXPECT_DEATH(rf::friis_gain(kNan, 915e6), kDies);
-  EXPECT_DEATH(rf::friis_pathloss_db(kNan, 915e6), kDies);
 }
 
 TEST(ModuleContractsDeathTest, EnergyBatteryRejectsNanDrain) {
@@ -136,7 +129,6 @@ TEST(ContractCheckers, GoodValuesPassThrough) {
   EXPECT_EQ(util::contract::check_nonneg_energy_j(0.0, "e"), 0.0);
   EXPECT_EQ(util::contract::check_nonneg_energy_j(3.5, "e"), 3.5);
   EXPECT_EQ(util::contract::check_power_dbm_range(-30.0, "tx"), -30.0);
-  EXPECT_EQ(util::contract::check_finite(-1e300, "x"), -1e300);
 }
 
 TEST(ContractCheckers, MacrosAreSilentWhenSatisfied) {

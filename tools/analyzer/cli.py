@@ -6,8 +6,9 @@
     python3 tools/analyzer --json out.json --sarif out.sarif
 
 A bare run walks src/, tests/, bench/ and examples/ and adds the
-whole-tree rule A11; a run over explicit paths checks only those
-files, so it skips A11.
+whole-tree rules A11 and A15 (A15 also reads perfbench/src/'s
+includes); a run over explicit paths checks only those files, so it
+skips both.
 
 Exit status: 0 clean, 1 findings, 2 usage/internal error.
 """

@@ -78,6 +78,11 @@ RULES: tuple[Rule, ...] = (
     Rule("A14-events-not-logs", "events-not-logs",
          "src/ outside util/ and obs/ posts simulator state as trace "
          "events, not Trace/Debug/Info log lines"),
+    Rule("A15-test-only-header", "test-only-header",
+         "every src/**/*.hpp is included by a file outside tests/ other "
+         "than its own .cpp (src/, bench/, examples/, perfbench/src/); "
+         "test-only code lives under tests/support/ (whole-tree runs "
+         "only)"),
     Rule("bad-suppression", "bad-suppression",
          "a suppression annotation needs a non-empty reason"),
 )

@@ -1,4 +1,4 @@
-"""Rule implementations A1-A14 over the SourceModel (DESIGN.md §13)."""
+"""Rule implementations A1-A15 over the SourceModel (DESIGN.md §13)."""
 
 from __future__ import annotations
 
@@ -490,6 +490,50 @@ def check_test_registration(models: list[SourceModel],
     return findings
 
 
+def check_header_includers(models: list[SourceModel],
+                           tree: Path) -> list[Finding]:
+    """A15: every src/**/*.hpp has an includer outside tests/.
+
+    Its own .cpp does not count. The includers are the other files of
+    src/, bench/ and examples/, and tree/perfbench/src/, which is read
+    here only: no other rule walks it. A header whose only includers are
+    tests is test support and belongs under tests/support/. Include
+    paths sit inside string literals, which the blanker erases, so the
+    raw lines are read. Needs every file of the tree in ``models``.
+    """
+    includers: dict[str, set[str]] = {}
+
+    def scan(rel: str, lines: list[str]) -> None:
+        for raw in lines:
+            for header in _INCLUDE_RE.findall(raw):
+                includers.setdefault(header, set()).add(rel)
+
+    for model in models:
+        if not model.rel.startswith("tests/"):
+            scan(model.rel, model.lines)
+    perfbench = tree / "perfbench" / "src"
+    if perfbench.is_dir():
+        for path in sorted(perfbench.rglob("*")):
+            if path.suffix in (".cpp", ".hpp"):
+                scan(path.relative_to(tree).as_posix(),
+                     path.read_text().splitlines())
+    findings = []
+    for model in models:
+        if not (model.rel.startswith("src/") and model.rel.endswith(".hpp")):
+            continue
+        header = model.rel[len("src/"):]
+        own_source = model.rel[:-len(".hpp")] + ".cpp"
+        if includers.get(header, set()) - {own_source}:
+            continue
+        if model.suppressed("test-only-header", 1):
+            continue
+        findings.append(Finding(
+            "A15-test-only-header", model.rel, 1,
+            f"no file outside tests/ but its own .cpp includes "
+            f"\"{header}\" — delete it, or move it under tests/support/"))
+    return findings
+
+
 def _bare(name: str) -> str:
     return name.split("::")[-1].lstrip("~")
 
@@ -536,8 +580,8 @@ def check_contract_coverage(models: list[SourceModel]) -> list[Finding]:
 
 def run_all(models: list[SourceModel],
             tree: Path | None = None) -> list[Finding]:
-    """Every rule over ``models``; A11 too when ``tree`` names the root
-    of a whole-tree run."""
+    """Every rule over ``models``; A11 and A15 too when ``tree`` names the
+    root of a whole-tree run."""
     findings: list[Finding] = []
     pairs: dict[str, list[SourceModel]] = {}
     for model in models:
@@ -558,5 +602,6 @@ def run_all(models: list[SourceModel],
         findings.extend(check_contract_coverage(pairs[stem]))
     if tree is not None:
         findings.extend(check_test_registration(models, tree))
+        findings.extend(check_header_includers(models, tree))
     findings.sort(key=lambda f: (f.path, f.line, f.rule_id))
     return findings

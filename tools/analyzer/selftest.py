@@ -4,10 +4,10 @@
 Every fixture under fixtures/ declares its expected findings with
 `// expect: <rule-id>` comments; this driver runs the full rule set
 over the fixtures and compares the per-file multiset of rule ids
-(line-insensitive, so fixtures stay editable). The whole-tree rule A11
-runs on a small synthetic tree instead. The CLI is driven as a
-subprocess to pin its exit codes, `--list` and the explicit-path mode.
-Every rule family A1-A6 and A8-A14 needs at least two known-bad
+(line-insensitive, so fixtures stay editable). The whole-tree rules
+A11 and A15 run on small synthetic trees instead. The CLI is driven as
+a subprocess to pin its exit codes, `--list` and the explicit-path
+mode. Every rule family A1-A6 and A8-A15 needs at least two known-bad
 examples.
 
 Exit status: 0 pass, 1 any failure.
@@ -33,15 +33,18 @@ REPO = Path(__file__).resolve().parent.parent.parent
 ANALYZER = Path(__file__).resolve().parent
 FIXTURES = ANALYZER / "fixtures"
 FAMILIES = ("A1", "A2", "A3", "A4", "A5", "A6", "A8", "A9", "A10", "A11",
-            "A12", "A13", "A14")
+            "A12", "A13", "A14", "A15")
 
 # A11 on a synthetic tree: foo is covered, bar is not, and the ghost
-# test is registered without a source file.
+# test is registered without a source file. A bench includes both
+# headers, so A15 has nothing to report.
 SYNTHETIC_TREE = {
     "src/core/foo.cpp": '#include "core/foo.hpp"\n',
     "src/core/foo.hpp": "#pragma once\n",
     "src/core/bar.cpp": '#include "core/bar.hpp"\n',
     "src/core/bar.hpp": "#pragma once\n",
+    "bench/bench_foo.cpp": ('#include "core/bar.hpp"\n'
+                            '#include "core/foo.hpp"\n'),
     "tests/foo_test.cpp": '#include "core/foo.hpp"\n',
     "tests/CMakeLists.txt": ("braidio_test(foo_test)\n"
                              "braidio_test(ghost_test)\n"),
@@ -49,6 +52,29 @@ SYNTHETIC_TREE = {
 SYNTHETIC_FINDINGS = [
     ("src/core/bar.cpp", 1),
     ("tests/CMakeLists.txt", 2),
+]
+
+# A15 on a synthetic tree: a header its own .cpp and a test include, and
+# one nothing includes, are test-only; an example, another module and
+# perfbench/src/ (read only for its includes) each keep one in the
+# library.
+INCLUDER_TREE = {
+    "src/hal/lonely.cpp": '#include "hal/lonely.hpp"\n',
+    "src/hal/lonely.hpp": "#pragma once\n",
+    "src/hal/orphan.hpp": "#pragma once\n",
+    "src/hal/used.cpp": ('#include "hal/used.hpp"\n'
+                         '#include "hal/shared.hpp"\n'),
+    "src/hal/used.hpp": "#pragma once\n",
+    "src/hal/shared.hpp": "#pragma once\n",
+    "src/hal/probed.hpp": "#pragma once\n",
+    "examples/demo.cpp": '#include "hal/used.hpp"\n',
+    "perfbench/src/probes.cpp": '#include "hal/probed.hpp"\n',
+    "tests/lonely_test.cpp": ('#include "hal/lonely.hpp"\n'
+                              '#include "hal/orphan.hpp"\n'),
+}
+INCLUDER_FINDINGS = [
+    ("src/hal/lonely.hpp", 1),
+    ("src/hal/orphan.hpp", 1),
 ]
 
 
@@ -109,6 +135,29 @@ def check_test_registration(family_counts: collections.Counter) -> int:
     return 1
 
 
+def check_header_includers(family_counts: collections.Counter) -> int:
+    with tempfile.TemporaryDirectory() as scratch:
+        tree = Path(scratch)
+        for rel, text in INCLUDER_TREE.items():
+            (tree / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tree / rel).write_text(text)
+        models = [backend_lexical.build_model(tree / rel, tree)
+                  for rel in sorted(INCLUDER_TREE)
+                  if rel.endswith((".cpp", ".hpp"))
+                  and not rel.startswith("perfbench/")]
+        findings = rules.run_all(models, tree)
+    got = [(f.path, f.line) for f in findings
+           if f.rule_id == "A15-test-only-header"]
+    family_counts["A15"] += len(INCLUDER_FINDINGS)
+    if got == INCLUDER_FINDINGS:
+        print("PASS A15 synthetic tree: test-only and unincluded headers")
+        return 0
+    print("FAIL A15 synthetic tree:")
+    for finding in findings:
+        print(f"    actual: {finding.render()}")
+    return 1
+
+
 def check_cli() -> int:
     def run(*args: str) -> subprocess.CompletedProcess:
         return subprocess.run([sys.executable, str(ANALYZER), *args],
@@ -124,7 +173,8 @@ def check_cli() -> int:
             "A9-no-global-rng", "A12-line-hygiene",
             "A13-no-stray-threads")),
          "known-bad fixture reports A9, A12 and A13"),
-        ("A11-" not in bad.stdout, "explicit-path run skips A11"),
+        ("A11-" not in bad.stdout and "A15-" not in bad.stdout,
+         "explicit-path run skips A11 and A15"),
         (clean.returncode == 0, "clean fixture exits 0"),
         (missing.returncode == 2, "missing path exits 2"),
         (listing.returncode == 0 and
@@ -139,7 +189,8 @@ def check_cli() -> int:
 def main() -> int:
     family_counts: collections.Counter = collections.Counter()
     failures = (check_fixtures(family_counts) +
-                check_test_registration(family_counts) + check_cli())
+                check_test_registration(family_counts) +
+                check_header_includers(family_counts) + check_cli())
     for family in FAMILIES:
         if family_counts[family] < 2:
             failures += 1
